@@ -1,8 +1,9 @@
 """Deciding contractibility with machine-checkable evidence.
 
-Three engines cooperate: integer homology by Smith normal form, a
-backtracking search for full collapse sequences, and Todd-Coxeter coset
-enumeration of the fundamental group read off a spanning tree.
+Three engines cooperate: integer homology by Smith normal form, a greedy
+free-face collapse that finds a full collapse sequence whenever one exists,
+and Todd-Coxeter coset enumeration of the fundamental group read off a
+spanning tree.
 """
 
 from foldcx import (

@@ -36,7 +36,6 @@ from .groups import coset_enumeration, pi1_presentation
 from .jsonio import export_dot, morphism_from_json, morphism_to_json
 from .presentations import Presentation, PresentationError, parse_presentation
 from .topology import (
-    Budgets,
     Certificate,
     certify_contractible,
     collapsibility_search,

@@ -3,7 +3,8 @@
 Complexes travel as the JSON documents of jsonio; verification reports
 print as text or JSON.  Exit codes: 0 success / verified, 1 failed check
 or verification, 2 malformed input or exhausted budget.  The environment
-variable FOLDCX_BUDGET overrides the default search budgets.
+variable FOLDCX_BUDGET overrides the default search budgets: enumeration
+nodes and the coset cap.  Collapse needs no budget.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .folding import couple, fold, identify_edges, identify_vertices
 from .homology import homology
 from .jsonio import export_dot, morphism_from_json, morphism_to_json
 from .presentations import PresentationError, parse_presentation
-from .topology import Budgets, certify_contractible
+from .topology import certify_contractible
 from .verify import (
     check_lemma_coupling,
     check_lemma_edge_identification,
@@ -135,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fold":
             p.add_argument("--trace", default=None, help="write JSON-lines merge trace here")
         if name == "certify":
-            p.add_argument("--collapse-budget", type=int, default=None)
             p.add_argument("--max-cosets", type=int, default=None)
 
     p = add("collapse", "collapse one free face")
@@ -168,37 +168,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-free-faces", action="store_true")
     p.add_argument("--allow-disconnected", action="store_true")
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; "
-                   "output is scheduling-independent")
     p.add_argument("--json", action="store_true")
 
     p = add("verify-lemma", "run one structure checker")
     p.add_argument("which", choices=sorted(LEMMA_CHECKERS))
     p.add_argument("--max-i", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = add("verify-theorem", "enumerate and certify at desk scale")
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--collapse-budget", type=int, default=None)
     p.add_argument("--max-cosets", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     return parser
 
 
-def _budgets(args) -> Budgets:
-    default = Budgets()
-    collapse = getattr(args, "collapse_budget", None)
-    cosets = getattr(args, "max_cosets", None)
-    return Budgets(
-        collapse_nodes=collapse
-        if collapse is not None
-        else _env_budget(default.collapse_nodes),
-        max_cosets=cosets if cosets is not None else _env_budget(default.max_cosets),
-    )
+def _max_cosets(args) -> int:
+    return args.max_cosets if args.max_cosets is not None else _env_budget(100_000)
 
 
 def _run(args) -> int:
@@ -253,7 +240,7 @@ def _run(args) -> int:
         max_nodes = (
             args.max_nodes if args.max_nodes is not None else _env_budget(5_000_000)
         )
-        report = verify_main_theorem(args.max_vertices, _budgets(args), max_nodes)
+        report = verify_main_theorem(args.max_vertices, _max_cosets(args), max_nodes)
         report.parameters["seed"] = args.seed
         report.parameters["version"] = __version__
         return _emit_report(report, args)
@@ -325,7 +312,7 @@ def _run(args) -> int:
                args.output)
         return 0
     if args.command == "certify":
-        _write(certify_contractible(morphism.complex, _budgets(args)).to_json(), args.output)
+        _write(certify_contractible(morphism.complex, _max_cosets(args)).to_json(), args.output)
         return 0
     if args.command == "export-dot":
         _write(export_dot(morphism), args.output)

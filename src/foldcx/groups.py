@@ -60,11 +60,8 @@ def pi1_presentation(cx: TwoComplex, basepoint: str | None = None) -> Presentati
     return Presentation(gens, tuple(relators))
 
 
-def coset_enumeration(
-    pres: Presentation, max_cosets: int = 100_000, cancel=None
-) -> int | None:
-    """Order of the presented group, or None when the table exceeds the cap
-    or `cancel` (polled between scans) asks the run to stop.
+def coset_enumeration(pres: Presentation, max_cosets: int = 100_000) -> int | None:
+    """Order of the presented group, or None when the table exceeds the cap.
 
     Cosets of the trivial subgroup are enumerated, so a closed table has
     one row per group element.
@@ -165,8 +162,6 @@ def coset_enumeration(
         changed = False
         a = 0
         while a < len(table):
-            if cancel is not None and cancel():
-                return None
             if rep(a) != a:
                 a += 1
                 continue
@@ -188,10 +183,12 @@ def coset_enumeration(
     for a in range(len(table)):  # closure sanity: complete and consistent
         if rep(a) != a:
             continue
-        assert all(entry is not None for entry in table[a])
+        if any(entry is None for entry in table[a]):
+            raise RuntimeError(f"closed coset table has a gap at coset {a}")
         for word in relator_cols:
             b = a
             for x in word:
                 b = rep(table[b][x])
-            assert b == a
+            if b != a:
+                raise RuntimeError(f"closed coset table breaks a relator at coset {a}")
     return len(table) - dead

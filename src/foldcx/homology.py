@@ -149,8 +149,6 @@ def homology(cx: TwoComplex) -> HomologyProfile:
         betti_2=len(cx.faces) - rank2,
         torsion_1=tuple(f for f in factors2 if f > 1),
     )
-    assert (
-        profile.betti_0 - profile.betti_1 + profile.betti_2
-        == euler_characteristic(cx)
-    )
+    if profile.betti_0 - profile.betti_1 + profile.betti_2 != euler_characteristic(cx):
+        raise RuntimeError("Betti numbers contradict the Euler characteristic")
     return profile

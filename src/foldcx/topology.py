@@ -10,15 +10,18 @@ A certificate is replayable evidence for (or against) contractibility:
                              is contractible
   not-contractible           a homology witness (nonzero Betti number or
                              torsion, or Euler characteristic != 1)
-  unknown                    budgets exhausted before any of the above
+  unknown                    not collapsible, and the coset enumeration
+                             hit its cap or found a nontrivial group
 
-Collapsibility is decided by backtracking over free-face collapse orders;
-once no 2-cells remain the rest is forced (a graph collapses to a point
-exactly when it is a tree, pruning leaves in any order).
+Collapsibility is decided by greedy free-face collapse, which is complete
+because the order of free-face collapses does not matter; once no 2-cells
+remain the rest is forced (a graph collapses to a point exactly when it is
+a tree, pruning leaves in any order).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -32,12 +35,6 @@ PI1_JUSTIFICATION = (
     "connected 2-complex with trivial fundamental group and trivial H2 "
     "is contractible"
 )
-
-
-@dataclass(frozen=True)
-class Budgets:
-    collapse_nodes: int = 20_000
-    max_cosets: int = 100_000
 
 
 def _tree_collapse(cx: TwoComplex, edges: set[str]) -> list[CollapseStep] | None:
@@ -57,9 +54,10 @@ def _tree_collapse(cx: TwoComplex, edges: set[str]) -> list[CollapseStep] | None
         ends[eid] = (e.tail, e.head)
     steps: list[CollapseStep] = []
     removed_e: set[str] = set()
-    leaves = sorted(v for v, d in degree.items() if d == 1)
+    leaves = [v for v, d in degree.items() if d == 1]
+    heapq.heapify(leaves)
     while leaves:
-        v = leaves.pop(0)
+        v = heapq.heappop(leaves)
         if degree[v] != 1:
             continue
         (eid,) = [x for x in incident[v] if x not in removed_e]
@@ -70,65 +68,57 @@ def _tree_collapse(cx: TwoComplex, edges: set[str]) -> list[CollapseStep] | None
         degree[v] -= 1
         degree[other] -= 1
         if degree[other] == 1:
-            leaves.append(other)
-            leaves.sort()
+            heapq.heappush(leaves, other)
     if len(removed_e) != len(edges):
         return None  # a cycle survived
     return steps
 
 
-def collapsibility_search(
-    cx: TwoComplex, budget: int = 20_000, cancel=None
-) -> list[CollapseStep] | None:
-    """A full collapse sequence to a single vertex, or None within budget.
+def collapsibility_search(cx: TwoComplex) -> list[CollapseStep] | None:
+    """A full collapse sequence to a single vertex, or None if none exists.
 
-    Backtracks over the order of free-face collapses; after the 2-cells
-    are exhausted, degree-1 vertices are collapsed with their edges.
-    `cancel`, when given, is polled between search nodes so callers may
-    race strategies and abandon this one.
+    Greedy: collapse the smallest free (edge, face) pair until no free
+    edge is left, then prune the remaining graph leaf by leaf.  This is
+    complete.  Removing a face only lowers the occurrence counts of other
+    edges, and a free edge keeps count 1 while its face lives; so once a
+    face can be removed it stays removable, and the set of faces that can
+    ever be removed does not depend on the order.  With every face gone,
+    the graph left is homotopy-equivalent to cx, so whether it is a tree
+    does not depend on which free edge was paired with which face.
+    Vertex-edge collapses change no face counts, so interleaving them
+    gains nothing.
     """
     if not cx.vertices:
         raise ComplexError("collapsibility_search of the empty complex")
     face_edges = {f.id: [eid for eid, _ in f.boundary] for f in cx.faces}
-    nodes = 0
-    seen: set[frozenset] = set()
-
-    def counts(edges: set[str], faces: set[str]) -> dict[str, int]:
-        out = {e: 0 for e in edges}
-        for fid in faces:
-            for eid in face_edges[fid]:
-                out[eid] += 1
-        return out
-
-    def dfs(edges: set[str], faces: set[str], steps: list) -> list | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget or (cancel is not None and cancel()):
-            return None
-        if not faces:
-            tail = _tree_collapse(cx, edges)
-            if tail is None:
-                return None
-            return steps + tail
-        occurrence = counts(edges, faces)
-        moves = []
-        for eid, n in occurrence.items():
-            if n == 1:
-                (fid,) = [f for f in faces if eid in face_edges[f]]
-                moves.append((eid, fid))
-        for eid, fid in sorted(moves):
-            next_edges = edges - {eid}
-            next_faces = faces - {fid}
-            key = frozenset(next_edges) | frozenset("F" + f for f in next_faces)
-            if key in seen:
-                continue
-            seen.add(key)
-            found = dfs(next_edges, next_faces, steps + [("edge-face", eid, fid)])
-            if found is not None:
-                return found
+    count = {e.id: 0 for e in cx.edges}
+    faces_of: dict[str, list[str]] = {e.id: [] for e in cx.edges}
+    for fid, eids in face_edges.items():
+        for eid in eids:
+            count[eid] += 1
+            faces_of[eid].append(fid)
+    free = [(eid, faces_of[eid][0]) for eid, n in count.items() if n == 1]
+    heapq.heapify(free)
+    live = set(face_edges)
+    edges = set(count)
+    steps: list[CollapseStep] = []
+    while free:
+        eid, fid = heapq.heappop(free)
+        if fid not in live:
+            continue
+        live.remove(fid)
+        edges.remove(eid)
+        steps.append(("edge-face", eid, fid))
+        for x in face_edges[fid]:
+            count[x] -= 1
+        for x in set(face_edges[fid]):
+            if count[x] == 1:
+                (other,) = [g for g in faces_of[x] if g in live]
+                heapq.heappush(free, (x, other))
+    if live:
         return None
-
-    return dfs({e.id for e in cx.edges}, {f.id for f in cx.faces}, [])
+    tail = _tree_collapse(cx, edges)
+    return None if tail is None else steps + tail
 
 
 def replay_collapse(cx: TwoComplex, steps: list[CollapseStep]) -> TwoComplex:
@@ -174,7 +164,7 @@ class Certificate:
     kind: str  # "collapsible" | "simply-connected-acyclic" | "not-contractible" | "unknown"
     homology: HomologyProfile | None
     collapse_sequence: tuple[CollapseStep, ...] | None = None
-    coset_table_size: int | None = None
+    group_order: int | None = None
     reason: str | None = None
 
     @property
@@ -187,8 +177,8 @@ class Certificate:
             doc["homology"] = self.homology.as_dict()
         if self.collapse_sequence is not None:
             doc["collapse_sequence"] = [list(s) for s in self.collapse_sequence]
-        if self.coset_table_size is not None:
-            doc["coset_table_size"] = self.coset_table_size
+        if self.group_order is not None:
+            doc["group_order"] = self.group_order
             doc["justification"] = PI1_JUSTIFICATION
         if self.reason is not None:
             doc["reason"] = self.reason
@@ -198,7 +188,7 @@ class Certificate:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def certify_contractible(cx: TwoComplex, budgets: Budgets = Budgets()) -> Certificate:
+def certify_contractible(cx: TwoComplex, max_cosets: int = 100_000) -> Certificate:
     if not cx.connected:
         raise ComplexError("certify_contractible needs a connected complex")
     profile = homology(cx)
@@ -209,21 +199,19 @@ def certify_contractible(cx: TwoComplex, budgets: Budgets = Budgets()) -> Certif
             profile,
             reason=f"homology {profile.as_dict()} with chi {chi}",
         )
-    steps = collapsibility_search(cx, budgets.collapse_nodes)
+    steps = collapsibility_search(cx)
     if steps is not None:
         final = replay_collapse(cx, steps)
-        assert len(final.vertices) == 1 and not final.edges and not final.faces
+        if len(final.vertices) != 1 or final.edges or final.faces:
+            raise RuntimeError("collapse sequence does not end at a point")
         return Certificate("collapsible", profile, collapse_sequence=tuple(steps))
-    order = coset_enumeration(pi1_presentation(cx), budgets.max_cosets)
+    order = coset_enumeration(pi1_presentation(cx), max_cosets)
     if order == 1:
-        return Certificate(
-            "simply-connected-acyclic", profile, coset_table_size=order
-        )
+        return Certificate("simply-connected-acyclic", profile, group_order=order)
     return Certificate(
         "unknown",
         profile,
-        reason=f"collapse budget {budgets.collapse_nodes} and coset budget "
-        f"{budgets.max_cosets} exhausted"
+        reason=f"not collapsible and coset budget {max_cosets} exhausted"
         if order is None
         else f"fundamental group order {order} not shown trivial",
     )

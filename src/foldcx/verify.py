@@ -64,7 +64,7 @@ from .folding import (
     identify_edges,
     identify_vertices,
 )
-from .topology import Budgets, certify_contractible
+from .topology import certify_contractible
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,7 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
 
 def verify_main_theorem(
     max_vertices: int,
-    budgets: Budgets = Budgets(),
+    max_cosets: int = 100_000,
     max_nodes: int = 5_000_000,
 ) -> VerificationReport:
     """Enumerate immersions at desk scale and check the contractibility
@@ -388,8 +388,7 @@ def verify_main_theorem(
         "main-theorem",
         {
             "max_vertices": max_vertices,
-            "collapse_nodes": budgets.collapse_nodes,
-            "max_cosets": budgets.max_cosets,
+            "max_cosets": max_cosets,
             "max_nodes": max_nodes,
         },
     )
@@ -400,7 +399,7 @@ def verify_main_theorem(
     for k, morphism in enumerate(both):
         tag = classify(morphism)
         chi = euler_characteristic(morphism.complex)
-        cert = certify_contractible(morphism.complex, budgets)
+        cert = certify_contractible(morphism.complex, max_cosets)
         passed = (
             tag is not None and tag.family == "C" and chi == 1 and cert.contractible
         )
@@ -425,7 +424,7 @@ def verify_main_theorem(
             if chi <= 0:
                 passed, detail = True, "chi <= 0"
             else:
-                cert = certify_contractible(morphism.complex, budgets)
+                cert = certify_contractible(morphism.complex, max_cosets)
                 passed, detail = cert.contractible, f"certificate {cert.kind}"
             report.rows.append(
                 ReportRow(
