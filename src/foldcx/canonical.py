@@ -7,102 +7,148 @@ boundaries have no rotational freedom because they are pinned to relator
 position 0).
 
 canonical_form computes a byte string equal for two morphisms exactly when
-they are isomorphic.  The algorithm is iterative partition refinement on
-the colored incidence structure, with backtracking on tied classes:
-individualize one member of the first non-singleton class (vertices first,
-then edges), re-refine, and keep the lexicographically least serialization
-over all branches.  Faces never need individualization: once vertices and
-edges are discrete, color-tied faces are literal duplicates and serialize
-identically.  Complex sizes here are tiny, so clarity wins over asymptotics.
+they are isomorphic.  It first runs _bfs on Compact, the integer form that
+both Morphism (through _compact) and the fold engine's _FoldState (through
+its compact method) produce: a breadth-first numbering from each base
+vertex of least local signature, which is forced when the skeleton is
+folded.  _bfs returns None when the skeleton is not folded, is disconnected
+or has no vertices.  Those inputs go through _refined: iterative partition
+refinement on the colored incidence structure, with backtracking on tied
+classes: individualize one member of the first non-singleton class
+(vertices first, then edges), re-refine, and keep the lexicographically
+least serialization over all branches.  Faces never need
+individualization: once vertices and edges are discrete, color-tied faces
+are literal duplicates and serialize identically.
+
+The split is sound because being folded, connected and non-empty is
+invariant under isomorphism, and because both serializations list every
+edge with its label and endpoints and every face with its type and
+boundary over edge positions, so equal bytes rebuild isomorphic complexes
+whichever route produced them.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
-from .complexes import ComplexError, Morphism, id_key, immersion_witness
+from .complexes import ComplexError, Morphism, id_key
 
 Labeling = tuple[dict[str, int], dict[str, int], dict[str, int]]
 
 
-def _fast_canonical(f: Morphism) -> tuple[bytes, Labeling]:
-    """Canonical form of a connected immersion.
+class Compact(NamedTuple):
+    """A labeled complex over integers: cells are numbered in shortlex id
+    order, edge labels and face types are generator and relator indices,
+    and boundaries list (edge index, sign) pairs."""
 
-    At every vertex of an immersion there is at most one edge per (label,
-    direction), so fixing a base vertex forces the breadth-first numbering
-    of the whole complex; the canonical form is the least serialization
-    over all base choices.  No backtracking is ever needed.
-    """
+    ngens: int
+    nv: int
+    tail: list[int]
+    head: list[int]
+    label: list[int]
+    ftype: list[int]
+    boundary: list[list[tuple[int, int]]]
+
+
+def _compact(f: Morphism) -> Compact:
     cx = f.complex
-    label_rank = {g: k for k, g in enumerate(f.presentation.generators)}
-    outgoing: dict[tuple[str, str], str] = {}
-    incoming: dict[tuple[str, str], str] = {}
-    for e in cx.edges:
-        lab = f.edge_labels[e.id]
-        outgoing[(e.tail, lab)] = e.head
-        incoming[(e.head, lab)] = e.tail
-    # only vertices of least local signature can start a least serialization
-    # relative to their own signature class; restricting bases to one
-    # isomorphism-invariant class keeps the form canonical and cheap
-    signature = {
-        v: tuple(
-            ((v, g) in outgoing, (v, g) in incoming)
-            for g in f.presentation.generators
-        )
-        for v in cx.vertices
-    }
-    least = min(signature.values())
+    gen_ix = {g: k for k, g in enumerate(f.presentation.generators)}
+    vix = {v: k for k, v in enumerate(cx.vertices)}
+    eix = {e.id: k for k, e in enumerate(cx.edges)}
+    return Compact(
+        len(gen_ix),
+        len(vix),
+        [vix[e.tail] for e in cx.edges],
+        [vix[e.head] for e in cx.edges],
+        [gen_ix[f.edge_labels[e.id]] for e in cx.edges],
+        [f.face_types[x.id] for x in cx.faces],
+        [[(eix[eid], sign) for eid, sign in x.boundary] for x in cx.faces],
+    )
+
+
+def _bfs(c: Compact):
+    """Breadth-first canonical key of a complex with a folded, connected,
+    non-empty skeleton, as (key, vix, eix, fix); None otherwise.
+
+    key is (edge rows, face rows): one (label, tail, head) row per edge in
+    canonical edge order, and one (type, ((edge, sign), ...)) row per face
+    in sorted order.  vix, eix and fix map each compact cell index to its
+    canonical number.
+
+    Why the key is canonical: in a folded skeleton every vertex has at
+    most one edge per (label, direction), so a fixed base forces the whole
+    numbering vix of a connected complex.  Every edge is then determined
+    by its (label, tail), so ordering edges by (label, tail) forces eix,
+    and face rows over eix are fixed up to their order; sorting them
+    compares them as a multiset, so duplicate or colliding faces
+    serialize identically and map onto each other in either order.  The
+    bases of least local signature (which (label, direction) slots are
+    occupied) form an isomorphism-invariant class, so the least key over
+    them is canonical.  Faces need not be injective at edges for this
+    argument, only the skeleton.
+    """
+    ngens, nv = c.ngens, c.nv
+    if not nv:
+        return None
+    head, tail = c.head, c.tail
+    out = [-1] * (nv * ngens)
+    into = [-1] * (nv * ngens)
+    for e, (t, h, g) in enumerate(zip(tail, head, c.label)):
+        if out[t * ngens + g] >= 0 or into[h * ngens + g] >= 0:
+            return None
+        out[t * ngens + g] = e
+        into[h * ngens + g] = e
+    # per label, the outgoing then the incoming neighbour: the probe order
+    nbrs = [[] for _ in range(nv)]
+    signature = []
+    for v in range(nv):
+        sig = []
+        for s in range(v * ngens, (v + 1) * ngens):
+            eo, ei = out[s], into[s]
+            if eo >= 0:
+                nbrs[v].append(head[eo])
+            if ei >= 0:
+                nbrs[v].append(tail[ei])
+            sig.append(2 * (eo >= 0) + (ei >= 0))  # orders as (out, in) pairs
+        signature.append(sig)
+    least = min(signature)
+    nf = len(c.ftype)
     best = None
-    for base in cx.vertices:
+    for base in range(nv):
         if signature[base] != least:
             continue
-        vix = {base: 0}
+        vix = [-1] * nv
+        vix[base] = 0
         order = [base]
-        at = 0
-        while at < len(order):
-            v = order[at]
-            at += 1
-            for lab in f.presentation.generators:
-                for table in (outgoing, incoming):
-                    w = table.get((v, lab))
-                    if w is not None and w not in vix:
-                        vix[w] = len(order)
-                        order.append(w)
-        erows = sorted(
-            (
-                (label_rank[f.edge_labels[e.id]], vix[e.tail], vix[e.head]),
-                f.edge_labels[e.id],
-                e.id,
-            )
-            for e in cx.edges
-        )
-        eix = {eid: k for k, (_, _, eid) in enumerate(erows)}
-        frows = sorted(
-            (
-                (
-                    f.face_types[face.id],
-                    tuple((eix[eid], sign) for eid, sign in face.boundary),
-                ),
-                face.id,
-            )
-            for face in cx.faces
-        )
-        key = (
-            tuple((lab, row[1], row[2]) for row, lab, _ in erows),
-            tuple(row for row, _ in frows),
-        )
+        for v in order:
+            for w in nbrs[v]:
+                if vix[w] < 0:
+                    vix[w] = len(order)
+                    order.append(w)
+        if len(order) != nv:
+            return None
+        # edges in (label, tail) order, which sorts the (label, tail, head) rows
+        eix = [0] * len(tail)
+        erows = []
+        for g in range(ngens):
+            for k, v in enumerate(order):
+                e = out[v * ngens + g]
+                if e >= 0:
+                    eix[e] = len(erows)
+                    erows.append((g, k, vix[head[e]]))
+        frows = [
+            ((t, tuple([(eix[e], s) for e, s in sides])), x)
+            for x, (t, sides) in enumerate(zip(c.ftype, c.boundary))
+        ]
+        frows.sort()
+        key = (tuple(erows), tuple(row for row, _ in frows))
         if best is None or key < best[0]:
-            ffin = {fid: k for k, (_, fid) in enumerate(frows)}
-            best = (key, vix, eix, ffin)
-    key, vix, eix, ffin = best
-    doc = {
-        "p": str(f.presentation),
-        "nv": len(cx.vertices),
-        "e": [list(row) for row in key[0]],
-        "f": [[t, [list(side) for side in sides]] for t, sides in key[1]],
-    }
-    form = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
-    return form, (vix, eix, ffin)
+            fix = [0] * nf
+            for k, (_, x) in enumerate(frows):
+                fix[x] = k
+            best = (key, vix, eix, fix)
+    return best
 
 
 def _rerank(signatures: dict[str, tuple]) -> dict[str, int]:
@@ -161,6 +207,16 @@ def _first_tied_class(col: dict[str, int]) -> list[str] | None:
     return None
 
 
+def _encode(f: Morphism, edge_rows, face_rows) -> bytes:
+    doc = {
+        "p": str(f.presentation),
+        "nv": len(f.complex.vertices),
+        "e": edge_rows,
+        "f": face_rows,
+    }
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+
+
 def _serialize(f: Morphism, vcol, ecol, fcol) -> bytes:
     cx = f.complex
     vix = {v: vcol[v] for v in cx.vertices}
@@ -175,13 +231,7 @@ def _serialize(f: Morphism, vcol, ecol, fcol) -> bytes:
         )
         for face in cx.faces
     )
-    doc = {
-        "p": str(f.presentation),
-        "nv": len(cx.vertices),
-        "e": [row[1:] for row in edges],
-        "f": faces,
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+    return _encode(f, [row[1:] for row in edges], faces)
 
 
 def _search(f: Morphism, vcol, ecol, fcol):
@@ -221,19 +271,31 @@ def _search(f: Morphism, vcol, ecol, fcol):
     return best
 
 
-def _canonical(f: Morphism) -> tuple[bytes, Labeling]:
+def _refined(f: Morphism) -> tuple[bytes, Labeling]:
+    """Canonical form and labeling by refinement with backtracking; valid
+    for every morphism, and the reference the breadth-first route is
+    tested against."""
     cx = f.complex
-    # Connected immersions admit a forced breadth-first labeling per base
-    # vertex; everything else goes through refinement with backtracking.
-    # The split is sound because both properties are isomorphism-invariant
-    # and equal serializations reconstruct equal complexes either way.
-    if cx.vertices and cx.connected and immersion_witness(f) is None:
-        return _fast_canonical(f)
     vcol = {v: 0 for v in cx.vertices}
     label_rank = {g: k for k, g in enumerate(f.presentation.generators)}
     ecol = _rerank({e.id: (label_rank[f.edge_labels[e.id]],) for e in cx.edges})
     fcol = _rerank({face.id: (f.face_types[face.id],) for face in cx.faces})
     return _search(f, vcol, ecol, fcol)
+
+
+def _canonical(f: Morphism) -> tuple[bytes, Labeling]:
+    found = _bfs(_compact(f))
+    if found is None:
+        return _refined(f)
+    (erows, frows), vix, eix, fix = found
+    cx = f.complex
+    gens = f.presentation.generators
+    form = _encode(f, [(gens[g], t, h) for g, t, h in erows], frows)
+    return form, (
+        {v: vix[k] for k, v in enumerate(cx.vertices)},
+        {e.id: eix[k] for k, e in enumerate(cx.edges)},
+        {x.id: fix[k] for k, x in enumerate(cx.faces)},
+    )
 
 
 def canonical_form(f: Morphism) -> bytes:
@@ -265,11 +327,11 @@ def _check_bijection(f: Morphism, g: Morphism, m: dict) -> None:
     gcx = g.complex
     for e in f.complex.edges:
         img = gcx.edge_by_id[m["edges"][e.id]]
-        assert g.edge_labels[img.id] == f.edge_labels[e.id]
-        assert img.tail == m["vertices"][e.tail] and img.head == m["vertices"][e.head]
+        ends = (m["vertices"][e.tail], m["vertices"][e.head])
+        if g.edge_labels[img.id] != f.edge_labels[e.id] or (img.tail, img.head) != ends:
+            raise RuntimeError(f"isomorphic: edge {e.id} maps to a mismatched edge")
     for face in f.complex.faces:
         img = gcx.face_by_id[m["faces"][face.id]]
-        assert g.face_types[img.id] == f.face_types[face.id]
-        assert img.boundary == tuple(
-            (m["edges"][eid], sign) for eid, sign in face.boundary
-        )
+        sides = tuple((m["edges"][eid], sign) for eid, sign in face.boundary)
+        if g.face_types[img.id] != f.face_types[face.id] or img.boundary != sides:
+            raise RuntimeError(f"isomorphic: face {face.id} maps to a mismatched face")

@@ -31,10 +31,6 @@ def id_key(cell_id: str) -> tuple[int, str]:
     return (len(cell_id), cell_id)
 
 
-def min_id(a: str, b: str) -> str:
-    return a if id_key(a) <= id_key(b) else b
-
-
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -63,7 +59,7 @@ class TwoComplex:
     @staticmethod
     def make(vertices, edges, faces) -> "TwoComplex":
         """Normalize inputs: sort each sort by id and check referential integrity."""
-        vs = tuple(sorted(set(vertices), key=id_key))
+        vs = tuple(sorted(vertices, key=id_key))
         es = tuple(sorted(edges, key=lambda e: id_key(e.id)))
         fs = tuple(sorted(faces, key=lambda f: id_key(f.id)))
         cx = TwoComplex(vs, es, fs)
@@ -116,16 +112,6 @@ class TwoComplex:
                 if not path_ok:
                     out.append(f"face {f.id} boundary is not a closed edge path")
         return out
-
-    def side_start(self, side: SignedEdge) -> str:
-        eid, sign = side
-        e = self.edge_by_id[eid]
-        return e.tail if sign > 0 else e.head
-
-    def side_end(self, side: SignedEdge) -> str:
-        eid, sign = side
-        e = self.edge_by_id[eid]
-        return e.head if sign > 0 else e.tail
 
     def edge_face_occurrences(self) -> dict[str, int]:
         """Total occurrence count of each edge over all face boundaries."""
@@ -205,15 +191,6 @@ class Morphism:
 
     def relator(self, face_id: str) -> Word:
         return self.presentation.relators[self.face_types[face_id]]
-
-    def side_slots(self, edge_id: str) -> list[tuple[str, int]]:
-        """All (face id, position) traversing the edge, in sorted order."""
-        out = []
-        for f in self.complex.faces:
-            for p, (eid, _) in enumerate(f.boundary):
-                if eid == edge_id:
-                    out.append((f.id, p))
-        return out
 
     def slot_of(self, face_id: str, position: int) -> SideSlot:
         return (self.face_types[face_id], position)

@@ -103,11 +103,13 @@ def _trace_faces(cx: TwoComplex, labels: dict[str, str], word: Word) -> list:
     incoming: dict[tuple[str, str], str] = {}
     for e in cx.edges:
         okey, ikey = (e.tail, labels[e.id]), (e.head, labels[e.id])
-        assert okey not in outgoing and ikey not in incoming, "skeleton not folded"
+        if okey in outgoing or ikey in incoming:
+            raise RuntimeError("cannot trace faces: skeleton not folded")
         outgoing[okey] = e.id
         incoming[ikey] = e.id
     gen0, sign0 = word[0]
-    assert sign0 > 0
+    if sign0 < 0:
+        raise RuntimeError("cannot trace faces: relator starts with an inverse")
     boundaries = []
     for start in cx.edges:
         if labels[start.id] != gen0:
@@ -142,7 +144,9 @@ def _assemble(vertices, edges, labels, type1_edges) -> Morphism:
     out = Morphism(
         TwoComplex.make(vertices, edges, faces), pres, dict(labels), types
     )
-    assert immersion_witness(out) is None
+    witness = immersion_witness(out)
+    if witness is not None:
+        raise RuntimeError(f"family complex is not an immersion: {witness}")
     return out
 
 
@@ -163,7 +167,8 @@ def build_D(i: int, variant: str = STANDARD) -> Morphism:
         edges.append(Edge(f"b{j}", f"v{2 * j}", f"v{j}"))
         labels[f"b{j}"] = "b"
     out = _assemble(vertices, edges, labels, ["b0"])
-    assert len(out.complex.faces) == i + 1
+    if len(out.complex.faces) != i + 1:
+        raise RuntimeError(f"D({i}) has {len(out.complex.faces)} faces, not {i + 1}")
     return out
 
 
@@ -186,8 +191,10 @@ def build_C(i: int, variant: str = STANDARD) -> Morphism:
         edges.append(Edge(f"b{j}", f"v{(2 * j) % i}", f"v{j}"))
         labels[f"b{j}"] = "b"
     out = _assemble(vertices, edges, labels, ["b0"])
-    assert len(out.complex.faces) == i + 1
-    assert not free_faces(out.complex)
+    if len(out.complex.faces) != i + 1:
+        raise RuntimeError(f"C({i}) has {len(out.complex.faces)} faces, not {i + 1}")
+    if free_faces(out.complex):
+        raise RuntimeError(f"C({i}) has free faces")
     return out
 
 
@@ -225,11 +232,6 @@ def classify(f: Morphism) -> FamilyTag | None:
     ]
     form = canonical_form(f)
     for tag in candidates:
-        built = build_family(tag)
-        if len(built.complex.edges) != len(f.complex.edges):
-            continue
-        if len(built.complex.faces) != len(f.complex.faces):
-            continue
         if _family_form(tag) == form:
             return tag
     return None

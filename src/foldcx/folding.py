@@ -8,7 +8,7 @@ by repeatedly merging cells that witness a failure of local injectivity:
   face fold    two face sides occupying the same (relator, position) slot
                on one edge force their faces equal, merging the two
                boundaries position by position (faces of one relator merge
-               label-consistently; this is asserted, not assumed).
+               label-consistently; this is checked, not assumed).
 
 Each applied merge strictly decreases the number of live cells, so the
 process terminates, and both rules are forced in any immersion quotient,
@@ -22,7 +22,10 @@ orders and check the quotients agree.
 
 Internally cells are numbered in shortlex id order, so keeping the least
 integer of a merged class as its representative is the same rule as
-keeping the shortlex-least id.
+keeping the shortlex-least id.  Numbering the live roots in that order
+gives compact(), the quotient in the integer form of canonical.Compact;
+the closure search deduplicates fold states on its canonical key, so it
+builds a Morphism only for the new ones.
 
 Every merge is recorded in a FoldTrace; replaying a trace as raw unions
 reproduces the folded output from the input.
@@ -35,6 +38,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+from .canonical import Compact
 from .complexes import (
     ComplexError,
     Edge,
@@ -196,7 +200,8 @@ class _FoldState:
         if r1 == r2:
             return
         elab, tail, head = self.elab, self.tail, self.head
-        assert elab[r1] == elab[r2], "edge merge with mismatched labels"
+        if elab[r1] != elab[r2]:
+            raise RuntimeError("edge merge with mismatched labels")
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         epar[absorbed] = survivor
         self.events.append((self.EDGE, survivor, absorbed))
@@ -224,7 +229,8 @@ class _FoldState:
         r1, r2 = _find(self.fpar, f1), _find(self.fpar, f2)
         if r1 == r2:
             return
-        assert self.ftype[r1] == self.ftype[r2], "face merge with mismatched types"
+        if self.ftype[r1] != self.ftype[r2]:
+            raise RuntimeError("face merge with mismatched types")
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         self.fpar[absorbed] = survivor
         self.events.append((self.FACE, survivor, absorbed))
@@ -234,7 +240,8 @@ class _FoldState:
             if slots and (t, p) in slots:
                 slots[(t, p)].discard(absorbed)
         for (e1s, s1), (e2s, s2) in zip(self.boundary[r1], self.boundary[r2]):
-            assert s1 == s2, "face merge with mismatched side signs"
+            if s1 != s2:
+                raise RuntimeError("face merge with mismatched side signs")
             self.merge_edges(e1s, e2s)
 
     # -- engines -------------------------------------------------------------
@@ -248,7 +255,7 @@ class _FoldState:
                 self.merge_faces(*self.pending_faces.popleft())
 
     def _roots(self, parent: list[int]) -> list[int]:
-        return [x for x in range(len(parent)) if _find(parent, x) == x]
+        return [x for x, p in enumerate(parent) if p == x]
 
     def graph_conflicts(self) -> list[tuple[int, int]]:
         out = set()
@@ -308,91 +315,23 @@ class _FoldState:
     def live_face_count(self) -> int:
         return len(self._roots(self.fpar))
 
-    def has_free_edge(self) -> bool:
-        """Some live edge occurs exactly once over all live boundaries."""
-        counts: dict[int, int] = {}
-        fpar, epar = self.fpar, self.epar
-        for x in range(len(fpar)):
-            if _find(fpar, x) == x:
-                for e, _ in self.boundary[x]:
-                    r = _find(epar, e)
-                    counts[r] = counts.get(r, 0) + 1
-        return 1 in counts.values()
-
-    def canonical_key(self):
-        """Isomorphism-invariant key of the quotient, for deduplication.
-
-        Breadth-first code of a connected immersion: fixing a base vertex
-        forces the numbering, and probing each numbered vertex by (label,
-        direction) in a fixed order yields a neighbor-index sequence that
-        reconstructs the skeleton; edges are numbered in discovery order,
-        faces serialize over edge numbers.  The least code over the bases
-        of least local signature is canonical.  Falls back to the full
-        canonical form when the quotient is disconnected.
-        """
+    def compact(self) -> Compact:
+        """The live quotient in compact form, cells numbered by their roots;
+        equal to the compact form of quotient() without building it."""
         vpar, epar = self.vpar, self.epar
-        live_edges = self._roots(epar)
-        live_vertices = self._roots(vpar)
-        nlive = len(live_vertices)
-        ngens = self.ngens
-        outgoing: dict[int, tuple[int, int]] = {}
-        incoming: dict[int, tuple[int, int]] = {}
-        for e in live_edges:
-            lab = self.elab[e]
-            t, h = _find(vpar, self.tail[e]), _find(vpar, self.head[e])
-            outgoing[t * ngens + lab] = (h, e)
-            incoming[h * ngens + lab] = (t, e)
-        signature = {
-            v: tuple(
-                (v * ngens + g in outgoing, v * ngens + g in incoming)
-                for g in range(ngens)
-            )
-            for v in live_vertices
-        }
-        least = min(signature.values())
-        live_faces = self._roots(self.fpar)
-        best = None
-        for base in live_vertices:
-            if signature[base] != least:
-                continue
-            vix = {base: 0}
-            order = [base]
-            eix: dict[int, int] = {}
-            code = []
-            at = 0
-            while at < len(order):
-                v = order[at]
-                at += 1
-                probe = v * ngens
-                for g in range(ngens):
-                    for table in (outgoing, incoming):
-                        hit = table.get(probe + g)
-                        if hit is None:
-                            code.append(-1)
-                            continue
-                        w, e = hit
-                        wix = vix.get(w)
-                        if wix is None:
-                            wix = vix[w] = len(order)
-                            order.append(w)
-                        code.append(wix)
-                        if e not in eix:
-                            eix[e] = len(eix)
-            if len(order) != nlive:
-                from .canonical import canonical_form  # disconnected; rare
-
-                return canonical_form(self.quotient())
-            frows = sorted(
-                (
-                    self.ftype[x],
-                    tuple((eix[_find(epar, e)], s) for e, s in self.boundary[x]),
-                )
-                for x in live_faces
-            )
-            key = (tuple(code), tuple(frows))
-            if best is None or key < best:
-                best = key
-        return (nlive, best)
+        vroots, eroots = self._roots(vpar), self._roots(epar)
+        froots = self._roots(self.fpar)
+        vix = {v: k for k, v in enumerate(vroots)}
+        eix = {e: k for k, e in enumerate(eroots)}
+        return Compact(
+            self.ngens,
+            len(vroots),
+            [vix[_find(vpar, self.tail[e])] for e in eroots],
+            [vix[_find(vpar, self.head[e])] for e in eroots],
+            [self.elab[e] for e in eroots],
+            [self.ftype[x] for x in froots],
+            [[(eix[_find(epar, e)], s) for e, s in self.boundary[x]] for x in froots],
+        )
 
     # -- extraction ----------------------------------------------------------
 
@@ -450,7 +389,9 @@ def _require_immersion(f: Morphism) -> None:
 
 def _finish(state: _FoldState) -> Morphism:
     out = state.quotient()
-    assert immersion_witness(out) is None
+    witness = immersion_witness(out)
+    if witness is not None:
+        raise RuntimeError(f"folding ended at a non-immersion: {witness}")
     return out
 
 

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .canonical import canonical_form, isomorphic
+from .canonical import _bfs, canonical_form, isomorphic
 from .complexes import (
     ComplexError,
     Morphism,
@@ -213,6 +213,14 @@ def _couple_must_add_face(current: Morphism, context, t: int, p: int, eid: str) 
     return True
 
 
+def _state_key(state: _FoldState):
+    """Isomorphism-invariant key of a folded state's quotient.  Folded
+    states only fail the breadth-first route when disconnected, which
+    only a disconnected start can produce."""
+    found = _bfs(state.compact())
+    return canonical_form(state.quotient()) if found is None else found[0]
+
+
 def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     """Breadth-first closure of the free-face moves from f.
 
@@ -232,7 +240,7 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     ]
     root_state = _FoldState(f)
     root_state.run()
-    seen = {root_state.canonical_key()}
+    seen = {_state_key(root_state)}
     queue: deque[tuple[Morphism, tuple[Move, ...]]] = deque([(f, ())])
     results: list[tuple[Morphism, tuple[Move, ...]]] = []
     explored = pruned = max_depth = 0
@@ -271,12 +279,14 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             if state.live_face_count() > max_faces:
                 pruned += 1
                 continue
-            key = state.canonical_key()
+            key = _state_key(state)
             if key in seen:
                 continue
             seen.add(key)
             nxt = state.quotient()
-            assert immersion_witness(nxt) is None
+            witness = immersion_witness(nxt)
+            if witness is not None:
+                raise RuntimeError(f"closure_search reached a non-immersion: {witness}")
             if free_faces(nxt.complex):
                 queue.append((nxt, moves + (move,)))
             else:

@@ -1,12 +1,18 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from foldcx.canonical import canonical_form, isomorphic
+from foldcx.canonical import _check_bijection, _refined, canonical_form, isomorphic
 from foldcx.complexes import ComplexError, Edge, Face, Morphism, TwoComplex
+from foldcx.enumeration import EnumerationFilter, enumerate_immersions
 from foldcx.families import build_C, build_D, kp, target_presentation
+from foldcx.folding import fold
 from foldcx.presentations import parse_presentation
 from foldcx.complexes import presentation_complex
+
+from helpers import random_prefold
 
 
 def relabeled(f: Morphism, suffix: str) -> Morphism:
@@ -103,7 +109,8 @@ def test_fast_and_refinement_paths_agree_on_iso_decision():
 
 
 def test_duplicate_faces_handled_by_refinement_path():
-    # duplicate faces break local injectivity, so this exercises backtracking
+    # duplicate faces break local injectivity at an edge but leave the
+    # skeleton folded, so the breadth-first route must order them as a multiset
     pres = target_presentation()
     cx = TwoComplex.make(
         ["v0"],
@@ -146,3 +153,69 @@ def test_canonical_form_deterministic_across_shuffled_input_order():
             dict(f.face_types),
         )
         assert canonical_form(shuffled) == base
+
+
+def test_check_bijection_rejects_a_doctored_mapping():
+    f = build_C(3)
+    g = relabeled(f, "copy")
+    mapping = isomorphic(f, g)
+    edges = mapping["edges"]
+    edges["a1"], edges["b0"] = edges["b0"], edges["a1"]  # labels a and b
+    with pytest.raises(RuntimeError, match="mismatched edge"):
+        _check_bijection(f, g, mapping)
+
+
+# -- property tests: the breadth-first route against the refinement reference
+
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@functools.cache
+def four_vertex_classes() -> list[Morphism]:
+    return enumerate_immersions(EnumerationFilter(4, True, False))
+
+
+@functools.cache
+def folded_prefold(seed: int) -> Morphism:
+    return fold(random_prefold(random.Random(seed)))[0]
+
+
+morphisms = st.one_of(
+    st.sampled_from(range(139)).map(lambda k: four_vertex_classes()[k]),
+    st.sampled_from(range(400)).map(folded_prefold),
+)
+
+
+def scrambled(f: Morphism, rng: random.Random) -> Morphism:
+    """An isomorphic copy with permuted ids, so shortlex order changes, and
+    with every cell list handed to make in shuffled order."""
+    cx = f.complex
+    ids = [*cx.vertices, *(e.id for e in cx.edges), *(x.id for x in cx.faces)]
+    fresh = [f"c{k}" for k in range(len(ids))]
+    rng.shuffle(fresh)
+    ren = dict(zip(ids, fresh))
+    vs = [ren[v] for v in cx.vertices]
+    es = [Edge(ren[e.id], ren[e.tail], ren[e.head]) for e in cx.edges]
+    fs = [Face(ren[x.id], tuple((ren[e], s) for e, s in x.boundary)) for x in cx.faces]
+    for cells in (vs, es, fs):
+        rng.shuffle(cells)
+    return Morphism(
+        TwoComplex.make(vs, es, fs),
+        f.presentation,
+        {ren[e]: lab for e, lab in f.edge_labels.items()},
+        {ren[x]: t for x, t in f.face_types.items()},
+    )
+
+
+@PROPERTY
+@given(morphisms, morphisms, st.booleans(), st.randoms(use_true_random=False))
+def test_canonical_form_decides_iso_like_refinement(f, other, copy, rng):
+    g = scrambled(f, rng) if copy else other
+    assert (canonical_form(f) == canonical_form(g)) == (_refined(f)[0] == _refined(g)[0])
+    assert (canonical_form(f) == canonical_form(g)) == (isomorphic(f, g) is not None)
+
+
+@PROPERTY
+@given(morphisms, st.randoms(use_true_random=False))
+def test_canonical_form_invariant_under_relabelling_and_order(f, rng):
+    assert canonical_form(scrambled(f, rng)) == canonical_form(f)

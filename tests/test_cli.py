@@ -208,6 +208,14 @@ def test_exit_two_on_unknown_edge(d1_file):
     assert main(["collapse", d1_file, "--edge", "zz"]) == 2
 
 
+def test_exit_two_on_duplicate_vertex(tmp_path):
+    doc = json.loads(morphism_to_json(kp()))
+    doc["vertices"] *= 2
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(doc))
+    assert main(["chi", str(twice)]) == 2
+
+
 def test_exit_two_on_budget(capsys, monkeypatch):
     monkeypatch.setenv("FOLDCX_BUDGET", "3")
     assert main(["verify-theorem", "--max-vertices", "3"]) == 2

@@ -120,6 +120,11 @@ def test_unclosed_boundary_rejected():
         )
 
 
+def test_duplicate_vertex_rejected():
+    with pytest.raises(ComplexError, match="duplicate vertex id"):
+        TwoComplex.make(["v0", "v0"], [], [])
+
+
 def test_immersion_witness_vertex_collision():
     pres = target_presentation()
     cx = TwoComplex.make(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from foldcx.canonical import canonical_form, isomorphic
+from foldcx.canonical import _compact, canonical_form, isomorphic
 from foldcx.complexes import (
     ComplexError,
     free_faces,
@@ -12,6 +12,7 @@ from foldcx.complexes import (
 from foldcx.families import build_C, build_D, classify, kp
 from foldcx.folding import (
     FoldTrace,
+    _FoldState,
     couple,
     fold,
     identify_edges,
@@ -51,6 +52,15 @@ def test_fold_output_is_immersion_and_valid():
         folded, _ = fold(random_prefold(rng))
         assert validate(folded) == []
         assert is_immersion(folded)
+
+
+def test_state_compact_matches_its_quotient():
+    # searches key fold states on compact() without building the quotient
+    rng = random.Random(13)
+    for _ in range(25):
+        state = _FoldState(random_prefold(rng))
+        state.run()
+        assert state.compact() == _compact(state.quotient())
 
 
 def test_fold_never_increases_cells():

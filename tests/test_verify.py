@@ -39,6 +39,14 @@ def test_closure_results_have_no_free_faces_and_record_moves():
     assert result.explored >= 1
 
 
+def test_closure_search_counts_are_pinned():
+    # pins the duplicate check: a key that merged non-isomorphic states or
+    # split isomorphic ones would change these counts
+    result = closure_search(build_D(1), 4)
+    assert (result.explored, result.pruned, result.max_depth) == (32, 188, 3)
+    assert len(result.results) == 2
+
+
 def test_closure_matches_enumeration_at_matching_size():
     result = closure_search(build_D(1), 4)
     closure_forms = sorted(canonical_form(m) for m, _ in result.results)
