@@ -29,6 +29,8 @@ closure = closure_search(build_D(1), max_faces=6)
 print("closure of the moves from D:1 within 6 faces:",
       [str(classify(m)) for m, _ in closure.results])
 print("search explored", closure.explored, "immersions to depth", closure.max_depth)
+print("successors folded", closure.folds, "of which duplicates", closure.duplicates,
+      "and over the face budget", closure.pruned)
 
 agree = sorted(canonical_form(m) for m in classes) == sorted(
     canonical_form(m) for m, _ in closure.results

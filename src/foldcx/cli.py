@@ -2,7 +2,8 @@
 
 Complexes travel as the JSON documents of jsonio; verification reports
 print as text or JSON.  Exit codes: 0 success / verified, 1 failed check
-or verification, 2 malformed input or exhausted budget.  The environment
+or verification, 2 malformed input, exhausted budget or internal error
+(a failed consistency check or the recursion limit).  The environment
 variable FOLDCX_BUDGET overrides the default search budgets: enumeration
 nodes and the coset cap.  Collapse needs no budget.
 """
@@ -327,6 +328,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # a failed internal consistency check; RecursionError is one too
+        print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
         # ComplexError, PresentationError and JSON decoding errors are all

@@ -21,9 +21,11 @@ confronts its conclusions with the independent exhaustive enumeration:
                           characteristic or a certificate.
 
 closure_search is the bridge between the two routes: starting from an
-immersion with free faces it explores the move tree (identify the free
-edge with a same-labeled one, or couple either cell type onto it) and
-collects every reachable free-face-free immersion.
+immersion with free faces it explores the move tree and collects the
+free-face-free immersions it reaches.  Each node branches on one free
+edge only, the one with the fewest moves: identify it with a same-labeled
+edge, or couple either cell type onto it.  Its docstring argues why one
+edge suffices and states the scope of that argument.
 
 Reports are deterministic: rows are generated in sorted order and the
 JSON form excludes wall-clock time unless explicitly requested.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -43,6 +45,7 @@ from .complexes import (
     Morphism,
     euler_characteristic,
     free_faces,
+    id_key,
     immersion_witness,
 )
 from .enumeration import EnumerationFilter, enumerate_immersions
@@ -148,69 +151,8 @@ class ClosureResult:
     explored: int
     pruned: int
     max_depth: int
-
-
-def _node_context(current: Morphism):
-    """Slot occupancy and the (vertex, label) edge tables of an immersion."""
-    cx = current.complex
-    taken_slots: dict[str, set] = {}
-    for face in cx.faces:
-        ft = current.face_types[face.id]
-        for q, (edge, _) in enumerate(face.boundary):
-            taken_slots.setdefault(edge, set()).add((ft, q))
-    outgoing: dict = {}
-    incoming: dict = {}
-    for e in cx.edges:
-        outgoing[(e.tail, current.edge_labels[e.id])] = e
-        incoming[(e.head, current.edge_labels[e.id])] = e
-    return taken_slots, outgoing, incoming
-
-
-def _couple_must_add_face(current: Morphism, context, t: int, p: int, eid: str) -> bool:
-    """True when coupling a type-t cell at position p onto edge eid of an
-    immersion certainly increases the face count.
-
-    Gluing folds the polygon's sides deterministically along the relator
-    trace through the existing skeleton, forward and backward from the
-    glued side; sides beyond the walks stay on fresh cells.  A face merge
-    requires two sides in one slot, which can only happen at the glued or
-    a walked edge already carrying that slot, or after the two walks wrap
-    all the way around.  So: walks don't wrap and no walked slot is taken
-    means no merge, and the count is exactly faces + 1.
-    """
-    taken_slots, outgoing, incoming = context
-    cx = current.complex
-    word = current.presentation.relators[t]
-    n = len(word)
-    if (t, p) in taken_slots.get(eid, ()):
-        return False
-    glued = cx.edge_by_id[eid]
-    start, end = (glued.tail, glued.head) if word[p][1] > 0 else (glued.head, glued.tail)
-
-    walked = 0
-    at = end
-    for step in range(1, n):  # forward: positions p+1, p+2, ...
-        gen, sign = word[(p + step) % n]
-        edge = outgoing.get((at, gen)) if sign > 0 else incoming.get((at, gen))
-        if edge is None:
-            break
-        if (t, (p + step) % n) in taken_slots.get(edge.id, ()):
-            return False
-        at = edge.head if sign > 0 else edge.tail
-        walked += 1
-    at = start
-    for step in range(1, n - walked):  # backward: positions p-1, p-2, ...
-        gen, sign = word[(p - step) % n]
-        edge = incoming.get((at, gen)) if sign > 0 else outgoing.get((at, gen))
-        if edge is None:
-            break
-        if (t, (p - step) % n) in taken_slots.get(edge.id, ()):
-            return False
-        at = edge.tail if sign > 0 else edge.head
-        walked += 1
-    if walked >= n - 1:
-        return False  # full wrap: the engine must decide
-    return True
+    folds: int
+    duplicates: int
 
 
 def _state_key(state: _FoldState):
@@ -224,12 +166,49 @@ def _state_key(state: _FoldState):
 def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     """Breadth-first closure of the free-face moves from f.
 
-    At each immersion with free faces, every free edge branches over (a)
-    identification with each other edge of the same label and (b) coupling
-    of each cell type at each matching relator position.  Immersions
-    without free faces are collected, not expanded.  Successors exceeding
-    the face budget are dropped and counted in `pruned` (couplings that
-    provably exceed it are pruned without folding).
+    Each immersion with free faces is expanded on one free edge e: every
+    identification of e with another edge of its label, and every coupling
+    of a cell type at a relator position carrying that label.  e is the
+    free edge with the fewest such moves, ties broken by shortlex id (the
+    minimum-remaining-values rule of exact-cover search).  Immersions
+    without free faces are collected, not expanded.  `folds` counts the
+    successor states folded; those over the face budget are dropped and
+    counted in `pruned`, those isomorphic to a state seen before in
+    `duplicates`.
+
+    Why one edge suffices.  Let phi: X -> Y map an immersion X with free
+    edge e into an immersion Y without free faces, over the target.  phi(e)
+    carries at least two sides in Y.  (a) If another edge e' of X has
+    phi(e') = phi(e), phi factors through the fold of X with e ~ e' (a fold
+    is the least quotient that immerses), so that identification maps to
+    Y.  (b) Otherwise a side (x, q) of X maps to the side (phi(x), q), which
+    lies on phi of the edge at position q of x, so the only side of phi(e)
+    that X hits is the image of e's own side.  Some side (F, q) of phi(e) is
+    missed; coupling a cell of F's type at position q onto e and sending it
+    to F gives a map of the fold to Y.  Both moves are successors at e, and
+    nothing here depends on which free edge e is, so what follows holds
+    whatever edge each node branches on; the choice rule only sets the
+    cost.
+
+    The face budget.  Call phi face-injective when no two faces share an
+    image.  In (a) the faces of the successor are classes of faces of X
+    with one image each, so no two merge and phi stays face-injective.  In
+    (b) F is the image of no face x of X: else (F, q) would be the image of
+    the side (x, q), which lies on an edge mapped to phi(e), that is on e,
+    and (F, q) would not be missed.  So the new cell merges with no face of
+    X and the map stays face-injective.  Along such a path the live face
+    count never exceeds the face count of Y.  Each step adds a face to the
+    image (b) or removes an edge (a), so the path ends, at an immersion
+    without free faces, which is collected.  Deduplication keeps one state
+    per isomorphism class, and the state kept maps into Y as well.
+
+    Scope.  For every Y without free faces, with at most max_faces faces,
+    that f maps into face-injectively, some result maps face-injectively
+    into Y.  The argument does not show that this result is Y itself
+    rather than a smaller immersion without free faces inside Y, and it
+    says nothing of targets that f maps into with two faces merged.  That
+    the results are exactly the immersion classes is checked, not proved:
+    the enumeration cross-check stays the arbiter.
     """
     if not free_faces(f.complex):
         raise ComplexError("closure_search needs a starting immersion with free faces")
@@ -238,49 +217,48 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
         for t, word in enumerate(f.presentation.relators)
         for p, (gen, _) in enumerate(word)
     ]
+    positions_per_label = Counter(gen for _, _, gen in word_positions)
     root_state = _FoldState(f)
     root_state.run()
     seen = {_state_key(root_state)}
     queue: deque[tuple[Morphism, tuple[Move, ...]]] = deque([(f, ())])
     results: list[tuple[Morphism, tuple[Move, ...]]] = []
-    explored = pruned = max_depth = 0
+    explored = pruned = max_depth = folds = duplicates = 0
     while queue:
         current, moves = queue.popleft()
         explored += 1
         max_depth = max(max_depth, len(moves))
-        at_budget = len(current.complex.faces) + 1 > max_faces
-        context = _node_context(current) if at_budget else None
-        successors: list[tuple[Move, _FoldState]] = []
-        frees = sorted(free_faces(current.complex))
-        free_set = set(frees)
-        for eid in frees:
-            label = current.edge_labels[eid]
-            for other in sorted(current.edge_labels):
-                if other == eid or current.edge_labels[other] != label:
-                    continue
-                if other in free_set and other < eid:
-                    continue  # the symmetric identification was generated already
-                successors.append(
-                    (
-                        ("identify-edges", eid, other),
-                        _identify_edges_state(current, eid, other),
-                    )
-                )
-            for t, p, gen in word_positions:
-                if gen != label:
-                    continue
-                if at_budget and _couple_must_add_face(current, context, t, p, eid):
-                    pruned += 1
-                    continue
-                successors.append(
-                    (("couple", t, p, eid), _couple_state(current, t, p, eid))
-                )
+        labels = current.edge_labels
+        edges_per_label = Counter(labels.values())
+        eid = min(
+            free_faces(current.complex),
+            key=lambda e: (
+                edges_per_label[labels[e]] - 1 + positions_per_label[labels[e]],
+                id_key(e),
+            ),
+        )
+        label = labels[eid]
+        successors: list[tuple[Move, _FoldState]] = [
+            (
+                ("identify-edges", eid, other),
+                _identify_edges_state(current, eid, other),
+            )
+            for other in sorted(labels, key=id_key)
+            if other != eid and labels[other] == label
+        ]
+        successors += [
+            (("couple", t, p, eid), _couple_state(current, t, p, eid))
+            for t, p, gen in word_positions
+            if gen == label
+        ]
+        folds += len(successors)
         for move, state in successors:
             if state.live_face_count() > max_faces:
                 pruned += 1
                 continue
             key = _state_key(state)
             if key in seen:
+                duplicates += 1
                 continue
             seen.add(key)
             nxt = state.quotient()
@@ -292,7 +270,7 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             else:
                 results.append((nxt, moves + (move,)))
     results.sort(key=lambda pair: canonical_form(pair[0]))
-    return ClosureResult(results, explored, pruned, max_depth)
+    return ClosureResult(results, explored, pruned, max_depth, folds, duplicates)
 
 
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:

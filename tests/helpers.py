@@ -1,11 +1,23 @@
-"""Shared test utilities: disjoint unions and randomized pre-fold inputs."""
+"""Shared test utilities: disjoint unions, randomized pre-fold inputs and a
+full-branch closure search kept as the reference for the one-edge rule."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
-from foldcx.complexes import Edge, Face, Morphism, TwoComplex
+from foldcx.canonical import canonical_form
+from foldcx.complexes import (
+    Edge,
+    Face,
+    Morphism,
+    TwoComplex,
+    free_faces,
+    immersion_witness,
+)
 from foldcx.families import build_C, build_D, kp
+from foldcx.folding import _couple_state, _FoldState, _identify_edges_state
+from foldcx.verify import ClosureResult, _state_key
 
 
 def rename(f: Morphism, suffix: str) -> Morphism:
@@ -78,3 +90,59 @@ def random_prefold(rng: random.Random) -> Morphism:
         for _ in range(rng.randint(1, 1 + len(vertices) // 2))
     ]
     return quotient_vertices(union, pairs)
+
+
+def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
+    """Reference closure search that branches on every free edge of every
+    node.  Since every free edge branches, an identification of two free
+    edges is generated from the smaller one only."""
+    word_positions = [
+        (t, p, gen)
+        for t, word in enumerate(f.presentation.relators)
+        for p, (gen, _) in enumerate(word)
+    ]
+    root_state = _FoldState(f)
+    root_state.run()
+    seen = {_state_key(root_state)}
+    queue = deque([(f, ())])
+    results = []
+    explored = pruned = max_depth = folds = duplicates = 0
+    while queue:
+        current, moves = queue.popleft()
+        explored += 1
+        max_depth = max(max_depth, len(moves))
+        successors = []
+        frees = sorted(free_faces(current.complex))
+        free_set = set(frees)
+        for eid in frees:
+            label = current.edge_labels[eid]
+            for other in sorted(current.edge_labels):
+                if other == eid or current.edge_labels[other] != label:
+                    continue
+                if other in free_set and other < eid:
+                    continue
+                state = _identify_edges_state(current, eid, other)
+                successors.append((("identify-edges", eid, other), state))
+            for t, p, gen in word_positions:
+                if gen == label:
+                    state = _couple_state(current, t, p, eid)
+                    successors.append((("couple", t, p, eid), state))
+        folds += len(successors)
+        for move, state in successors:
+            if state.live_face_count() > max_faces:
+                pruned += 1
+                continue
+            key = _state_key(state)
+            if key in seen:
+                duplicates += 1
+                continue
+            seen.add(key)
+            nxt = state.quotient()
+            if immersion_witness(nxt) is not None:
+                raise RuntimeError("full_branch_closure reached a non-immersion")
+            if free_faces(nxt.complex):
+                queue.append((nxt, moves + (move,)))
+            else:
+                results.append((nxt, moves + (move,)))
+    results.sort(key=lambda pair: canonical_form(pair[0]))
+    return ClosureResult(results, explored, pruned, max_depth, folds, duplicates)

@@ -226,3 +226,14 @@ def test_env_budget_applies_to_enumerate(capsys, monkeypatch):
     assert main(["enumerate", "--max-vertices", "2"]) == 2
     monkeypatch.delenv("FOLDCX_BUDGET")
     assert main(["enumerate", "--max-vertices", "2"]) == 0
+
+
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+def test_exit_two_on_internal_error(kp_file, capsys, monkeypatch, error):
+    def failing(cx):
+        raise error("Euler identity violated")
+
+    monkeypatch.setattr("foldcx.cli.homology", failing)
+    assert main(["homology", kp_file]) == 2
+    err = capsys.readouterr().err
+    assert err == "internal error: Euler identity violated\n"

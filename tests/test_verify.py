@@ -13,6 +13,7 @@ from foldcx.verify import (
     closure_search,
     verify_main_theorem,
 )
+from helpers import full_branch_closure
 
 
 def test_closure_search_from_the_smallest_disc():
@@ -40,11 +41,34 @@ def test_closure_results_have_no_free_faces_and_record_moves():
 
 
 def test_closure_search_counts_are_pinned():
+    # pins the one-edge rule: a change to the choice of branching edge or
+    # to its successors would change these counts
+    result = closure_search(build_D(1), 4)
+    assert (result.explored, result.pruned, result.max_depth) == (5, 2, 2)
+    assert (result.folds, result.duplicates) == (28, 20)
+    assert len(result.results) == 2
+
+
+def test_full_branch_reference_counts_are_pinned():
     # pins the duplicate check: a key that merged non-isomorphic states or
     # split isomorphic ones would change these counts
-    result = closure_search(build_D(1), 4)
+    result = full_branch_closure(build_D(1), 4)
     assert (result.explored, result.pruned, result.max_depth) == (32, 188, 3)
     assert len(result.results) == 2
+
+
+@pytest.mark.parametrize(
+    "index, variant, max_faces",
+    [(1, "standard", 5), (1, "tilde", 5), (0, "standard", 4)],
+)
+def test_one_edge_closure_matches_full_branch_reference(index, variant, max_faces):
+    start = build_D(index, variant)
+    one_edge = closure_search(start, max_faces)
+    reference = full_branch_closure(start, max_faces)
+    assert [canonical_form(m) for m, _ in one_edge.results] == [
+        canonical_form(m) for m, _ in reference.results
+    ]
+    assert one_edge.folds < reference.folds
 
 
 def test_closure_matches_enumeration_at_matching_size():
@@ -54,6 +78,24 @@ def test_closure_matches_enumeration_at_matching_size():
         canonical_form(m) for m in enumerate_immersions(EnumerationFilter(3))
     )
     assert closure_forms == enum_forms
+
+
+@pytest.fixture(scope="module")
+def six_vertex_forms():
+    return sorted(canonical_form(m) for m in enumerate_immersions(EnumerationFilter(6)))
+
+
+@pytest.mark.parametrize("variant", ["standard", "tilde"])
+def test_closure_matches_enumeration_at_seven_faces(variant, six_vertex_forms):
+    result = closure_search(build_D(1, variant), 7)
+    closure_forms = sorted(canonical_form(m) for m, _ in result.results)
+    assert closure_forms == six_vertex_forms
+
+
+def test_closure_reaches_every_c_up_to_fifteen():
+    result = closure_search(build_D(1), 16)
+    forms = sorted(canonical_form(m) for m, _ in result.results)
+    assert forms == sorted(canonical_form(build_C(i)) for i in range(1, 16, 2))
 
 
 def test_vertex_identification_checker():
