@@ -1,9 +1,10 @@
 """Deciding contractibility with machine-checkable evidence.
 
-Three engines cooperate: integer homology by Smith normal form, a greedy
-free-face collapse that finds a full collapse sequence whenever one exists,
-and Todd-Coxeter coset enumeration of the fundamental group read off a
-spanning tree.
+Three engines cooperate: integer homology by sparse unit-pivot reduction
+and Smith normal form, a greedy free-face collapse that finds a full
+collapse sequence whenever one exists, and Todd-Coxeter coset enumeration
+of the fundamental group read off a spanning tree and shrunk by Tietze
+moves.
 """
 
 from foldcx import (
@@ -19,6 +20,7 @@ from foldcx import (
     presentation_complex,
     replay_collapse,
 )
+from foldcx.groups import tietze_reduce
 
 print("homology of the target:", homology(kp().complex))
 torus = presentation_complex(parse_presentation("a,b|abAB")).complex
@@ -36,6 +38,7 @@ c5 = build_C(5).complex
 pres = pi1_presentation(c5)
 print("pi1(C:5) on", len(pres.generators), "generators has order",
       coset_enumeration(pres))
+print("Tietze moves leave", len(tietze_reduce(pres).generators), "generators")
 
 for cx, name in ((kp().complex, "target"), (c5, "C:5"), (build_D(3).complex, "D:3"),
                  (torus, "torus")):

@@ -4,6 +4,13 @@ pi1_presentation reads a presentation off a spanning tree: one generator
 per non-tree edge, one relator per face (its boundary word with tree edges
 deleted, freely reduced).
 
+tietze_reduce shrinks a presentation by Tietze transformations before
+enumeration: relators are cyclically reduced, and a generator that occurs
+once in some relator is solved for and substituted away whenever that does
+not lengthen the relators.  The group, and so its order, is unchanged; on
+the closed family complexes C(i) it removes all, or all but a few, of the
+i + 1 generators.
+
 coset_enumeration is a relator-table-filling (HLT style) Todd-Coxeter
 enumeration of the cosets of the trivial subgroup, with immediate
 coincidence handling.  It either closes the table, in which case the
@@ -14,10 +21,11 @@ overflow never is reported as an answer.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 from .complexes import ComplexError, TwoComplex
-from .presentations import Presentation, Word, free_reduce
+from .presentations import Letter, Presentation, Word, cyclic_reduce, free_reduce
 
 
 def spanning_tree(cx: TwoComplex, basepoint: str) -> set[str]:
@@ -58,6 +66,92 @@ def pi1_presentation(cx: TwoComplex, basepoint: str | None = None) -> Presentati
         if word:
             relators.append(word)
     return Presentation(gens, tuple(relators))
+
+
+def _inverse(word: Word) -> Word:
+    return tuple((g, -s) for g, s in reversed(word))
+
+
+def tietze_reduce(pres: Presentation) -> Presentation:
+    """An equivalent presentation with generators eliminated.
+
+    Relators are freely and cyclically reduced (empty ones dropped).  Then,
+    repeatedly, a relator r in which some generator g occurs exactly once
+    is solved for g, r is deleted and g's value is substituted into the
+    other relators, which are reduced again.  Each step is a Tietze
+    transformation, so the group is unchanged.  A step is taken only when
+    the total relator length does not grow, that is when
+    (other occurrences of g) * (|r| - 2) <= |r|.  The shortest eligible
+    relator goes first, ties by index; within it the generator with the
+    fewest other occurrences, ties by position.  Eligibility is rechecked
+    from a heap refreshed whenever a relator changes or the count of one
+    of its generators does, found through a generator -> relators index.
+    """
+    relators: dict[int, Word] = {}
+    for k, word in enumerate(pres.relators):
+        word = cyclic_reduce(word)
+        if word:
+            relators[k] = word
+    uses: dict[str, set[int]] = {g: set() for g in pres.generators}
+    occurrences = dict.fromkeys(pres.generators, 0)
+    for k, word in relators.items():
+        for g, _ in word:
+            uses[g].add(k)
+            occurrences[g] += 1
+    heap = [(len(w), k) for k, w in relators.items()]
+    heapq.heapify(heap)
+    while heap:
+        n, k = heapq.heappop(heap)
+        word = relators.get(k)
+        if word is None or len(word) != n:
+            continue  # deleted or rewritten since it was pushed
+        once: dict[str, int] = {}
+        for p, (g, _) in enumerate(word):
+            once[g] = -1 if g in once else p
+        candidates = [
+            (occurrences[g] - 1, p, g)
+            for g, p in once.items()
+            if p >= 0 and (occurrences[g] - 1) * (n - 2) <= n
+        ]
+        if not candidates:
+            continue
+        _, p, g = min(candidates)
+        # r = u g^s v, cyclically g^s (v u) = 1, so g = (v u)^(-s)
+        rest = word[p + 1 :] + word[:p]
+        value = _inverse(rest) if word[p][1] > 0 else rest
+        value_of = {1: value, -1: _inverse(value)}
+        del relators[k]
+        for h, _ in word:
+            occurrences[h] -= 1
+            uses[h].discard(k)
+        changed = {h for h, _ in word}
+        for j in uses.pop(g):
+            old = relators.pop(j)
+            new: list[Letter] = []
+            for letter in old:
+                if letter[0] == g:
+                    new.extend(value_of[letter[1]])
+                else:
+                    new.append(letter)
+                    occurrences[letter[0]] -= 1
+                    uses[letter[0]].discard(j)
+                    changed.add(letter[0])
+            reduced = cyclic_reduce(tuple(new))
+            if reduced:
+                relators[j] = reduced
+                for h, _ in reduced:
+                    occurrences[h] += 1
+                    uses[h].add(j)
+        # occurrence counts changed for these generators, and every
+        # rewritten relator contains one of them: recheck their relators
+        changed.discard(g)
+        for j in set().union(*(uses[h] for h in changed)):
+            heapq.heappush(heap, (len(relators[j]), j))
+    # an eliminated generator has left `uses`
+    return Presentation(
+        tuple(g for g in pres.generators if g in uses),
+        tuple(relators[k] for k in sorted(relators)),
+    )
 
 
 def coset_enumeration(pres: Presentation, max_cosets: int = 100_000) -> int | None:

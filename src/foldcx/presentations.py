@@ -49,6 +49,15 @@ def free_reduce(word: Word) -> Word:
     return tuple(out)
 
 
+def cyclic_reduce(word: Word) -> Word:
+    """Free reduction followed by cancelling first against last letters."""
+    word = free_reduce(word)
+    k = 0
+    while 2 * k + 1 < len(word) and word[k] == (word[-1 - k][0], -word[-1 - k][1]):
+        k += 1
+    return word[k : len(word) - k]
+
+
 def is_proper_power(word: Word) -> bool:
     """True if word = u^k for some k >= 2 (as a plain, non-cyclic word)."""
     n = len(word)

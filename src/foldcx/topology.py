@@ -3,20 +3,26 @@
 A certificate is replayable evidence for (or against) contractibility:
 
   collapsible                a sequence of elementary collapses down to a
-                             point; replay_collapse checks it
+                             point; replay_collapse checks every step on
+                             live occurrence counts and degrees
   simply-connected-acyclic   point homology plus a finished coset
-                             enumeration of order 1; a connected 2-complex
-                             with trivial fundamental group and trivial H2
-                             is contractible
+                             enumeration of order 1, run on the
+                             Tietze-reduced pi1 presentation (same group);
+                             a connected 2-complex with trivial fundamental
+                             group and trivial H2 is contractible
   not-contractible           a homology witness (nonzero Betti number or
                              torsion, or Euler characteristic != 1)
   unknown                    not collapsible, and the coset enumeration
                              hit its cap or found a nontrivial group
 
-Collapsibility is decided by greedy free-face collapse, which is complete
-because the order of free-face collapses does not matter; once no 2-cells
-remain the rest is forced (a graph collapses to a point exactly when it is
-a tree, pruning leaves in any order).
+Homology comes first (reduced sparse elimination, see homology.py), then
+the collapse search, then the fundamental group.  Collapsibility is decided
+by greedy free-face collapse, which is complete because the order of
+free-face collapses does not matter; once no 2-cells remain the rest is
+forced (a graph collapses to a point exactly when it is a tree, pruning
+leaves in any order).  Each stage is near-linear in the size of
+the complex, apart from the residual Smith normal form and the coset
+enumeration, which work on what the reductions leave.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .complexes import ComplexError, TwoComplex, euler_characteristic, free_faces
-from .groups import coset_enumeration, pi1_presentation
+from .complexes import ComplexError, TwoComplex, euler_characteristic
+from .groups import coset_enumeration, pi1_presentation, tietze_reduce
 from .homology import HomologyProfile, homology
 
 CollapseStep = tuple[str, str, str]  # ("edge-face", edge, face) | ("vertex-edge", v, e)
@@ -123,40 +129,64 @@ def collapsibility_search(cx: TwoComplex) -> list[CollapseStep] | None:
 
 def replay_collapse(cx: TwoComplex, steps: list[CollapseStep]) -> TwoComplex:
     """Apply a collapse sequence, checking each step is legal; the result
-    of a full sequence is a single-vertex complex."""
-    current = cx
+    of a full sequence is a single-vertex complex.
+
+    Steps are replayed on live cell dicts, per-edge occurrence counts and
+    per-vertex degrees (a loop counts twice), so each step costs the size
+    of its cells; the complex is rebuilt, and its integrity checked, once at
+    the end.  An edge-face step needs a free edge and a known face using
+    it; a vertex-edge step needs an edge that bounds no face and meets the
+    vertex, which must have degree 1.
+    """
+    vertices = dict.fromkeys(cx.vertices)
+    edges = dict(cx.edge_by_id)
+    faces = dict(cx.face_by_id)
+    count = cx.edge_face_occurrences()
+    degree = dict.fromkeys(cx.vertices, 0)
+    for e in cx.edges:
+        degree[e.tail] += 1
+        degree[e.head] += 1
     for kind, cell, other in steps:
         if kind == "edge-face":
-            if cell not in free_faces(current):
+            if count.get(cell) != 1:
                 raise ComplexError(f"replay: edge {cell} is not free")
-            if other not in current.face_by_id:
+            if other not in faces:
                 raise ComplexError(f"replay: unknown face {other}")
-            face = current.face_by_id[other]
+            face = faces[other]
             if all(eid != cell for eid, _ in face.boundary):
                 raise ComplexError(f"replay: face {other} does not use edge {cell}")
-            current = TwoComplex.make(
-                current.vertices,
-                [e for e in current.edges if e.id != cell],
-                [f for f in current.faces if f.id != other],
-            )
+            del faces[other]
+            for eid, _ in face.boundary:
+                count[eid] -= 1
+            del count[cell]
+            e = edges.pop(cell)
+            degree[e.tail] -= 1
+            degree[e.head] -= 1
         elif kind == "vertex-edge":
-            if current.faces and any(
-                eid == other for f in current.faces for eid, _ in f.boundary
-            ):
+            if count.get(other, 0):
                 raise ComplexError(f"replay: edge {other} still bounds a face")
-            degree = sum(
-                (e.tail == cell) + (e.head == cell) for e in current.edges
-            )
-            if degree != 1:
-                raise ComplexError(f"replay: vertex {cell} has degree {degree}")
-            current = TwoComplex.make(
-                [v for v in current.vertices if v != cell],
-                [e for e in current.edges if e.id != other],
-                current.faces,
-            )
+            if degree.get(cell, 0) != 1:
+                raise ComplexError(
+                    f"replay: vertex {cell} has degree {degree.get(cell, 0)}"
+                )
+            e = edges.get(other)
+            if e is None or cell not in (e.tail, e.head):
+                # removing the vertex would leave its one edge dangling
+                (own,) = [x.id for x in edges.values() if cell in (x.tail, x.head)]
+                problem = (
+                    f"unknown edge {other}"
+                    if e is None
+                    else f"edge {other} does not meet vertex {cell}"
+                )
+                raise ComplexError(
+                    f"replay: {problem}, so edge {own} references missing vertex {cell}"
+                )
+            del vertices[cell], degree[cell], count[other], edges[other]
+            other_end = e.head if e.tail == cell else e.tail
+            degree[other_end] -= 1
         else:
             raise ComplexError(f"replay: unknown step kind {kind!r}")
-    return current
+    return TwoComplex.make(vertices, edges.values(), faces.values())
 
 
 @dataclass(frozen=True)
@@ -205,7 +235,7 @@ def certify_contractible(cx: TwoComplex, max_cosets: int = 100_000) -> Certifica
         if len(final.vertices) != 1 or final.edges or final.faces:
             raise RuntimeError("collapse sequence does not end at a point")
         return Certificate("collapsible", profile, collapse_sequence=tuple(steps))
-    order = coset_enumeration(pi1_presentation(cx), max_cosets)
+    order = coset_enumeration(tietze_reduce(pi1_presentation(cx)), max_cosets)
     if order == 1:
         return Certificate("simply-connected-acyclic", profile, group_order=order)
     return Certificate(

@@ -1,8 +1,10 @@
-"""Shared test utilities: disjoint unions, randomized pre-fold inputs and a
-full-branch closure search kept as the reference for the one-edge rule."""
+"""Shared test utilities: disjoint unions, randomized pre-fold inputs, a
+full-branch closure search kept as the reference for the one-edge rule and
+dense homology kept as the reference for the reduced one."""
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 
@@ -15,8 +17,10 @@ from foldcx.complexes import (
     free_faces,
     immersion_witness,
 )
+from foldcx.enumeration import EnumerationFilter, enumerate_immersions
 from foldcx.families import build_C, build_D, kp
-from foldcx.folding import _couple_state, _FoldState, _identify_edges_state
+from foldcx.folding import _couple_state, _FoldState, _identify_edges_state, fold
+from foldcx.homology import HomologyProfile, smith_normal_form
 from foldcx.verify import ClosureResult, _state_key
 
 
@@ -92,6 +96,18 @@ def random_prefold(rng: random.Random) -> Morphism:
     return quotient_vertices(union, pairs)
 
 
+@functools.cache
+def four_vertex_classes() -> list[Morphism]:
+    """The 139 connected immersion classes with at most 4 vertices, free
+    faces allowed."""
+    return enumerate_immersions(EnumerationFilter(4, True, False))
+
+
+@functools.cache
+def folded_prefold(seed: int) -> Morphism:
+    return fold(random_prefold(random.Random(seed)))[0]
+
+
 def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
     """Reference closure search that branches on every free edge of every
     node.  Since every free edge branches, an identification of two free
@@ -146,3 +162,32 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
                 results.append((nxt, moves + (move,)))
     results.sort(key=lambda pair: canonical_form(pair[0]))
     return ClosureResult(results, explored, pruned, max_depth, folds, duplicates)
+
+
+def boundary_matrices(cx: TwoComplex) -> tuple[list[list[int]], list[list[int]]]:
+    """(d1: vertices x edges, d2: edges x faces) with signed incidence counts."""
+    vix = {v: k for k, v in enumerate(cx.vertices)}
+    eix = {e.id: k for k, e in enumerate(cx.edges)}
+    d1 = [[0] * len(cx.edges) for _ in cx.vertices]
+    for j, e in enumerate(cx.edges):
+        d1[vix[e.head]][j] += 1
+        d1[vix[e.tail]][j] -= 1
+    d2 = [[0] * len(cx.faces) for _ in cx.edges]
+    for j, face in enumerate(cx.faces):
+        for eid, sign in face.boundary:
+            d2[eix[eid]][j] += sign
+    return d1, d2
+
+
+def dense_homology(cx: TwoComplex) -> HomologyProfile:
+    """Reference homology: Smith normal form of the dense d1 and d2."""
+    d1, d2 = boundary_matrices(cx)
+    rank1 = len(smith_normal_form(d1))
+    factors2 = smith_normal_form(d2)
+    rank2 = len(factors2)
+    return HomologyProfile(
+        betti_0=len(cx.vertices) - rank1,
+        betti_1=len(cx.edges) - rank1 - rank2,
+        betti_2=len(cx.faces) - rank2,
+        torsion_1=tuple(f for f in factors2 if f > 1),
+    )

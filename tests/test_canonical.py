@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -6,13 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from foldcx.canonical import _check_bijection, _refined, canonical_form, isomorphic
 from foldcx.complexes import ComplexError, Edge, Face, Morphism, TwoComplex
-from foldcx.enumeration import EnumerationFilter, enumerate_immersions
 from foldcx.families import build_C, build_D, kp, target_presentation
-from foldcx.folding import fold
 from foldcx.presentations import parse_presentation
 from foldcx.complexes import presentation_complex
 
-from helpers import random_prefold
+from helpers import folded_prefold, four_vertex_classes, random_prefold
 
 
 def relabeled(f: Morphism, suffix: str) -> Morphism:
@@ -168,16 +165,6 @@ def test_check_bijection_rejects_a_doctored_mapping():
 # -- property tests: the breadth-first route against the refinement reference
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
-
-
-@functools.cache
-def four_vertex_classes() -> list[Morphism]:
-    return enumerate_immersions(EnumerationFilter(4, True, False))
-
-
-@functools.cache
-def folded_prefold(seed: int) -> Morphism:
-    return fold(random_prefold(random.Random(seed)))[0]
 
 
 morphisms = st.one_of(

@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldcx.complexes import ComplexError, TwoComplex, Edge
 from foldcx.families import build_C, build_D, kp, target_presentation
-from foldcx.groups import coset_enumeration, pi1_presentation, spanning_tree
-from foldcx.presentations import Presentation, parse_presentation, parse_word
+from foldcx.groups import coset_enumeration, pi1_presentation, spanning_tree, tietze_reduce
+from foldcx.presentations import (
+    Presentation,
+    cyclic_reduce,
+    free_reduce,
+    parse_presentation,
+    parse_word,
+)
 
 
 def word(text, gens=("a", "b")):
@@ -12,17 +19,20 @@ def word(text, gens=("a", "b")):
 
 def test_trivial_group():
     assert coset_enumeration(target_presentation()) == 1
+    assert tietze_reduce(target_presentation()) == Presentation((), ())
 
 
 def test_cyclic_groups():
     for n in (2, 3, 5, 7):
         cyclic = Presentation(("a",), ((("a", 1),) * n,))
         assert coset_enumeration(cyclic) == n
+        assert coset_enumeration(tietze_reduce(cyclic)) == n
 
 
 def test_symmetric_group_s3():
     s3 = Presentation(("a", "b"), (word("aa"), word("bb"), word("ababab")))
     assert coset_enumeration(s3) == 6
+    assert coset_enumeration(tietze_reduce(s3)) == 6
 
 
 def test_quaternion_group():
@@ -32,6 +42,7 @@ def test_quaternion_group():
         (word("aaaa"), word("aaBB"), word("Baba")),
     )
     assert coset_enumeration(q8) == 8
+    assert coset_enumeration(tietze_reduce(q8)) == 8
 
 
 def test_dihedral_groups():
@@ -41,20 +52,24 @@ def test_dihedral_groups():
             ((("a", 1),) * n, (("b", 1),) * 2, ((("a", 1), ("b", 1)) * 2)),
         )
         assert coset_enumeration(dn) == 2 * n
+        assert coset_enumeration(tietze_reduce(dn)) == 2 * n
 
 
 def test_free_abelian_overflows():
     z2 = parse_presentation("a,b|abAB")
     assert coset_enumeration(z2, 1000) is None
+    assert coset_enumeration(tietze_reduce(z2), 1000) is None
 
 
 def test_free_group_overflows():
     free = parse_presentation("a|")
     assert coset_enumeration(free, 50) is None
+    assert coset_enumeration(tietze_reduce(free), 50) is None
 
 
 def test_trivial_presentation_no_generators():
     assert coset_enumeration(Presentation((), ())) == 1
+    assert tietze_reduce(Presentation((), ())) == Presentation((), ())
 
 
 def test_invalid_cap():
@@ -100,3 +115,56 @@ def test_spanning_tree_size():
     c5 = build_C(5).complex
     tree = spanning_tree(c5, c5.vertices[0])
     assert len(tree) == len(c5.vertices) - 1
+
+
+def test_cyclic_reduce():
+    pairs = (("aA", ""), ("abBA", ""), ("Aba", "b"), ("abA", "b"), ("aba", "aba"))
+    for text, reduced in pairs:
+        assert cyclic_reduce(word(text)) == word(reduced)
+
+
+def test_tietze_eliminates_a_generator_defined_by_a_relator():
+    # S3 with a redundant generator c = ab; cBA is solved for b, which has
+    # the fewest other occurrences, as b = Ac
+    abc = ("a", "b", "c")
+    pres = Presentation(
+        abc, tuple(parse_word(text, abc) for text in ("aa", "bb", "cBA", "ccc"))
+    )
+    reduced = tietze_reduce(pres)
+    assert reduced == Presentation(
+        ("a", "c"), tuple(parse_word(text, abc) for text in ("aa", "AcAc", "ccc"))
+    )
+    assert coset_enumeration(reduced) == coset_enumeration(pres) == 6
+
+
+def test_tietze_refuses_a_substitution_that_grows_the_relators():
+    # a occurs once in abbb, but substituting a = BBB into aaab would add
+    # 3 * (4 - 2) = 6 letters for the 4 removed
+    pres = Presentation(("a", "b"), (word("abbb"), word("aaab")))
+    assert tietze_reduce(pres) == pres
+
+
+def test_tietze_empties_the_family_presentations():
+    for i in (1, 3, 51, 101):
+        assert tietze_reduce(pi1_presentation(build_C(i).complex)) == Presentation((), ())
+
+
+@st.composite
+def presentations(draw) -> Presentation:
+    gens = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    letters = st.tuples(st.sampled_from(gens), st.sampled_from([1, -1]))
+    drawn = draw(st.lists(st.lists(letters, max_size=7), max_size=4))
+    words = [free_reduce(tuple(w)) for w in drawn]
+    return Presentation(gens, tuple(w for w in words if w))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(presentations())
+def test_tietze_keeps_the_group_and_never_grows(pres):
+    reduced = tietze_reduce(pres)
+    assert set(reduced.generators) <= set(pres.generators)
+    length = sum(len(cyclic_reduce(w)) for w in pres.relators)
+    assert sum(map(len, reduced.relators)) <= length
+    before, after = coset_enumeration(pres, 2000), coset_enumeration(reduced, 2000)
+    if before is not None and after is not None:
+        assert before == after

@@ -1,5 +1,8 @@
 import random
+import time
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from foldcx.complexes import (
     Edge,
@@ -11,8 +14,10 @@ from foldcx.complexes import (
     presentation_complex,
 )
 from foldcx.families import build_C, build_D, kp
-from foldcx.homology import boundary_matrices, homology, smith_normal_form
+from foldcx.homology import homology, smith_normal_form
 from foldcx.presentations import parse_presentation
+from foldcx.topology import collapsibility_search
+from helpers import boundary_matrices, dense_homology, folded_prefold, four_vertex_classes
 
 
 def rational_rank(matrix):
@@ -124,3 +129,64 @@ def test_boundary_matrices_compose_to_zero():
             for j in range(len(d2[0])):
                 total = sum(d1[i][k] * d2[k][j] for k in range(len(d2)))
                 assert total == 0
+
+
+def test_large_cycle_homology_is_point_like():
+    cx = build_C(2001).complex
+    started = time.perf_counter()
+    h = homology(cx)
+    elapsed = time.perf_counter() - started
+    assert h.is_point_like()
+    assert elapsed < 10.0, f"homology of C(2001) took {elapsed:.2f}s"
+
+
+# -- property tests: the reduced route against the dense reference
+
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+
+@st.composite
+def one_vertex_complexes(draw) -> TwoComplex:
+    """Loops at one vertex with faces along random words: d2 is then an
+    arbitrary small integer matrix, so unit pivots with fill, a residual
+    core, torsion and H2 all occur, which the folds and classes never reach."""
+    loops = draw(st.integers(1, 4))
+    letters = st.tuples(st.integers(0, loops - 1), st.sampled_from([1, -1]))
+    words = draw(st.lists(st.lists(letters, min_size=1, max_size=6), max_size=5))
+    return TwoComplex.make(
+        ["v0"],
+        [Edge(f"e{k}", "v0", "v0") for k in range(loops)],
+        [Face(f"f{j}", tuple((f"e{k}", s) for k, s in w)) for j, w in enumerate(words)],
+    )
+
+
+complexes = st.one_of(
+    one_vertex_complexes(),
+    st.sampled_from(range(139)).map(lambda k: four_vertex_classes()[k].complex),
+    st.sampled_from(range(400)).map(lambda seed: folded_prefold(seed).complex),
+    st.sampled_from(
+        [
+            presentation_complex(parse_presentation("a|")).complex,
+            presentation_complex(parse_presentation("a,b|abAB")).complex,
+            TwoComplex.make(
+                ["v0"], [Edge("e0", "v0", "v0")], [Face("f0", (("e0", 1), ("e0", 1)))]
+            ),
+            TwoComplex.make(["v0", "v1"], [], []),
+            kp().complex,
+        ]
+    ),
+)
+
+
+@PROPERTY
+@given(complexes)
+def test_homology_matches_dense_reference(cx):
+    assert homology(cx) == dense_homology(cx)
+
+
+@PROPERTY
+@given(complexes)
+def test_collapsible_complexes_have_point_homology(cx):
+    if cx.connected and collapsibility_search(cx) is not None:
+        assert homology(cx).is_point_like()

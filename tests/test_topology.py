@@ -1,6 +1,9 @@
 import functools
+import hashlib
 import json
 import random
+import re
+import time
 
 import pytest
 
@@ -20,7 +23,7 @@ from foldcx.topology import (
     collapsibility_search,
     replay_collapse,
 )
-from helpers import random_prefold
+from helpers import four_vertex_classes, random_prefold
 from foldcx.folding import fold
 
 
@@ -48,11 +51,32 @@ def test_no_free_faces_means_no_collapse():
 
 
 def test_replay_rejects_illegal_steps():
-    cx = build_D(0).complex
-    with pytest.raises(ComplexError):
-        replay_collapse(cx, [("edge-face", "b0", "missing")])
-    with pytest.raises(ComplexError):
-        replay_collapse(cx, [("vertex-edge", "v0", "b0")])
+    path = TwoComplex.make(
+        ["v0", "v1", "v2"],
+        [Edge("a0", "v0", "v1"), Edge("b1", "v1", "v2")],
+        [],
+    )
+    illegal = [
+        (kp().complex, [("edge-face", "a", "f1")], "replay: edge a is not free"),
+        (build_D(0).complex, [("edge-face", "b0", "missing")], "replay: unknown face missing"),
+        (build_D(1).complex, [("edge-face", "b1", "f0")], "replay: face f0 does not use edge b1"),
+        (build_D(0).complex, [("vertex-edge", "v0", "b0")], "replay: edge b0 still bounds a face"),
+        (path, [("vertex-edge", "v1", "a0")], "replay: vertex v1 has degree 2"),
+        (path, [("vertex-edge", "v7", "a0")], "replay: vertex v7 has degree 0"),
+        (path, [("face", "v0", "a0")], "replay: unknown step kind 'face'"),
+        # an unknown or non-incident edge would leave the vertex's own edge dangling
+        (path, [("vertex-edge", "v0", "zz")], "edge a0 references missing vertex"),
+        (path, [("vertex-edge", "v0", "b1")], "edge a0 references missing vertex"),
+        # a step after a legal one sees the live complex
+        (
+            build_D(1).complex,
+            [("edge-face", "b1", "f1"), ("edge-face", "a2", "f1")],
+            "replay: edge a2 is not free",
+        ),
+    ]
+    for cx, steps, message in illegal:
+        with pytest.raises(ComplexError, match=re.escape(message)):
+            replay_collapse(cx, steps)
 
 
 def test_certify_target_complex():
@@ -130,9 +154,8 @@ def test_tree_collapses_to_point():
     )
     steps = collapsibility_search(tree)
     assert steps is not None and len(steps) == 2
-    assert replay_collapse(tree, steps).vertices == ("v0",) or True
-    final = replay_collapse(tree, steps)
-    assert len(final.vertices) == 1
+    # v0 is the first leaf pruned, so v2 survives
+    assert replay_collapse(tree, steps).vertices == ("v2",)
 
 
 def test_cycle_does_not_collapse():
@@ -151,6 +174,45 @@ def test_long_disc_collapses_without_recursion():
     kinds = [kind for kind, _, _ in steps]
     assert kinds.count("edge-face") == len(cx.faces)
     assert kinds.count("vertex-edge") == len(cx.vertices) - 1
+
+
+def test_large_disc_certifies_collapsible():
+    cx = build_D(10000).complex
+    started = time.perf_counter()
+    cert = certify_contractible(cx)
+    elapsed = time.perf_counter() - started
+    assert cert.kind == "collapsible"
+    assert len(cert.collapse_sequence) == 30001
+    assert elapsed < 10.0, f"certifying D(10000) took {elapsed:.2f}s"
+
+
+def test_large_cycle_certifies_through_its_fundamental_group():
+    # C(1001) has no free face; its pi1 presentation has 1002 generators,
+    # which coset enumeration only handles after the Tietze pass
+    cx = build_C(1001).complex
+    started = time.perf_counter()
+    cert = certify_contractible(cx)
+    elapsed = time.perf_counter() - started
+    assert cert.kind == "simply-connected-acyclic"
+    assert cert.group_order == 1
+    assert elapsed < 10.0, f"certifying C(1001) took {elapsed:.2f}s"
+
+
+def test_certificates_are_pinned():
+    # sha256 of the concatenated certificate JSON, the same bytes as before
+    # the reduced homology, live-count replay and Tietze pass
+    cxs = [kp().complex]
+    for variant in ("standard", "tilde"):
+        cxs += [build_D(i, variant).complex for i in range(41)]
+        cxs += [build_C(i, variant).complex for i in range(1, 40)]
+    cxs += [m.complex for m in four_vertex_classes()]
+    digest = hashlib.sha256()
+    for cx in cxs:
+        digest.update(certify_contractible(cx).to_json().encode())
+    assert len(cxs) == 300
+    assert digest.hexdigest() == (
+        "8446864ede3b03df92ab8a0254d067e62bc5b02beb4f3feafc97b367cc78313b"
+    )
 
 
 def _collapsible_by_exhaustion(cx: TwoComplex) -> bool:
