@@ -13,12 +13,16 @@ by repeatedly merging cells that witness a failure of local injectivity:
 Each applied merge strictly decreases the number of live cells, so the
 process terminates, and both rules are forced in any immersion quotient,
 so the fixpoint does not depend on processing order.  Two engines share
-the merge primitives: the default one keeps incidence indexes and a
-worklist of discovered conflicts (deterministic discovery order, graph
-folds first); the rescan engine recomputes the full conflict set after
-every merge and picks either the shortlex-smallest pair or, given an rng,
-a random one.  The tests fold through both engines and through randomized
-orders and check the quotients agree.
+the merge primitives.  The default one keeps a worklist of discovered
+conflicts (deterministic discovery order, graph folds first), found
+through two flat incidence indexes that hold one representative cell per
+(endpoint, label, direction) or (edge, relator slot) key; with union-find
+resolving stale representatives this is the near-linear folding of
+Touikan, "A fast algorithm for Stallings' folding process" (IJAC 2006),
+see _FoldState.  The rescan engine reads no index: it recomputes the full
+conflict set after every merge and picks either the shortlex-smallest
+pair or, given an rng, a random one.  The tests fold through both engines
+and through randomized orders and check the quotients agree.
 
 Internally cells are numbered in shortlex id order, so keeping the least
 integer of a merged class as its representative is the same rule as
@@ -38,7 +42,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .canonical import Compact
+from .canonical import Compact, _compact
 from .complexes import (
     ComplexError,
     Edge,
@@ -93,79 +97,81 @@ def _find(parent: list[int], x: int) -> int:
 
 
 class _FoldState:
-    """Union-find over the three sorts plus incidence indexes.
+    """Union-find over the three sorts plus two flat incidence indexes.
 
-    end_members[(label, vertex, 0|1)] holds the live edges with that
-    endpoint; side_members[edge][(type, position)] holds the live faces
-    with a side in that slot.  Any key with two members is a conflict;
-    adding a member to a populated key queues one link-to-least pair,
-    which suffices because members of one key merge transitively.
+    Every incidence key is one integer into a flat list:
+    end_rep[(vertex * ngens + label) * 2 + direction] for the edges with
+    that endpoint (direction 0 the tail, 1 the head), and
+    side_rep[edge * nslots + slot] for the faces with a side there, where
+    slot is the relator's offset plus the position and nslots is the total
+    relator length.  Each entry holds one representative cell, or -1.
+
+    One representative per key suffices because a key with two members is
+    a conflict and every member of a key ends in one class.  Adding a
+    member to a filled key queues the pair (representative, member), which
+    links it to the key's class.  When a vertex or an edge is absorbed,
+    each of its entries moves to the survivor's key, or queues the pair of
+    both representatives if that key is filled.
+
+    A representative goes stale when its edge or face is absorbed; its
+    entry is neither discarded nor updated.  The stale cell lies in the
+    class of a live member of the key, and the merge primitives resolve
+    every pair through _find, so a pair that names a stale cell merges the
+    right classes, or nothing when they are already one.
     """
 
     VERTEX, EDGE, FACE = "vertex-merge", "edge-merge", "face-merge"
 
     def __init__(self, f: Morphism):
         cx = f.complex
+        c = _compact(f)
         self.presentation = f.presentation
-        self.ngens = len(f.presentation.generators)
-        gen_ix = {g: k for k, g in enumerate(f.presentation.generators)}
+        self.ngens = c.ngens
         self.vids = list(cx.vertices)  # shortlex-sorted by construction
         self.eids = [e.id for e in cx.edges]
         self.fids = [x.id for x in cx.faces]
-        vix = {v: k for k, v in enumerate(self.vids)}
-        eix = {e: k for k, e in enumerate(self.eids)}
-        self.vpar = list(range(len(self.vids)))
-        self.epar = list(range(len(self.eids)))
-        self.fpar = list(range(len(self.fids)))
-        self.tail = [vix[e.tail] for e in cx.edges]
-        self.head = [vix[e.head] for e in cx.edges]
-        self.elab = [gen_ix[f.edge_labels[e.id]] for e in cx.edges]
-        self.boundary = [
-            [(eix[eid], sign) for eid, sign in x.boundary] for x in cx.faces
-        ]
-        self.ftype = [f.face_types[x.id] for x in cx.faces]
+        self.tail, self.head, self.elab = c.tail, c.head, c.label
+        self.ftype, self.boundary = c.ftype, c.boundary
+        self.vpar = list(range(c.nv))
+        self.epar = list(range(len(c.tail)))
+        self.fpar = list(range(len(c.ftype)))
+        offsets = [0]
+        for word in f.presentation.relators:
+            offsets.append(offsets[-1] + len(word))
+        self.nslots = nslots = offsets.pop()
         self.events: list[tuple[str, int, int]] = []
-        end_members: dict[int, set[int]] = {}
-        side_members: dict[int, dict[tuple[int, int], set[int]]] = {}
-        pending_edges: deque[tuple[int, int]] = deque()
-        pending_faces: deque[tuple[int, int]] = deque()
+        self.pending_edges = pending_edges = deque()
+        self.pending_faces = pending_faces = deque()
         ngens2 = self.ngens * 2
-        for e in range(len(self.eids)):
-            lab2 = self.elab[e] * 2
-            for key in (self.tail[e] * ngens2 + lab2, self.head[e] * ngens2 + lab2 + 1):
-                members = end_members.get(key)
-                if members is None:
-                    end_members[key] = {e}
+        self.end_rep = end_rep = [-1] * (c.nv * ngens2)
+        for e, (t, h, g) in enumerate(zip(c.tail, c.head, c.label)):
+            for key in (t * ngens2 + 2 * g, h * ngens2 + 2 * g + 1):
+                if end_rep[key] < 0:
+                    end_rep[key] = e
                 else:
-                    pending_edges.append((min(members), e))
-                    members.add(e)
-        for x in range(len(self.fids)):
-            t = self.ftype[x]
-            for p, (e, _) in enumerate(self.boundary[x]):
-                slots = side_members.get(e)
-                if slots is None:
-                    side_members[e] = {(t, p): {x}}
-                    continue
-                members = slots.get((t, p))
-                if members is None:
-                    slots[(t, p)] = {x}
+                    pending_edges.append((end_rep[key], e))
+        self.side_rep = side_rep = [-1] * (len(c.tail) * nslots)
+        for x, (t, bd) in enumerate(zip(c.ftype, c.boundary)):
+            for p, (e, _) in enumerate(bd):
+                key = e * nslots + offsets[t] + p
+                if side_rep[key] < 0:
+                    side_rep[key] = x
                 else:
-                    pending_faces.append((min(members), x))
-                    members.add(x)
-        self.end_members = end_members
-        self.side_members = side_members
-        self.pending_edges = pending_edges
-        self.pending_faces = pending_faces
+                    pending_faces.append((side_rep[key], x))
 
     # -- index maintenance -------------------------------------------------
-    # end keys are packed as (vertex * ngens + label) * 2 + direction
 
-    def _side_add(self, edge: int, slot: tuple[int, int], face: int) -> None:
-        slots = self.side_members.setdefault(edge, {})
-        members = slots.setdefault(slot, set())
-        if members and face not in members:
-            self.pending_faces.append((min(members), face))
-        members.add(face)
+    @staticmethod
+    def _move(rep: list[int], src: int, dst: int, width: int, pending: deque) -> None:
+        """Move an absorbed cell's row of keys onto the survivor's row,
+        queuing both representatives where the survivor's key is filled."""
+        for k in range(width):
+            held = rep[src + k]
+            if held >= 0:
+                if rep[dst + k] < 0:
+                    rep[dst + k] = held
+                else:
+                    pending.append((rep[dst + k], held))
 
     # -- merges ------------------------------------------------------------
 
@@ -177,53 +183,23 @@ class _FoldState:
         survivor, absorbed = (ru, rv) if ru < rv else (rv, ru)
         vpar[absorbed] = survivor
         self.events.append((self.VERTEX, survivor, absorbed))
-        ngens2 = self.ngens * 2
-        base = absorbed * ngens2
-        target = survivor * ngens2
-        end_members, epar = self.end_members, self.epar
-        pending = self.pending_edges
-        for offset in range(ngens2):
-            moved = end_members.pop(base + offset, None)
-            if moved:
-                for edge in sorted(moved):
-                    if _find(epar, edge) == edge:
-                        members = end_members.get(target + offset)
-                        if not members:  # missing or emptied by discards
-                            end_members[target + offset] = {edge}
-                        elif edge not in members:
-                            pending.append((min(members), edge))
-                            members.add(edge)
+        width = self.ngens * 2
+        self._move(self.end_rep, absorbed * width, survivor * width, width, self.pending_edges)
 
     def merge_edges(self, e1: int, e2: int) -> None:
         epar = self.epar
         r1, r2 = _find(epar, e1), _find(epar, e2)
         if r1 == r2:
             return
-        elab, tail, head = self.elab, self.tail, self.head
-        if elab[r1] != elab[r2]:
+        if self.elab[r1] != self.elab[r2]:
             raise RuntimeError("edge merge with mismatched labels")
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         epar[absorbed] = survivor
         self.events.append((self.EDGE, survivor, absorbed))
-        lab2 = elab[absorbed] * 2
-        ngens2 = self.ngens * 2
-        end_members, vpar = self.end_members, self.vpar
-        for key in (
-            _find(vpar, tail[absorbed]) * ngens2 + lab2,
-            _find(vpar, head[absorbed]) * ngens2 + lab2 + 1,
-        ):
-            members = end_members.get(key)
-            if members:
-                members.discard(absorbed)
-        moved = self.side_members.pop(absorbed, None)
-        if moved:
-            fpar = self.fpar
-            for slot in sorted(moved):
-                for face in sorted(moved[slot]):
-                    if _find(fpar, face) == face:
-                        self._side_add(survivor, slot, face)
-        self.merge_vertices(tail[r1], tail[r2])
-        self.merge_vertices(head[r1], head[r2])
+        width = self.nslots
+        self._move(self.side_rep, absorbed * width, survivor * width, width, self.pending_faces)
+        self.merge_vertices(self.tail[r1], self.tail[r2])
+        self.merge_vertices(self.head[r1], self.head[r2])
 
     def merge_faces(self, f1: int, f2: int) -> None:
         r1, r2 = _find(self.fpar, f1), _find(self.fpar, f2)
@@ -234,11 +210,6 @@ class _FoldState:
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         self.fpar[absorbed] = survivor
         self.events.append((self.FACE, survivor, absorbed))
-        t = self.ftype[absorbed]
-        for p, (e, _) in enumerate(self.boundary[absorbed]):
-            slots = self.side_members.get(_find(self.epar, e))
-            if slots and (t, p) in slots:
-                slots[(t, p)].discard(absorbed)
         for (e1s, s1), (e2s, s2) in zip(self.boundary[r1], self.boundary[r2]):
             if s1 != s2:
                 raise RuntimeError("face merge with mismatched side signs")
@@ -248,11 +219,13 @@ class _FoldState:
 
     def run_worklist(self) -> None:
         """Drain discovered conflicts; graph folds take priority."""
-        while self.pending_edges or self.pending_faces:
-            if self.pending_edges:
-                self.merge_edges(*self.pending_edges.popleft())
+        edges, faces = self.pending_edges, self.pending_faces
+        merge_edges, merge_faces = self.merge_edges, self.merge_faces
+        while edges or faces:
+            if edges:
+                merge_edges(*edges.popleft())
             else:
-                self.merge_faces(*self.pending_faces.popleft())
+                merge_faces(*faces.popleft())
 
     def _roots(self, parent: list[int]) -> list[int]:
         return [x for x, p in enumerate(parent) if p == x]

@@ -82,7 +82,8 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+        generators = set(self.generators)
+        if len(generators) != len(self.generators):
             raise PresentationError("duplicate generator")
         for word in self.relators:
             if not word:
@@ -92,7 +93,7 @@ class Presentation:
                     f"relator {format_word(word)!r} is not freely reduced"
                 )
             for gen, sign in word:
-                if gen not in self.generators:
+                if gen not in generators:
                     raise PresentationError(f"unknown generator {gen!r} in relator")
                 if sign not in (1, -1):
                     raise PresentationError("letter sign must be +1 or -1")

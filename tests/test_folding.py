@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldcx.canonical import _compact, canonical_form, isomorphic
 from foldcx.complexes import (
@@ -190,3 +192,50 @@ def test_deterministic_trace():
     rng = random.Random(12)
     noisy = random_prefold(rng)
     assert fold(noisy)[1] == fold(noisy)[1]
+
+
+def test_flat_indexes_match_the_rescan_engine():
+    # the worklist finds conflicts only through end_rep and side_rep; the
+    # rescan engine recomputes them from scratch after every merge
+    cases = []
+    for i in range(3, 12, 2):
+        c = build_C(i)
+        for u, v in combinations(range(len(c.complex.vertices)), 2):
+            cases.append((c, _FoldState.merge_vertices, u, v))
+    for variant in ("standard", "tilde"):
+        for i in range(1, 11):
+            d = build_D(i, variant)
+            eix = {e.id: k for k, e in enumerate(d.complex.edges)}
+            for j, k in combinations(range(i + 1), 2):
+                cases.append((d, _FoldState.merge_edges, eix[f"b{j}"], eix[f"b{k}"]))
+    assert len(cases) == 125 + 440  # vertex pairs, b-edge pairs
+    for f, merge, x, y in cases:
+        quotients = []
+        for rescan in (False, True):
+            state = _FoldState(f)
+            merge(state, x, y)
+            state.run(rescan=rescan)
+            quotients.append(state.quotient())
+        assert quotients[0] == quotients[1], (merge.__name__, x, y)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=4),
+    st.integers(0, 2**32),
+)
+def test_fold_is_confluent_and_replayable(seed, gluings, order_seed):
+    noisy = random_prefold(random.Random(seed))
+    vertices = noisy.complex.vertices
+    n = len(vertices)
+    noisy = quotient_vertices(
+        noisy, [(vertices[a % n], vertices[b % n]) for a, b in gluings]
+    )
+    worklist, trace = fold(noisy)
+    rescan, rescan_trace = fold(noisy, rescan=True)
+    shuffled, shuffled_trace = fold(noisy, rng=random.Random(order_seed))
+    assert rescan == worklist
+    assert shuffled == worklist
+    for t in (trace, rescan_trace, shuffled_trace):
+        assert replay_trace(noisy, t) == worklist

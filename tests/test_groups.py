@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +100,18 @@ def test_pi1_generator_count_matches_tree():
     assert len(pres.generators) == len(c3.edges) - (len(c3.vertices) - 1)
     assert len(pres.relators) <= len(c3.faces)
     assert coset_enumeration(pres) == 1
+
+
+def test_large_cycle_pi1_presentation_scales():
+    # validating a presentation checks every relator letter against its
+    # generators, which must not cost a scan of the generators per letter
+    cx = build_C(20001).complex
+    started = time.perf_counter()
+    pres = pi1_presentation(cx)
+    elapsed = time.perf_counter() - started
+    assert len(pres.generators) == len(cx.edges) - (len(cx.vertices) - 1)
+    assert len(pres.relators) == len(cx.faces)
+    assert elapsed < 10.0, f"pi1_presentation of C(20001) took {elapsed:.2f}s"
 
 
 def test_pi1_trivial_for_families():
