@@ -28,7 +28,7 @@ print("free faces:", free_faces(k.complex) or "none")
 # every face side is addressed by (relator, position); the long relator
 # visits b at positions 0 and 2 and a at positions 1, 3, 4
 for face in k.complex.faces:
-    word = k.relator(face.id)
+    word = k.presentation.relators[k.face_types[face.id]]
     print(f"face {face.id} spells", "".join(g if s > 0 else g.upper() for g, s in word))
 
 # complexes travel as JSON and the 1-skeleton exports to DOT

@@ -189,9 +189,6 @@ class Morphism:
                     "would be ambiguous".format(format_word(word))
                 )
 
-    def relator(self, face_id: str) -> Word:
-        return self.presentation.relators[self.face_types[face_id]]
-
     def slot_of(self, face_id: str, position: int) -> SideSlot:
         return (self.face_types[face_id], position)
 
@@ -314,3 +311,27 @@ def presentation_complex(pres: Presentation) -> Morphism:
     labels = {g: g for g in pres.generators}
     types = {f"f{k}": k for k in range(len(pres.relators))}
     return Morphism(cx, pres, labels, types)
+
+
+def trace_relator(word: Word, forward: dict, backward: dict, start) -> list | None:
+    """The closed trace of `word` from vertex `start`, or None.
+
+    The folded 1-skeleton is given per generator: forward[g] maps the tail
+    of each g-edge to its head, backward[g] its head to its tail.  A letter
+    (g, +1) follows the g-edge out of the current vertex, (g, -1) the g-edge
+    into it.  The trace is returned as the tails of the edges it reads, one
+    per letter; it is None when it runs into a missing edge or does not end
+    at `start`.  In a folded skeleton each (vertex, label, direction) has at
+    most one edge, so the trace from `start` is unique when it exists.
+    """
+    tails = []
+    at = start
+    for gen, sign in word:
+        if sign > 0:
+            tail, at = at, forward[gen].get(at)
+        else:
+            tail = at = backward[gen].get(at)
+        if at is None:
+            return None
+        tails.append(tail)
+    return tails if at == start else None

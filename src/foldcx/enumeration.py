@@ -4,7 +4,8 @@ Local injectivity pins down what an immersion's domain can be: at every
 vertex there is at most one outgoing and one incoming edge per label, so
 the 1-skeleton is exactly a pair of partial injections (one per label) on
 the vertex set.  Given the skeleton, each face is a closed trace of its
-relator starting at some b-edge, the trace from a given b-edge is unique
+relator (complexes.trace_relator) from the tail of some b-edge, since both
+relators begin with a forward b; the trace from a given vertex is unique
 when it exists, and distinct traces never share a side slot, so the legal
 face sets are exactly the subsets of the closed traces.  Enumeration is
 therefore a DFS in three stages: an a-skeleton (one representative per
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .canonical import canonical_form
-from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex
+from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex, trace_relator
 from .families import TYPE_LONG, TYPE_SHORT, target_presentation
 
 
@@ -103,35 +104,24 @@ def _partial_injections(n: int) -> list[dict[int, int]]:
 def _candidate_faces(sigma_a: dict[int, int], sigma_b: dict[int, int]):
     """Closed relator traces as (type, sides, edge usage counts).
 
-    Short candidates sit on b-loops; a long candidate starts at a b-edge
-    and follows forward-a, backward-b, backward-a, backward-a, closing at
-    the starting tail or dying at a missing edge.
+    Each relator is traced from every vertex that has an edge carrying its
+    first letter, in vertex order; for the target, whose relators both begin
+    with a forward b, those are the tails of the b-edges.
     """
-    inv_a = {v: u for u, v in sigma_a.items()}
-    inv_b = {v: u for u, v in sigma_b.items()}
+    forward = {"a": sigma_a, "b": sigma_b}
+    backward = {g: {v: u for u, v in table.items()} for g, table in forward.items()}
     candidates = []
-    for u in sorted(sigma_b):
-        if sigma_b[u] == u:
-            candidates.append((TYPE_SHORT, ((f"b{u}", 1),), {f"b{u}": 1}))
-    for u in sorted(sigma_b):
-        at, sides, ok = sigma_b[u], [(f"b{u}", 1)], True
-        for label, sign, table in (
-            ("a", 1, sigma_a),
-            ("b", -1, inv_b),
-            ("a", -1, inv_a),
-            ("a", -1, inv_a),
-        ):
-            if at not in table:
-                ok = False
-                break
-            nxt = table[at]
-            sides.append((f"{label}{at if sign > 0 else nxt}", sign))
-            at = nxt
-        if ok and at == u:
+    for rix, word in enumerate(target_presentation().relators):
+        gen0, sign0 = word[0]
+        for u in sorted((forward if sign0 > 0 else backward)[gen0]):
+            tails = trace_relator(word, forward, backward, u)
+            if tails is None:
+                continue
+            sides = tuple((f"{g}{t}", s) for (g, s), t in zip(word, tails))
             usage: dict[str, int] = {}
             for eid, _ in sides:
                 usage[eid] = usage.get(eid, 0) + 1
-            candidates.append((TYPE_LONG, tuple(sides), usage))
+            candidates.append((rix, sides, usage))
     return candidates
 
 
@@ -213,16 +203,15 @@ def enumerate_immersions(
                 if filt.require_connected and not _connected(n, sigma_a, sigma_b):
                     continue
                 candidates = _candidate_faces(sigma_a, sigma_b)
-                edge_pool = [f"a{u}" for u in sigma_a] + [f"b{u}" for u in sigma_b]
                 for chosen in _subsets_with_types(candidates, filt.required_types):
                     nodes += 1
                     if nodes > max_nodes:
                         raise BudgetExceeded(nodes, max_nodes)
                     if filt.require_no_free_faces:
-                        total = dict.fromkeys(edge_pool, 0)
+                        total: dict[str, int] = {}
                         for _, _, usage in chosen:
                             for eid, m in usage.items():
-                                total[eid] += m
+                                total[eid] = total.get(eid, 0) + m
                         if 1 in total.values():
                             continue
                     morphism = _build(n, sigma_a, sigma_b, chosen)

@@ -14,11 +14,13 @@ delegates accordingly (the identification cascade that proves this is
 exercised separately through identify_edges).
 
 Face boundaries are not listed explicitly anywhere; they are derived by
-tracing the long relator through the skeleton starting at each b-edge.
-The trace is deterministic because each vertex has at most one incident
-edge per (label, direction), and it either closes up (yielding a face) or
-runs into a missing edge (yielding none).  D(i) admits exactly i such
-traces, C(i) exactly i.
+tracing every relator through the skeleton (complexes.trace_relator) from
+each edge that carries the relator's first letter, relators in order and
+edges in shortlex order.  The trace is deterministic because each vertex
+has at most one incident edge per (label, direction), and it either closes
+up (yielding a face) or not (yielding none).  The short relator b closes
+only on the b-loop b0; the long relator closes exactly i times in D(i) and
+in C(i), so both have i + 1 faces.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from .complexes import (
     Morphism,
     TwoComplex,
     free_faces,
+    id_key,
     immersion_witness,
     presentation_complex,
+    trace_relator,
 )
-from .presentations import Presentation, Word, parse_presentation
+from .presentations import Presentation, parse_presentation
 
 KP_TEXT = "a,b|b,baBAA"
 TYPE_SHORT = 0  # cells over the relator b
@@ -96,51 +100,32 @@ def odd_part(i: int) -> int:
     return i
 
 
-def _trace_faces(cx: TwoComplex, labels: dict[str, str], word: Word) -> list:
-    """All closed traces of `word` through the skeleton, one per starting
-    b-edge (position 0 of the long relator reads a forward b)."""
-    outgoing: dict[tuple[str, str], str] = {}
-    incoming: dict[tuple[str, str], str] = {}
-    for e in cx.edges:
-        okey, ikey = (e.tail, labels[e.id]), (e.head, labels[e.id])
-        if okey in outgoing or ikey in incoming:
-            raise RuntimeError("cannot trace faces: skeleton not folded")
-        outgoing[okey] = e.id
-        incoming[ikey] = e.id
-    gen0, sign0 = word[0]
-    if sign0 < 0:
-        raise RuntimeError("cannot trace faces: relator starts with an inverse")
-    boundaries = []
-    for start in cx.edges:
-        if labels[start.id] != gen0:
-            continue
-        sides = [(start.id, sign0)]
-        at = start.head
-        ok = True
-        for gen, sign in word[1:]:
-            eid = (outgoing if sign > 0 else incoming).get((at, gen))
-            if eid is None:
-                ok = False
-                break
-            sides.append((eid, sign))
-            e = cx.edge_by_id[eid]
-            at = e.head if sign > 0 else e.tail
-        if ok and at == start.tail:
-            boundaries.append(tuple(sides))
-    return boundaries
-
-
-def _assemble(vertices, edges, labels, type1_edges) -> Morphism:
+def _assemble(vertices, edges, labels) -> Morphism:
     pres = target_presentation()
-    skeleton = TwoComplex.make(vertices, edges, [])
-    faces = [
-        Face(f"f{k}", ((eid, 1),)) for k, eid in enumerate(sorted(type1_edges))
-    ]
-    types = {f.id: TYPE_SHORT for f in faces}
-    for boundary in _trace_faces(skeleton, labels, pres.relators[TYPE_LONG]):
-        fid = f"f{len(faces)}"
-        faces.append(Face(fid, boundary))
-        types[fid] = TYPE_LONG
+    forward = {g: {} for g in pres.generators}
+    backward = {g: {} for g in pres.generators}
+    edge_at: dict[tuple[str, str], str] = {}
+    for e in edges:
+        gen = labels[e.id]
+        if e.tail in forward[gen] or e.head in backward[gen]:
+            raise RuntimeError("cannot trace faces: skeleton not folded")
+        forward[gen][e.tail] = e.head
+        backward[gen][e.head] = e.tail
+        edge_at[gen, e.tail] = e.id
+    ordered = sorted(edges, key=lambda e: id_key(e.id))
+    faces, types = [], {}
+    for rix, word in enumerate(pres.relators):
+        gen0, sign0 = word[0]
+        for e in ordered:
+            if labels[e.id] != gen0:
+                continue
+            start = e.tail if sign0 > 0 else e.head
+            tails = trace_relator(word, forward, backward, start)
+            if tails is not None:
+                fid = f"f{len(faces)}"
+                sides = tuple((edge_at[g, t], s) for (g, s), t in zip(word, tails))
+                faces.append(Face(fid, sides))
+                types[fid] = rix
     out = Morphism(
         TwoComplex.make(vertices, edges, faces), pres, dict(labels), types
     )
@@ -166,7 +151,7 @@ def build_D(i: int, variant: str = STANDARD) -> Morphism:
     for j in range(i + 1):
         edges.append(Edge(f"b{j}", f"v{2 * j}", f"v{j}"))
         labels[f"b{j}"] = "b"
-    out = _assemble(vertices, edges, labels, ["b0"])
+    out = _assemble(vertices, edges, labels)
     if len(out.complex.faces) != i + 1:
         raise RuntimeError(f"D({i}) has {len(out.complex.faces)} faces, not {i + 1}")
     return out
@@ -190,7 +175,7 @@ def build_C(i: int, variant: str = STANDARD) -> Morphism:
     for j in range(i):
         edges.append(Edge(f"b{j}", f"v{(2 * j) % i}", f"v{j}"))
         labels[f"b{j}"] = "b"
-    out = _assemble(vertices, edges, labels, ["b0"])
+    out = _assemble(vertices, edges, labels)
     if len(out.complex.faces) != i + 1:
         raise RuntimeError(f"C({i}) has {len(out.complex.faces)} faces, not {i + 1}")
     if free_faces(out.complex):

@@ -15,10 +15,13 @@ from foldcx.complexes import (
     immersion_witness,
     is_immersion,
     presentation_complex,
+    trace_relator,
     validate,
 )
-from foldcx.families import kp, target_presentation
-from foldcx.presentations import parse_presentation
+from foldcx.enumeration import _partial_injections
+from foldcx.families import build_C, build_D, kp, target_presentation
+from foldcx.presentations import parse_presentation, parse_word
+from helpers import folded_prefold
 
 
 def test_presentation_complex_of_target():
@@ -170,3 +173,76 @@ def test_morphism_rejects_proper_power_target():
     cx = TwoComplex.make(["v0"], [], [])
     with pytest.raises(ComplexError, match="proper power"):
         Morphism(cx, square, {}, {})
+
+
+def skeleton_maps(f: Morphism):
+    """forward/backward maps per generator and the edge id at (label, tail)."""
+    forward = {g: {} for g in f.presentation.generators}
+    backward = {g: {} for g in f.presentation.generators}
+    edge_at = {}
+    for e in f.complex.edges:
+        gen = f.edge_labels[e.id]
+        forward[gen][e.tail] = e.head
+        backward[gen][e.head] = e.tail
+        edge_at[gen, e.tail] = e.id
+    return forward, backward, edge_at
+
+
+def traced_sides(f: Morphism, word, boundary):
+    """The trace of word from the vertex where boundary's first side starts."""
+    forward, backward, edge_at = skeleton_maps(f)
+    eid, sign = boundary[0]
+    e = f.complex.edge_by_id[eid]
+    tails = trace_relator(word, forward, backward, e.tail if sign > 0 else e.head)
+    if tails is None:
+        return None
+    return tuple((edge_at[g, t], s) for (g, s), t in zip(word, tails))
+
+
+def test_trace_relator_reads_either_sign_and_must_close():
+    forward = {"a": {0: 1}, "b": {2: 1}}
+    backward = {"a": {1: 0}, "b": {1: 2}}
+    word = parse_word("aB", ("a", "b"))
+    assert trace_relator(word, forward, backward, 0) is None  # ends at 2
+    forward["b"], backward["b"] = {1: 0}, {0: 1}
+    assert trace_relator(parse_word("ab", ("a", "b")), forward, backward, 0) == [0, 1]
+    assert trace_relator(parse_word("BA", ("a", "b")), forward, backward, 0) == [1, 0]
+
+
+def test_trace_relator_stops_at_a_missing_edge():
+    forward = {"a": {0: 1}, "b": {}}
+    backward = {"a": {1: 0}, "b": {}}
+    assert trace_relator(parse_word("ab", ("a", "b")), forward, backward, 0) is None
+    assert trace_relator(parse_word("A", ("a", "b")), forward, backward, 0) is None
+
+
+def test_trace_relator_starting_with_an_inverse_reads_the_rotated_face():
+    # every rotation of baBAA that begins with B or A, traced from the vertex
+    # where that position starts, reads the face's boundary rotated
+    long = target_presentation().relators[1]
+    for f in (build_D(3), build_D(3, "tilde"), build_C(5), build_C(5, "tilde")):
+        for face in f.complex.faces:
+            if f.face_types[face.id] != 1:
+                continue
+            for r in (2, 3, 4):
+                assert long[r][1] < 0
+                rotated = face.boundary[r:] + face.boundary[:r]
+                assert traced_sides(f, long[r:] + long[:r], rotated) == rotated
+
+
+def test_closed_traces_of_b_are_the_b_loops():
+    b = target_presentation().relators[0]
+    for sigma_b in _partial_injections(3):
+        forward = {"a": {}, "b": sigma_b}
+        backward = {"a": {}, "b": {v: u for u, v in sigma_b.items()}}
+        closed = {u for u in range(3) if trace_relator(b, forward, backward, u)}
+        assert closed == {u for u, v in sigma_b.items() if u == v}
+
+
+def test_every_face_is_the_trace_of_its_relator():
+    # these faces come from presentation_complex and from folding, not from
+    # the tracer
+    for f in [kp()] + [folded_prefold(seed) for seed in range(50)]:
+        for face in f.complex.faces:
+            word = f.presentation.relators[f.face_types[face.id]]
+            assert traced_sides(f, word, face.boundary) == face.boundary

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from foldcx.canonical import canonical_form, isomorphic
@@ -20,7 +22,9 @@ from foldcx.families import (
     parse_family_spec,
 )
 from foldcx.folding import identify_edges
+from foldcx.jsonio import morphism_to_json
 from foldcx.presentations import parse_presentation
+from helpers import four_vertex_classes
 
 
 def occurrence_counts(m):
@@ -188,3 +192,20 @@ def test_build_rejects_bad_indices():
         build_D(-1)
     with pytest.raises(ComplexError):
         build_C(0)
+
+
+def test_family_and_enumeration_json_is_pinned():
+    # sha256 of the concatenated JSON, face ids and face order included,
+    # the same bytes as when faces were traced by two separate routines
+    ms = []
+    for variant in ("standard", "tilde"):
+        ms += [build_D(i, variant) for i in range(41)]
+        ms += [build_C(i, variant) for i in range(1, 40)]
+    ms += four_vertex_classes()
+    digest = hashlib.sha256()
+    for m in ms:
+        digest.update(morphism_to_json(m).encode())
+    assert len(ms) == 299
+    assert digest.hexdigest() == (
+        "3e676b99d8ae8a8da09a22bfc24e2248c2d101f45b5225d3ce1003db4bc782b0"
+    )

@@ -1,7 +1,13 @@
 import ast
+import re
+import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "foldcx"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "foldcx"
+TESTS = ROOT / "tests"
 
 
 def test_library_has_no_bare_asserts():
@@ -16,3 +22,26 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "bare assert in " + ", ".join(found)
+
+
+def test_test_imports_are_declared():
+    # a test that imports a package the test extra does not list fails to
+    # collect after `pip install -e .[test]`
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    extra = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in project["optional-dependencies"]["test"]
+    }
+    files = sorted(TESTS.glob("*.py"))
+    allowed = set(sys.stdlib_module_names) | {"foldcx"} | extra
+    allowed |= {path.stem for path in files}
+    found = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert files and "foldcx" in found
+    assert not found - allowed, f"undeclared test imports: {sorted(found - allowed)}"
