@@ -189,9 +189,6 @@ class Morphism:
                     "would be ambiguous".format(format_word(word))
                 )
 
-    def slot_of(self, face_id: str, position: int) -> SideSlot:
-        return (self.face_types[face_id], position)
-
 
 def validate(f: Morphism) -> list[str]:
     """All violated invariants of the morphism, empty when valid."""
@@ -280,7 +277,7 @@ def immersion_witness(f: Morphism) -> ImmersionWitness | None:
         seen_slot: dict[tuple[str, SideSlot], tuple[str, int]] = {}
         for face in f.complex.faces:
             for p, (eid, _) in enumerate(face.boundary):
-                slot = f.slot_of(face.id, p)
+                slot = (f.face_types[face.id], p)
                 key = (eid, slot)
                 if key in seen_slot:
                     witness = ImmersionWitness(

@@ -8,17 +8,18 @@ relator (complexes.trace_relator) from the tail of some b-edge, since both
 relators begin with a forward b; the trace from a given vertex is unique
 when it exists, and distinct traces never share a side slot, so the legal
 face sets are exactly the subsets of the closed traces.  Enumeration is
-therefore a DFS in three stages: an a-skeleton (one representative per
+therefore one walk in three stages: an a-skeleton (one representative per
 isomorphism class: a multiset of directed paths and cycles), a b-skeleton
-(all partial injections), and a subset of candidate faces; survivors of
-the filters are deduplicated by canonical form.  Output order is the
+(all partial injections), and a subset of candidate faces.  Each skeleton
+pair is visited once, and each surviving face subset is filed under the
+exact type set it uses, one class per canonical form.  Output order is the
 sorted order of canonical forms, independent of scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .canonical import canonical_form
 from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex, trace_relator
@@ -102,7 +103,7 @@ def _partial_injections(n: int) -> list[dict[int, int]]:
 
 
 def _candidate_faces(sigma_a: dict[int, int], sigma_b: dict[int, int]):
-    """Closed relator traces as (type, sides, edge usage counts).
+    """Closed relator traces as (type, sides).
 
     Each relator is traced from every vertex that has an edge carrying its
     first letter, in vertex order; for the target, whose relators both begin
@@ -117,33 +118,24 @@ def _candidate_faces(sigma_a: dict[int, int], sigma_b: dict[int, int]):
             tails = trace_relator(word, forward, backward, u)
             if tails is None:
                 continue
-            sides = tuple((f"{g}{t}", s) for (g, s), t in zip(word, tails))
-            usage: dict[str, int] = {}
-            for eid, _ in sides:
-                usage[eid] = usage.get(eid, 0) + 1
-            candidates.append((rix, sides, usage))
+            candidates.append(
+                (rix, tuple((f"{g}{t}", s) for (g, s), t in zip(word, tails)))
+            )
     return candidates
 
 
 def _subsets_with_types(candidates, required: frozenset[int]):
-    """Subsets whose set of used types is exactly `required`."""
-    by_type: dict[int, list] = {}
-    for cand in candidates:
-        by_type.setdefault(cand[0], []).append(cand)
-    if any(t not in by_type for t in required):
-        return
-    pools = [by_type[t] for t in sorted(required)]
-
-    def rec(ix: int, acc: list):
-        if ix == len(pools):
-            yield list(acc)
-            return
-        pool = pools[ix]
-        for mask in range(1, 1 << len(pool)):
-            chosen = [pool[k] for k in range(len(pool)) if mask >> k & 1]
-            yield from rec(ix + 1, acc + chosen)
-
-    yield from rec(0, [])
+    """Subsets whose set of used types is exactly `required`: a non-empty
+    subset of each required type's candidates, in mask order per type."""
+    pools = [[c for c in candidates if c[0] == t] for t in sorted(required)]
+    masks = [range(1, 1 << len(pool)) for pool in pools]
+    for choice in product(*masks):
+        yield [
+            cand
+            for pool, mask in zip(pools, choice)
+            for k, cand in enumerate(pool)
+            if mask >> k & 1
+        ]
 
 
 def _connected(n: int, sigma_a: dict[int, int], sigma_b: dict[int, int]) -> bool:
@@ -174,7 +166,7 @@ def _build(n, sigma_a, sigma_b, chosen) -> Morphism:
         edges.append(Edge(f"b{u}", f"v{u}", f"v{v}"))
         labels[f"b{u}"] = "b"
     faces, types = [], {}
-    for k, (ftype, sides, _) in enumerate(chosen):
+    for k, (ftype, sides) in enumerate(chosen):
         faces.append(Face(f"f{k}", tuple(sides)))
         types[f"f{k}"] = ftype
     return Morphism(
@@ -185,37 +177,60 @@ def _build(n, sigma_a, sigma_b, chosen) -> Morphism:
     )
 
 
-def enumerate_immersions(
-    filt: EnumerationFilter, max_nodes: int = 5_000_000
-) -> list[Morphism]:
-    """Every immersion over the standard target satisfying the filter, up
-    to isomorphism, sorted by canonical form.  Raises BudgetExceeded when
-    more than max_nodes search states are visited."""
+def enumerate_by_types(
+    max_vertices: int,
+    type_sets: list[frozenset[int]],
+    require_connected: bool = True,
+    require_no_free_faces: bool = True,
+    max_nodes: int = 5_000_000,
+) -> dict[frozenset[int], list[Morphism]]:
+    """The classes of enumerate_immersions for each exact type set in
+    type_sets, from one walk over the skeletons: each type set maps to its
+    immersions up to isomorphism, sorted by canonical form.  A node is a
+    skeleton pair or a face subset of any of the type sets; BudgetExceeded
+    is raised when more than max_nodes are visited in all."""
+    found = {frozenset(types): {} for types in type_sets}
+    for types in found:  # the filter checks the arguments
+        EnumerationFilter(max_vertices, required_types=types)
     nodes = 0
-    found: dict[bytes, Morphism] = {}
-    for n in range(1, filt.max_vertices + 1):
+    for n in range(1, max_vertices + 1):
         b_skeletons = _partial_injections(n)
         for sigma_a in _a_skeletons(n):
             for sigma_b in b_skeletons:
                 nodes += 1
                 if nodes > max_nodes:
                     raise BudgetExceeded(nodes, max_nodes)
-                if filt.require_connected and not _connected(n, sigma_a, sigma_b):
+                if require_connected and not _connected(n, sigma_a, sigma_b):
                     continue
                 candidates = _candidate_faces(sigma_a, sigma_b)
-                for chosen in _subsets_with_types(candidates, filt.required_types):
-                    nodes += 1
-                    if nodes > max_nodes:
-                        raise BudgetExceeded(nodes, max_nodes)
-                    if filt.require_no_free_faces:
-                        total: dict[str, int] = {}
-                        for _, _, usage in chosen:
-                            for eid, m in usage.items():
-                                total[eid] = total.get(eid, 0) + m
-                        if 1 in total.values():
-                            continue
-                    morphism = _build(n, sigma_a, sigma_b, chosen)
-                    form = canonical_form(morphism)
-                    if form not in found:
-                        found[form] = morphism
-    return [found[k] for k in sorted(found)]
+                for types, classes in found.items():
+                    for chosen in _subsets_with_types(candidates, types):
+                        nodes += 1
+                        if nodes > max_nodes:
+                            raise BudgetExceeded(nodes, max_nodes)
+                        if require_no_free_faces:
+                            used: dict[str, int] = {}
+                            for _, sides in chosen:
+                                for eid, _ in sides:
+                                    used[eid] = used.get(eid, 0) + 1
+                            if 1 in used.values():
+                                continue
+                        morphism = _build(n, sigma_a, sigma_b, chosen)
+                        classes.setdefault(canonical_form(morphism), morphism)
+    return {t: [classes[k] for k in sorted(classes)] for t, classes in found.items()}
+
+
+def enumerate_immersions(
+    filt: EnumerationFilter, max_nodes: int = 5_000_000
+) -> list[Morphism]:
+    """Every immersion over the standard target satisfying the filter, up
+    to isomorphism, sorted by canonical form.  Raises BudgetExceeded when
+    more than max_nodes search states are visited."""
+    classes = enumerate_by_types(
+        filt.max_vertices,
+        [filt.required_types],
+        filt.require_connected,
+        filt.require_no_free_faces,
+        max_nodes,
+    )
+    return classes[filt.required_types]

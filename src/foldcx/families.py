@@ -208,10 +208,9 @@ def classify(f: Morphism) -> FamilyTag | None:
     n = len(f.complex.vertices)
     if n % 2 == 0:
         return None
-    candidates = []
-    if n >= 1:
-        candidates += [FamilyTag("C", n, STANDARD), FamilyTag("C", n, TILDE)]
-    candidates += [
+    candidates = [
+        FamilyTag("C", n, STANDARD),
+        FamilyTag("C", n, TILDE),
         FamilyTag("D", (n - 1) // 2, STANDARD),
         FamilyTag("D", (n - 1) // 2, TILDE),
     ]

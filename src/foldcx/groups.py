@@ -49,13 +49,10 @@ def spanning_tree(cx: TwoComplex, basepoint: str) -> set[str]:
     return tree
 
 
-def pi1_presentation(cx: TwoComplex, basepoint: str | None = None) -> Presentation:
+def pi1_presentation(cx: TwoComplex) -> Presentation:
     if not cx.vertices:
         raise ComplexError("pi1_presentation of the empty complex")
-    base = basepoint if basepoint is not None else cx.vertices[0]
-    if base not in cx.vertices:
-        raise ComplexError(f"unknown basepoint {base!r}")
-    tree = spanning_tree(cx, base)
+    tree = spanning_tree(cx, cx.vertices[0])
     gens = tuple(e.id for e in cx.edges if e.id not in tree)
     relators = []
     for face in cx.faces:

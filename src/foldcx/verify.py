@@ -48,7 +48,7 @@ from .complexes import (
     id_key,
     immersion_witness,
 )
-from .enumeration import EnumerationFilter, enumerate_immersions
+from .enumeration import enumerate_by_types
 from .families import (
     TYPE_LONG,
     TYPE_SHORT,
@@ -370,7 +370,9 @@ def verify_main_theorem(
 ) -> VerificationReport:
     """Enumerate immersions at desk scale and check the contractibility
     dichotomy: both-type classes are C up to mirror, with chi 1 and a
-    certificate; single-type classes have chi <= 0 or a certificate."""
+    certificate; single-type classes have chi <= 0 or a certificate.  One
+    enumeration pass serves all three type sets, and max_nodes bounds that
+    single pass."""
     started = time.monotonic()
     report = VerificationReport(
         "main-theorem",
@@ -380,45 +382,33 @@ def verify_main_theorem(
             "max_nodes": max_nodes,
         },
     )
-    both = enumerate_immersions(
-        EnumerationFilter(max_vertices, True, True, frozenset({TYPE_SHORT, TYPE_LONG})),
-        max_nodes,
+    kinds = (
+        ("both-types", "both_type_classes", frozenset({TYPE_SHORT, TYPE_LONG})),
+        ("short-only", "short-only_classes", frozenset({TYPE_SHORT})),
+        ("long-only", "long-only_classes", frozenset({TYPE_LONG})),
     )
-    for k, morphism in enumerate(both):
-        tag = classify(morphism)
-        chi = euler_characteristic(morphism.complex)
-        cert = certify_contractible(morphism.complex, max_cosets)
-        passed = (
-            tag is not None and tag.family == "C" and chi == 1 and cert.contractible
-        )
-        report.rows.append(
-            ReportRow(
-                f"both-types class {k}: "
-                f"V={len(morphism.complex.vertices)} F={len(morphism.complex.faces)}",
-                _tag_str(tag),
-                chi,
-                passed,
-                detail=f"certificate {cert.kind}",
-            )
-        )
-    report.meta["both_type_classes"] = len(both)
-    for name, types in (("short-only", {TYPE_SHORT}), ("long-only", {TYPE_LONG})):
-        classes = enumerate_immersions(
-            EnumerationFilter(max_vertices, True, True, frozenset(types)), max_nodes
-        )
-        report.meta[f"{name}_classes"] = len(classes)
-        for k, morphism in enumerate(classes):
+    classes = enumerate_by_types(
+        max_vertices, [types for _, _, types in kinds], max_nodes=max_nodes
+    )
+    for name, meta_key, types in kinds:
+        both = len(types) == 2
+        report.meta[meta_key] = len(classes[types])
+        for k, morphism in enumerate(classes[types]):
+            tag = classify(morphism)
             chi = euler_characteristic(morphism.complex)
-            if chi <= 0:
+            if not both and chi <= 0:
                 passed, detail = True, "chi <= 0"
             else:
                 cert = certify_contractible(morphism.complex, max_cosets)
-                passed, detail = cert.contractible, f"certificate {cert.kind}"
+                passed = cert.contractible and (
+                    not both or (tag is not None and tag.family == "C" and chi == 1)
+                )
+                detail = f"certificate {cert.kind}"
             report.rows.append(
                 ReportRow(
                     f"{name} class {k}: "
                     f"V={len(morphism.complex.vertices)} F={len(morphism.complex.faces)}",
-                    _tag_str(classify(morphism)),
+                    _tag_str(tag),
                     chi,
                     passed,
                     detail=detail,

@@ -1,11 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
 from foldcx.canonical import canonical_form
 from foldcx.complexes import ComplexError
-from foldcx.enumeration import EnumerationFilter, enumerate_immersions
-from foldcx.families import build_C, build_D, classify
+from foldcx.enumeration import (
+    BudgetExceeded,
+    EnumerationFilter,
+    enumerate_by_types,
+    enumerate_immersions,
+)
+from foldcx.families import TYPE_LONG, TYPE_SHORT, build_C, build_D, classify
+from foldcx.jsonio import morphism_to_json
 from foldcx.verify import (
     check_lemma_coupling,
     check_lemma_edge_identification,
@@ -180,6 +187,47 @@ def test_main_theorem_trivial_scale():
     both = [r for r in report.rows if r.description.startswith("both-types")]
     assert len(both) == 1
     assert both[0].classification == "C:1"
+
+
+# sha256 of the report JSON: rows, their order and text, and the meta counts
+MAIN_THEOREM_REPORTS = {
+    1: "6c5fb4c603c8272f45f235dab5467d9208622d19b132c243cc3df7cace7de108",
+    2: "eb209ce88373ec8d38a8af72f7a88e10b893c5f4b155fef59a9e6d8c6d574ac7",
+    3: "ff200c916d0af6f6fa507433817f7a2b3b3a16d9c83be8e668b6784985692b53",
+    4: "bdc1638a9c50fe1e7fbebc771c7caf16315f6ee8b7c758aaac6cb5589c1b537d",
+    5: "3ad7d38486000adb06c066caed274f49f884cbcc336b915dfaf291150cb1a577",
+}
+
+
+@pytest.mark.parametrize("max_vertices", sorted(MAIN_THEOREM_REPORTS))
+def test_main_theorem_report_is_pinned(max_vertices):
+    text = verify_main_theorem(max_vertices).to_json()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == MAIN_THEOREM_REPORTS[max_vertices]
+
+
+def test_main_theorem_budget_covers_one_pass():
+    # 60,215 skeleton pairs at up to 5 vertices, visited once, plus the face
+    # subsets of all three type sets
+    assert verify_main_theorem(5, max_nodes=93_003).passed
+    with pytest.raises(BudgetExceeded):
+        verify_main_theorem(5, max_nodes=93_002)
+
+
+@pytest.mark.parametrize("no_free_faces", [True, False])
+def test_enumerate_by_types_matches_single_filters(no_free_faces):
+    type_sets = [
+        frozenset({TYPE_SHORT, TYPE_LONG}),
+        frozenset({TYPE_SHORT}),
+        frozenset({TYPE_LONG}),
+    ]
+    together = enumerate_by_types(4, type_sets, True, no_free_faces)
+    for types in type_sets:
+        alone = enumerate_by_types(4, [types], True, no_free_faces)
+        filt = EnumerationFilter(4, True, no_free_faces, types)
+        expected = [morphism_to_json(m) for m in enumerate_immersions(filt)]
+        assert [morphism_to_json(m) for m in alone[types]] == expected
+        assert [morphism_to_json(m) for m in together[types]] == expected
 
 
 def admits_morphism_from(c, x):
