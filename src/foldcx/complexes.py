@@ -16,6 +16,7 @@ absolute: the slot of a face side is the pair (relator index, position).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -122,21 +123,36 @@ class TwoComplex:
         return counts
 
     @cached_property
-    def connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+    def spanning_forest(self) -> frozenset[str]:
+        """Edge ids of a spanning forest of the 1-skeleton.
+
+        One breadth-first tree per component, rooted at the component's
+        first vertex; each vertex takes its neighbours in sorted (vertex,
+        edge id) order.  The forest has one edge fewer than the vertices
+        per component, so it counts the components too.
+        """
+        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+            adj[e.tail].append((e.head, e.id))
+            adj[e.head].append((e.tail, e.id))
+        tree: set[str] = set()
+        seen: set[str] = set()
+        for root in self.vertices:
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = deque([root])
+            while queue:
+                for w, eid in sorted(adj[queue.popleft()]):
+                    if w not in seen:
+                        seen.add(w)
+                        tree.add(eid)
+                        queue.append(w)
+        return frozenset(tree)
+
+    @property
+    def connected(self) -> bool:
+        return len(self.spanning_forest) >= len(self.vertices) - 1
 
 
 def euler_characteristic(cx: TwoComplex) -> int:

@@ -2,11 +2,12 @@
 
 Family D(i) is a disc built by repeatedly gluing squares of the long
 relator onto a single short-relator cell; family C(i) closes D(i) up by
-identifying its last b-edge with its first.  Their skeletons are explicit:
+identifying its last b-edge with its first.  Their skeletons are explicit
+and share one form, built by one routine:
 
-  D(i): vertices v0..v(2i); a(j): v(j) -> v(j-1); b(j): v(2j) -> v(j).
-  C(i), i odd: vertices v0..v(i-1); a(j): v(j mod i) -> v(j-1);
-               b(j): v(2j mod i) -> v(j).
+  vertices v0..v(n-1); a(j): v(j mod n) -> v(j-1) for 1 <= j <= #a;
+  b(j): v(2j mod n) -> v(j) for 0 <= j < #b;
+  (n, #a, #b) = (2i+1, 2i, i+1) for D(i), and (i, i, i) for C(i), i odd.
 
 The tilde variants reverse the orientation of every a-edge.  For even i,
 C(i) equals C applied to the largest odd divisor of i, and the constructor
@@ -100,7 +101,22 @@ def odd_part(i: int) -> int:
     return i
 
 
-def _assemble(vertices, edges, labels) -> Morphism:
+def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str) -> Morphism:
+    """family(i) on the skeleton of the module docstring with (n, #a, #b) =
+    (n, na, nb) in the given variant; its faces are traced, and there must
+    be i + 1 of them."""
+    if variant not in (STANDARD, TILDE):
+        raise ComplexError(f"unknown variant {variant!r}")
+    edges, labels = [], {}
+    for j in range(1, na + 1):
+        tail, head = f"v{j % n}", f"v{j - 1}"
+        if variant == TILDE:
+            tail, head = head, tail
+        edges.append(Edge(f"a{j}", tail, head))
+        labels[f"a{j}"] = "a"
+    for j in range(nb):
+        edges.append(Edge(f"b{j}", f"v{2 * j % n}", f"v{j}"))
+        labels[f"b{j}"] = "b"
     pres = target_presentation()
     forward = {g: {} for g in pres.generators}
     backward = {g: {} for g in pres.generators}
@@ -126,9 +142,10 @@ def _assemble(vertices, edges, labels) -> Morphism:
                 sides = tuple((edge_at[g, t], s) for (g, s), t in zip(word, tails))
                 faces.append(Face(fid, sides))
                 types[fid] = rix
-    out = Morphism(
-        TwoComplex.make(vertices, edges, faces), pres, dict(labels), types
-    )
+    if len(faces) != i + 1:
+        raise RuntimeError(f"{family}({i}) has {len(faces)} faces, not {i + 1}")
+    vertices = [f"v{j}" for j in range(n)]
+    out = Morphism(TwoComplex.make(vertices, edges, faces), pres, labels, types)
     witness = immersion_witness(out)
     if witness is not None:
         raise RuntimeError(f"family complex is not an immersion: {witness}")
@@ -138,46 +155,15 @@ def _assemble(vertices, edges, labels) -> Morphism:
 def build_D(i: int, variant: str = STANDARD) -> Morphism:
     if i < 0:
         raise ComplexError("build_D needs i >= 0")
-    if variant not in (STANDARD, TILDE):
-        raise ComplexError(f"unknown variant {variant!r}")
-    vertices = [f"v{j}" for j in range(2 * i + 1)]
-    edges, labels = [], {}
-    for j in range(1, 2 * i + 1):
-        tail, head = f"v{j}", f"v{j - 1}"
-        if variant == TILDE:
-            tail, head = head, tail
-        edges.append(Edge(f"a{j}", tail, head))
-        labels[f"a{j}"] = "a"
-    for j in range(i + 1):
-        edges.append(Edge(f"b{j}", f"v{2 * j}", f"v{j}"))
-        labels[f"b{j}"] = "b"
-    out = _assemble(vertices, edges, labels)
-    if len(out.complex.faces) != i + 1:
-        raise RuntimeError(f"D({i}) has {len(out.complex.faces)} faces, not {i + 1}")
-    return out
+    return _assemble("D", i, 2 * i + 1, 2 * i, i + 1, variant)
 
 
 def build_C(i: int, variant: str = STANDARD) -> Morphism:
     if i < 1:
         raise ComplexError("build_C needs i >= 1")
-    if variant not in (STANDARD, TILDE):
-        raise ComplexError(f"unknown variant {variant!r}")
     if i % 2 == 0:
         return build_C(odd_part(i), variant)
-    vertices = [f"v{j}" for j in range(i)]
-    edges, labels = [], {}
-    for j in range(1, i + 1):
-        tail, head = f"v{j % i}", f"v{j - 1}"
-        if variant == TILDE:
-            tail, head = head, tail
-        edges.append(Edge(f"a{j}", tail, head))
-        labels[f"a{j}"] = "a"
-    for j in range(i):
-        edges.append(Edge(f"b{j}", f"v{(2 * j) % i}", f"v{j}"))
-        labels[f"b{j}"] = "b"
-    out = _assemble(vertices, edges, labels)
-    if len(out.complex.faces) != i + 1:
-        raise RuntimeError(f"C({i}) has {len(out.complex.faces)} faces, not {i + 1}")
+    out = _assemble("C", i, i, i, i, variant)
     if free_faces(out.complex):
         raise RuntimeError(f"C({i}) has free faces")
     return out

@@ -54,11 +54,18 @@ from .complexes import (
 )
 
 
+MERGE_KINDS = ("vertex-merge", "edge-merge", "face-merge")
+
+
 @dataclass(frozen=True)
 class MergeEvent:
-    kind: str  # "vertex-merge" | "edge-merge" | "face-merge"
+    kind: str  # one of MERGE_KINDS
     survivor: str
     absorbed: str
+
+    def __post_init__(self):
+        if self.kind not in MERGE_KINDS:
+            raise ComplexError(f"unknown merge kind in {self}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ class _FoldState:
     right classes, or nothing when they are already one.
     """
 
-    VERTEX, EDGE, FACE = "vertex-merge", "edge-merge", "face-merge"
+    VERTEX, EDGE, FACE = MERGE_KINDS
 
     def __init__(self, f: Morphism):
         cx = f.complex
@@ -380,16 +387,15 @@ def fold(
 def replay_trace(f: Morphism, trace: FoldTrace) -> Morphism:
     """Apply the recorded merges as raw unions and extract the quotient."""
     state = _FoldState(_checked(f))
-    vix = {v: k for k, v in enumerate(state.vids)}
-    eix = {e: k for k, e in enumerate(state.eids)}
-    fix = {x: k for k, x in enumerate(state.fids)}
+    sorts = {
+        state.VERTEX: (state.vpar, {x: k for k, x in enumerate(state.vids)}),
+        state.EDGE: (state.epar, {x: k for k, x in enumerate(state.eids)}),
+        state.FACE: (state.fpar, {x: k for k, x in enumerate(state.fids)}),
+    }
     for ev in trace.events:
-        if ev.kind == state.VERTEX:
-            parent, table = state.vpar, vix
-        elif ev.kind == state.EDGE:
-            parent, table = state.epar, eix
-        else:
-            parent, table = state.fpar, fix
+        parent, table = sorts[ev.kind]
+        if ev.survivor not in table or ev.absorbed not in table:
+            raise ComplexError(f"{ev} names a cell the input does not have")
         a, b = _find(parent, table[ev.survivor]), _find(parent, table[ev.absorbed])
         if a != b:
             parent[max(a, b)] = min(a, b)

@@ -1,8 +1,9 @@
 """Fundamental groups of 2-complexes and coset enumeration.
 
-pi1_presentation reads a presentation off a spanning tree: one generator
-per non-tree edge, one relator per face (its boundary word with tree edges
-deleted, freely reduced).
+pi1_presentation reads a presentation off the spanning tree of a connected
+complex, TwoComplex.spanning_forest: one generator per non-tree edge, one
+relator per face (its boundary word with tree edges deleted, freely
+reduced).
 
 tietze_reduce shrinks a presentation by Tietze transformations before
 enumeration: relators are cyclically reduced, and a generator that occurs
@@ -28,31 +29,12 @@ from .complexes import ComplexError, TwoComplex
 from .presentations import Letter, Presentation, Word, cyclic_reduce, free_reduce
 
 
-def spanning_tree(cx: TwoComplex, basepoint: str) -> set[str]:
-    """Edge ids of a BFS spanning tree rooted at basepoint."""
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in cx.vertices}
-    for e in cx.edges:
-        adj[e.tail].append((e.head, e.id))
-        adj[e.head].append((e.tail, e.id))
-    tree: set[str] = set()
-    seen = {basepoint}
-    queue = deque([basepoint])
-    while queue:
-        v = queue.popleft()
-        for w, eid in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                tree.add(eid)
-                queue.append(w)
-    if len(seen) != len(cx.vertices):
-        raise ComplexError("pi1_presentation needs a connected complex")
-    return tree
-
-
 def pi1_presentation(cx: TwoComplex) -> Presentation:
     if not cx.vertices:
         raise ComplexError("pi1_presentation of the empty complex")
-    tree = spanning_tree(cx, cx.vertices[0])
+    if not cx.connected:
+        raise ComplexError("pi1_presentation needs a connected complex")
+    tree = cx.spanning_forest
     gens = tuple(e.id for e in cx.edges if e.id not in tree)
     relators = []
     for face in cx.faces:

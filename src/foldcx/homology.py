@@ -1,13 +1,15 @@
 """Integer homology of 2-complexes via reduction and Smith normal form.
 
-The rank of d1 is the number of vertices less the number of components.
+The rank of d1 comes from counting components: it is the number of edges
+of the spanning forest of the 1-skeleton (TwoComplex.spanning_forest).
 d2 is built sparse (dicts of rows and columns) from the face boundaries;
 its unit pivots are eliminated first, which for free edge-face pairs and
 one-edge cells costs no fill (the discrete-Morse reduction of Forman,
-"Morse theory for cell complexes", 1998; Mischaikow and Nanda, DCG 2013),
-and only the residual core goes through smith_normal_form.  All arithmetic
-is exact over Python integers; smith_normal_form chooses pivots with
-minimal absolute value, which keeps coefficient growth tame.
+"Morse theory for cell complexes", 1998; Mischaikow and Nanda, DCG 2013).
+That unit pass is the only sparse code: the residual core, almost always
+empty, goes through the dense smith_normal_form.  All arithmetic is exact
+over Python integers; smith_normal_form chooses pivots with minimal
+absolute value, which keeps coefficient growth tame.
 """
 
 from __future__ import annotations
@@ -21,80 +23,45 @@ from .complexes import ComplexError, TwoComplex, euler_characteristic
 Matrix = list[list[int]]
 
 
-def _to_sparse(matrix: Matrix):
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                rows.setdefault(i, {})[j] = v
-                cols.setdefault(j, set()).add(i)
-    return rows, cols
-
-
-def _add_row(rows, cols, src: int, dst: int, factor: int) -> None:
-    """row[dst] += factor * row[src]"""
-    if factor == 0 or src not in rows:
-        return
-    target = rows.setdefault(dst, {})
-    for j, v in rows[src].items():
-        w = target.get(j, 0) + factor * v
-        if w:
-            target[j] = w
-            cols.setdefault(j, set()).add(dst)
-        elif j in target:
-            del target[j]
-            cols[j].discard(dst)
-    if not target:
-        del rows[dst]
-
-
-def _add_col(rows, cols, src: int, dst: int, factor: int) -> None:
-    """col[dst] += factor * col[src]"""
-    if factor == 0 or src not in cols:
-        return
-    for i in list(cols[src]):
-        v = rows[i][src]
-        w = rows[i].get(dst, 0) + factor * v
-        if w:
-            rows[i][dst] = w
-            cols.setdefault(dst, set()).add(i)
-        else:
-            if dst in rows[i]:
-                del rows[i][dst]
-            cols[dst].discard(i)
-
-
 def smith_normal_form(matrix: Matrix) -> list[int]:
     """Invariant factors (positive, each dividing the next) of an integer
-    matrix; their count is the rank."""
-    rows, cols = _to_sparse(matrix)
+    matrix; their count is the rank.
+
+    Dense elimination: the pivot is the nonzero entry of least absolute
+    value, ties broken by position.  Its column, then its row, is reduced
+    modulo the pivot; a nonzero remainder is smaller than the pivot, which
+    is then picked again.  A pivot alone in its row and column is a factor,
+    and zeroing it retires both lines.
+    """
+    m = [list(row) for row in matrix]
     factors: list[int] = []
-    while rows:
-        # pivot: smallest absolute value, ties broken by position
-        pi, pj = min(
-            ((i, j) for i, row in rows.items() for j in row),
-            key=lambda ij: (abs(rows[ij[0]][ij[1]]), ij),
-        )
-        pv = rows[pi][pj]
+    while True:
+        entries = [
+            (abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v
+        ]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        pivot_row = m[pi]
+        pv = pivot_row[pj]
         reduced = False
-        for i in [i for i in cols[pj] if i != pi]:
-            q = rows[i][pj] // pv
-            _add_row(rows, cols, pi, i, -q)
-            if i in rows and pj in rows[i]:
-                reduced = True  # remainder smaller than |pv|; re-pick pivot
+        for i, row in enumerate(m):
+            if i != pi and row[pj]:
+                q = row[pj] // pv
+                m[i] = row = [x - q * y for x, y in zip(row, pivot_row)]
+                reduced = reduced or row[pj] != 0
         if reduced:
             continue
-        for j in [j for j in rows[pi] if j != pj]:
-            q = rows[pi][j] // pv
-            _add_col(rows, cols, pj, j, -q)
-            if pi in rows and j in rows[pi]:
-                reduced = True
+        # column pj is now zero outside the pivot, so the column operations
+        # that reduce row pi change row pi alone
+        for j, v in enumerate(pivot_row):
+            if j != pj and v:
+                pivot_row[j] = v % pv
+                reduced = reduced or pivot_row[j] != 0
         if reduced:
             continue
         factors.append(abs(pv))
-        del rows[pi]
-        cols[pj].discard(pi)
+        pivot_row[pj] = 0
     # normalize to a divisibility chain
     changed = True
     while changed:
@@ -125,25 +92,6 @@ class HomologyProfile:
             "betti_2": self.betti_2,
             "torsion_1": list(self.torsion_1),
         }
-
-
-def _components(cx: TwoComplex) -> int:
-    """Number of connected components of the 1-skeleton (union-find)."""
-    root = {v: v for v in cx.vertices}
-
-    def find(v: str) -> str:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    count = len(cx.vertices)
-    for e in cx.edges:
-        a, b = find(e.tail), find(e.head)
-        if a != b:
-            root[a] = b
-            count -= 1
-    return count
 
 
 def _d2_factors(cx: TwoComplex) -> list[int]:
@@ -233,7 +181,7 @@ def _eliminate(rows, cols, r: int, c: int) -> list[tuple[int, int]]:
 def homology(cx: TwoComplex) -> HomologyProfile:
     if not cx.vertices:
         raise ComplexError("homology of the empty complex")
-    rank1 = len(cx.vertices) - _components(cx)
+    rank1 = len(cx.spanning_forest)
     factors2 = _d2_factors(cx)
     rank2 = len(factors2)
     profile = HomologyProfile(

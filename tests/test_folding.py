@@ -14,6 +14,7 @@ from foldcx.complexes import (
 from foldcx.families import build_C, build_D, classify, kp
 from foldcx.folding import (
     FoldTrace,
+    MergeEvent,
     _FoldState,
     couple,
     fold,
@@ -158,6 +159,27 @@ def test_trace_json_lines_round_trip():
     noisy = random_prefold(rng)
     _, trace = fold(noisy)
     assert FoldTrace.from_json_lines(trace.to_json_lines()) == trace
+
+
+def test_trace_rejects_unknown_kinds_and_cells():
+    rng = random.Random(5)
+    noisy = random_prefold(rng)
+    _, trace = fold(noisy)
+    faces = [ev for ev in trace.events if ev.kind == "face-merge"]
+    assert faces
+    # a kind other than the three merges is no face merge
+    bogus = trace.to_json_lines().replace('"face-merge"', '"bogus"')
+    with pytest.raises(ComplexError, match="bogus"):
+        FoldTrace.from_json_lines(bogus)
+    with pytest.raises(ComplexError, match="bogus"):
+        MergeEvent("bogus", faces[0].survivor, faces[0].absorbed)
+    # a cell the input lacks, or a cell of another sort, is named
+    for ev in (
+        MergeEvent("face-merge", faces[0].survivor, "nowhere"),
+        MergeEvent("vertex-merge", faces[0].survivor, faces[0].absorbed),
+    ):
+        with pytest.raises(ComplexError, match=repr(ev.absorbed)):
+            replay_trace(noisy, FoldTrace(trace.events + (ev,)))
 
 
 def test_trace_covers_all_absorbed_cells():

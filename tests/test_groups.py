@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from foldcx.complexes import ComplexError, TwoComplex, Edge
 from foldcx.families import build_C, build_D, kp, target_presentation
-from foldcx.groups import coset_enumeration, pi1_presentation, spanning_tree, tietze_reduce
+from foldcx.groups import coset_enumeration, pi1_presentation, tietze_reduce
 from foldcx.presentations import (
     Presentation,
     cyclic_reduce,
@@ -127,8 +127,14 @@ def test_pi1_requires_connected():
 
 def test_spanning_tree_size():
     c5 = build_C(5).complex
-    tree = spanning_tree(c5, c5.vertices[0])
+    tree = c5.spanning_forest
     assert len(tree) == len(c5.vertices) - 1
+    # a forest has one tree per component: here C(5) and a two-vertex arc
+    apart = TwoComplex.make(
+        c5.vertices + ("w0", "w1"), c5.edges + (Edge("x0", "w0", "w1"),), c5.faces
+    )
+    assert apart.spanning_forest == tree | {"x0"}
+    assert not apart.connected
 
 
 def test_cyclic_reduce():

@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +63,41 @@ def test_snf_divisibility_chain_and_rank_oracle():
         assert len(factors) == rational_rank(matrix)
         assert all(f > 0 for f in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def determinant(matrix):
+    """Independent determinant: Laplace expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * v * determinant([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j, v in enumerate(matrix[0])
+        if v
+    )
+
+
+def test_snf_factors_match_determinantal_divisors():
+    # independent oracle for the values: the k-th invariant factor is
+    # d_k / d_(k-1), where d_k is the gcd of the k x k minors and d_0 = 1
+    rng = random.Random(17)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        scale = rng.choice([1, 1, 2, 3, 6])
+        matrix = [
+            [scale * rng.randint(-4, 4) * (rng.random() < 0.6) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        divisors = [1]
+        for k in range(1, min(rows, cols) + 1):
+            d = 0
+            for r in combinations(range(rows), k):
+                for c in combinations(range(cols), k):
+                    d = gcd(d, determinant([[matrix[i][j] for j in c] for i in r]))
+            if d == 0:
+                break
+            divisors.append(d)
+        expected = [b // a for a, b in zip(divisors, divisors[1:])]
+        assert smith_normal_form(matrix) == expected, matrix
 
 
 def test_point_homology_of_target():

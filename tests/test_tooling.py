@@ -60,3 +60,18 @@ def test_demos_run(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_readme_examples_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks, "README.md has no python block"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    for block in blocks:
+        done = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""

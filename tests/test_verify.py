@@ -4,14 +4,23 @@ import json
 import pytest
 
 from foldcx.canonical import canonical_form
-from foldcx.complexes import ComplexError
+from foldcx.complexes import ComplexError, Morphism
 from foldcx.enumeration import (
     BudgetExceeded,
     EnumerationFilter,
     enumerate_by_types,
     enumerate_immersions,
 )
-from foldcx.families import TYPE_LONG, TYPE_SHORT, build_C, build_D, classify
+from foldcx.families import (
+    TYPE_LONG,
+    TYPE_SHORT,
+    build_C,
+    build_D,
+    build_family,
+    classify,
+    parse_family_spec,
+)
+from foldcx.folding import couple, identify_edges
 from foldcx.jsonio import morphism_to_json
 from foldcx.verify import (
     check_lemma_coupling,
@@ -45,6 +54,24 @@ def test_closure_results_have_no_free_faces_and_record_moves():
         assert all(move[0] in ("identify-edges", "couple") for move in moves)
     assert result.max_depth >= 1
     assert result.explored >= 1
+
+
+@pytest.mark.parametrize("spec, max_faces", [("D:1", 7), ("Dt:1", 7), ("D:0", 5)])
+def test_closure_move_paths_replay(spec, max_faces):
+    # each recorded path, applied to the start with the public moves,
+    # reaches exactly the result it is recorded with
+    start = build_family(parse_family_spec(spec))
+    result = closure_search(start, max_faces)
+    assert result.results
+    for m, moves in result.results:
+        current = start
+        for move in moves:
+            if move[0] == "identify-edges":
+                current = identify_edges(current, *move[1:])
+            else:
+                current = couple(current, *move[1:])
+        assert isinstance(current, Morphism)
+        assert current == m
 
 
 def test_closure_search_counts_are_pinned():
