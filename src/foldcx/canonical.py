@@ -11,14 +11,15 @@ they are isomorphic.  It first runs _bfs on Compact, the integer form that
 both Morphism (through _compact) and the fold engine's _FoldState (through
 its compact method) produce: a breadth-first numbering from each base
 vertex of least local signature, which is forced when the skeleton is
-folded.  _bfs returns None when the skeleton is not folded, is disconnected
-or has no vertices.  Those inputs go through _refined: iterative partition
-refinement on the colored incidence structure, with backtracking on tied
-classes: individualize one member of the first non-singleton class
-(vertices first, then edges), re-refine, and keep the lexicographically
-least serialization over all branches.  Faces never need
-individualization: once vertices and edges are discrete, color-tied faces
-are literal duplicates and serialize identically.
+folded, dropping a base at its first label-0 edge row above the best
+base's.  _bfs returns None when the skeleton is not folded, is
+disconnected or has no vertices.  Those inputs go through _refined:
+iterative partition refinement on the colored incidence structure, with
+backtracking on tied classes: individualize one member of the first
+non-singleton class (vertices first, then edges), re-refine, and keep the
+lexicographically least serialization over all branches.  Faces never
+need individualization: once vertices and edges are discrete, color-tied
+faces are literal duplicates and serialize identically.
 
 The split is sound because being folded, connected and non-empty is
 invariant under isomorphism, and because both serializations list every
@@ -87,6 +88,17 @@ def _bfs(c: Compact):
     occupied) form an isomorphism-invariant class, so the least key over
     them is canonical.  Faces need not be injective at edges for this
     argument, only the skeleton.
+
+    Why a base may be dropped early: the key compares its edge rows first,
+    and the label-0 rows (0, k, head) come first among them, one for each
+    vertex k with an outgoing label-0 edge, in increasing k.  Every base
+    yields the same number of them, and row k is fixed as soon as the
+    breadth-first pass has probed vertex k's neighbours.  So once a row of
+    a base exceeds the row at the same place of the best base so far,
+    that base's key exceeds the best key, and the base would never be
+    kept.  Dropping it at that row leaves the least key, and the first
+    base reaching it, unchanged.  The first base runs in full, so a
+    disconnected input is still detected.
     """
     ngens, nv = c.ngens, c.nv
     if not nv:
@@ -113,21 +125,39 @@ def _bfs(c: Compact):
             sig.append(2 * (eo >= 0) + (ei >= 0))  # orders as (out, in) pairs
         signature.append(sig)
     least = min(signature)
+    bases = [v for v in range(nv) if signature[v] == least]
+    if len(bases) > 1 and ngens:
+        head0 = [head[e] if e >= 0 else -1 for e in out[::ngens]]
     nf = len(c.ftype)
     best = None
-    for base in range(nv):
-        if signature[base] != least:
-            continue
+    for base in bases:
         vix = [-1] * nv
         vix[base] = 0
         order = [base]
-        for v in order:
-            for w in nbrs[v]:
-                if vix[w] < 0:
-                    vix[w] = len(order)
-                    order.append(w)
-        if len(order) != nv:
-            return None
+        if best is None:
+            for v in order:
+                for w in nbrs[v]:
+                    if vix[w] < 0:
+                        vix[w] = len(order)
+                        order.append(w)
+            if len(order) != nv:
+                return None
+        else:
+            rows = iter(best[0][0])
+            tied, worse = ngens > 0, False
+            for k, v in enumerate(order):
+                for w in nbrs[v]:
+                    if vix[w] < 0:
+                        vix[w] = len(order)
+                        order.append(w)
+                if tied and head0[v] >= 0:
+                    row, held = (0, k, vix[head0[v]]), next(rows)
+                    if row != held:
+                        tied, worse = False, row > held
+                        if worse:
+                            break
+            if worse:
+                continue
         # edges in (label, tail) order, which sorts the (label, tail, head) rows
         eix = [0] * len(tail)
         erows = []

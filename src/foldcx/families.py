@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import canonical_form
+from .canonical import Compact, _bfs, _compact
 from .complexes import (
     ComplexError,
     Edge,
@@ -173,26 +173,32 @@ def build_family(tag: FamilyTag) -> Morphism:
     return (build_D if tag.family == "D" else build_C)(tag.index, tag.variant)
 
 
-_canon_cache: dict[FamilyTag, bytes] = {}
+_key_cache: dict[FamilyTag, tuple] = {}
 
 
-def _family_form(tag: FamilyTag) -> bytes:
-    if tag not in _canon_cache:
-        _canon_cache[tag] = canonical_form(build_family(tag))
-    return _canon_cache[tag]
+def _family_key(tag: FamilyTag) -> tuple:
+    if tag not in _key_cache:
+        _key_cache[tag] = _bfs(_compact(build_family(tag)))[0]
+    return _key_cache[tag]
 
 
-def classify(f: Morphism) -> FamilyTag | None:
-    """The family tag whose built complex is isomorphic to f, or None.
+def classify_compact(c: Compact) -> FamilyTag | None:
+    """The family tag whose built complex is isomorphic to c, a complex
+    over the standard target in compact form, or None.
 
-    Lookup order prefers C over D and standard over tilde, so when a tilde
+    Every family complex is folded, connected and non-empty, so its
+    breadth-first key (canonical._bfs) exists and decides isomorphism with
+    it; a complex without such a key is isomorphic to none of them.  Only
+    the four family complexes with c's vertex count are tried.  Lookup
+    order prefers C over D and standard over tilde, so when a tilde
     complex happens to be isomorphic to its standard sibling the standard
     tag is reported.
     """
-    if f.presentation != target_presentation():
-        raise ComplexError("classify: morphism is not over the standard target")
-    n = len(f.complex.vertices)
+    n = c.nv
     if n % 2 == 0:
+        return None
+    found = _bfs(c)
+    if found is None:
         return None
     candidates = [
         FamilyTag("C", n, STANDARD),
@@ -200,8 +206,14 @@ def classify(f: Morphism) -> FamilyTag | None:
         FamilyTag("D", (n - 1) // 2, STANDARD),
         FamilyTag("D", (n - 1) // 2, TILDE),
     ]
-    form = canonical_form(f)
     for tag in candidates:
-        if _family_form(tag) == form:
+        if _family_key(tag) == found[0]:
             return tag
     return None
+
+
+def classify(f: Morphism) -> FamilyTag | None:
+    """The family tag whose built complex is isomorphic to f, or None."""
+    if f.presentation != target_presentation():
+        raise ComplexError("classify: morphism is not over the standard target")
+    return classify_compact(_compact(f))

@@ -37,10 +37,12 @@ reproduces the folded output from the input.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .canonical import Compact, _compact
 from .complexes import (
@@ -86,11 +88,29 @@ class FoldTrace:
 
     @staticmethod
     def from_json_lines(text: str) -> "FoldTrace":
+        """Parse to_json_lines output; a malformed line raises ComplexError
+        naming its line number."""
         events = []
-        for line in text.splitlines():
-            if line.strip():
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
                 doc = json.loads(line)
-                events.append(MergeEvent(doc["kind"], doc["survivor"], doc["absorbed"]))
+            except json.JSONDecodeError as exc:
+                raise ComplexError(f"trace line {number} is not JSON: {exc}") from None
+            fields = ("kind", "survivor", "absorbed")
+            if not (
+                isinstance(doc, dict)
+                and all(isinstance(doc.get(name), str) for name in fields)
+            ):
+                raise ComplexError(
+                    f"trace line {number} must be an object with string fields "
+                    + ", ".join(fields)
+                )
+            try:
+                events.append(MergeEvent(*(doc[name] for name in fields)))
+            except ComplexError as exc:
+                raise ComplexError(f"trace line {number}: {exc}") from None
         return FoldTrace(tuple(events))
 
 
@@ -125,6 +145,10 @@ class _FoldState:
     class of a live member of the key, and the merge primitives resolve
     every pair through _find, so a pair that names a stale cell merges the
     right classes, or nothing when they are already one.
+
+    copy() gives an independent state at the same point of folding, so a
+    caller that makes many moves on one input builds its state once and
+    folds a copy per move.
     """
 
     VERTEX, EDGE, FACE = MERGE_KINDS
@@ -165,6 +189,26 @@ class _FoldState:
                     side_rep[key] = x
                 else:
                     pending_faces.append((side_rep[key], x))
+
+    def copy(self) -> "_FoldState":
+        """Copies the union-find arrays, both flat indexes, the queues and
+        the events; the input cells (tail, head, elab, ftype, boundary and
+        the ids) and the name indexes are never written, so they are
+        shared."""
+        twin = copy.copy(self)
+        for name in ("vpar", "epar", "fpar", "end_rep", "side_rep", "events"):
+            setattr(twin, name, getattr(self, name).copy())
+        twin.pending_edges = deque(self.pending_edges)
+        twin.pending_faces = deque(self.pending_faces)
+        return twin
+
+    @cached_property
+    def vertex_ix(self) -> dict[str, int]:
+        return {x: k for k, x in enumerate(self.vids)}
+
+    @cached_property
+    def edge_ix(self) -> dict[str, int]:
+        return {x: k for k, x in enumerate(self.eids)}
 
     # -- index maintenance -------------------------------------------------
 
@@ -388,8 +432,8 @@ def replay_trace(f: Morphism, trace: FoldTrace) -> Morphism:
     """Apply the recorded merges as raw unions and extract the quotient."""
     state = _FoldState(_checked(f))
     sorts = {
-        state.VERTEX: (state.vpar, {x: k for k, x in enumerate(state.vids)}),
-        state.EDGE: (state.epar, {x: k for k, x in enumerate(state.eids)}),
+        state.VERTEX: (state.vpar, state.vertex_ix),
+        state.EDGE: (state.epar, state.edge_ix),
         state.FACE: (state.fpar, {x: k for k, x in enumerate(state.fids)}),
     }
     for ev in trace.events:
@@ -402,39 +446,52 @@ def replay_trace(f: Morphism, trace: FoldTrace) -> Morphism:
     return state.quotient()
 
 
-def identify_vertices(f: Morphism, u: str, v: str) -> Morphism:
-    """Quotient u = v in an immersion, then fold."""
+def _immersion_state(f: Morphism) -> _FoldState:
+    """The unmerged fold state of an immersion, the base that the moves on
+    it copy."""
     _require_immersion(f)
+    return _FoldState(f)
+
+
+def _identify_vertices_state(base: _FoldState, u: str, v: str) -> _FoldState:
+    """A folded copy of the unmerged state base with u = v."""
     if u == v:
         raise ComplexError("identify_vertices needs two distinct vertices")
-    if u not in f.complex.vertices or v not in f.complex.vertices:
+    vix = base.vertex_ix
+    if u not in vix or v not in vix:
         raise ComplexError("identify_vertices: unknown vertex")
-    state = _FoldState(f)
-    vix = {x: k for k, x in enumerate(state.vids)}
+    state = base.copy()
     state.merge_vertices(vix[u], vix[v])
     state.run()
-    return _finish(state)
+    return state
 
 
-def _identify_edges_state(f: Morphism, e1: str, e2: str) -> _FoldState:
-    _require_immersion(f)
-    if e1 not in f.edge_labels or e2 not in f.edge_labels:
+def identify_vertices(f: Morphism, u: str, v: str) -> Morphism:
+    """Quotient u = v in an immersion, then fold."""
+    return _finish(_identify_vertices_state(_immersion_state(f), u, v))
+
+
+def _identify_edges_state(base: _FoldState, e1: str, e2: str) -> _FoldState:
+    """A folded copy of the unmerged state base with e1 = e2."""
+    eix = base.edge_ix
+    if e1 not in eix or e2 not in eix:
         raise ComplexError("identify_edges: unknown edge")
-    if f.edge_labels[e1] != f.edge_labels[e2]:
+    x1, x2 = eix[e1], eix[e2]
+    if base.elab[x1] != base.elab[x2]:
+        gens = base.presentation.generators
         raise ComplexError(
             f"identify_edges: labels differ "
-            f"({f.edge_labels[e1]!r} vs {f.edge_labels[e2]!r})"
+            f"({gens[base.elab[x1]]!r} vs {gens[base.elab[x2]]!r})"
         )
-    state = _FoldState(f)
-    eix = {x: k for k, x in enumerate(state.eids)}
-    state.merge_edges(eix[e1], eix[e2])
+    state = base.copy()
+    state.merge_edges(x1, x2)
     state.run()
     return state
 
 
 def identify_edges(f: Morphism, e1: str, e2: str) -> Morphism:
     """Quotient two same-labeled edges (endpoints included), then fold."""
-    return _finish(_identify_edges_state(f, e1, e2))
+    return _finish(_identify_edges_state(_immersion_state(f), e1, e2))
 
 
 def _fresh_ids(taken: set[str], prefix: str, count: int) -> list[str]:
@@ -495,7 +552,7 @@ def _couple_state(f: Morphism, face_type: int, position: int, edge_id: str) -> _
         types,
     )
     state = _FoldState(glued)
-    eix = {x: k for k, x in enumerate(state.eids)}
+    eix = state.edge_ix
     state.merge_edges(eix[poly_edges[position]], eix[edge_id])
     state.run()
     return state

@@ -1,6 +1,7 @@
 """Shared test utilities: disjoint unions, randomized pre-fold inputs, a
-full-branch closure search kept as the reference for the one-edge rule and
-dense homology kept as the reference for the reduced one."""
+full-branch closure search kept as the reference for the one-edge rule,
+dense homology kept as the reference for the reduced one and the
+exhaustive breadth-first key kept as the reference for the pruned one."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import functools
 import random
 from collections import deque
 
-from foldcx.canonical import canonical_form
+from foldcx.canonical import Compact, canonical_form
 from foldcx.complexes import (
     Edge,
     Face,
@@ -19,7 +20,13 @@ from foldcx.complexes import (
 )
 from foldcx.enumeration import EnumerationFilter, enumerate_immersions
 from foldcx.families import build_C, build_D, kp
-from foldcx.folding import _couple_state, _FoldState, _identify_edges_state, fold
+from foldcx.folding import (
+    _couple_state,
+    _FoldState,
+    _identify_edges_state,
+    _immersion_state,
+    fold,
+)
 from foldcx.homology import HomologyProfile, smith_normal_form
 from foldcx.verify import ClosureResult, _state_key
 
@@ -130,6 +137,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
         successors = []
         frees = sorted(free_faces(current.complex))
         free_set = set(frees)
+        base = _immersion_state(current)
         for eid in frees:
             label = current.edge_labels[eid]
             for other in sorted(current.edge_labels):
@@ -137,7 +145,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
                     continue
                 if other in free_set and other < eid:
                     continue
-                state = _identify_edges_state(current, eid, other)
+                state = _identify_edges_state(base, eid, other)
                 successors.append((("identify-edges", eid, other), state))
             for t, p, gen in word_positions:
                 if gen == label:
@@ -191,3 +199,67 @@ def dense_homology(cx: TwoComplex) -> HomologyProfile:
         betti_2=len(cx.faces) - rank2,
         torsion_1=tuple(f for f in factors2 if f > 1),
     )
+
+
+def exhaustive_bfs(c: Compact):
+    """Reference for canonical._bfs: the same breadth-first key, with every
+    base of least signature numbered and keyed in full."""
+    ngens, nv = c.ngens, c.nv
+    if not nv:
+        return None
+    head, tail = c.head, c.tail
+    out = [-1] * (nv * ngens)
+    into = [-1] * (nv * ngens)
+    for e, (t, h, g) in enumerate(zip(tail, head, c.label)):
+        if out[t * ngens + g] >= 0 or into[h * ngens + g] >= 0:
+            return None
+        out[t * ngens + g] = e
+        into[h * ngens + g] = e
+    nbrs = [[] for _ in range(nv)]
+    signature = []
+    for v in range(nv):
+        sig = []
+        for s in range(v * ngens, (v + 1) * ngens):
+            eo, ei = out[s], into[s]
+            if eo >= 0:
+                nbrs[v].append(head[eo])
+            if ei >= 0:
+                nbrs[v].append(tail[ei])
+            sig.append(2 * (eo >= 0) + (ei >= 0))
+        signature.append(sig)
+    least = min(signature)
+    nf = len(c.ftype)
+    best = None
+    for base in range(nv):
+        if signature[base] != least:
+            continue
+        vix = [-1] * nv
+        vix[base] = 0
+        order = [base]
+        for v in order:
+            for w in nbrs[v]:
+                if vix[w] < 0:
+                    vix[w] = len(order)
+                    order.append(w)
+        if len(order) != nv:
+            return None
+        eix = [0] * len(tail)
+        erows = []
+        for g in range(ngens):
+            for k, v in enumerate(order):
+                e = out[v * ngens + g]
+                if e >= 0:
+                    eix[e] = len(erows)
+                    erows.append((g, k, vix[head[e]]))
+        frows = [
+            ((t, tuple([(eix[e], s) for e, s in sides])), x)
+            for x, (t, sides) in enumerate(zip(c.ftype, c.boundary))
+        ]
+        frows.sort()
+        key = (tuple(erows), tuple(row for row, _ in frows))
+        if best is None or key < best[0]:
+            fix = [0] * nf
+            for k, (_, x) in enumerate(frows):
+                fix[x] = k
+            best = (key, vix, eix, fix)
+    return best

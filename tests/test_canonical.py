@@ -1,15 +1,32 @@
+import functools
 import random
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldcx.canonical import _check_bijection, _refined, canonical_form, isomorphic
+from foldcx.canonical import (
+    Compact,
+    _bfs,
+    _check_bijection,
+    _compact,
+    _refined,
+    canonical_form,
+    isomorphic,
+)
 from foldcx.complexes import ComplexError, Edge, Face, Morphism, TwoComplex
 from foldcx.families import build_C, build_D, kp, target_presentation
+from foldcx.folding import (
+    _couple_state,
+    _identify_edges_state,
+    _identify_vertices_state,
+    _immersion_state,
+)
 from foldcx.presentations import parse_presentation
 from foldcx.complexes import presentation_complex
 
-from helpers import folded_prefold, four_vertex_classes, random_prefold
+from helpers import exhaustive_bfs, folded_prefold, four_vertex_classes, random_prefold
 
 
 def relabeled(f: Morphism, suffix: str) -> Morphism:
@@ -206,3 +223,89 @@ def test_canonical_form_decides_iso_like_refinement(f, other, copy, rng):
 @given(morphisms, st.randoms(use_true_random=False))
 def test_canonical_form_invariant_under_relabelling_and_order(f, rng):
     assert canonical_form(scrambled(f, rng)) == canonical_form(f)
+
+
+# -- the pruned breadth-first key against the exhaustive loop
+
+
+@functools.cache
+def family_complexes() -> list[Morphism]:
+    """D(0..40) and C(1..39 odd) in both variants."""
+    return [
+        build(i, variant)
+        for variant in ("standard", "tilde")
+        for build, indices in ((build_D, range(41)), (build_C, range(1, 40, 2)))
+        for i in indices
+    ]
+
+
+@functools.cache
+def lemma_quotients() -> list[Compact]:
+    """The compact quotients the lemma checkers classify, at small sizes,
+    in both variants and over all vertex and b-edge pairs."""
+    out = []
+    for variant in ("standard", "tilde"):
+        for i in range(3, 12, 2):
+            c = build_C(i, variant)
+            base = _immersion_state(c)
+            for u, v in combinations(c.complex.vertices, 2):
+                out.append(_identify_vertices_state(base, u, v).compact())
+        for i in range(1, 9):
+            d = build_D(i, variant)
+            base = _immersion_state(d)
+            for j, k in combinations(range(i + 1), 2):
+                out.append(_identify_edges_state(base, f"b{j}", f"b{k}").compact())
+            for t, p in ((0, 0), (1, 0), (1, 2)):
+                out.append(_couple_state(d, t, p, f"b{i}").compact())
+    return out
+
+
+def test_pruned_bfs_matches_the_exhaustive_loop_on_every_listed_input():
+    inputs = [_compact(f) for f in family_complexes() + four_vertex_classes()]
+    inputs += lemma_quotients()
+    assert len(inputs) == 122 + 139 + 538
+    for c in inputs:
+        assert _bfs(c) == exhaustive_bfs(c)
+
+
+def permuted(c: Compact, rng: random.Random) -> Compact:
+    """c with its vertices, edges and faces renumbered at random, which
+    changes the base order and so which bases the pruned loop drops."""
+    ne, nf = len(c.tail), len(c.ftype)
+    vnew, enew, fnew = (rng.sample(range(n), n) for n in (c.nv, ne, nf))
+    tail, head, label = [0] * ne, [0] * ne, [0] * ne
+    for e in range(ne):
+        k = enew[e]
+        tail[k], head[k], label[k] = vnew[c.tail[e]], vnew[c.head[e]], c.label[e]
+    ftype, boundary = [0] * nf, [[]] * nf
+    for x in range(nf):
+        ftype[fnew[x]] = c.ftype[x]
+        boundary[fnew[x]] = [(enew[e], s) for e, s in c.boundary[x]]
+    return Compact(c.ngens, c.nv, tail, head, label, ftype, boundary)
+
+
+compacts = st.one_of(
+    st.sampled_from(range(400)).map(lambda k: _compact(folded_prefold(k))),
+    st.sampled_from(range(139)).map(lambda k: _compact(four_vertex_classes()[k])),
+    st.sampled_from(range(122)).map(lambda k: _compact(family_complexes()[k])),
+    st.sampled_from(range(538)).map(lambda k: lemma_quotients()[k]),
+)
+
+
+@PROPERTY
+@given(compacts, st.booleans(), st.randoms(use_true_random=False))
+def test_pruned_bfs_matches_the_exhaustive_loop(c, renumber, rng):
+    if renumber:
+        c = permuted(c, rng)
+    assert _bfs(c) == exhaustive_bfs(c)
+
+
+def test_canonical_form_of_a_large_cycle_scales():
+    # every vertex of C(i) ties on its signature, so each base after the
+    # first must be dropped early for the form to stay near-linear
+    f = build_C(10_001)
+    started = time.perf_counter()
+    form = canonical_form(f)
+    elapsed = time.perf_counter() - started
+    assert form.startswith(b'{"e":[["a",0,')
+    assert elapsed < 10.0, f"canonical_form of C(10001) took {elapsed:.2f}s"

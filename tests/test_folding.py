@@ -16,6 +16,9 @@ from foldcx.folding import (
     FoldTrace,
     MergeEvent,
     _FoldState,
+    _identify_edges_state,
+    _identify_vertices_state,
+    _immersion_state,
     couple,
     fold,
     identify_edges,
@@ -182,6 +185,22 @@ def test_trace_rejects_unknown_kinds_and_cells():
             replay_trace(noisy, FoldTrace(trace.events + (ev,)))
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"kind": "edge-merge", "survivor": "a0"}', "string fields"),
+        ('["edge-merge", "a0", "a1"]', "string fields"),
+        ("edge-merge a0 a1", "not JSON"),
+        ('{"kind": "bogus", "survivor": "a0", "absorbed": "a1"}', "unknown merge kind"),
+    ],
+    ids=["missing-absorbed", "json-list", "not-json", "unknown-kind"],
+)
+def test_trace_rejects_malformed_lines(line, reason):
+    good = '{"kind": "edge-merge", "survivor": "a0", "absorbed": "a1"}'
+    with pytest.raises(ComplexError, match=f"line 3\\b.*{reason}"):
+        FoldTrace.from_json_lines(f"{good}\n\n{line}\n")
+
+
 def test_trace_covers_all_absorbed_cells():
     rng = random.Random(9)
     noisy = random_prefold(rng)
@@ -239,6 +258,26 @@ def test_flat_indexes_match_the_rescan_engine():
             state.run(rescan=rescan)
             quotients.append(state.quotient())
         assert quotients[0] == quotients[1], (merge.__name__, x, y)
+
+
+def test_folding_copies_leaves_the_base_state_unchanged():
+    # D(6) has free faces and boundary vertices, so its merges also fill
+    # empty index keys, not only queue pairs
+    d = build_D(6)
+    base = _immersion_state(d)
+    fields = ("vpar", "epar", "fpar", "end_rep", "side_rep", "events")
+    before = {name: list(getattr(base, name)) for name in fields}
+    moves = [(_identify_vertices_state, identify_vertices, "v0", "v12")]
+    moves += [
+        (_identify_edges_state, identify_edges, f"b{j}", f"b{k}")
+        for j, k in list(combinations(range(7), 2))[:9]
+    ]
+    for on_state, on_morphism, x, y in moves:
+        state = on_state(base, x, y)
+        assert state.events and state.quotient() == on_morphism(d, x, y)
+    assert {name: list(getattr(base, name)) for name in fields} == before
+    assert not base.pending_edges and not base.pending_faces
+    assert base.quotient() == d
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import time
+from itertools import combinations
 
 import pytest
 
 from foldcx.canonical import canonical_form
-from foldcx.complexes import ComplexError, Morphism
+from foldcx.complexes import ComplexError, Morphism, euler_characteristic
 from foldcx.enumeration import (
     BudgetExceeded,
     EnumerationFilter,
@@ -20,9 +22,19 @@ from foldcx.families import (
     classify,
     parse_family_spec,
 )
-from foldcx.folding import couple, identify_edges
+from foldcx.folding import (
+    _couple_state,
+    _identify_edges_state,
+    _identify_vertices_state,
+    _immersion_state,
+    couple,
+    identify_edges,
+    identify_vertices,
+)
 from foldcx.jsonio import morphism_to_json
 from foldcx.verify import (
+    _classify_state,
+    _tag_str,
     check_lemma_coupling,
     check_lemma_edge_identification,
     check_lemma_vertex_identification,
@@ -174,6 +186,87 @@ def test_coupling_outcomes_are_the_predicted_ones():
     assert outcomes["D:3 couple type 0 position 0 at b3"] == "C:3"
     assert outcomes["D:3 couple type 1 position 2 at b3"] == "D:4"
     assert outcomes["D:3 couple type 1 position 0 at b3"] == "D:3"
+
+
+COUPLINGS_AT_B = ((0, 0), (1, 0), (1, 2))  # (type, position) of each letter b
+
+
+def by_morphism(result: Morphism) -> tuple:
+    return classify(result), euler_characteristic(result.complex)
+
+
+def test_checker_rows_match_the_morphism_route():
+    # the checkers classify the compact quotient of a folded copy of one
+    # state per input; the public moves build and immersion-check the quotient
+    expected = {
+        check_lemma_vertex_identification: [
+            by_morphism(identify_vertices(c, u, v))
+            for c in map(build_C, range(3, 12, 2))
+            for u, v in combinations(c.complex.vertices, 2)
+        ],
+        check_lemma_edge_identification: [
+            by_morphism(identify_edges(build_D(i, variant), f"b{i}", f"b{j}"))
+            for variant in ("standard", "tilde")
+            for i in range(1, 9)
+            for j in range(i)
+        ],
+        check_lemma_coupling: [
+            by_morphism(couple(build_D(i), t, p, f"b{i}"))
+            for i in range(9)
+            for t, p in COUPLINGS_AT_B
+        ],
+    }
+    for checker, max_i in (
+        (check_lemma_vertex_identification, 11),
+        (check_lemma_edge_identification, 8),
+        (check_lemma_coupling, 8),
+    ):
+        rows = [(row.classification, row.chi) for row in checker(max_i).rows]
+        assert rows == [(_tag_str(tag), chi) for tag, chi in expected[checker]]
+
+
+def test_classify_state_matches_the_morphism_route_in_both_variants():
+    unmatched = 0
+    for variant in ("standard", "tilde"):
+        for c in (build_C(i, variant) for i in range(3, 12, 2)):
+            base = _immersion_state(c)
+            for u, v in combinations(c.complex.vertices, 2):
+                state = _identify_vertices_state(base, u, v)
+                assert _classify_state(state) == by_morphism(identify_vertices(c, u, v))
+        # every move on D, not only the checkers': moves at a-edges also
+        # reach quotients outside both families
+        for d in (build_D(i, variant) for i in range(1, 9)):
+            base = _immersion_state(d)
+            labels = d.edge_labels
+            for e1, e2 in combinations(sorted(labels), 2):
+                if labels[e1] == labels[e2]:
+                    found = _classify_state(_identify_edges_state(base, e1, e2))
+                    assert found == by_morphism(identify_edges(d, e1, e2))
+                    unmatched += found[0] is None
+            for t, word in enumerate(d.presentation.relators):
+                for p, (gen, _) in enumerate(word):
+                    for e in sorted(e for e in labels if labels[e] == gen):
+                        found = _classify_state(_couple_state(d, t, p, e))
+                        assert found == by_morphism(couple(d, t, p, e))
+                        unmatched += found[0] is None
+    assert unmatched  # some moves take the Morphism fallback
+
+
+def test_classify_state_of_an_unfolded_state_raises():
+    # merged but never run: the compact classifier finds no family, and the
+    # fallback refuses the non-immersion
+    state = _immersion_state(build_C(5)).copy()
+    state.merge_vertices(0, 1)
+    with pytest.raises(RuntimeError, match="folding ended at a non-immersion"):
+        _classify_state(state)
+
+
+def test_edge_identification_checker_scales():
+    started = time.perf_counter()
+    report = check_lemma_edge_identification(63)
+    elapsed = time.perf_counter() - started
+    assert report.passed and len(report.rows) == 2 * 63 * 64 // 2
+    assert elapsed < 10.0, f"check_lemma_edge_identification(63) took {elapsed:.2f}s"
 
 
 def test_reports_deterministic():
