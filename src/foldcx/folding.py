@@ -5,24 +5,42 @@ by repeatedly merging cells that witness a failure of local injectivity:
 
   graph fold   two edges with the same label sharing the corresponding
                endpoint are merged, merging their other endpoints;
-  face fold    two face sides occupying the same (relator, position) slot
-               on one edge force their faces equal, merging the two
-               boundaries position by position (faces of one relator merge
-               label-consistently; this is checked, not assumed).
+  face fold    two faces of one relator with a side in the same slot (an
+               edge and a relator position) are merged.
 
 Each applied merge strictly decreases the number of live cells, so the
 process terminates, and both rules are forced in any immersion quotient,
 so the fixpoint does not depend on processing order.  Two engines share
-the merge primitives.  The default one keeps a worklist of discovered
-conflicts (deterministic discovery order, graph folds first), found
-through two flat incidence indexes that hold one representative cell per
-(endpoint, label, direction) or (edge, relator slot) key; with union-find
-resolving stale representatives this is the near-linear folding of
-Touikan, "A fast algorithm for Stallings' folding process" (IJAC 2006),
-see _FoldState.  The rescan engine reads no index: it recomputes the full
-conflict set after every merge and picks either the shortlex-smallest
-pair or, given an rng, a random one.  The tests fold through both engines
-and through randomized orders and check the quotients agree.
+the merge primitives.
+
+The default engine folds in two phases.  First it folds the 1-skeleton,
+draining a worklist of graph conflicts found through one flat incidence
+index that holds a representative edge per (endpoint, label, direction)
+key; with union-find resolving stale representatives this is the
+near-linear folding of Touikan, "A fast algorithm for Stallings' folding
+process" (IJAC 2006), see _FoldState.  Then it merges the faces in one
+pass.  In a folded skeleton every vertex has at most one edge per (label,
+direction), so a relator read from a given edge traces a unique path
+(Stallings, "Topology of finite graphs", Invent. Math. 1983).  A face's
+sides read its relator round a closed path with the relator's letters and
+signs (validate checks this), so two faces of one relator that share the
+slot at position p share the slot at p + 1, and by induction every slot:
+their boundaries are already equal and a face fold merges no edge.  Hence
+faces that share any slot share the first one, and the pass keys each
+live face, in index order, by (relator, class of its first boundary edge);
+the key is exact, and each face merges into the least face already
+holding its key.  No graph conflict appears afterwards, so that is the
+fixpoint.
+
+The rescan engine reads no index: it recomputes the full conflict set
+after every merge and applies either the shortlex-smallest pair, graph
+folds first, or, given an rng, a random one of either kind.  Its face
+merges need not merge boundaries either, even before the skeleton is
+folded: the two boundaries stay in the skeleton, where the sides next to
+a shared slot share an endpoint, a label and a direction, so they form a
+graph conflict until merged, and by induction round the cycle the graph
+folds identify both boundaries.  The tests fold through both engines and
+through randomized orders and check the quotients agree.
 
 Internally cells are numbered in shortlex id order, so keeping the least
 integer of a merged class as its representative is the same rule as
@@ -124,27 +142,27 @@ def _find(parent: list[int], x: int) -> int:
 
 
 class _FoldState:
-    """Union-find over the three sorts plus two flat incidence indexes.
+    """Union-find over the three sorts plus one flat incidence index.
 
-    Every incidence key is one integer into a flat list:
-    end_rep[(vertex * ngens + label) * 2 + direction] for the edges with
-    that endpoint (direction 0 the tail, 1 the head), and
-    side_rep[edge * nslots + slot] for the faces with a side there, where
-    slot is the relator's offset plus the position and nslots is the total
-    relator length.  Each entry holds one representative cell, or -1.
+    Every incidence key is one integer into a flat list: end_rep[(vertex *
+    ngens + label) * 2 + direction] holds one representative of the edges
+    with that endpoint (direction 0 the tail, 1 the head), or -1.
 
     One representative per key suffices because a key with two members is
     a conflict and every member of a key ends in one class.  Adding a
     member to a filled key queues the pair (representative, member), which
-    links it to the key's class.  When a vertex or an edge is absorbed,
-    each of its entries moves to the survivor's key, or queues the pair of
-    both representatives if that key is filled.
+    links it to the key's class.  When a vertex is absorbed, each of its
+    entries moves to the survivor's key, or queues the pair of both
+    representatives if that key is filled.
 
-    A representative goes stale when its edge or face is absorbed; its
-    entry is neither discarded nor updated.  The stale cell lies in the
-    class of a live member of the key, and the merge primitives resolve
-    every pair through _find, so a pair that names a stale cell merges the
-    right classes, or nothing when they are already one.
+    A representative goes stale when its edge is absorbed; its entry is
+    neither discarded nor updated.  The stale edge lies in the class of a
+    live member of the key, and merge_edges resolves every pair through
+    _find, so a pair that names a stale edge merges the right classes, or
+    nothing when they are already one.
+
+    Faces need no index: run_worklist merges them in one keyed pass once
+    the skeleton is folded (see the module docstring).
 
     copy() gives an independent state at the same point of folding, so a
     caller that makes many moves on one input builds its state once and
@@ -166,13 +184,8 @@ class _FoldState:
         self.vpar = list(range(c.nv))
         self.epar = list(range(len(c.tail)))
         self.fpar = list(range(len(c.ftype)))
-        offsets = [0]
-        for word in f.presentation.relators:
-            offsets.append(offsets[-1] + len(word))
-        self.nslots = nslots = offsets.pop()
         self.events: list[tuple[str, int, int]] = []
         self.pending_edges = pending_edges = deque()
-        self.pending_faces = pending_faces = deque()
         ngens2 = self.ngens * 2
         self.end_rep = end_rep = [-1] * (c.nv * ngens2)
         for e, (t, h, g) in enumerate(zip(c.tail, c.head, c.label)):
@@ -181,25 +194,15 @@ class _FoldState:
                     end_rep[key] = e
                 else:
                     pending_edges.append((end_rep[key], e))
-        self.side_rep = side_rep = [-1] * (len(c.tail) * nslots)
-        for x, (t, bd) in enumerate(zip(c.ftype, c.boundary)):
-            for p, (e, _) in enumerate(bd):
-                key = e * nslots + offsets[t] + p
-                if side_rep[key] < 0:
-                    side_rep[key] = x
-                else:
-                    pending_faces.append((side_rep[key], x))
 
     def copy(self) -> "_FoldState":
-        """Copies the union-find arrays, both flat indexes, the queues and
-        the events; the input cells (tail, head, elab, ftype, boundary and
-        the ids) and the name indexes are never written, so they are
-        shared."""
+        """Copies the union-find arrays, the flat index, the queue and the
+        events; the input cells (tail, head, elab, ftype, boundary and the
+        ids) and the name indexes are never written, so they are shared."""
         twin = copy.copy(self)
-        for name in ("vpar", "epar", "fpar", "end_rep", "side_rep", "events"):
+        for name in ("vpar", "epar", "fpar", "end_rep", "events"):
             setattr(twin, name, getattr(self, name).copy())
         twin.pending_edges = deque(self.pending_edges)
-        twin.pending_faces = deque(self.pending_faces)
         return twin
 
     @cached_property
@@ -209,20 +212,6 @@ class _FoldState:
     @cached_property
     def edge_ix(self) -> dict[str, int]:
         return {x: k for k, x in enumerate(self.eids)}
-
-    # -- index maintenance -------------------------------------------------
-
-    @staticmethod
-    def _move(rep: list[int], src: int, dst: int, width: int, pending: deque) -> None:
-        """Move an absorbed cell's row of keys onto the survivor's row,
-        queuing both representatives where the survivor's key is filled."""
-        for k in range(width):
-            held = rep[src + k]
-            if held >= 0:
-                if rep[dst + k] < 0:
-                    rep[dst + k] = held
-                else:
-                    pending.append((rep[dst + k], held))
 
     # -- merges ------------------------------------------------------------
 
@@ -234,8 +223,17 @@ class _FoldState:
         survivor, absorbed = (ru, rv) if ru < rv else (rv, ru)
         vpar[absorbed] = survivor
         self.events.append((self.VERTEX, survivor, absorbed))
-        width = self.ngens * 2
-        self._move(self.end_rep, absorbed * width, survivor * width, width, self.pending_edges)
+        # move the absorbed vertex's keys onto the survivor's, queuing both
+        # representatives where the survivor's key is filled
+        end_rep, width = self.end_rep, self.ngens * 2
+        src, dst = absorbed * width, survivor * width
+        for k in range(width):
+            held = end_rep[src + k]
+            if held >= 0:
+                if end_rep[dst + k] < 0:
+                    end_rep[dst + k] = held
+                else:
+                    self.pending_edges.append((end_rep[dst + k], held))
 
     def merge_edges(self, e1: int, e2: int) -> None:
         epar = self.epar
@@ -247,8 +245,6 @@ class _FoldState:
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         epar[absorbed] = survivor
         self.events.append((self.EDGE, survivor, absorbed))
-        width = self.nslots
-        self._move(self.side_rep, absorbed * width, survivor * width, width, self.pending_faces)
         self.merge_vertices(self.tail[r1], self.tail[r2])
         self.merge_vertices(self.head[r1], self.head[r2])
 
@@ -261,22 +257,22 @@ class _FoldState:
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         self.fpar[absorbed] = survivor
         self.events.append((self.FACE, survivor, absorbed))
-        for (e1s, s1), (e2s, s2) in zip(self.boundary[r1], self.boundary[r2]):
-            if s1 != s2:
-                raise RuntimeError("face merge with mismatched side signs")
-            self.merge_edges(e1s, e2s)
 
     # -- engines -------------------------------------------------------------
 
     def run_worklist(self) -> None:
-        """Drain discovered conflicts; graph folds take priority."""
-        edges, faces = self.pending_edges, self.pending_faces
-        merge_edges, merge_faces = self.merge_edges, self.merge_faces
-        while edges or faces:
-            if edges:
-                merge_edges(*edges.popleft())
-            else:
-                merge_faces(*faces.popleft())
+        """Fold the skeleton by draining the queued graph conflicts, then
+        merge each live face into the least one with its (relator, first
+        edge class) key; the module docstring argues the key is exact."""
+        edges, merge_edges = self.pending_edges, self.merge_edges
+        while edges:
+            merge_edges(*edges.popleft())
+        epar, ftype, boundary = self.epar, self.ftype, self.boundary
+        holders: dict[tuple[int, int], int] = {}
+        for x in self._roots(self.fpar):
+            held = holders.setdefault((ftype[x], _find(epar, boundary[x][0][0])), x)
+            if held != x:
+                self.merge_faces(held, x)
 
     def _roots(self, parent: list[int]) -> list[int]:
         return [x for x, p in enumerate(parent) if p == x]

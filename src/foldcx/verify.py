@@ -3,16 +3,17 @@
 Three checkers exercise the quotient machinery row by row and a fourth
 confronts its conclusions with the independent exhaustive enumeration:
 
-  vertex identification   identifying any two vertices of C(i) and folding
-                          lands in the C family with a strictly smaller
-                          index;
-  edge identification     identifying the last b-edge of D(i) with any
-                          earlier one lands in the C family;
-  coupling                gluing any cell to the last b-edge of D(i) gives
-                          D(i), D(i+1) or C(i) (family membership is
-                          checked up to mirror variant: coupling on the
-                          orientation-symmetric D(0) produces the mirror
-                          of D(1));
+  vertex identification   identifying vertices v_u ~ v_v of C(i) and
+                          folding gives C(gcd(i, v - u));
+  edge identification     identifying the last b-edge b_i of D(i) with an
+                          earlier one b_j gives C(odd_part(i - j));
+  coupling                gluing a cell to the last b-edge of D(i) gives
+                          one class per move: C(odd_part(i)) for the short
+                          cell, D(i) or D(i+1) for the long cell at
+                          position 0 or 2 (family membership is checked up
+                          to mirror variant: coupling on the
+                          orientation-symmetric D(0) gives D(0) and the
+                          mirror of D(1));
   main theorem            every connected immersion without free faces
                           using both cell types is a C up to mirror, has
                           Euler characteristic 1 and carries a
@@ -49,6 +50,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd
 
 from .canonical import _bfs, canonical_form, isomorphic
 from .complexes import (
@@ -152,6 +154,11 @@ class VerificationReport:
 
 def _tag_str(tag: FamilyTag | None) -> str:
     return str(tag) if tag is not None else "other"
+
+
+def _tag_is(tag: FamilyTag | None, family: str, index: int) -> bool:
+    """Whether tag is family(index) in either variant."""
+    return tag is not None and (tag.family, tag.index) == (family, index)
 
 
 Move = tuple  # ("identify-edges", e1, e2) | ("couple", type, position, edge)
@@ -295,29 +302,28 @@ def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
 
 
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
-    """Identify every vertex pair of every odd-index C up to max_i and
-    fold; each quotient must be a C of strictly smaller index."""
+    """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
+    max_i and fold; each quotient must be C(gcd(i, v - u))."""
     started = time.monotonic()
     report = VerificationReport(
         "vertex-identification", {"max_i": max_i}
     )
     for i in range(3, max_i + 1, 2):
-        c = build_C(i)
-        base = _immersion_state(c)
-        for u, v in combinations(c.complex.vertices, 2):
-            tag, chi = _classify_state(_identify_vertices_state(base, u, v))
-            passed = tag is not None and tag.family == "C" and tag.index < i
+        base = _immersion_state(build_C(i))
+        for u, v in combinations(range(i), 2):
+            tag, chi = _classify_state(_identify_vertices_state(base, f"v{u}", f"v{v}"))
+            passed = _tag_is(tag, "C", gcd(i, v - u))
             report.rows.append(
-                ReportRow(f"C:{i} identify {u}~{v}", _tag_str(tag), chi, passed)
+                ReportRow(f"C:{i} identify v{u}~v{v}", _tag_str(tag), chi, passed)
             )
     report.wall_clock_s = time.monotonic() - started
     return report
 
 
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
-    """Identify the last b-edge of D(i) with each earlier b-edge and fold;
-    each quotient must land in the C family (mirror variant for mirror
-    inputs)."""
+    """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
+    b-edge b_j and fold; each quotient must be C(odd_part(i - j)), in
+    either variant."""
     started = time.monotonic()
     report = VerificationReport(
         "edge-identification", {"max_i": max_i}
@@ -329,7 +335,7 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
             for j in range(i):
                 state = _identify_edges_state(base, f"b{i}", f"b{j}")
                 tag, chi = _classify_state(state)
-                passed = tag is not None and tag.family == "C"
+                passed = _tag_is(tag, "C", odd_part(i - j))
                 description = f"{label}:{i} identify b{i}~b{j}"
                 report.rows.append(ReportRow(description, _tag_str(tag), chi, passed))
     report.wall_clock_s = time.monotonic() - started
@@ -338,8 +344,10 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
 
 def check_lemma_coupling(max_i: int) -> VerificationReport:
     """Couple each cell type at each matching position to the last b-edge
-    of D(i); outcomes must be D(i), D(i+1) or C(i), where family indices
-    are compared up to mirror variant and C indices up to odd part."""
+    b_i of D(i); each move has one outcome, compared up to mirror variant:
+    the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
+    at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
+    symmetric); the long cell at position 2 gives D(i + 1)."""
     started = time.monotonic()
     report = VerificationReport("coupling", {"max_i": max_i})
     pres = target_presentation()
@@ -350,15 +358,16 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
             {d.edge_labels[e] for e in free_faces(d.complex)}
         )
         edge = f"b{i}"
-        expected = {("D", i), ("D", i + 1)}
-        if i >= 1:
-            expected.add(("C", odd_part(i)))
         for t, word in enumerate(pres.relators):
             for p, (gen, _) in enumerate(word):
                 if gen != d.edge_labels[edge]:
                     continue
                 tag, chi = _classify_state(_couple_state(d, t, p, edge))
-                passed = tag is not None and (tag.family, tag.index) in expected
+                if t == TYPE_SHORT:
+                    expected = ("C", odd_part(i)) if i else ("D", 0)
+                else:
+                    expected = ("D", i + 1) if p == 2 else ("D", i if i else 1)
+                passed = _tag_is(tag, *expected)
                 report.rows.append(
                     ReportRow(
                         f"D:{i} couple type {t} position {p} at {edge}",

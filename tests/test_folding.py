@@ -15,6 +15,7 @@ from foldcx.families import build_C, build_D, classify, kp
 from foldcx.folding import (
     FoldTrace,
     MergeEvent,
+    _find,
     _FoldState,
     _identify_edges_state,
     _identify_vertices_state,
@@ -235,9 +236,9 @@ def test_deterministic_trace():
     assert fold(noisy)[1] == fold(noisy)[1]
 
 
-def test_flat_indexes_match_the_rescan_engine():
-    # the worklist finds conflicts only through end_rep and side_rep; the
-    # rescan engine recomputes them from scratch after every merge
+def move_cases():
+    """(input, merge, x, y) for the vertex moves of C(3..11) and the
+    b-edge moves of D(1..10) in both variants."""
     cases = []
     for i in range(3, 12, 2):
         c = build_C(i)
@@ -249,6 +250,14 @@ def test_flat_indexes_match_the_rescan_engine():
             eix = {e.id: k for k, e in enumerate(d.complex.edges)}
             for j, k in combinations(range(i + 1), 2):
                 cases.append((d, _FoldState.merge_edges, eix[f"b{j}"], eix[f"b{k}"]))
+    return cases
+
+
+def test_flat_indexes_match_the_rescan_engine():
+    # the worklist finds graph conflicts only through end_rep and merges
+    # faces by their first-edge key; the rescan engine recomputes every
+    # conflict from scratch after every merge
+    cases = move_cases()
     assert len(cases) == 125 + 440  # vertex pairs, b-edge pairs
     for f, merge, x, y in cases:
         quotients = []
@@ -265,7 +274,7 @@ def test_folding_copies_leaves_the_base_state_unchanged():
     # empty index keys, not only queue pairs
     d = build_D(6)
     base = _immersion_state(d)
-    fields = ("vpar", "epar", "fpar", "end_rep", "side_rep", "events")
+    fields = ("vpar", "epar", "fpar", "end_rep", "events")
     before = {name: list(getattr(base, name)) for name in fields}
     moves = [(_identify_vertices_state, identify_vertices, "v0", "v12")]
     moves += [
@@ -276,8 +285,30 @@ def test_folding_copies_leaves_the_base_state_unchanged():
         state = on_state(base, x, y)
         assert state.events and state.quotient() == on_morphism(d, x, y)
     assert {name: list(getattr(base, name)) for name in fields} == before
-    assert not base.pending_edges and not base.pending_faces
+    assert not base.pending_edges
     assert base.quotient() == d
+
+
+def test_folded_skeleton_equates_faces_that_share_a_slot():
+    # the face pass keys a face on its first boundary edge alone: once no
+    # graph fold is left, faces of one relator sharing a slot share them all
+    rng = random.Random(14)
+    states = [_FoldState(random_prefold(rng)) for _ in range(25)]
+    for f, merge, x, y in move_cases():
+        state = _FoldState(f)
+        merge(state, x, y)
+        states.append(state)
+    pairs = 0
+    for state in states:
+        while graph := state.graph_conflicts():
+            state.merge_edges(*graph[0])
+        epar = state.epar
+        for x, y in state.face_conflicts():
+            pairs += 1
+            assert [_find(epar, e) for e, _ in state.boundary[x]] == [
+                _find(epar, e) for e, _ in state.boundary[y]
+            ]
+    assert pairs
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

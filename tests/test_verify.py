@@ -326,6 +326,29 @@ def test_main_theorem_report_is_pinned(max_vertices):
     assert digest == MAIN_THEOREM_REPORTS[max_vertices]
 
 
+# sha256 of each lemma checker's report JSON at max_i 31
+LEMMA_REPORTS = {
+    "vertex-identification": "bafaa490254df6bb6c5cc3f13a38454cbe9ac1a8c48c6338d75e120613ecf41d",
+    "edge-identification": "0af2bd61fbc16ba1c81ae14ac54aeaf6b64ce9d378f1d9eb29ecb3ade1c4cab5",
+    "coupling": "3cf8019a67243346fce3979dfe5feeb821728f78d8eef142133c8681a61290db",
+}
+
+
+@pytest.mark.parametrize(
+    "checker",
+    [
+        check_lemma_vertex_identification,
+        check_lemma_edge_identification,
+        check_lemma_coupling,
+    ],
+    ids=lambda checker: checker.__name__,
+)
+def test_lemma_report_is_pinned(checker):
+    report = checker(31)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == LEMMA_REPORTS[report.name]
+
+
 def test_main_theorem_budget_covers_one_pass():
     # 60,215 skeleton pairs at up to 5 vertices, visited once, plus the face
     # subsets of all three type sets
