@@ -39,7 +39,7 @@ from .families import (
 from .folding import couple, fold, identify_edges, identify_vertices
 from .homology import homology
 from .jsonio import export_dot, morphism_from_json, morphism_to_json
-from .presentations import PresentationError, parse_presentation
+from .presentations import parse_presentation
 from .topology import certify_contractible
 from .verify import (
     check_lemma_coupling,
@@ -211,7 +211,7 @@ def _run(args) -> int:
         classes = enumerate_immersions(filt, max_nodes)
         doc = [
             {
-                "classification": str(classify(m)) if classify(m) else "other",
+                "classification": str(classify(m) or "other"),
                 "chi": euler_characteristic(m.complex),
                 "vertices": len(m.complex.vertices),
                 "edges": len(m.complex.edges),

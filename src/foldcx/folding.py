@@ -49,6 +49,14 @@ gives compact(), the quotient in the integer form of canonical.Compact;
 the closure search deduplicates fold states on its canonical key, so it
 builds a Morphism only for the new ones.
 
+Every move merges one pair of cells in a copy of a prebuilt, unmerged
+state and folds.  Vertex and edge identification copy the state of the
+immersion itself.  Coupling copies the state of the immersion beside one
+closed cell of the relator, not yet attached (_coupling_base), and
+identifies the cell's edge at the given position with the given edge:
+the glued base depends on neither, so one base serves every coupling of
+one relator onto one immersion.
+
 Every merge is recorded in a FoldTrace; replaying a trace as raw unions
 reproduces the folded output from the input.
 """
@@ -336,8 +344,8 @@ class _FoldState:
         return len(self._roots(self.fpar))
 
     def compact(self) -> Compact:
-        """The live quotient in compact form, cells numbered by their roots;
-        equal to the compact form of quotient() without building it."""
+        """The live quotient in compact form, cells numbered by their roots
+        in index order; quotient() names each cell by its root's id."""
         vpar, epar = self.vpar, self.epar
         vroots, eroots = self._roots(vpar), self._roots(epar)
         froots = self._roots(self.fpar)
@@ -365,33 +373,25 @@ class _FoldState:
         )
 
     def quotient(self) -> Morphism:
-        vpar, epar = self.vpar, self.epar
-        edges = [
-            Edge(
-                self.eids[e],
-                self.vids[_find(vpar, self.tail[e])],
-                self.vids[_find(vpar, self.head[e])],
-            )
-            for e in self._roots(epar)
-        ]
+        c = self.compact()
+        vids = [self.vids[v] for v in self._roots(self.vpar)]
+        eids = [self.eids[e] for e in self._roots(self.epar)]
+        fids = [self.fids[x] for x in self._roots(self.fpar)]
         gens = self.presentation.generators
-        labels = {self.eids[e]: gens[self.elab[e]] for e in self._roots(epar)}
-        faces = []
-        types = {}
-        for x in self._roots(self.fpar):
-            faces.append(
-                Face(
-                    self.fids[x],
-                    tuple(
-                        (self.eids[_find(epar, e)], s) for e, s in self.boundary[x]
-                    ),
-                )
-            )
-            types[self.fids[x]] = self.ftype[x]
         cx = TwoComplex.make(
-            [self.vids[v] for v in self._roots(vpar)], edges, faces
+            vids,
+            [Edge(e, vids[t], vids[h]) for e, t, h in zip(eids, c.tail, c.head)],
+            [
+                Face(x, tuple((eids[e], s) for e, s in sides))
+                for x, sides in zip(fids, c.boundary)
+            ],
         )
-        return Morphism(cx, self.presentation, labels, types)
+        return Morphism(
+            cx,
+            self.presentation,
+            {e: gens[g] for e, g in zip(eids, c.label)},
+            dict(zip(fids, c.ftype)),
+        )
 
 
 def _checked(f: Morphism) -> Morphism:
@@ -502,22 +502,17 @@ def _fresh_ids(taken: set[str], prefix: str, count: int) -> list[str]:
     return out
 
 
-def _couple_state(f: Morphism, face_type: int, position: int, edge_id: str) -> _FoldState:
+def _coupling_base(f: Morphism, face_type: int) -> tuple[_FoldState, list[str]]:
+    """The unmerged fold state of the immersion f beside one closed cell of
+    the given relator type, not yet attached, and the cell's edge ids by
+    relator position.  Its fresh ids depend on f's ids and the relator
+    length alone, so coupling at (position, edge) is the identification
+    of cell[position] with edge in a copy of it, for every position and
+    edge."""
     _require_immersion(f)
     if not 0 <= face_type < len(f.presentation.relators):
         raise ComplexError(f"unknown relator type {face_type}")
     word = f.presentation.relators[face_type]
-    if not 0 <= position < len(word):
-        raise ComplexError(f"position {position} outside relator of length {len(word)}")
-    if edge_id not in f.edge_labels:
-        raise ComplexError(f"unknown edge {edge_id}")
-    gen, _ = word[position]
-    if f.edge_labels[edge_id] != gen:
-        raise ComplexError(
-            f"label mismatch at position {position}: relator letter is {gen!r}, "
-            f"edge {edge_id} is labeled {f.edge_labels[edge_id]!r}"
-        )
-
     cx = f.complex
     taken = set(cx.vertices) | {e.id for e in cx.edges} | {x.id for x in cx.faces}
     n = len(word)
@@ -547,14 +542,21 @@ def _couple_state(f: Morphism, face_type: int, position: int, edge_id: str) -> _
         labels,
         types,
     )
-    state = _FoldState(glued)
-    eix = state.edge_ix
-    state.merge_edges(eix[poly_edges[position]], eix[edge_id])
-    state.run()
-    return state
+    return _FoldState(glued), poly_edges
 
 
 def couple(f: Morphism, face_type: int, position: int, edge_id: str) -> Morphism:
     """Glue one closed 2-cell of the given type to an immersion along one
     edge (matched to the relator occurrence at `position`) and fold."""
-    return _finish(_couple_state(f, face_type, position, edge_id))
+    base, cell = _coupling_base(f, face_type)
+    if not 0 <= position < len(cell):
+        raise ComplexError(f"position {position} outside relator of length {len(cell)}")
+    if edge_id not in f.edge_labels:
+        raise ComplexError(f"unknown edge {edge_id}")
+    gen, _ = f.presentation.relators[face_type][position]
+    if f.edge_labels[edge_id] != gen:
+        raise ComplexError(
+            f"label mismatch at position {position}: relator letter is {gen!r}, "
+            f"edge {edge_id} is labeled {f.edge_labels[edge_id]!r}"
+        )
+    return _finish(_identify_edges_state(base, cell[position], edge_id))

@@ -23,14 +23,15 @@ confronts its conclusions with the independent exhaustive enumeration:
 
 The first three stay on the compact fold state from input to verdict.
 Each input C(i) or D(i) is checked to be an immersion and turned into one
-fold state (folding._FoldState) once; each row folds a copy of it
-(coupling, which adds cells, builds its own state) and classifies the
-compact quotient (families.classify_compact), reading chi as V - E + F of
-that compact form.  A quotient whose key equals a family key is isomorphic
-to a built, immersion-checked family complex, so the row loses no check.
-Only when the compact classifier finds no family does the row build the
-quotient through folding._finish, which raises RuntimeError when folding
-ended at a non-immersion, and classify it as a Morphism.
+fold state (folding._FoldState) once, and coupling builds one glued state
+per cell type (folding._coupling_base), on which a coupling is an edge
+identification.  Each row folds a copy of one such state and classifies
+the compact quotient (families.classify_compact), reading chi as V - E +
+F of that compact form.  A quotient whose key equals a family key is
+isomorphic to a built, immersion-checked family complex, so the row loses
+no check.  Only when the compact classifier finds no family does the row
+build the quotient, through folding._finish, which raises RuntimeError
+when folding ended at a non-immersion.
 
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
@@ -71,10 +72,9 @@ from .families import (
     classify,
     classify_compact,
     odd_part,
-    target_presentation,
 )
 from .folding import (
-    _couple_state,
+    _coupling_base,
     _finish,
     _FoldState,
     _identify_edges_state,
@@ -187,7 +187,10 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
 
     Each immersion with free faces is expanded on one free edge e: every
     identification of e with another edge of its label, and every coupling
-    of a cell type at a relator position carrying that label.  e is the
+    of a cell type at a relator position carrying that label, except at
+    the slot (type, position) of e's own side, where the new cell folds
+    back onto that side and gives the node again.  The couplings of one
+    type fold copies of one glued state (folding._coupling_base).  e is the
     free edge with the fewest such moves, ties broken by shortlex id (the
     minimum-remaining-values rule of exact-cover search).  Immersions
     without free faces are collected, not expanded.  `folds` counts the
@@ -204,7 +207,9 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     lies on phi of the edge at position q of x, so the only side of phi(e)
     that X hits is the image of e's own side.  Some side (F, q) of phi(e) is
     missed; coupling a cell of F's type at position q onto e and sending it
-    to F gives a map of the fold to Y.  Both moves are successors at e, and
+    to F gives a map of the fold to Y.  Y's edge links are injective, so
+    no two sides of phi(e) share a slot, and the missed side never has
+    e's own slot, the one coupling skips.  Both moves are successors at e, and
     nothing here depends on which free edge e is, so what follows holds
     whatever edge each node branches on; the choice rule only sets the
     cost.
@@ -231,12 +236,9 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     """
     if not free_faces(f.complex):
         raise ComplexError("closure_search needs a starting immersion with free faces")
-    word_positions = [
-        (t, p, gen)
-        for t, word in enumerate(f.presentation.relators)
-        for p, (gen, _) in enumerate(word)
-    ]
-    positions_per_label = Counter(gen for _, _, gen in word_positions)
+    positions_per_label = Counter(
+        gen for word in f.presentation.relators for gen, _ in word
+    )
     root_state = _FoldState(f)
     root_state.run()
     seen = {_state_key(root_state)}
@@ -263,11 +265,22 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             for other in sorted(labels, key=id_key)
             if other != eid and labels[other] == label
         ]
-        successors += [
-            (("couple", t, p, eid), _couple_state(current, t, p, eid))
-            for t, p, gen in word_positions
-            if gen == label
-        ]
+        own_slot = next(
+            (current.face_types[x.id], q)
+            for x in current.complex.faces
+            for q, (e, _) in enumerate(x.boundary)
+            if e == eid
+        )
+        for t, word in enumerate(current.presentation.relators):
+            slots = [
+                p for p, (gen, _) in enumerate(word) if gen == label and (t, p) != own_slot
+            ]
+            if slots:
+                glued, cell = _coupling_base(current, t)
+                successors += [
+                    (("couple", t, p, eid), _identify_edges_state(glued, cell[p], eid))
+                    for p in slots
+                ]
         folds += len(successors)
         for move, state in successors:
             if state.live_face_count() > max_faces:
@@ -291,55 +304,58 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
 
 
 def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
-    """(family tag, chi) of a folded state's quotient; see the module
-    docstring for why the compact form suffices when it finds a family."""
+    """(family tag, chi) of a folded state's quotient, both read off its
+    compact form; see the module docstring.  classify of the quotient
+    reads the same compact form, so when no family matches only the
+    immersion check of folding._finish is left to make."""
     c = state.compact()
     tag = classify_compact(c)
-    if tag is not None:
-        return tag, c.nv - len(c.tail) + len(c.ftype)
-    result = _finish(state)
-    return classify(result), euler_characteristic(result.complex)
+    if tag is None:
+        _finish(state)
+    return tag, c.nv - len(c.tail) + len(c.ftype)
+
+
+def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
+    """Classify each (description, folded state, expected (family, index))
+    row and compare; the wall clock covers building the rows too."""
+    started = time.monotonic()
+    report = VerificationReport(name, {"max_i": max_i})
+    for description, state, expected in rows:
+        tag, chi = _classify_state(state)
+        passed = _tag_is(tag, *expected)
+        report.rows.append(ReportRow(description, _tag_str(tag), chi, passed))
+    report.wall_clock_s = time.monotonic() - started
+    return report
 
 
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
     max_i and fold; each quotient must be C(gcd(i, v - u))."""
-    started = time.monotonic()
-    report = VerificationReport(
-        "vertex-identification", {"max_i": max_i}
-    )
-    for i in range(3, max_i + 1, 2):
-        base = _immersion_state(build_C(i))
-        for u, v in combinations(range(i), 2):
-            tag, chi = _classify_state(_identify_vertices_state(base, f"v{u}", f"v{v}"))
-            passed = _tag_is(tag, "C", gcd(i, v - u))
-            report.rows.append(
-                ReportRow(f"C:{i} identify v{u}~v{v}", _tag_str(tag), chi, passed)
-            )
-    report.wall_clock_s = time.monotonic() - started
-    return report
+
+    def rows():
+        for i in range(3, max_i + 1, 2):
+            base = _immersion_state(build_C(i))
+            for u, v in combinations(range(i), 2):
+                state = _identify_vertices_state(base, f"v{u}", f"v{v}")
+                yield f"C:{i} identify v{u}~v{v}", state, ("C", gcd(i, v - u))
+
+    return _lemma_report("vertex-identification", max_i, rows())
 
 
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
     b-edge b_j and fold; each quotient must be C(odd_part(i - j)), in
     either variant."""
-    started = time.monotonic()
-    report = VerificationReport(
-        "edge-identification", {"max_i": max_i}
-    )
-    for variant in ("standard", "tilde"):
-        label = "D" if variant == "standard" else "Dt"
-        for i in range(1, max_i + 1):
-            base = _immersion_state(build_D(i, variant))
-            for j in range(i):
-                state = _identify_edges_state(base, f"b{i}", f"b{j}")
-                tag, chi = _classify_state(state)
-                passed = _tag_is(tag, "C", odd_part(i - j))
-                description = f"{label}:{i} identify b{i}~b{j}"
-                report.rows.append(ReportRow(description, _tag_str(tag), chi, passed))
-    report.wall_clock_s = time.monotonic() - started
-    return report
+
+    def rows():
+        for variant, label in (("standard", "D"), ("tilde", "Dt")):
+            for i in range(1, max_i + 1):
+                base = _immersion_state(build_D(i, variant))
+                for j in range(i):
+                    state = _identify_edges_state(base, f"b{i}", f"b{j}")
+                    yield f"{label}:{i} identify b{i}~b{j}", state, ("C", odd_part(i - j))
+
+    return _lemma_report("edge-identification", max_i, rows())
 
 
 def check_lemma_coupling(max_i: int) -> VerificationReport:
@@ -348,36 +364,27 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
     at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
     symmetric); the long cell at position 2 gives D(i + 1)."""
-    started = time.monotonic()
-    report = VerificationReport("coupling", {"max_i": max_i})
-    pres = target_presentation()
     free_labels: dict[int, list[str]] = {}
-    for i in range(max_i + 1):
-        d = build_D(i)
-        free_labels[i] = sorted(
-            {d.edge_labels[e] for e in free_faces(d.complex)}
-        )
-        edge = f"b{i}"
-        for t, word in enumerate(pres.relators):
-            for p, (gen, _) in enumerate(word):
-                if gen != d.edge_labels[edge]:
-                    continue
-                tag, chi = _classify_state(_couple_state(d, t, p, edge))
-                if t == TYPE_SHORT:
-                    expected = ("C", odd_part(i)) if i else ("D", 0)
-                else:
-                    expected = ("D", i + 1) if p == 2 else ("D", i if i else 1)
-                passed = _tag_is(tag, *expected)
-                report.rows.append(
-                    ReportRow(
-                        f"D:{i} couple type {t} position {p} at {edge}",
-                        _tag_str(tag),
-                        chi,
-                        passed,
-                    )
-                )
+
+    def rows():
+        for i in range(max_i + 1):
+            d = build_D(i)
+            free_labels[i] = sorted({d.edge_labels[e] for e in free_faces(d.complex)})
+            edge = f"b{i}"
+            for t, word in enumerate(d.presentation.relators):
+                base, cell = _coupling_base(d, t)
+                for p, (gen, _) in enumerate(word):
+                    if gen != d.edge_labels[edge]:
+                        continue
+                    if t == TYPE_SHORT:
+                        expected = ("C", odd_part(i)) if i else ("D", 0)
+                    else:
+                        expected = ("D", i + 1) if p == 2 else ("D", i if i else 1)
+                    state = _identify_edges_state(base, cell[p], edge)
+                    yield f"D:{i} couple type {t} position {p} at {edge}", state, expected
+
+    report = _lemma_report("coupling", max_i, rows())
     report.meta["free_edge_labels_of_D"] = free_labels
-    report.wall_clock_s = time.monotonic() - started
     return report
 
 

@@ -21,7 +21,7 @@ from foldcx.complexes import (
 from foldcx.enumeration import EnumerationFilter, enumerate_immersions
 from foldcx.families import build_C, build_D, kp
 from foldcx.folding import (
-    _couple_state,
+    _coupling_base,
     _FoldState,
     _identify_edges_state,
     _immersion_state,
@@ -119,11 +119,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
     """Reference closure search that branches on every free edge of every
     node.  Since every free edge branches, an identification of two free
     edges is generated from the smaller one only."""
-    word_positions = [
-        (t, p, gen)
-        for t, word in enumerate(f.presentation.relators)
-        for p, (gen, _) in enumerate(word)
-    ]
+    relators = f.presentation.relators
     root_state = _FoldState(f)
     root_state.run()
     seen = {_state_key(root_state)}
@@ -138,6 +134,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
         frees = sorted(free_faces(current.complex))
         free_set = set(frees)
         base = _immersion_state(current)
+        glued = [_coupling_base(current, t) for t in range(len(relators))]
         for eid in frees:
             label = current.edge_labels[eid]
             for other in sorted(current.edge_labels):
@@ -147,10 +144,12 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
                     continue
                 state = _identify_edges_state(base, eid, other)
                 successors.append((("identify-edges", eid, other), state))
-            for t, p, gen in word_positions:
-                if gen == label:
-                    state = _couple_state(current, t, p, eid)
-                    successors.append((("couple", t, p, eid), state))
+            for t, word in enumerate(relators):
+                cell_base, cell = glued[t]
+                for p, (gen, _) in enumerate(word):
+                    if gen == label:
+                        state = _identify_edges_state(cell_base, cell[p], eid)
+                        successors.append((("couple", t, p, eid), state))
         folds += len(successors)
         for move, state in successors:
             if state.live_face_count() > max_faces:

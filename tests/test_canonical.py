@@ -18,7 +18,7 @@ from foldcx.canonical import (
 from foldcx.complexes import ComplexError, Edge, Face, Morphism, TwoComplex
 from foldcx.families import build_C, build_D, kp, target_presentation
 from foldcx.folding import (
-    _couple_state,
+    _coupling_base,
     _identify_edges_state,
     _identify_vertices_state,
     _immersion_state,
@@ -256,7 +256,8 @@ def lemma_quotients() -> list[Compact]:
             for j, k in combinations(range(i + 1), 2):
                 out.append(_identify_edges_state(base, f"b{j}", f"b{k}").compact())
             for t, p in ((0, 0), (1, 0), (1, 2)):
-                out.append(_couple_state(d, t, p, f"b{i}").compact())
+                glued, cell = _coupling_base(d, t)
+                out.append(_identify_edges_state(glued, cell[p], f"b{i}").compact())
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from foldcx.families import build_C, build_D, classify, kp
 from foldcx.folding import (
     FoldTrace,
     MergeEvent,
+    _coupling_base,
     _find,
     _FoldState,
     _identify_edges_state,
@@ -113,9 +115,23 @@ def test_couple_net_face_increase_at_most_one():
             assert len(result.complex.faces) <= len(d.complex.faces) + 1
 
 
-def test_couple_label_mismatch_rejected():
-    with pytest.raises(ComplexError, match="label mismatch"):
-        couple(build_D(1), 1, 1, "b1")  # position 1 carries the letter a
+def test_couple_rejects_bad_moves():
+    # each input also fails every later check, so the checks' order is pinned
+    d = build_D(1)
+    noisy = quotient_vertices(d, [("v0", "v1")])
+    cases = [
+        ((noisy, 2, 5, "zz"), "expected an immersion, but "),
+        ((d, 2, 5, "zz"), "unknown relator type 2"),
+        ((d, 1, 5, "zz"), "position 5 outside relator of length 5"),
+        ((d, 1, 2, "zz"), "unknown edge zz"),
+        (
+            (d, 1, 1, "b1"),  # position 1 carries the letter a
+            "label mismatch at position 1: relator letter is 'a', edge b1 is labeled 'b'",
+        ),
+    ]
+    for args, message in cases:
+        with pytest.raises(ComplexError, match="^" + re.escape(message)):
+            couple(*args)
 
 
 def test_identify_edges_definition_of_c():
@@ -271,21 +287,28 @@ def test_flat_indexes_match_the_rescan_engine():
 
 def test_folding_copies_leaves_the_base_state_unchanged():
     # D(6) has free faces and boundary vertices, so its merges also fill
-    # empty index keys, not only queue pairs
+    # empty index keys, not only queue pairs; a coupling base holds D(6)
+    # beside one unattached cell
     d = build_D(6)
     base = _immersion_state(d)
+    glued = {t: _coupling_base(d, t) for t in (0, 1)}
+    bases = [base] + [state for state, _ in glued.values()]
     fields = ("vpar", "epar", "fpar", "end_rep", "events")
-    before = {name: list(getattr(base, name)) for name in fields}
-    moves = [(_identify_vertices_state, identify_vertices, "v0", "v12")]
+    before = [{name: list(getattr(b, name)) for name in fields} for b in bases]
+    moves = [(base, _identify_vertices_state, "v0", "v12", identify_vertices(d, "v0", "v12"))]
     moves += [
-        (_identify_edges_state, identify_edges, f"b{j}", f"b{k}")
+        (base, _identify_edges_state, f"b{j}", f"b{k}", identify_edges(d, f"b{j}", f"b{k}"))
         for j, k in list(combinations(range(7), 2))[:9]
     ]
-    for on_state, on_morphism, x, y in moves:
-        state = on_state(base, x, y)
-        assert state.events and state.quotient() == on_morphism(d, x, y)
-    assert {name: list(getattr(base, name)) for name in fields} == before
-    assert not base.pending_edges
+    moves += [
+        (glued[t][0], _identify_edges_state, glued[t][1][p], "b6", couple(d, t, p, "b6"))
+        for t, p in ((0, 0), (1, 0), (1, 2))
+    ]
+    for on_base, on_state, x, y, expected in moves:
+        state = on_state(on_base, x, y)
+        assert state.events and state.quotient() == expected
+    assert [{name: list(getattr(b, name)) for name in fields} for b in bases] == before
+    assert not any(b.pending_edges for b in bases)
     assert base.quotient() == d
 
 

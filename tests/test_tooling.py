@@ -26,6 +26,27 @@ def test_library_has_no_bare_asserts():
     assert not found, "bare assert in " + ", ".join(found)
 
 
+def test_library_has_no_unused_imports():
+    # a module-level import that no name in the module reads is left over
+    # from deleted code; __init__.py imports to re-export
+    files = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    assert files, f"no sources under {SOURCE}"
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                    if name not in read
+                ]
+    assert not found, "unused import in " + ", ".join(found)
+
+
 def test_test_imports_are_declared():
     # a test that imports a package the test extra does not list fails to
     # collect after `pip install -e .[test]`

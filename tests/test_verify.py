@@ -23,7 +23,7 @@ from foldcx.families import (
     parse_family_spec,
 )
 from foldcx.folding import (
-    _couple_state,
+    _coupling_base,
     _identify_edges_state,
     _identify_vertices_state,
     _immersion_state,
@@ -91,7 +91,7 @@ def test_closure_search_counts_are_pinned():
     # to its successors would change these counts
     result = closure_search(build_D(1), 4)
     assert (result.explored, result.pruned, result.max_depth) == (5, 2, 2)
-    assert (result.folds, result.duplicates) == (28, 20)
+    assert (result.folds, result.duplicates) == (23, 15)
     assert len(result.results) == 2
 
 
@@ -244,12 +244,13 @@ def test_classify_state_matches_the_morphism_route_in_both_variants():
                     assert found == by_morphism(identify_edges(d, e1, e2))
                     unmatched += found[0] is None
             for t, word in enumerate(d.presentation.relators):
+                glued, cell = _coupling_base(d, t)
                 for p, (gen, _) in enumerate(word):
                     for e in sorted(e for e in labels if labels[e] == gen):
-                        found = _classify_state(_couple_state(d, t, p, e))
+                        found = _classify_state(_identify_edges_state(glued, cell[p], e))
                         assert found == by_morphism(couple(d, t, p, e))
                         unmatched += found[0] is None
-    assert unmatched  # some moves take the Morphism fallback
+    assert unmatched  # some moves match no family and take the immersion check
 
 
 def test_classify_state_of_an_unfolded_state_raises():
