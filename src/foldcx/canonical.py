@@ -6,36 +6,45 @@ types, and commutes with the boundary attachments (position by position;
 boundaries have no rotational freedom because they are pinned to relator
 position 0).
 
-canonical_form computes a byte string equal for two morphisms exactly when
-they are isomorphic.  It first runs _bfs on Compact, the integer form that
-both Morphism (through _compact) and the fold engine's _FoldState (through
-its compact method) produce: a breadth-first numbering from each base
-vertex of least local signature, which is forced when the skeleton is
-folded, dropping a base at its first label-0 edge row above the best
-base's.  _bfs returns None when the skeleton is not folded, is
-disconnected or has no vertices.  Those inputs go through _refined:
-iterative partition refinement on the colored incidence structure, with
-backtracking on tied classes: individualize one member of the first
-non-singleton class (vertices first, then edges), re-refine, and keep the
-lexicographically least serialization over all branches.  Faces never
-need individualization: once vertices and edges are discrete, color-tied
-faces are literal duplicates and serialize identically.
+canonical_key is the one place a complex is keyed.  It reads Compact, the
+integer form that both Morphism (through _compact) and the fold engine's
+_FoldState (through its compact method) produce, and returns (key, vix,
+eix, fix): the key, and the canonical number of each vertex, edge and
+face.  Both of its routes give a key of one shape: the edge rows (label,
+tail, head) in canonical edge order, then the sorted face rows (type,
+((edge, sign), ...)).
+
+_bfs numbers the cells breadth first from each base vertex of least local
+signature, which is forced when the skeleton is folded, connected and
+non-empty, and drops a base at its first label-0 edge row above the best
+base's.  Every other input goes through _refined: iterative partition
+refinement on the colored incidence structure, with backtracking on tied
+classes: individualize one member of the first non-singleton class
+(vertices first, then edges), re-refine, and keep the least key over all
+leaves.  Faces never need individualization: once vertices and edges are
+discrete, color-tied faces are literal duplicates and give equal rows.
 
 The split is sound because being folded, connected and non-empty is
-invariant under isomorphism, and because both serializations list every
-edge with its label and endpoints and every face with its type and
-boundary over edge positions, so equal bytes rebuild isomorphic complexes
-whichever route produced them.
+invariant under isomorphism, and keys of the two routes compare with
+each other: a key lists every edge with its label and endpoints and
+every face with its type and boundary over edge numbers, so together
+with the vertex count it rebuilds a complex isomorphic to the input,
+whichever route made it.  The vertex count is implied whenever there is
+an edge: it is one more than the largest vertex number in the edge rows,
+since then every vertex ends an edge (_bfs), or the isolated vertices
+keep the least color through refinement and so take the least numbers
+(_refined).  canonical_form encodes the key with the presentation and
+the vertex count; isomorphic compares those encodings and maps cells
+through the numberings.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import NamedTuple
 
-from .complexes import ComplexError, Morphism, id_key
-
-Labeling = tuple[dict[str, int], dict[str, int], dict[str, int]]
+from .complexes import ComplexError, Morphism
 
 
 class Compact(NamedTuple):
@@ -128,7 +137,6 @@ def _bfs(c: Compact):
     bases = [v for v in range(nv) if signature[v] == least]
     if len(bases) > 1 and ngens:
         head0 = [head[e] if e >= 0 else -1 for e in out[::ngens]]
-    nf = len(c.ftype)
     best = None
     for base in bases:
         vix = [-1] * nv
@@ -167,165 +175,134 @@ def _bfs(c: Compact):
                 if e >= 0:
                     eix[e] = len(erows)
                     erows.append((g, k, vix[head[e]]))
-        frows = [
-            ((t, tuple([(eix[e], s) for e, s in sides])), x)
-            for x, (t, sides) in enumerate(zip(c.ftype, c.boundary))
-        ]
-        frows.sort()
-        key = (tuple(erows), tuple(row for row, _ in frows))
-        if best is None or key < best[0]:
-            fix = [0] * nf
-            for k, (_, x) in enumerate(frows):
-                fix[x] = k
-            best = (key, vix, eix, fix)
+        found = _keyed(c, erows, vix, eix)
+        if best is None or found[0] < best[0]:
+            best = found
     return best
 
 
-def _rerank(signatures: dict[str, tuple]) -> dict[str, int]:
-    order = sorted(set(signatures.values()))
-    rank = {sig: k for k, sig in enumerate(order)}
-    return {cell: rank[sig] for cell, sig in signatures.items()}
+def _keyed(c: Compact, erows: list[tuple], vix: list[int], eix: list[int]):
+    """(key, vix, eix, fix) for the edge rows of a numbering: the face rows
+    over eix are sorted, and fix gives each face's place among them, ties
+    by face index."""
+    frows = sorted(
+        ((t, tuple([(eix[e], s) for e, s in sides])), x)
+        for x, (t, sides) in enumerate(zip(c.ftype, c.boundary))
+    )
+    fix = [0] * len(frows)
+    for k, (_, x) in enumerate(frows):
+        fix[x] = k
+    return (tuple(erows), tuple(row for row, _ in frows)), vix, eix, fix
 
 
-def _refine(f: Morphism, vcol, ecol, fcol):
-    cx = f.complex
-    label_rank = {g: k for k, g in enumerate(f.presentation.generators)}
-    incid: dict[str, list] = {e.id: [] for e in cx.edges}
-    ends: dict[str, list] = {v: [] for v in cx.vertices}
-    for e in cx.edges:
-        ends[e.tail].append((e.id, 0))
-        ends[e.head].append((e.id, 1))
-    for face in cx.faces:
-        for p, (eid, sign) in enumerate(face.boundary):
-            incid[eid].append((face.id, p, sign))
-    while True:
-        fsig = {
-            face.id: (
-                fcol[face.id],
-                f.face_types[face.id],
-                tuple((ecol[eid], sign) for eid, sign in face.boundary),
-            )
-            for face in cx.faces
-        }
-        esig = {
-            e.id: (
-                ecol[e.id],
-                label_rank[f.edge_labels[e.id]],
-                vcol[e.tail],
-                vcol[e.head],
-                tuple(sorted((fcol[fid], p, sign) for fid, p, sign in incid[e.id])),
-            )
-            for e in cx.edges
-        }
-        vsig = {
-            v: (vcol[v], tuple(sorted((ecol[eid], side) for eid, side in ends[v])))
-            for v in cx.vertices
-        }
-        nf, ne, nv = _rerank(fsig), _rerank(esig), _rerank(vsig)
-        if nf == fcol and ne == ecol and nv == vcol:
-            return nv, ne, nf
-        vcol, ecol, fcol = nv, ne, nf
+def _rerank(signatures: list) -> list[int]:
+    rank = {sig: k for k, sig in enumerate(sorted(set(signatures)))}
+    return [rank[sig] for sig in signatures]
 
 
-def _first_tied_class(col: dict[str, int]) -> list[str] | None:
-    by_color: dict[int, list[str]] = {}
-    for cell, c in col.items():
-        by_color.setdefault(c, []).append(cell)
-    for c in sorted(by_color):
-        if len(by_color[c]) > 1:
-            return sorted(by_color[c], key=id_key)
-    return None
+def _first_tied_class(col: list[int]) -> list[int]:
+    """The cells of the least color held by more than one, in index order;
+    empty when the coloring is discrete."""
+    shared = [k for k, n in Counter(col).items() if n > 1]
+    if not shared:
+        return []
+    least = min(shared)
+    return [cell for cell, k in enumerate(col) if k == least]
 
 
-def _encode(f: Morphism, edge_rows, face_rows) -> bytes:
+def _refined(c: Compact):
+    """Canonical (key, vix, eix, fix) by refinement with backtracking; valid
+    for every complex, and the reference the breadth-first route is tested
+    against.  The search tree is walked depth first on an explicit stack,
+    tied members in index order, and the first leaf of least key wins."""
+    nv, tail, head, label, ftype = c.nv, c.tail, c.head, c.label, c.ftype
+    ne = len(tail)
+    ends = [[] for _ in range(nv)]
+    for e, (t, h) in enumerate(zip(tail, head)):
+        ends[t].append((e, 0))
+        ends[h].append((e, 1))
+    incid = [[] for _ in range(ne)]
+    for x, sides in enumerate(c.boundary):
+        for p, (e, sign) in enumerate(sides):
+            incid[e].append((x, p, sign))
+
+    def refine(vcol, ecol, fcol):
+        while True:
+            fnext = _rerank([
+                (fcol[x], t, tuple([(ecol[e], s) for e, s in sides]))
+                for x, (t, sides) in enumerate(zip(ftype, c.boundary))
+            ])
+            enext = _rerank([
+                (
+                    ecol[e],
+                    label[e],
+                    vcol[tail[e]],
+                    vcol[head[e]],
+                    tuple(sorted([(fcol[x], p, s) for x, p, s in incid[e]])),
+                )
+                for e in range(ne)
+            ])
+            vnext = _rerank([
+                (vcol[v], tuple(sorted([(ecol[e], side) for e, side in ends[v]])))
+                for v in range(nv)
+            ])
+            if vnext == vcol and enext == ecol and fnext == fcol:
+                return vcol, ecol, fcol
+            vcol, ecol, fcol = vnext, enext, fnext
+
+    best = None
+    stack = [([0] * nv, _rerank(label), _rerank(ftype))]
+    while stack:
+        cols = refine(*stack.pop())
+        # individualize each member of the first tied class, vertices
+        # before edges; pushed in reverse, so the first is searched first
+        for sort in (0, 1):
+            col = cols[sort]
+            tied = _first_tied_class(col)
+            if tied:
+                for cell in reversed(tied):
+                    split = list(cols)
+                    split[sort] = _rerank([(k, u != cell) for u, k in enumerate(col)])
+                    stack.append(split)
+                break
+        else:
+            # vertices and edges are discrete; color-tied faces are duplicates
+            # (same type, same boundary), so either order gives the same rows
+            vcol, ecol, _ = cols
+            erows = [None] * ne
+            for e, k in enumerate(ecol):
+                erows[k] = (label[e], vcol[tail[e]], vcol[head[e]])
+            found = _keyed(c, erows, vcol, ecol)
+            if best is None or found[0] < best[0]:
+                best = found
+    return best
+
+
+def canonical_key(c: Compact):
+    """The canonical (key, vix, eix, fix) of a compact complex: breadth
+    first when the skeleton is folded, connected and non-empty, by
+    refinement otherwise; see the module docstring."""
+    return _bfs(c) or _refined(c)
+
+
+def _canonical(f: Morphism) -> tuple[bytes, tuple[list[int], list[int], list[int]]]:
+    """The canonical form of f and the canonical number of each vertex,
+    edge and face of f, in the complex's cell order."""
+    (erows, frows), vix, eix, fix = canonical_key(_compact(f))
+    gens = f.presentation.generators
     doc = {
         "p": str(f.presentation),
-        "nv": len(f.complex.vertices),
-        "e": edge_rows,
-        "f": face_rows,
+        "nv": len(vix),
+        "e": [(gens[g], t, h) for g, t, h in erows],
+        "f": frows,
     }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+    form = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+    return form, (vix, eix, fix)
 
 
-def _serialize(f: Morphism, vcol, ecol, fcol) -> bytes:
+def _cell_ids(f: Morphism) -> tuple[tuple[str, ...], list[str], list[str]]:
     cx = f.complex
-    vix = {v: vcol[v] for v in cx.vertices}
-    eix = {e.id: ecol[e.id] for e in cx.edges}
-    edges = sorted(
-        (eix[e.id], f.edge_labels[e.id], vix[e.tail], vix[e.head]) for e in cx.edges
-    )
-    faces = sorted(
-        (
-            f.face_types[face.id],
-            tuple((eix[eid], sign) for eid, sign in face.boundary),
-        )
-        for face in cx.faces
-    )
-    return _encode(f, [row[1:] for row in edges], faces)
-
-
-def _search(f: Morphism, vcol, ecol, fcol):
-    vcol, ecol, fcol = _refine(f, vcol, ecol, fcol)
-    tied = _first_tied_class(vcol)
-    which = "v"
-    if tied is None:
-        tied = _first_tied_class(ecol)
-        which = "e"
-    if tied is None:
-        # Vertices and edges are discrete; color-tied faces are duplicates
-        # (same type, same positional boundary), so any id-ordered indexing
-        # of them yields the same serialization and a valid bijection.
-        rows = sorted(
-            (
-                (
-                    f.face_types[face.id],
-                    tuple((ecol[eid], sign) for eid, sign in face.boundary),
-                ),
-                id_key(face.id),
-                face.id,
-            )
-            for face in f.complex.faces
-        )
-        ffin = {fid: k for k, (_, _, fid) in enumerate(rows)}
-        return _serialize(f, vcol, ecol, fcol), (vcol, ecol, ffin)
-    best = None
-    for cell in tied:
-        if which == "v":
-            nv = {u: (c, 0 if u == cell else 1) for u, c in vcol.items()}
-            cand = _search(f, _rerank(nv), ecol, fcol)
-        else:
-            ne = {u: (c, 0 if u == cell else 1) for u, c in ecol.items()}
-            cand = _search(f, vcol, _rerank(ne), fcol)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
-
-
-def _refined(f: Morphism) -> tuple[bytes, Labeling]:
-    """Canonical form and labeling by refinement with backtracking; valid
-    for every morphism, and the reference the breadth-first route is
-    tested against."""
-    cx = f.complex
-    vcol = {v: 0 for v in cx.vertices}
-    label_rank = {g: k for k, g in enumerate(f.presentation.generators)}
-    ecol = _rerank({e.id: (label_rank[f.edge_labels[e.id]],) for e in cx.edges})
-    fcol = _rerank({face.id: (f.face_types[face.id],) for face in cx.faces})
-    return _search(f, vcol, ecol, fcol)
-
-
-def _canonical(f: Morphism) -> tuple[bytes, Labeling]:
-    found = _bfs(_compact(f))
-    if found is None:
-        return _refined(f)
-    (erows, frows), vix, eix, fix = found
-    cx = f.complex
-    gens = f.presentation.generators
-    form = _encode(f, [(gens[g], t, h) for g, t, h in erows], frows)
-    return form, (
-        {v: vix[k] for k, v in enumerate(cx.vertices)},
-        {e.id: eix[k] for k, e in enumerate(cx.edges)},
-        {x.id: fix[k] for k, x in enumerate(cx.faces)},
-    )
+    return cx.vertices, [e.id for e in cx.edges], [x.id for x in cx.faces]
 
 
 def canonical_form(f: Morphism) -> bytes:
@@ -337,18 +314,18 @@ def isomorphic(f: Morphism, g: Morphism) -> dict[str, dict[str, str]] | None:
     """Explicit cell bijection f -> g preserving all structure, or None."""
     if f.presentation != g.presentation:
         raise ComplexError("isomorphic: morphisms have different targets")
-    fb, (fv, fe, ff) = _canonical(f)
-    gb, (gv, ge, gf) = _canonical(g)
+    fb, fnums = _canonical(f)
+    gb, gnums = _canonical(g)
     if fb != gb:
         return None
-    inv_v = {ix: v for v, ix in gv.items()}
-    inv_e = {ix: e for e, ix in ge.items()}
-    inv_f = {ix: x for x, ix in gf.items()}
-    mapping = {
-        "vertices": {v: inv_v[ix] for v, ix in fv.items()},
-        "edges": {e: inv_e[ix] for e, ix in fe.items()},
-        "faces": {x: inv_f[ix] for x, ix in ff.items()},
-    }
+    mapping = {}
+    for sort, fids, gids, fnum, gnum in zip(
+        ("vertices", "edges", "faces"), _cell_ids(f), _cell_ids(g), fnums, gnums
+    ):
+        numbered = [""] * len(gids)
+        for cell, k in zip(gids, gnum):
+            numbered[k] = cell
+        mapping[sort] = {cell: numbered[k] for cell, k in zip(fids, fnum)}
     _check_bijection(f, g, mapping)
     return mapping
 

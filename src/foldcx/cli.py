@@ -72,7 +72,7 @@ def _env_budget(default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"FOLDCX_BUDGET must be an integer, got {raw!r}")
+        raise ValueError(f"FOLDCX_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> Morphism:

@@ -53,14 +53,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .canonical import _bfs, canonical_form, isomorphic
+from .canonical import canonical_form, canonical_key, isomorphic
 from .complexes import (
     ComplexError,
     Morphism,
     euler_characteristic,
     free_faces,
     id_key,
-    immersion_witness,
 )
 from .enumeration import enumerate_by_types
 from .families import (
@@ -174,14 +173,6 @@ class ClosureResult:
     duplicates: int
 
 
-def _state_key(state: _FoldState):
-    """Isomorphism-invariant key of a folded state's quotient.  Folded
-    states only fail the breadth-first route when disconnected, which
-    only a disconnected start can produce."""
-    found = _bfs(state.compact())
-    return canonical_form(state.quotient()) if found is None else found[0]
-
-
 def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     """Breadth-first closure of the free-face moves from f.
 
@@ -241,7 +232,7 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     )
     root_state = _FoldState(f)
     root_state.run()
-    seen = {_state_key(root_state)}
+    seen = {canonical_key(root_state.compact())[0]}
     queue: deque[tuple[Morphism, tuple[Move, ...]]] = deque([(f, ())])
     results: list[tuple[Morphism, tuple[Move, ...]]] = []
     explored = pruned = max_depth = folds = duplicates = 0
@@ -286,15 +277,12 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             if state.live_face_count() > max_faces:
                 pruned += 1
                 continue
-            key = _state_key(state)
+            key = canonical_key(state.compact())[0]
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
-            nxt = state.quotient()
-            witness = immersion_witness(nxt)
-            if witness is not None:
-                raise RuntimeError(f"closure_search reached a non-immersion: {witness}")
+            nxt = _finish(state)
             if free_faces(nxt.complex):
                 queue.append((nxt, moves + (move,)))
             else:
@@ -318,6 +306,8 @@ def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
 def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
     """Classify each (description, folded state, expected (family, index))
     row and compare; the wall clock covers building the rows too."""
+    if max_i < 0:
+        raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
     report = VerificationReport(name, {"max_i": max_i})
     for description, state, expected in rows:

@@ -9,7 +9,7 @@ import functools
 import random
 from collections import deque
 
-from foldcx.canonical import Compact, canonical_form
+from foldcx.canonical import Compact, canonical_form, canonical_key
 from foldcx.complexes import (
     Edge,
     Face,
@@ -28,7 +28,7 @@ from foldcx.folding import (
     fold,
 )
 from foldcx.homology import HomologyProfile, smith_normal_form
-from foldcx.verify import ClosureResult, _state_key
+from foldcx.verify import ClosureResult
 
 
 def rename(f: Morphism, suffix: str) -> Morphism:
@@ -122,7 +122,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
     relators = f.presentation.relators
     root_state = _FoldState(f)
     root_state.run()
-    seen = {_state_key(root_state)}
+    seen = {canonical_key(root_state.compact())[0]}
     queue = deque([(f, ())])
     results = []
     explored = pruned = max_depth = folds = duplicates = 0
@@ -155,7 +155,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
             if state.live_face_count() > max_faces:
                 pruned += 1
                 continue
-            key = _state_key(state)
+            key = canonical_key(state.compact())[0]
             if key in seen:
                 duplicates += 1
                 continue

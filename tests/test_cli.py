@@ -174,6 +174,12 @@ def test_verify_lemma_command(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("which", ["2.2", "2.4", "2.5"])
+def test_verify_lemma_rejects_a_negative_max_i(capsys, which):
+    assert main(["verify-lemma", which, "--max-i", "-3"]) == 2
+    assert "max_i must be at least 0" in capsys.readouterr().err
+
+
 def test_verify_theorem_command(capsys):
     code, out = run(capsys, "verify-theorem", "--max-vertices", "1", "--json")
     assert code == 0
@@ -224,6 +230,11 @@ def test_exit_two_on_budget(capsys, monkeypatch):
 def test_env_budget_applies_to_enumerate(capsys, monkeypatch):
     monkeypatch.setenv("FOLDCX_BUDGET", "2")
     assert main(["enumerate", "--max-vertices", "2"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("FOLDCX_BUDGET", "abc")
+    assert main(["enumerate", "--max-vertices", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: FOLDCX_BUDGET must be an integer, got 'abc'\n"
     monkeypatch.delenv("FOLDCX_BUDGET")
     assert main(["enumerate", "--max-vertices", "2"]) == 0
 

@@ -41,7 +41,7 @@ from foldcx.verify import (
     closure_search,
     verify_main_theorem,
 )
-from helpers import full_branch_closure
+from helpers import disjoint_union, full_branch_closure
 
 
 def test_closure_search_from_the_smallest_disc():
@@ -93,6 +93,16 @@ def test_closure_search_counts_are_pinned():
     assert (result.explored, result.pruned, result.max_depth) == (5, 2, 2)
     assert (result.folds, result.duplicates) == (23, 15)
     assert len(result.results) == 2
+
+
+def test_closure_search_from_a_disconnected_start():
+    # every state of this search is disconnected, so each one is keyed by
+    # the refinement route; a key that merged non-isomorphic states or split
+    # isomorphic ones would change these counts
+    result = closure_search(disjoint_union([build_D(1), build_D(0)]), 5)
+    assert (result.explored, result.pruned, result.max_depth) == (20, 16, 3)
+    assert (result.folds, result.duplicates) == (106, 68)
+    assert len(result.results) == 3
 
 
 def test_full_branch_reference_counts_are_pinned():
