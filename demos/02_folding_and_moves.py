@@ -3,7 +3,8 @@
 fold() quotients any combinatorial map down to a locally injective one.
 couple() glues a closed cell along one edge and folds; identify_edges()
 and identify_vertices() quotient cells of an immersion and fold.  Every
-fold reports a replayable trace of its merges.
+fold reports a replayable trace: each absorbed cell with the output cell
+it became, vertices, then edges, then faces.
 """
 
 from foldcx import (
@@ -48,6 +49,6 @@ doubled = Morphism(
     dict(base.face_types),
 )
 folded, trace = fold(doubled)
-print("fold merged", len(trace), "cell pairs; replay agrees:",
+print("fold absorbed", len(trace), "cells; replay agrees:",
       replay_trace(doubled, trace) == folded)
 print(trace.to_json_lines().rstrip())

@@ -28,7 +28,7 @@ from .complexes import (
     presentation_complex,
     validate,
 )
-from .enumeration import BudgetExceeded, EnumerationFilter, enumerate_immersions
+from .enumeration import MAX_NODES, BudgetExceeded, EnumerationFilter, enumerate_immersions
 from .families import (
     TYPE_LONG,
     TYPE_SHORT,
@@ -37,6 +37,7 @@ from .families import (
     parse_family_spec,
 )
 from .folding import couple, fold, identify_edges, identify_vertices
+from .groups import MAX_COSETS
 from .homology import homology
 from .jsonio import export_dot, morphism_from_json, morphism_to_json
 from .presentations import parse_presentation
@@ -77,7 +78,11 @@ def _env_budget(default: int) -> int:
 
 def _read(path: str) -> Morphism:
     with open(path) as handle:
-        return morphism_from_json(handle.read())
+        morphism = morphism_from_json(handle.read())
+    problems = validate(morphism)
+    if problems:
+        raise ComplexError("; ".join(problems))
+    return morphism
 
 
 def _write(text: str, path: str | None) -> None:
@@ -185,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _max_cosets(args) -> int:
-    return args.max_cosets if args.max_cosets is not None else _env_budget(100_000)
-
-
 def _run(args) -> int:
+    # a budget flag left unset takes FOLDCX_BUDGET, else the library default
+    for name, default in (("max_nodes", MAX_NODES), ("max_cosets", MAX_COSETS)):
+        if getattr(args, name, 0) is None:
+            setattr(args, name, _env_budget(default))
     if args.command == "build":
         pres = parse_presentation(args.presentation)
         _write(morphism_to_json(presentation_complex(pres)), args.output)
@@ -205,10 +210,7 @@ def _run(args) -> int:
             require_no_free_faces=not args.allow_free_faces,
             required_types=TYPE_CHOICES[args.types],
         )
-        max_nodes = (
-            args.max_nodes if args.max_nodes is not None else _env_budget(5_000_000)
-        )
-        classes = enumerate_immersions(filt, max_nodes)
+        classes = enumerate_immersions(filt, args.max_nodes)
         doc = [
             {
                 "classification": str(classify(m) or "other"),
@@ -238,10 +240,7 @@ def _run(args) -> int:
         return _emit_report(report, args)
 
     if args.command == "verify-theorem":
-        max_nodes = (
-            args.max_nodes if args.max_nodes is not None else _env_budget(5_000_000)
-        )
-        report = verify_main_theorem(args.max_vertices, _max_cosets(args), max_nodes)
+        report = verify_main_theorem(args.max_vertices, args.max_cosets, args.max_nodes)
         report.parameters["seed"] = args.seed
         report.parameters["version"] = __version__
         return _emit_report(report, args)
@@ -255,9 +254,6 @@ def _run(args) -> int:
         return 0
 
     morphism = _read(args.file)
-    problems = validate(morphism)
-    if problems:
-        raise ComplexError("; ".join(problems))
 
     if args.command == "chi":
         _write(f"{euler_characteristic(morphism.complex)}\n", args.output)
@@ -313,7 +309,7 @@ def _run(args) -> int:
                args.output)
         return 0
     if args.command == "certify":
-        _write(certify_contractible(morphism.complex, _max_cosets(args)).to_json(), args.output)
+        _write(certify_contractible(morphism.complex, args.max_cosets).to_json(), args.output)
         return 0
     if args.command == "export-dot":
         _write(export_dot(morphism), args.output)

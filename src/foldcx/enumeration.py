@@ -25,6 +25,8 @@ from .canonical import canonical_form
 from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex, trace_relator
 from .families import TYPE_LONG, TYPE_SHORT, target_presentation
 
+MAX_NODES = 5_000_000  # default node budget of one enumeration pass
+
 
 class BudgetExceeded(RuntimeError):
     """Raised when a search hits its node budget; results are never
@@ -182,7 +184,7 @@ def enumerate_by_types(
     type_sets: list[frozenset[int]],
     require_connected: bool = True,
     require_no_free_faces: bool = True,
-    max_nodes: int = 5_000_000,
+    max_nodes: int = MAX_NODES,
 ) -> dict[frozenset[int], list[Morphism]]:
     """The classes of enumerate_immersions for each exact type set in
     type_sets, from one walk over the skeletons: each type set maps to its
@@ -221,7 +223,7 @@ def enumerate_by_types(
 
 
 def enumerate_immersions(
-    filt: EnumerationFilter, max_nodes: int = 5_000_000
+    filt: EnumerationFilter, max_nodes: int = MAX_NODES
 ) -> list[Morphism]:
     """Every immersion over the standard target satisfying the filter, up
     to isomorphism, sorted by canonical form.  Raises BudgetExceeded when

@@ -13,13 +13,13 @@ process terminates, and both rules are forced in any immersion quotient,
 so the fixpoint does not depend on processing order.  Two engines share
 the merge primitives.
 
-The default engine folds in two phases.  First it folds the 1-skeleton,
-draining a worklist of graph conflicts found through one flat incidence
-index that holds a representative edge per (endpoint, label, direction)
-key; with union-find resolving stale representatives this is the
-near-linear folding of Touikan, "A fast algorithm for Stallings' folding
-process" (IJAC 2006), see _FoldState.  Then it merges the faces in one
-pass.  In a folded skeleton every vertex has at most one edge per (label,
+fold() folds in two phases.  First it folds the 1-skeleton, draining a
+worklist of graph conflicts found through one flat incidence index that
+holds a representative edge per (endpoint, label, direction) key; with
+union-find resolving stale representatives this is the near-linear
+folding of Touikan, "A fast algorithm for Stallings' folding process"
+(IJAC 2006), see _FoldState.  Then it merges the faces in one pass.  In
+a folded skeleton every vertex has at most one edge per (label,
 direction), so a relator read from a given edge traces a unique path
 (Stallings, "Topology of finite graphs", Invent. Math. 1983).  A face's
 sides read its relator round a closed path with the relator's letters and
@@ -32,14 +32,14 @@ the key is exact, and each face merges into the least face already
 holding its key.  No graph conflict appears afterwards, so that is the
 fixpoint.
 
-The rescan engine reads no index: it recomputes the full conflict set
-after every merge and applies either the shortlex-smallest pair, graph
-folds first, or, given an rng, a random one of either kind.  Its face
-merges need not merge boundaries either, even before the skeleton is
-folded: the two boundaries stay in the skeleton, where the sides next to
-a shared slot share an endpoint, a label and a direction, so they form a
-graph conflict until merged, and by induction round the cycle the graph
-folds identify both boundaries.  The tests fold through both engines and
+The rescan engine, which fold() runs when given an rng, reads no index:
+it recomputes the full conflict set after every merge and applies one
+conflict of either kind, chosen by the rng.  Its face merges need not
+merge boundaries either, even before the skeleton is folded: the two
+boundaries stay in the skeleton, where the sides next to a shared slot
+share an endpoint, a label and a direction, so they form a graph
+conflict until merged, and by induction round the cycle the graph folds
+identify both boundaries.  The tests fold through both engines and
 through randomized orders and check the quotients agree.
 
 Internally cells are numbered in shortlex id order, so keeping the least
@@ -57,8 +57,12 @@ identifies the cell's edge at the given position with the given edge:
 the glued base depends on neither, so one base serves every coupling of
 one relator onto one immersion.
 
-Every merge is recorded in a FoldTrace; replaying a trace as raw unions
-reproduces the folded output from the input.
+A union keeps the least index of the two classes as the root, so the
+union-find forest is the quotient map whatever the merge order.  The
+FoldTrace is read off it: each absorbed cell with the output cell it
+became, vertices, then edges, then faces, each in index order.  Every
+engine and every order gives the same trace, and replaying it as raw
+unions reproduces the folded output from the input.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .canonical import Compact, _compact
 from .complexes import (
@@ -98,6 +103,10 @@ class MergeEvent:
 
 @dataclass(frozen=True)
 class FoldTrace:
+    """The quotient map on absorbed cells: one event per absorbed cell,
+    whose survivor is the output cell it became.  Events come vertices,
+    then edges, then faces, each in index order."""
+
     events: tuple[MergeEvent, ...]
 
     def __len__(self) -> int:
@@ -149,6 +158,12 @@ def _find(parent: list[int], x: int) -> int:
     return p
 
 
+def _pairs(groups: dict[tuple, list[int]]) -> list[tuple[int, int]]:
+    """The sorted pairs of cells that share a group.  Groups list roots in
+    increasing order, so each pair comes as (smaller, larger)."""
+    return sorted({pair for group in groups.values() for pair in combinations(group, 2)})
+
+
 class _FoldState:
     """Union-find over the three sorts plus one flat incidence index.
 
@@ -169,8 +184,8 @@ class _FoldState:
     _find, so a pair that names a stale edge merges the right classes, or
     nothing when they are already one.
 
-    Faces need no index: run_worklist merges them in one keyed pass once
-    the skeleton is folded (see the module docstring).
+    Faces need no index: run merges them in one keyed pass once the
+    skeleton is folded (see the module docstring).
 
     copy() gives an independent state at the same point of folding, so a
     caller that makes many moves on one input builds its state once and
@@ -192,7 +207,6 @@ class _FoldState:
         self.vpar = list(range(c.nv))
         self.epar = list(range(len(c.tail)))
         self.fpar = list(range(len(c.ftype)))
-        self.events: list[tuple[str, int, int]] = []
         self.pending_edges = pending_edges = deque()
         ngens2 = self.ngens * 2
         self.end_rep = end_rep = [-1] * (c.nv * ngens2)
@@ -204,11 +218,11 @@ class _FoldState:
                     pending_edges.append((end_rep[key], e))
 
     def copy(self) -> "_FoldState":
-        """Copies the union-find arrays, the flat index, the queue and the
-        events; the input cells (tail, head, elab, ftype, boundary and the
-        ids) and the name indexes are never written, so they are shared."""
+        """Copies the union-find arrays, the flat index and the queue; the
+        input cells (tail, head, elab, ftype, boundary and the ids) and the
+        name indexes are never written, so they are shared."""
         twin = copy.copy(self)
-        for name in ("vpar", "epar", "fpar", "end_rep", "events"):
+        for name in ("vpar", "epar", "fpar", "end_rep"):
             setattr(twin, name, getattr(self, name).copy())
         twin.pending_edges = deque(self.pending_edges)
         return twin
@@ -230,7 +244,6 @@ class _FoldState:
             return
         survivor, absorbed = (ru, rv) if ru < rv else (rv, ru)
         vpar[absorbed] = survivor
-        self.events.append((self.VERTEX, survivor, absorbed))
         # move the absorbed vertex's keys onto the survivor's, queuing both
         # representatives where the survivor's key is filled
         end_rep, width = self.end_rep, self.ngens * 2
@@ -252,7 +265,6 @@ class _FoldState:
             raise RuntimeError("edge merge with mismatched labels")
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         epar[absorbed] = survivor
-        self.events.append((self.EDGE, survivor, absorbed))
         self.merge_vertices(self.tail[r1], self.tail[r2])
         self.merge_vertices(self.head[r1], self.head[r2])
 
@@ -264,11 +276,10 @@ class _FoldState:
             raise RuntimeError("face merge with mismatched types")
         survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
         self.fpar[absorbed] = survivor
-        self.events.append((self.FACE, survivor, absorbed))
 
     # -- engines -------------------------------------------------------------
 
-    def run_worklist(self) -> None:
+    def run(self) -> None:
         """Fold the skeleton by draining the queued graph conflicts, then
         merge each live face into the least one with its (relator, first
         edge class) key; the module docstring argues the key is exact."""
@@ -286,57 +297,31 @@ class _FoldState:
         return [x for x, p in enumerate(parent) if p == x]
 
     def graph_conflicts(self) -> list[tuple[int, int]]:
-        out = set()
         by_end: dict[tuple[int, int, int], list[int]] = {}
         for e in self._roots(self.epar):
             lab = self.elab[e]
             by_end.setdefault((lab, _find(self.vpar, self.tail[e]), 0), []).append(e)
             by_end.setdefault((lab, _find(self.vpar, self.head[e]), 1), []).append(e)
-        for group in by_end.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    out.add((min(group[i], group[j]), max(group[i], group[j])))
-        return sorted(out)
+        return _pairs(by_end)
 
     def face_conflicts(self) -> list[tuple[int, int]]:
-        out = set()
         by_slot: dict[tuple[int, int, int], list[int]] = {}
         for x in self._roots(self.fpar):
             rtype = self.ftype[x]
             for p, (e, _) in enumerate(self.boundary[x]):
                 by_slot.setdefault((_find(self.epar, e), rtype, p), []).append(x)
-        for group in by_slot.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    out.add((min(group[i], group[j]), max(group[i], group[j])))
-        return sorted(out)
+        return _pairs(by_slot)
 
-    def run_rescan(self, rng: random.Random | None) -> None:
+    def run_rescan(self, rng: random.Random) -> None:
         """Reference engine: recompute every conflict after each merge and
-        apply the shortlex-smallest (or, with an rng, a random) one."""
+        apply one chosen uniformly by rng, graph and face conflicts alike."""
         while True:
-            graph = self.graph_conflicts()
-            faces = self.face_conflicts()
-            if not graph and not faces:
+            merges = [(self.merge_edges, c) for c in self.graph_conflicts()]
+            merges += [(self.merge_faces, c) for c in self.face_conflicts()]
+            if not merges:
                 return
-            if rng is None:
-                if graph:
-                    self.merge_edges(*graph[0])
-                else:
-                    self.merge_faces(*faces[0])
-            else:
-                kinds = [("e", c) for c in graph] + [("f", c) for c in faces]
-                kind, pair = kinds[rng.randrange(len(kinds))]
-                if kind == "e":
-                    self.merge_edges(*pair)
-                else:
-                    self.merge_faces(*pair)
-
-    def run(self, rng: random.Random | None = None, rescan: bool = False) -> None:
-        if rescan or rng is not None:
-            self.run_rescan(rng)
-        else:
-            self.run_worklist()
+            merge, pair = merges[rng.randrange(len(merges))]
+            merge(*pair)
 
     # -- state queries (used by searches to avoid materializing quotients) ----
 
@@ -364,11 +349,17 @@ class _FoldState:
     # -- extraction ----------------------------------------------------------
 
     def trace(self) -> FoldTrace:
-        names = {self.VERTEX: self.vids, self.EDGE: self.eids, self.FACE: self.fids}
+        """Each non-root cell with its root, read off the forest."""
         return FoldTrace(
             tuple(
-                MergeEvent(kind, names[kind][survivor], names[kind][absorbed])
-                for kind, survivor, absorbed in self.events
+                MergeEvent(kind, ids[_find(parent, x)], ids[x])
+                for kind, parent, ids in (
+                    (self.VERTEX, self.vpar, self.vids),
+                    (self.EDGE, self.epar, self.eids),
+                    (self.FACE, self.fpar, self.fids),
+                )
+                for x, p in enumerate(parent)
+                if p != x
             )
         )
 
@@ -415,12 +406,14 @@ def _finish(state: _FoldState) -> Morphism:
     return out
 
 
-def fold(
-    f: Morphism, rng: random.Random | None = None, rescan: bool = False
-) -> tuple[Morphism, FoldTrace]:
-    """Fold to an immersion; returns the quotient and its merge trace."""
+def fold(f: Morphism, rng: random.Random | None = None) -> tuple[Morphism, FoldTrace]:
+    """Fold to an immersion; returns the quotient and its trace.  Given an
+    rng, the rescan engine folds in that rng's order instead."""
     state = _FoldState(_checked(f))
-    state.run(rng, rescan)
+    if rng is None:
+        state.run()
+    else:
+        state.run_rescan(rng)
     return _finish(state), state.trace()
 
 

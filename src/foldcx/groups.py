@@ -28,6 +28,8 @@ from collections import deque
 from .complexes import ComplexError, TwoComplex
 from .presentations import Letter, Presentation, Word, cyclic_reduce, free_reduce
 
+MAX_COSETS = 100_000  # default cap on the coset table
+
 
 def pi1_presentation(cx: TwoComplex) -> Presentation:
     if not cx.vertices:
@@ -133,7 +135,7 @@ def tietze_reduce(pres: Presentation) -> Presentation:
     )
 
 
-def coset_enumeration(pres: Presentation, max_cosets: int = 100_000) -> int | None:
+def coset_enumeration(pres: Presentation, max_cosets: int = MAX_COSETS) -> int | None:
     """Order of the presented group, or None when the table exceeds the cap.
 
     Cosets of the trivial subgroup are enumerated, so a closed table has

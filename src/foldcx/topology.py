@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 
 from .complexes import ComplexError, TwoComplex, euler_characteristic
-from .groups import coset_enumeration, pi1_presentation, tietze_reduce
+from .groups import MAX_COSETS, coset_enumeration, pi1_presentation, tietze_reduce
 from .homology import HomologyProfile, homology
 
 CollapseStep = tuple[str, str, str]  # ("edge-face", edge, face) | ("vertex-edge", v, e)
@@ -218,7 +218,7 @@ class Certificate:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def certify_contractible(cx: TwoComplex, max_cosets: int = 100_000) -> Certificate:
+def certify_contractible(cx: TwoComplex, max_cosets: int = MAX_COSETS) -> Certificate:
     if not cx.connected:
         raise ComplexError("certify_contractible needs a connected complex")
     profile = homology(cx)

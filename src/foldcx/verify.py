@@ -61,7 +61,7 @@ from .complexes import (
     free_faces,
     id_key,
 )
-from .enumeration import enumerate_by_types
+from .enumeration import MAX_NODES, enumerate_by_types
 from .families import (
     TYPE_LONG,
     TYPE_SHORT,
@@ -80,6 +80,7 @@ from .folding import (
     _identify_vertices_state,
     _immersion_state,
 )
+from .groups import MAX_COSETS
 from .topology import certify_contractible
 
 
@@ -230,9 +231,7 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     positions_per_label = Counter(
         gen for word in f.presentation.relators for gen, _ in word
     )
-    root_state = _FoldState(f)
-    root_state.run()
-    seen = {canonical_key(root_state.compact())[0]}
+    seen = {canonical_key(_immersion_state(f).compact())[0]}
     queue: deque[tuple[Morphism, tuple[Move, ...]]] = deque([(f, ())])
     results: list[tuple[Morphism, tuple[Move, ...]]] = []
     explored = pruned = max_depth = folds = duplicates = 0
@@ -380,8 +379,8 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
 
 def verify_main_theorem(
     max_vertices: int,
-    max_cosets: int = 100_000,
-    max_nodes: int = 5_000_000,
+    max_cosets: int = MAX_COSETS,
+    max_nodes: int = MAX_NODES,
 ) -> VerificationReport:
     """Enumerate immersions at desk scale and check the contractibility
     dichotomy: both-type classes are C up to mirror, with chi 1 and a

@@ -22,7 +22,6 @@ from foldcx.enumeration import EnumerationFilter, enumerate_immersions
 from foldcx.families import build_C, build_D, kp
 from foldcx.folding import (
     _coupling_base,
-    _FoldState,
     _identify_edges_state,
     _immersion_state,
     fold,
@@ -120,9 +119,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
     node.  Since every free edge branches, an identification of two free
     edges is generated from the smaller one only."""
     relators = f.presentation.relators
-    root_state = _FoldState(f)
-    root_state.run()
-    seen = {canonical_key(root_state.compact())[0]}
+    seen = {canonical_key(_immersion_state(f).compact())[0]}
     queue = deque([(f, ())])
     results = []
     explored = pruned = max_depth = folds = duplicates = 0

@@ -144,6 +144,18 @@ def test_iso_command(tmp_path, capsys):
     assert code == 0 and out.strip() == "none"
 
 
+def test_iso_validates_its_inputs(tmp_path, capsys):
+    doc = json.loads(morphism_to_json(kp()))
+    doc["faces"][0]["boundary"] = ["+a"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    message = "error: face f0 position 0 reads (a,+1), relator has (b,+1)\n"
+    for argv in (["chi", str(bad)], ["iso", str(bad), str(bad)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+
+
 def test_homology_and_certify(kp_file, capsys):
     code, out = run(capsys, "homology", kp_file)
     assert code == 0
@@ -208,6 +220,46 @@ def test_exit_two_on_malformed_input(tmp_path, capsys):
         morphism_to_json(kp()).replace('"+b"', '"b"')
     )
     assert main(["chi", str(badside)]) == 2
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ((), []),
+        (("presentation",), 5),
+        (("vertices",), 5),
+        (("vertices",), [["v0"]]),
+        (("edges", 0), 5),
+        (("edges", 0, "id"), 5),
+        (("edges", 0, "label"), ["b"]),
+        (("faces", 0, "boundary"), 5),
+        (("faces", 0, "type"), None),
+        (("faces", 0, "type"), 0.7),
+        (("faces", 0, "type"), "0"),
+        (("faces", 1, "type"), True),
+    ],
+    ids=[
+        "list", "presentation", "vertices", "vertex-list", "edge", "edge-id",
+        "edge-label", "boundary", "type-null", "type-float", "type-string", "type-bool",
+    ],
+)
+def test_exit_two_on_malformed_shape(tmp_path, capsys, path, value):
+    # each value replaces the one at path in the kp document; a face type
+    # that int() would coerce to the face's own type is still rejected
+    doc = json.loads(morphism_to_json(kp()))
+    if path:
+        *inner, last = path
+        target = doc
+        for key in inner:
+            target = target[key]
+        target[last] = value
+    else:
+        doc = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["chi", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_exit_two_on_unknown_edge(d1_file):

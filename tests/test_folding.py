@@ -232,7 +232,7 @@ def test_engines_agree():
     for _ in range(30):
         noisy = random_prefold(rng)
         worklist, _ = fold(noisy)
-        rescan, _ = fold(noisy, rescan=True)
+        rescan, _ = fold(noisy, rng=random.Random(0))
         assert canonical_form(worklist) == canonical_form(rescan)
 
 
@@ -275,12 +275,12 @@ def test_flat_indexes_match_the_rescan_engine():
     # conflict from scratch after every merge
     cases = move_cases()
     assert len(cases) == 125 + 440  # vertex pairs, b-edge pairs
-    for f, merge, x, y in cases:
+    for k, (f, merge, x, y) in enumerate(cases):
         quotients = []
-        for rescan in (False, True):
+        for run in (_FoldState.run, lambda state: state.run_rescan(random.Random(k))):
             state = _FoldState(f)
             merge(state, x, y)
-            state.run(rescan=rescan)
+            run(state)
             quotients.append(state.quotient())
         assert quotients[0] == quotients[1], (merge.__name__, x, y)
 
@@ -293,7 +293,7 @@ def test_folding_copies_leaves_the_base_state_unchanged():
     base = _immersion_state(d)
     glued = {t: _coupling_base(d, t) for t in (0, 1)}
     bases = [base] + [state for state, _ in glued.values()]
-    fields = ("vpar", "epar", "fpar", "end_rep", "events")
+    fields = ("vpar", "epar", "fpar", "end_rep")
     before = [{name: list(getattr(b, name)) for name in fields} for b in bases]
     moves = [(base, _identify_vertices_state, "v0", "v12", identify_vertices(d, "v0", "v12"))]
     moves += [
@@ -306,7 +306,10 @@ def test_folding_copies_leaves_the_base_state_unchanged():
     ]
     for on_base, on_state, x, y, expected in moves:
         state = on_state(on_base, x, y)
-        assert state.events and state.quotient() == expected
+        assert state.quotient() == expected
+        # one trace event per absorbed cell
+        cells_in = len(on_base.vpar) + len(on_base.epar) + len(on_base.fpar)
+        assert len(state.trace()) == cells_in - sum(cells(expected)) > 0
     assert [{name: list(getattr(b, name)) for name in fields} for b in bases] == before
     assert not any(b.pending_edges for b in bases)
     assert base.quotient() == d
@@ -348,9 +351,10 @@ def test_fold_is_confluent_and_replayable(seed, gluings, order_seed):
         noisy, [(vertices[a % n], vertices[b % n]) for a, b in gluings]
     )
     worklist, trace = fold(noisy)
-    rescan, rescan_trace = fold(noisy, rescan=True)
     shuffled, shuffled_trace = fold(noisy, rng=random.Random(order_seed))
-    assert rescan == worklist
     assert shuffled == worklist
-    for t in (trace, rescan_trace, shuffled_trace):
-        assert replay_trace(noisy, t) == worklist
+    assert shuffled_trace == trace
+    assert replay_trace(noisy, trace) == worklist
+    # the trace is the quotient map on absorbed cells: each appears once
+    absorbed = [(ev.kind, ev.absorbed) for ev in trace.events]
+    assert len(set(absorbed)) == len(absorbed) == sum(cells(noisy)) - sum(cells(worklist))

@@ -5,6 +5,7 @@ import pytest
 from foldcx.canonical import canonical_form
 from foldcx.families import build_C, build_D, kp
 from foldcx.jsonio import export_dot, morphism_from_json, morphism_to_json
+from helpers import rename
 
 
 def test_dump_load_identity():
@@ -50,3 +51,10 @@ def test_export_dot_mentions_every_edge():
     for e in f.complex.edges:
         assert f'"{e.tail}" -> "{e.head}"' in dot
         assert f'id="{e.id}"' in dot
+
+
+def test_export_dot_escapes_ids():
+    # every id of kp gets the suffix ."\ and DOT reads \" and \\ as escapes
+    lines = export_dot(rename(kp(), '"\\')).splitlines()
+    assert r'  "v0.\"\\";' in lines
+    assert r'  "v0.\"\\" -> "v0.\"\\" [label="a" id="a.\"\\"];' in lines

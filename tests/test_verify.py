@@ -41,7 +41,7 @@ from foldcx.verify import (
     closure_search,
     verify_main_theorem,
 )
-from helpers import disjoint_union, full_branch_closure
+from helpers import disjoint_union, full_branch_closure, quotient_vertices
 
 
 def test_closure_search_from_the_smallest_disc():
@@ -53,6 +53,15 @@ def test_closure_search_from_the_smallest_disc():
 def test_closure_requires_free_faces():
     with pytest.raises(ComplexError, match="free faces"):
         closure_search(build_C(3), 6)
+
+
+def test_closure_requires_an_immersion():
+    # two b-loops at one vertex: free faces, but no immersion
+    pinched = quotient_vertices(
+        disjoint_union([build_D(0), build_D(0)]), [("v0.0", "v0.1")]
+    )
+    with pytest.raises(ComplexError, match="expected an immersion"):
+        closure_search(pinched, 4)
 
 
 def test_closure_results_have_no_free_faces_and_record_moves():
