@@ -2,17 +2,18 @@
 
 The JSON layout is fixed so that dump(load(text)) == text for any file
 produced here: cells are listed in shortlex id order, keys in a fixed
-order, indentation is two spaces.  Loading checks the JSON type of every
-field it reads, so a malformed document raises ComplexError (a missing
-field a KeyError), never a TypeError.
+order, indentation is two spaces.  Loading is the one boundary where
+documents enter: it checks that every field it reads is there and has the
+right JSON type, then validates the morphism in full, so any malformed
+document raises ComplexError saying what is wrong and where.
 """
 
 from __future__ import annotations
 
 import json
 
-from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex
-from .presentations import parse_presentation
+from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex, validate
+from .presentations import PresentationError, parse_presentation
 
 
 def morphism_to_json(f: Morphism) -> str:
@@ -38,50 +39,73 @@ def morphism_to_json(f: Morphism) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_side(text: str) -> tuple[str, int]:
+def _malformed(what: str) -> ComplexError:
+    return ComplexError(f"malformed document: {what}")
+
+
+def _parse_side(text: str, where: str) -> tuple[str, int]:
     if len(text) < 2 or text[0] not in "+-":
-        raise ValueError(f"boundary side {text!r} must look like '+edge' or '-edge'")
+        raise _malformed(f"{where} side {text!r:.40} must look like '+edge' or '-edge'")
     return text[1:], 1 if text[0] == "+" else -1
 
 
 _KINDS = {str: "a string", int: "an integer", list: "a list"}
 
 
-def _get(obj, name: str, kind: type):
-    """obj[name], checked to be a JSON object's field of the given kind; an
-    integer is not a bool."""
+def _get(obj, name: str, kind: type, where: str = "the document"):
+    """obj[name], checked to be a field of the given kind of the JSON object
+    that where names; an integer is not a bool."""
     if not isinstance(obj, dict):
-        raise ComplexError(f"malformed document: expected an object, got {obj!r:.40}")
+        raise _malformed(f"{where} must be an object, got {obj!r:.40}")
+    if name not in obj:
+        raise _malformed(f"{where} has no {name}")
     if type(obj[name]) is not kind:
-        raise ComplexError(
-            f"malformed document: {name} must be {_KINDS[kind]}, got {obj[name]!r:.40}"
-        )
+        raise _malformed(f"{name} of {where} must be {_KINDS[kind]}, got {obj[name]!r:.40}")
     return obj[name]
 
 
-def _strings(obj, name: str) -> list[str]:
-    value = _get(obj, name, list)
+def _strings(obj, name: str, where: str = "the document") -> list[str]:
+    value = _get(obj, name, list, where)
     for x in value:
         if type(x) is not str:
-            raise ComplexError(f"malformed document: {name} lists {x!r:.40}, not a string")
+            raise _malformed(f"{name} of {where} lists {x!r:.40}, not a string")
     return value
 
 
 def morphism_from_json(text: str) -> Morphism:
-    doc = json.loads(text)
-    pres = parse_presentation(_get(doc, "presentation", str))
+    """The morphism a document describes, checked in full: JSON shape,
+    structure, labels and relator types.  Every way a document can be wrong
+    raises ComplexError, so what this returns passes validate."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise _malformed("nested too deeply") from None
+    except ValueError as exc:
+        raise _malformed(str(exc)) from None
+    try:
+        pres = parse_presentation(_get(doc, "presentation", str))
+    except PresentationError as exc:
+        raise _malformed(f"presentation: {exc}") from None
     edges, labels = [], {}
     for e in _get(doc, "edges", list):
-        eid, tail, head, label = (_get(e, n, str) for n in ("id", "tail", "head", "label"))
+        eid = _get(e, "id", str, "an edge")
+        where = f"edge {eid}"
+        tail, head, label = (_get(e, n, str, where) for n in ("tail", "head", "label"))
         edges.append(Edge(eid, tail, head))
         labels[eid] = label
     faces, types = [], {}
     for x in _get(doc, "faces", list):
-        fid = _get(x, "id", str)
-        faces.append(Face(fid, tuple(_parse_side(s) for s in _strings(x, "boundary"))))
-        types[fid] = _get(x, "type", int)
+        fid = _get(x, "id", str, "a face")
+        where = f"face {fid}"
+        sides = tuple(_parse_side(s, where) for s in _strings(x, "boundary", where))
+        faces.append(Face(fid, sides))
+        types[fid] = _get(x, "type", int, where)
     cx = TwoComplex.make(_strings(doc, "vertices"), edges, faces)
-    return Morphism(cx, pres, labels, types)
+    morphism = Morphism(cx, pres, labels, types)
+    problems = validate(morphism)
+    if problems:
+        raise ComplexError("; ".join(problems))
+    return morphism
 
 
 def _quoted(name: str) -> str:

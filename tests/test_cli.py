@@ -197,7 +197,6 @@ def test_verify_theorem_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "pass"
-    assert doc["parameters"]["seed"] == 0
 
 
 def test_export_dot(kp_file, capsys):
@@ -222,6 +221,26 @@ def test_exit_two_on_malformed_input(tmp_path, capsys):
     assert main(["chi", str(badside)]) == 2
 
 
+MISSING = object()
+
+
+def kp_document(path, value):
+    """The kp document as JSON text with value at path: the whole document
+    for an empty path, and the field deleted when value is MISSING."""
+    doc = json.loads(morphism_to_json(kp()))
+    if not path:
+        return json.dumps(value)
+    *inner, last = path
+    target = doc
+    for key in inner:
+        target = target[key]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -237,29 +256,69 @@ def test_exit_two_on_malformed_input(tmp_path, capsys):
         (("faces", 0, "type"), 0.7),
         (("faces", 0, "type"), "0"),
         (("faces", 1, "type"), True),
+        (("presentation",), MISSING),
+        (("vertices",), MISSING),
+        (("edges", 0, "label"), MISSING),
+        (("faces", 0, "type"), MISSING),
     ],
     ids=[
         "list", "presentation", "vertices", "vertex-list", "edge", "edge-id",
         "edge-label", "boundary", "type-null", "type-float", "type-string", "type-bool",
+        "no-presentation", "no-vertices", "no-edge-label", "no-face-type",
     ],
 )
 def test_exit_two_on_malformed_shape(tmp_path, capsys, path, value):
     # each value replaces the one at path in the kp document; a face type
     # that int() would coerce to the face's own type is still rejected
-    doc = json.loads(morphism_to_json(kp()))
-    if path:
-        *inner, last = path
-        target = doc
-        for key in inner:
-            target = target[key]
-        target[last] = value
-    else:
-        doc = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(kp_document(path, value))
     assert main(["chi", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if value is MISSING:
+        # a missing field names itself and the cell that lacks it
+        cell = {(): "the document", ("edges", 0): "edge a", ("faces", 0): "face f0"}
+        assert err == f"error: malformed document: {cell[path[:-1]]} has no {path[-1]}\n"
+
+
+MALFORMED_DOCUMENTS = {
+    "no-presentation": kp_document(("presentation",), MISSING),
+    "no-vertices": kp_document(("vertices",), MISSING),
+    "no-edge-label": kp_document(("edges", 0, "label"), MISSING),
+    "no-face-type": kp_document(("faces", 0, "type"), MISSING),
+    "nested-too-deeply": "[" * 100_000 + "]" * 100_000,
+}
+
+FILE_COMMANDS = [
+    ["chi", "FILE"],
+    ["kappa", "FILE"],
+    ["check-immersion", "FILE"],
+    ["free-faces", "FILE"],
+    ["classify", "FILE"],
+    ["homology", "FILE"],
+    ["certify", "FILE"],
+    ["export-dot", "FILE"],
+    ["fold", "FILE"],
+    ["collapse", "FILE", "--edge", "b"],
+    ["couple", "FILE", "--type", "1", "--pos", "2", "--edge", "b"],
+    ["identify-vertices", "FILE", "--u", "v0", "--v", "v0"],
+    ["identify-edges", "FILE", "--e1", "a", "--e2", "a"],
+    ["iso", "FILE", "FILE"],
+]
+
+
+@pytest.mark.parametrize("document", sorted(MALFORMED_DOCUMENTS))
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+def test_every_file_command_exits_two_on_a_malformed_document(
+    tmp_path, capsys, argv, document
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED_DOCUMENTS[document])
+    assert main([str(bad) if word == "FILE" else word for word in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: malformed document:")
 
 
 def test_exit_two_on_unknown_edge(d1_file):
@@ -274,20 +333,12 @@ def test_exit_two_on_duplicate_vertex(tmp_path):
     assert main(["chi", str(twice)]) == 2
 
 
-def test_exit_two_on_budget(capsys, monkeypatch):
-    monkeypatch.setenv("FOLDCX_BUDGET", "3")
-    assert main(["verify-theorem", "--max-vertices", "3"]) == 2
+def test_exit_two_on_budget(capsys):
+    assert main(["verify-theorem", "--max-vertices", "3", "--max-nodes", "3"]) == 2
 
 
-def test_env_budget_applies_to_enumerate(capsys, monkeypatch):
-    monkeypatch.setenv("FOLDCX_BUDGET", "2")
-    assert main(["enumerate", "--max-vertices", "2"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("FOLDCX_BUDGET", "abc")
-    assert main(["enumerate", "--max-vertices", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: FOLDCX_BUDGET must be an integer, got 'abc'\n"
-    monkeypatch.delenv("FOLDCX_BUDGET")
+def test_max_nodes_applies_to_enumerate(capsys):
+    assert main(["enumerate", "--max-vertices", "2", "--max-nodes", "2"]) == 2
     assert main(["enumerate", "--max-vertices", "2"]) == 0
 
 

@@ -47,6 +47,54 @@ def test_library_has_no_unused_imports():
     assert not found, "unused import in " + ", ".join(found)
 
 
+def _read_names(node) -> set[str]:
+    """Every name node reads: loaded names, attributes and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+    return out
+
+
+def test_library_has_no_dead_helpers():
+    # a module-level function, class or constant that nothing in the
+    # library, the tests or the demos reads, imports or re-exports is left
+    # over from deleted code; its own definition does not count as a use
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for folder in (SOURCE, TESTS, ROOT / "demos")
+        for path in sorted(folder.rglob("*.py"))
+    }
+    assert SOURCE / "__init__.py" in trees, f"no sources under {SOURCE}"
+    read = {path: _read_names(tree) for path, tree in trees.items()}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = trees[path]
+        elsewhere = set().union(*(names for p, names in read.items() if p != path))
+        per_statement = [_read_names(node) for node in tree.body]
+        for k, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                ]
+            else:
+                continue
+            here = set().union(*per_statement[:k], *per_statement[k + 1 :])
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name not in here and name not in elsewhere
+            ]
+    assert not found, "dead helper " + ", ".join(found)
+
+
 def test_test_imports_are_declared():
     # a test that imports a package the test extra does not list fails to
     # collect after `pip install -e .[test]`
