@@ -13,34 +13,43 @@ process terminates, and both rules are forced in any immersion quotient,
 so the fixpoint does not depend on processing order.  Two engines share
 the merge primitives.
 
-fold() folds in two phases.  First it folds the 1-skeleton, draining a
-worklist of graph conflicts found through one flat incidence index that
-holds a representative edge per (endpoint, label, direction) key; with
-union-find resolving stale representatives this is the near-linear
-folding of Touikan, "A fast algorithm for Stallings' folding process"
-(IJAC 2006), see _FoldState.  Then it merges the faces in one pass.  In
-a folded skeleton every vertex has at most one edge per (label,
-direction), so a relator read from a given edge traces a unique path
-(Stallings, "Topology of finite graphs", Invent. Math. 1983).  A face's
-sides read its relator round a closed path with the relator's letters and
-signs (validate checks this), so two faces of one relator that share the
-slot at position p share the slot at p + 1, and by induction every slot:
-their boundaries are already equal and a face fold merges no edge.  Hence
-faces that share any slot share the first one, and the pass keys each
-live face, in index order, by (relator, class of its first boundary edge);
-the key is exact, and each face merges into the least face already
-holding its key.  No graph conflict appears afterwards, so that is the
-fixpoint.
+fold() folds in three passes.  First it folds the 1-skeleton as a
+congruence closure on vertices under the partial maps sigma_g and their
+inverses (Downey, Sethi & Tarjan, "Variations on the common subexpression
+problem", J. ACM 1980): it unions vertex classes only, draining a queue
+of vertex pairs that one flat index finds, which holds one neighbour per
+(vertex, label, direction) key; see _FoldState.  With union-find
+resolving stale neighbours this is the near-linear folding of Touikan,
+"A fast algorithm for Stallings' folding process" (IJAC 2006), less the
+edge unions.  Once the vertex classes are closed, two edges are one edge
+of the folded skeleton exactly when they share a label and a tail class:
+the closure has put their heads in one class, and a graph fold never
+merges edges whose tails or labels differ.  So the second pass reads the
+edge classes off in index order, by (tail root, label).
+
+The third pass merges the faces.  In a folded skeleton every vertex
+has at most one edge per (label, direction), so a relator read from a
+given edge traces a unique path (Stallings, "Topology of finite graphs",
+Invent. Math. 1983).  A face's sides read its relator round a closed path
+with the relator's letters and signs (validate checks this), so two
+faces of one relator that share the slot at position p share the slot at
+p + 1, and by induction every slot: their boundaries are already equal
+and a face fold merges no edge.  Hence faces that share any slot share
+the first one, and the pass keys each face, in index order, by (relator,
+class of its first boundary edge); the key is exact, and each face joins
+the least face holding its key.  No graph conflict appears afterwards,
+so that is the fixpoint.
 
 The rescan engine, which fold() runs when given an rng, reads no index:
 it recomputes the full conflict set after every merge and applies one
-conflict of either kind, chosen by the rng.  Its face merges need not
-merge boundaries either, even before the skeleton is folded: the two
-boundaries stay in the skeleton, where the sides next to a shared slot
-share an endpoint, a label and a direction, so they form a graph
-conflict until merged, and by induction round the cycle the graph folds
-identify both boundaries.  The tests fold through both engines and
-through randomized orders and check the quotients agree.
+conflict of either kind, chosen by the rng, a graph conflict by
+merge_edges.  Its face merges need not merge boundaries either, even
+before the skeleton is folded: the two boundaries stay in the skeleton,
+where the sides next to a shared slot share an endpoint, a label and a
+direction, so they form a graph conflict until merged, and by induction
+round the cycle the graph folds identify both boundaries.  The tests
+fold through both engines and through randomized orders and check the
+quotients and traces agree.
 
 Internally cells are numbered in shortlex id order, so keeping the least
 integer of a merged class as its representative is the same rule as
@@ -57,12 +66,15 @@ identifies the cell's edge at the given position with the given edge:
 the glued base depends on neither, so one base serves every coupling of
 one relator onto one immersion.
 
-A union keeps the least index of the two classes as the root, so the
-union-find forest is the quotient map whatever the merge order.  The
-FoldTrace is read off it: each absorbed cell with the output cell it
-became, vertices, then edges, then faces, each in index order.  Every
-engine and every order gives the same trace, and replaying it as raw
-unions reproduces the folded output from the input.
+Every class keeps its least index as the root, whether a union or a
+keyed pass made it, so the union-find forest is the quotient map
+whatever the engine or the merge order.  Both engines leave the forests
+flat, each cell pointing at its root, and compact() and trace() read
+roots from them directly.  The FoldTrace is read off them: each absorbed
+cell with the output cell it became, vertices, then edges, then faces,
+each in index order.  Every engine and every order gives the same trace,
+and replaying it as raw unions reproduces the folded output from the
+input.
 """
 
 from __future__ import annotations
@@ -158,6 +170,15 @@ def _find(parent: list[int], x: int) -> int:
     return p
 
 
+def _flatten(*forests: list[int]) -> None:
+    """Point every cell at its root.  A root is the least index of its
+    class, so a parent precedes its child and one pass in index order
+    finds every parent already flat."""
+    for parent in forests:
+        for x, p in enumerate(parent):
+            parent[x] = parent[p]
+
+
 def _pairs(groups: dict[tuple, list[int]]) -> list[tuple[int, int]]:
     """The sorted pairs of cells that share a group.  Groups list roots in
     increasing order, so each pair comes as (smaller, larger)."""
@@ -165,27 +186,34 @@ def _pairs(groups: dict[tuple, list[int]]) -> list[tuple[int, int]]:
 
 
 class _FoldState:
-    """Union-find over the three sorts plus one flat incidence index.
+    """Union-find over the three sorts plus one flat incidence index on
+    vertices.
 
     Every incidence key is one integer into a flat list: end_rep[(vertex *
-    ngens + label) * 2 + direction] holds one representative of the edges
-    with that endpoint (direction 0 the tail, 1 the head), or -1.
+    ngens + label) * 2 + direction] holds the vertex at the other end of
+    one edge with that label at that endpoint (direction 0 when the vertex
+    is the edge's tail, so the head is held, 1 when it is the head), or -1.
 
-    One representative per key suffices because a key with two members is
-    a conflict and every member of a key ends in one class.  Adding a
-    member to a filled key queues the pair (representative, member), which
-    links it to the key's class.  When a vertex is absorbed, each of its
-    entries moves to the survivor's key, or queues the pair of both
-    representatives if that key is filled.
+    One neighbour per key is enough.  In a folded skeleton a key has at
+    most one edge, so the other ends of all edges with one key lie in one
+    class, and each such pair is forced.  An edge whose key is filled
+    queues the pair (held vertex, its own other end).  When a vertex class
+    is absorbed, each of its keys moves to the survivor's, or, if that key
+    is filled, queues the pair of both held vertices unless they share a
+    parent and so a class already.  So for every root and key, the other
+    end of each edge with that key is in the held vertex's class or linked
+    to it through queued pairs.  When the queue is empty the links are
+    unions, no key reaches two classes, and the vertex classes are those
+    of the folded skeleton: the least equivalence that contains the moves
+    and is closed under the partial maps.  A held vertex goes stale when
+    its class is absorbed; its entry is neither discarded nor updated, and
+    merge_vertices resolves every pair to its roots.
 
-    A representative goes stale when its edge is absorbed; its entry is
-    neither discarded nor updated.  The stale edge lies in the class of a
-    live member of the key, and merge_edges resolves every pair through
-    _find, so a pair that names a stale edge merges the right classes, or
-    nothing when they are already one.
-
-    Faces need no index: run merges them in one keyed pass once the
-    skeleton is folded (see the module docstring).
+    Edges and faces need no index: once the queue is empty, run reads
+    their classes off in keyed passes (see the module docstring).
+    merge_edges and merge_faces are the rescan engine's merges, and
+    merge_edges is also the edge move; it merges both ends of the pair,
+    so run's edge pass puts the two edges in one class again.
 
     copy() gives an independent state at the same point of folding, so a
     caller that makes many moves on one input builds its state once and
@@ -207,15 +235,15 @@ class _FoldState:
         self.vpar = list(range(c.nv))
         self.epar = list(range(len(c.tail)))
         self.fpar = list(range(len(c.ftype)))
-        self.pending_edges = pending_edges = deque()
+        self.pending = pending = deque()
         ngens2 = self.ngens * 2
         self.end_rep = end_rep = [-1] * (c.nv * ngens2)
-        for e, (t, h, g) in enumerate(zip(c.tail, c.head, c.label)):
-            for key in (t * ngens2 + 2 * g, h * ngens2 + 2 * g + 1):
+        for t, h, g in zip(c.tail, c.head, c.label):
+            for key, other in ((t * ngens2 + 2 * g, h), (h * ngens2 + 2 * g + 1, t)):
                 if end_rep[key] < 0:
-                    end_rep[key] = e
+                    end_rep[key] = other
                 else:
-                    pending_edges.append((end_rep[key], e))
+                    pending.append((end_rep[key], other))
 
     def copy(self) -> "_FoldState":
         """Copies the union-find arrays, the flat index and the queue; the
@@ -224,7 +252,7 @@ class _FoldState:
         twin = copy.copy(self)
         for name in ("vpar", "epar", "fpar", "end_rep"):
             setattr(twin, name, getattr(self, name).copy())
-        twin.pending_edges = deque(self.pending_edges)
+        twin.pending = deque(self.pending)
         return twin
 
     @cached_property
@@ -239,13 +267,16 @@ class _FoldState:
 
     def merge_vertices(self, u: int, v: int) -> None:
         vpar = self.vpar
-        ru, rv = _find(vpar, u), _find(vpar, v)
+        # most parents are roots, so only a deeper vertex calls _find
+        ru, rv = vpar[u], vpar[v]
+        if vpar[ru] != ru or vpar[rv] != rv:
+            ru, rv = _find(vpar, u), _find(vpar, v)
         if ru == rv:
             return
         survivor, absorbed = (ru, rv) if ru < rv else (rv, ru)
         vpar[absorbed] = survivor
-        # move the absorbed vertex's keys onto the survivor's, queuing both
-        # representatives where the survivor's key is filled
+        # move the absorbed class's keys onto the survivor's, queuing both
+        # neighbours where the survivor's key is filled
         end_rep, width = self.end_rep, self.ngens * 2
         src, dst = absorbed * width, survivor * width
         for k in range(width):
@@ -253,8 +284,8 @@ class _FoldState:
             if held >= 0:
                 if end_rep[dst + k] < 0:
                     end_rep[dst + k] = held
-                else:
-                    self.pending_edges.append((end_rep[dst + k], held))
+                elif vpar[end_rep[dst + k]] != vpar[held]:
+                    self.pending.append((end_rep[dst + k], held))
 
     def merge_edges(self, e1: int, e2: int) -> None:
         epar = self.epar
@@ -280,18 +311,21 @@ class _FoldState:
     # -- engines -------------------------------------------------------------
 
     def run(self) -> None:
-        """Fold the skeleton by draining the queued graph conflicts, then
-        merge each live face into the least one with its (relator, first
-        edge class) key; the module docstring argues the key is exact."""
-        edges, merge_edges = self.pending_edges, self.merge_edges
-        while edges:
-            merge_edges(*edges.popleft())
-        epar, ftype, boundary = self.epar, self.ftype, self.boundary
-        holders: dict[tuple[int, int], int] = {}
-        for x in self._roots(self.fpar):
-            held = holders.setdefault((ftype[x], _find(epar, boundary[x][0][0])), x)
-            if held != x:
-                self.merge_faces(held, x)
+        """Close the vertex classes by draining the queue, then read the
+        edge classes off by (tail root, label) and the face classes by
+        (relator, first edge root), each cell joining the least cell with
+        its key; the module docstring argues both keys are exact."""
+        pending, merge = self.pending, self.merge_vertices
+        while pending:
+            merge(*pending.popleft())
+        vpar, epar, fpar, ngens = self.vpar, self.epar, self.fpar, self.ngens
+        _flatten(vpar)
+        edges: dict[int, int] = {}
+        for e, (t, g) in enumerate(zip(self.tail, self.elab)):
+            epar[e] = edges.setdefault(vpar[t] * ngens + g, e)
+        faces: dict[tuple[int, int], int] = {}
+        for x, (t, sides) in enumerate(zip(self.ftype, self.boundary)):
+            fpar[x] = faces.setdefault((t, epar[sides[0][0]]), x)
 
     def _roots(self, parent: list[int]) -> list[int]:
         return [x for x, p in enumerate(parent) if p == x]
@@ -319,9 +353,10 @@ class _FoldState:
             merges = [(self.merge_edges, c) for c in self.graph_conflicts()]
             merges += [(self.merge_faces, c) for c in self.face_conflicts()]
             if not merges:
-                return
+                break
             merge, pair = merges[rng.randrange(len(merges))]
             merge(*pair)
+        _flatten(self.vpar, self.epar, self.fpar)
 
     # -- state queries (used by searches to avoid materializing quotients) ----
 
@@ -330,7 +365,8 @@ class _FoldState:
 
     def compact(self) -> Compact:
         """The live quotient in compact form, cells numbered by their roots
-        in index order; quotient() names each cell by its root's id."""
+        in index order; quotient() names each cell by its root's id.  It
+        reads roots straight off the forests, which the engines leave flat."""
         vpar, epar = self.vpar, self.epar
         vroots, eroots = self._roots(vpar), self._roots(epar)
         froots = self._roots(self.fpar)
@@ -339,20 +375,20 @@ class _FoldState:
         return Compact(
             self.ngens,
             len(vroots),
-            [vix[_find(vpar, self.tail[e])] for e in eroots],
-            [vix[_find(vpar, self.head[e])] for e in eroots],
+            [vix[vpar[self.tail[e]]] for e in eroots],
+            [vix[vpar[self.head[e]]] for e in eroots],
             [self.elab[e] for e in eroots],
             [self.ftype[x] for x in froots],
-            [[(eix[_find(epar, e)], s) for e, s in self.boundary[x]] for x in froots],
+            [[(eix[epar[e]], s) for e, s in self.boundary[x]] for x in froots],
         )
 
     # -- extraction ----------------------------------------------------------
 
     def trace(self) -> FoldTrace:
-        """Each non-root cell with its root, read off the forest."""
+        """Each non-root cell with its root, read off the flat forests."""
         return FoldTrace(
             tuple(
-                MergeEvent(kind, ids[_find(parent, x)], ids[x])
+                MergeEvent(kind, ids[p], ids[x])
                 for kind, parent, ids in (
                     (self.VERTEX, self.vpar, self.vids),
                     (self.EDGE, self.epar, self.eids),
@@ -432,6 +468,7 @@ def replay_trace(f: Morphism, trace: FoldTrace) -> Morphism:
         a, b = _find(parent, table[ev.survivor]), _find(parent, table[ev.absorbed])
         if a != b:
             parent[max(a, b)] = min(a, b)
+    _flatten(state.vpar, state.epar, state.fpar)
     return state.quotient()
 
 

@@ -135,14 +135,20 @@ def tietze_reduce(pres: Presentation) -> Presentation:
     )
 
 
+def check_max_cosets(max_cosets: int) -> None:
+    """Reject a coset cap below one; callers that reach coset enumeration
+    only on some inputs check it before any work."""
+    if max_cosets < 1:
+        raise ComplexError("max_cosets must be at least 1")
+
+
 def coset_enumeration(pres: Presentation, max_cosets: int = MAX_COSETS) -> int | None:
     """Order of the presented group, or None when the table exceeds the cap.
 
     Cosets of the trivial subgroup are enumerated, so a closed table has
     one row per group element.
     """
-    if max_cosets < 1:
-        raise ComplexError("max_cosets must be at least 1")
+    check_max_cosets(max_cosets)
     ngens = len(pres.generators)
     col = {}
     for k, g in enumerate(pres.generators):

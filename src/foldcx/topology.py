@@ -32,7 +32,13 @@ import json
 from dataclasses import dataclass
 
 from .complexes import ComplexError, TwoComplex, euler_characteristic
-from .groups import MAX_COSETS, coset_enumeration, pi1_presentation, tietze_reduce
+from .groups import (
+    MAX_COSETS,
+    check_max_cosets,
+    coset_enumeration,
+    pi1_presentation,
+    tietze_reduce,
+)
 from .homology import HomologyProfile, homology
 
 CollapseStep = tuple[str, str, str]  # ("edge-face", edge, face) | ("vertex-edge", v, e)
@@ -219,6 +225,7 @@ class Certificate:
 
 
 def certify_contractible(cx: TwoComplex, max_cosets: int = MAX_COSETS) -> Certificate:
+    check_max_cosets(max_cosets)
     if not cx.connected:
         raise ComplexError("certify_contractible needs a connected complex")
     profile = homology(cx)

@@ -80,7 +80,7 @@ from .folding import (
     _identify_vertices_state,
     _immersion_state,
 )
-from .groups import MAX_COSETS
+from .groups import MAX_COSETS, check_max_cosets
 from .topology import certify_contractible
 
 
@@ -387,6 +387,7 @@ def verify_main_theorem(
     certificate; single-type classes have chi <= 0 or a certificate.  One
     enumeration pass serves all three type sets, and max_nodes bounds that
     single pass."""
+    check_max_cosets(max_cosets)
     started = time.monotonic()
     report = VerificationReport(
         "main-theorem",

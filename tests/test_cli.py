@@ -337,6 +337,23 @@ def test_exit_two_on_budget(capsys):
     assert main(["verify-theorem", "--max-vertices", "3", "--max-nodes", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{d1}", "--max-cosets", "0"],
+        ["certify", "{kp}", "--max-cosets", "-3"],
+        ["verify-theorem", "--max-vertices", "1", "--max-cosets", "0"],
+    ],
+    ids=["certify-collapsible", "certify-coset-route", "verify-theorem"],
+)
+def test_exit_two_on_coset_cap_below_one(d1_file, kp_file, capsys, argv):
+    # the cap is checked before any work, whether or not the input would
+    # reach coset enumeration (D(1) collapses, KP does not)
+    argv = [arg.format(d1=d1_file, kp=kp_file) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: max_cosets must be at least 1\n"
+
+
 def test_max_nodes_applies_to_enumerate(capsys):
     assert main(["enumerate", "--max-vertices", "2", "--max-nodes", "2"]) == 2
     assert main(["enumerate", "--max-vertices", "2"]) == 0

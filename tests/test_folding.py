@@ -3,7 +3,7 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from foldcx.canonical import _compact, canonical_form, isomorphic
 from foldcx.complexes import (
@@ -270,8 +270,8 @@ def move_cases():
 
 
 def test_flat_indexes_match_the_rescan_engine():
-    # the worklist finds graph conflicts only through end_rep and merges
-    # faces by their first-edge key; the rescan engine recomputes every
+    # run closes the vertex classes only through end_rep and reads the edge
+    # and face classes off by key; the rescan engine recomputes every
     # conflict from scratch after every merge
     cases = move_cases()
     assert len(cases) == 125 + 440  # vertex pairs, b-edge pairs
@@ -283,6 +283,20 @@ def test_flat_indexes_match_the_rescan_engine():
             run(state)
             quotients.append(state.quotient())
         assert quotients[0] == quotients[1], (merge.__name__, x, y)
+
+
+def test_run_leaves_no_conflict():
+    # run merges no edge and no face pairwise: it reads both classes off by
+    # key, and the rescan engine's conflict sets must then be empty
+    rng = random.Random(15)
+    states = [_FoldState(random_prefold(rng)) for _ in range(25)]
+    for f, merge, x, y in move_cases():
+        state = _FoldState(f)
+        merge(state, x, y)
+        states.append(state)
+    for state in states:
+        state.run()
+        assert state.graph_conflicts() == [] and state.face_conflicts() == []
 
 
 def test_folding_copies_leaves_the_base_state_unchanged():
@@ -311,7 +325,7 @@ def test_folding_copies_leaves_the_base_state_unchanged():
         cells_in = len(on_base.vpar) + len(on_base.epar) + len(on_base.fpar)
         assert len(state.trace()) == cells_in - sum(cells(expected)) > 0
     assert [{name: list(getattr(b, name)) for name in fields} for b in bases] == before
-    assert not any(b.pending_edges for b in bases)
+    assert not any(b.pending for b in bases)
     assert base.quotient() == d
 
 
@@ -358,3 +372,26 @@ def test_fold_is_confluent_and_replayable(seed, gluings, order_seed):
     # the trace is the quotient map on absorbed cells: each appears once
     absorbed = [(ev.kind, ev.absorbed) for ev in trace.events]
     assert len(set(absorbed)) == len(absorbed) == sum(cells(noisy)) - sum(cells(worklist))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_edge_moves_match_the_rescan_engine(seed, pick, order_seed):
+    # an edge move unions two edges before run, which then reads the edge
+    # classes off by key instead of merging them; the rescan engine merges
+    # every edge pair it folds
+    base = _FoldState(random_prefold(random.Random(seed)))
+    pairs = [
+        (e1, e2)
+        for e1, e2 in combinations(range(len(base.elab)), 2)
+        if base.elab[e1] == base.elab[e2]
+    ]
+    assume(pairs)  # a lone KP part has one edge per label
+    e1, e2 = pairs[pick % len(pairs)]
+    folded = []
+    for run in (_FoldState.run, lambda state: state.run_rescan(random.Random(order_seed))):
+        state = base.copy()
+        state.merge_edges(e1, e2)
+        run(state)
+        folded.append((state.quotient(), state.trace()))
+    assert folded[0] == folded[1]
