@@ -169,7 +169,8 @@ def _enumerate(args) -> str:
 
 def _report(report, args) -> tuple[str, int]:
     report.parameters["version"] = __version__
-    text = report.to_json(include_timing=True) if args.json else report.to_text()
+    render = report.to_json if args.json else report.to_text
+    text = render(include_timing=args.timing)
     return text, 0 if report.passed else 1
 
 
@@ -257,12 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=sorted(LEMMA_CHECKERS))
     p.add_argument("--max-i", type=int, required=True)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--timing", action="store_true", help="add the wall-clock time")
 
     p = add("verify-theorem", "enumerate and certify at desk scale", _verify_theorem, ())
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=MAX_NODES)
     p.add_argument("--max-cosets", type=int, default=MAX_COSETS)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--timing", action="store_true", help="add the wall-clock time")
 
     return parser
 

@@ -2,30 +2,71 @@
 
 Local injectivity pins down what an immersion's domain can be: at every
 vertex there is at most one outgoing and one incoming edge per label, so
-the 1-skeleton is exactly a pair of partial injections (one per label) on
+the 1-skeleton is exactly a pair (sigma_a, sigma_b) of partial injections on
 the vertex set.  Given the skeleton, each face is a closed trace of its
-relator (complexes.trace_relator) from the tail of some b-edge, since both
-relators begin with a forward b; the trace from a given vertex is unique
-when it exists, and distinct traces never share a side slot, so the legal
-face sets are exactly the subsets of the closed traces.  Enumeration is
-therefore one walk in three stages: an a-skeleton (one representative per
-isomorphism class: a multiset of directed paths and cycles), a b-skeleton
-(all partial injections), and a subset of candidate faces.  Each skeleton
-pair is visited once, and each surviving face subset is filed under the
-exact type set it uses, one class per canonical form.  Output order is the
-sorted order of canonical forms, independent of scheduling.
+relator (complexes.trace_relator) from some start vertex; the trace from a
+given vertex is unique when it exists, and distinct traces never share a
+side slot, so the legal face sets are exactly the subsets of the closed
+traces.  For each vertex count the walk settles the faces of a skeleton
+pair before anything else, in four stages.
+
+1. a-skeletons: one sigma_a per isomorphism class of the a-labeled
+   subgraph (a multiset of directed paths and cycles).
+2. The face table of sigma_a (_face_table): each relator word is traced
+   from every start vertex with its a-steps read off sigma_a and each
+   b-step free, so a start gives one trace per choice of b-edges that
+   closes up and forms a partial injection.  A trace keeps its sides, the
+   integer index of each side's edge and the b-edges it needs, in
+   (relator, start) order.  For a b-skeleton sigma_b every step of a trace
+   is forced, so its closed traces are exactly the table's traces whose
+   b-edges sigma_b all holds, in the same order (_faces_by_b_skeleton reads
+   them off for every sigma_b at once, by intersecting, for each trace, the
+   sets of b-skeletons that hold each edge it needs).
+3. The free-face 2-core (_two_core), when free faces are excluded: drop
+   every trace with an edge that has fewer than two sides among the traces
+   left, until none is dropped.  A valid face set S lies inside the core.
+   S has no free face, so every edge that S uses has at least two sides
+   within S.  If S lies inside the traces left before a round, each edge of
+   S keeps at least two sides among them, so no face of S is dropped in
+   that round; by induction none ever is.  The same argument holds for
+   any subset in which every edge used has two sides, and the core is such
+   a subset, so the core is the largest one; it therefore only grows with
+   the set it starts from.  The traces of a pair are a subset of the table
+   with every b-edge allowed, so cutting the table of sigma_a to its core
+   once loses no trace of any pair's core, and an a-skeleton whose table
+   core is empty has no valid face set with any sigma_b.
+4. b-skeletons: the faces of the pair are the table traces it holds, cut
+   to their core (once per a-skeleton and set of traces held).  A pair
+   whose faces cannot fill every type of any requested type set is skipped
+   before its connectivity is checked; when every requested type set needs
+   a face, a sigma_b that holds no trace is skipped without being looked
+   at.  Connectivity depends on sigma_b only through the components of
+   sigma_b alone, so it is found once per a-skeleton and such partition.
+   Face subsets run over the core pools only, in mask order per type.  A
+   valid subset lies in the core, and the mask order on the core keeps the
+   relative order that the valid subsets have in the mask order on all of
+   the pair's traces, so the first representative of each class is the
+   same as over all traces.
+
+Each skeleton pair is a node, skipped or not, as is each face subset tried;
+each subset without free faces (when required) is filed under the exact
+type set it uses, one class per canonical form.  Output order is the sorted
+order of canonical forms, independent of scheduling.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from typing import NamedTuple
 
 from .canonical import canonical_form
-from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex, trace_relator
+from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex
 from .families import TYPE_LONG, TYPE_SHORT, target_presentation
 
 MAX_NODES = 5_000_000  # default node budget of one enumeration pass
+_TYPES = (TYPE_SHORT, TYPE_LONG)  # relator indices of the target
 
 
 class BudgetExceeded(RuntimeError):
@@ -104,61 +145,154 @@ def _partial_injections(n: int) -> list[dict[int, int]]:
     return out
 
 
-def _candidate_faces(sigma_a: dict[int, int], sigma_b: dict[int, int]):
-    """Closed relator traces as (type, sides).
+class _Trace(NamedTuple):
+    """A closed trace of relator rix in a face table: its sides as
+    (edge id, sign), the integer index of each side's edge (_b_edge) and
+    the b-edges it needs."""
 
-    Each relator is traced from every vertex that has an edge carrying its
-    first letter, in vertex order; for the target, whose relators both begin
-    with a forward b, those are the tails of the b-edges.
-    """
-    forward = {"a": sigma_a, "b": sigma_b}
-    backward = {g: {v: u for u, v in table.items()} for g, table in forward.items()}
-    candidates = []
+    rix: int
+    sides: tuple[tuple[str, int], ...]
+    edges: tuple[int, ...]
+    needs: frozenset[int]
+
+
+def _b_edge(n: int, tail: int, head: int) -> int:
+    """Integer index of the b-edge tail -> head; a-edges are indexed by
+    their tail, below n."""
+    return n + tail * n + head
+
+
+def _free_trace(word, start: int, choice, sigma_a, backward) -> list | None:
+    """The edges (tail, head) that word reads from start, its a-letters
+    following sigma_a (backward is its inverse) and its b-letters reaching
+    the vertices in choice, one per b-letter; None when the trace runs into
+    a missing a-edge, does not close up, or reads two b-edges out of or
+    into one vertex."""
+    picks = iter(choice)
+    path = [start]
+    for gen, sign in word:
+        if gen == "b":
+            path.append(next(picks))
+        else:
+            path.append((sigma_a if sign > 0 else backward).get(path[-1]))
+            if path[-1] is None:
+                return None
+    if path[-1] != start:
+        return None
+    ends = [
+        (u, v) if sign > 0 else (v, u) for (_, sign), u, v in zip(word, path, path[1:])
+    ]
+    b_edges = {end for (gen, _), end in zip(word, ends) if gen == "b"}
+    if not len(b_edges) == len({t for t, _ in b_edges}) == len({h for _, h in b_edges}):
+        return None
+    return ends
+
+
+def _face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
+    """Every closed trace of each relator through sigma_a with its b-steps
+    free, in (relator, start vertex) order: a b-letter may read any b-edge
+    at the current vertex, so each start gives one trace per choice of
+    b-edges that closes up and forms a partial injection."""
+    backward = {v: u for u, v in sigma_a.items()}
+    table = []
     for rix, word in enumerate(target_presentation().relators):
-        gen0, sign0 = word[0]
-        for u in sorted((forward if sign0 > 0 else backward)[gen0]):
-            tails = trace_relator(word, forward, backward, u)
-            if tails is None:
-                continue
-            candidates.append(
-                (rix, tuple((f"{g}{t}", s) for (g, s), t in zip(word, tails)))
-            )
-    return candidates
+        free = sum(gen == "b" for gen, _ in word)
+        for start in range(n):
+            for choice in product(range(n), repeat=free):
+                ends = _free_trace(word, start, choice, sigma_a, backward)
+                if ends is None:
+                    continue
+                letters = [(gen, sign, t, h) for (gen, sign), (t, h) in zip(word, ends)]
+                table.append(
+                    _Trace(
+                        rix,
+                        tuple((f"{gen}{t}", sign) for gen, sign, t, _ in letters),
+                        tuple(
+                            t if gen == "a" else _b_edge(n, t, h)
+                            for gen, _, t, h in letters
+                        ),
+                        frozenset(
+                            _b_edge(n, t, h) for gen, _, t, h in letters if gen == "b"
+                        ),
+                    )
+                )
+    return table
 
 
-def _subsets_with_types(candidates, required: frozenset[int]):
+def _holders(n: int, b_skeletons: list[dict[int, int]]) -> dict[int, set[int]]:
+    """Each b-edge's index, mapped to the positions of the b-skeletons that
+    hold it."""
+    holding: dict[int, set[int]] = {}
+    for j, sigma_b in enumerate(b_skeletons):
+        for u, v in sigma_b.items():
+            holding.setdefault(_b_edge(n, u, v), set()).add(j)
+    return holding
+
+
+def _faces_by_b_skeleton(
+    table: list[_Trace], holding: dict[int, set[int]]
+) -> dict[int, tuple[int, ...]]:
+    """The closed relator traces of each skeleton (sigma_a, sigma_b), read
+    off the face table of sigma_a as positions in it, for each b-skeleton
+    that has any; holding maps each b-edge to the b-skeletons that hold it.
+    With sigma_b fixed every step of a trace is forced, so a trace is closed
+    iff sigma_b holds each b-edge it needs (every relator of the target
+    reads a b, so each trace needs one)."""
+    present: dict[int, list[int]] = {}
+    for p, face in enumerate(table):
+        for j in set.intersection(*(holding[e] for e in face.needs)):
+            present.setdefault(j, []).append(p)
+    return {j: tuple(ps) for j, ps in present.items()}
+
+
+def _two_core(faces: list[_Trace]) -> list[_Trace]:
+    """Drop every face with an edge that has fewer than two sides among the
+    faces left, until none is dropped."""
+    while True:
+        sides = Counter(chain.from_iterable(face.edges for face in faces))
+        thin = {e for e, count in sides.items() if count < 2}
+        if not thin:
+            return faces
+        faces = [face for face in faces if thin.isdisjoint(face.edges)]
+
+
+def _settle(key, table, found, require_no_free_faces) -> list[_Trace] | None:
+    """The faces at positions key of the table, cut to their 2-core when
+    free faces are excluded, or None when they cannot fill every type of
+    any type set in found."""
+    faces = [table[p] for p in key]
+    if require_no_free_faces:
+        faces = _two_core(faces)
+    held = {face.rix for face in faces}
+    return faces if any(types <= held for types in found) else None
+
+
+def _subsets_with_types(pools: dict[int, list[_Trace]], required: frozenset[int]):
     """Subsets whose set of used types is exactly `required`: a non-empty
-    subset of each required type's candidates, in mask order per type."""
-    pools = [[c for c in candidates if c[0] == t] for t in sorted(required)]
-    masks = [range(1, 1 << len(pool)) for pool in pools]
+    subset of each required type's pool, in mask order per type."""
+    chosen_pools = [pools[t] for t in sorted(required)]
+    masks = [range(1, 1 << len(pool)) for pool in chosen_pools]
     for choice in product(*masks):
         yield [
-            cand
-            for pool, mask in zip(pools, choice)
-            for k, cand in enumerate(pool)
+            face
+            for pool, mask in zip(chosen_pools, choice)
+            for k, face in enumerate(pool)
             if mask >> k & 1
         ]
 
 
-def _connected(n: int, sigma_a: dict[int, int], sigma_b: dict[int, int]) -> bool:
-    if n == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for table in (sigma_a, sigma_b):
-        for u, v in table.items():
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _components(labels: list[int], sigma: dict[int, int]) -> list[int]:
+    """The vertex labelling `labels` with the two labels at the ends of each
+    edge u - sigma[u] merged: the components of a graph, when labels are
+    the components of the rest of it."""
+    for u, v in sigma.items():
+        lu, lv = labels[u], labels[v]
+        if lu != lv:
+            labels = [lu if x == lv else x for x in labels]
+    return labels
 
 
-def _build(n, sigma_a, sigma_b, chosen) -> Morphism:
+def _build(n, sigma_a, sigma_b, chosen: list[_Trace]) -> Morphism:
     vertices = [f"v{k}" for k in range(n)]
     edges, labels = [], {}
     for u, v in sorted(sigma_a.items()):
@@ -168,9 +302,9 @@ def _build(n, sigma_a, sigma_b, chosen) -> Morphism:
         edges.append(Edge(f"b{u}", f"v{u}", f"v{v}"))
         labels[f"b{u}"] = "b"
     faces, types = [], {}
-    for k, (ftype, sides) in enumerate(chosen):
-        faces.append(Face(f"f{k}", tuple(sides)))
-        types[f"f{k}"] = ftype
+    for k, face in enumerate(chosen):
+        faces.append(Face(f"f{k}", face.sides))
+        types[f"f{k}"] = face.rix
     return Morphism(
         TwoComplex.make(vertices, edges, faces),
         target_presentation(),
@@ -189,33 +323,57 @@ def enumerate_by_types(
     """The classes of enumerate_immersions for each exact type set in
     type_sets, from one walk over the skeletons: each type set maps to its
     immersions up to isomorphism, sorted by canonical form.  A node is a
-    skeleton pair or a face subset of any of the type sets; BudgetExceeded
-    is raised when more than max_nodes are visited in all."""
+    skeleton pair, skipped or not, or a face subset tried for any of the
+    type sets; BudgetExceeded is raised when more than max_nodes are visited
+    in all."""
     found = {frozenset(types): {} for types in type_sets}
     for types in found:  # the filter checks the arguments
         EnumerationFilter(max_vertices, required_types=types)
+    need_faces = all(found)
     nodes = 0
+
+    def visit(count: int = 1):
+        nonlocal nodes
+        nodes += count
+        if nodes > max_nodes:
+            raise BudgetExceeded(max_nodes + 1, max_nodes)
+
     for n in range(1, max_vertices + 1):
         b_skeletons = _partial_injections(n)
+        holding = _holders(n, b_skeletons)
+        # a pair is connected or not by the components of its two parts
+        b_parts = [tuple(_components(list(range(n)), sigma_b)) for sigma_b in b_skeletons]
         for sigma_a in _a_skeletons(n):
-            for sigma_b in b_skeletons:
-                nodes += 1
-                if nodes > max_nodes:
-                    raise BudgetExceeded(nodes, max_nodes)
-                if require_connected and not _connected(n, sigma_a, sigma_b):
+            visit(len(b_skeletons))
+            a_labels = _components(list(range(n)), sigma_a)
+            joined: dict[tuple[int, ...], bool] = {}  # b-part -> connected pair
+            table = _face_table(n, sigma_a)
+            if require_no_free_faces:
+                table = _two_core(table)
+            present = _faces_by_b_skeleton(table, holding)
+            # a b-skeleton without faces can only serve a type set of no faces
+            visits = sorted(present) if need_faces else range(len(b_skeletons))
+            settled: dict[tuple[int, ...], list[_Trace] | None] = {}
+            for j in visits:
+                key = present.get(j, ())
+                if key not in settled:
+                    settled[key] = _settle(key, table, found, require_no_free_faces)
+                faces, sigma_b = settled[key], b_skeletons[j]
+                if faces is None:
                     continue
-                candidates = _candidate_faces(sigma_a, sigma_b)
+                if require_connected:
+                    part = b_parts[j]
+                    if part not in joined:
+                        joined[part] = len(set(_components(a_labels, sigma_b))) == 1
+                    if not joined[part]:
+                        continue
+                pools = {t: [face for face in faces if face.rix == t] for t in _TYPES}
                 for types, classes in found.items():
-                    for chosen in _subsets_with_types(candidates, types):
-                        nodes += 1
-                        if nodes > max_nodes:
-                            raise BudgetExceeded(nodes, max_nodes)
+                    for chosen in _subsets_with_types(pools, types):
+                        visit()
                         if require_no_free_faces:
-                            used: dict[str, int] = {}
-                            for _, sides in chosen:
-                                for eid, _ in sides:
-                                    used[eid] = used.get(eid, 0) + 1
-                            if 1 in used.values():
+                            sides = Counter(chain.from_iterable(f.edges for f in chosen))
+                            if 1 in sides.values():
                                 continue
                         morphism = _build(n, sigma_a, sigma_b, chosen)
                         classes.setdefault(canonical_form(morphism), morphism)

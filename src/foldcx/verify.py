@@ -41,7 +41,7 @@ edge, or couple either cell type onto it.  Its docstring argues why one
 edge suffices and states the scope of that argument.
 
 Reports are deterministic: rows are generated in sorted order and the
-JSON form excludes wall-clock time unless explicitly requested.
+text and JSON forms exclude wall-clock time unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class VerificationReport:
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.as_dict(include_timing), indent=2, sort_keys=True) + "\n"
 
-    def to_text(self) -> str:
+    def to_text(self, include_timing: bool = False) -> str:
         lines = [f"{self.name}: {self.verdict} ({len(self.rows)} rows)"]
         for key in sorted(self.parameters):
             lines.append(f"  {key} = {self.parameters[key]}")
@@ -148,7 +148,8 @@ class VerificationReport:
             )
         for key in sorted(self.meta):
             lines.append(f"  # {key}: {self.meta[key]}")
-        lines.append(f"  wall clock: {self.wall_clock_s:.3f}s")
+        if include_timing:
+            lines.append(f"  wall clock: {self.wall_clock_s:.3f}s")
         return "\n".join(lines) + "\n"
 
 

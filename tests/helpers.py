@@ -1,13 +1,16 @@
 """Shared test utilities: disjoint unions, randomized pre-fold inputs, a
 full-branch closure search kept as the reference for the one-edge rule,
-dense homology kept as the reference for the reduced one and the
-exhaustive breadth-first key kept as the reference for the pruned one."""
+dense homology kept as the reference for the reduced one, the exhaustive
+breadth-first key kept as the reference for the pruned one and the walk
+over every skeleton pair and face subset kept as the reference for the
+enumeration's face table and free-face 2-core."""
 
 from __future__ import annotations
 
 import functools
 import random
 from collections import deque
+from itertools import product
 
 from foldcx.canonical import Compact, canonical_form, canonical_key
 from foldcx.complexes import (
@@ -17,9 +20,15 @@ from foldcx.complexes import (
     TwoComplex,
     free_faces,
     immersion_witness,
+    trace_relator,
 )
-from foldcx.enumeration import EnumerationFilter, enumerate_immersions
-from foldcx.families import build_C, build_D, kp
+from foldcx.enumeration import (
+    EnumerationFilter,
+    _a_skeletons,
+    _partial_injections,
+    enumerate_immersions,
+)
+from foldcx.families import build_C, build_D, kp, target_presentation
 from foldcx.folding import (
     _coupling_base,
     _identify_edges_state,
@@ -259,3 +268,101 @@ def exhaustive_bfs(c: Compact):
                 fix[x] = k
             best = (key, vix, eix, fix)
     return best
+
+
+def reference_candidate_faces(sigma_a: dict[int, int], sigma_b: dict[int, int]):
+    """Closed relator traces of the skeleton (sigma_a, sigma_b) as (type,
+    sides), each relator traced by complexes.trace_relator from every vertex
+    that has an edge carrying its first letter, in vertex order."""
+    forward = {"a": sigma_a, "b": sigma_b}
+    backward = {g: {v: u for u, v in table.items()} for g, table in forward.items()}
+    candidates = []
+    for rix, word in enumerate(target_presentation().relators):
+        gen0, sign0 = word[0]
+        for u in sorted((forward if sign0 > 0 else backward)[gen0]):
+            tails = trace_relator(word, forward, backward, u)
+            if tails is None:
+                continue
+            candidates.append(
+                (rix, tuple((f"{g}{t}", s) for (g, s), t in zip(word, tails)))
+            )
+    return candidates
+
+
+def _reference_subsets_with_types(candidates, required: frozenset[int]):
+    pools = [[c for c in candidates if c[0] == t] for t in sorted(required)]
+    masks = [range(1, 1 << len(pool)) for pool in pools]
+    for choice in product(*masks):
+        yield [
+            cand
+            for pool, mask in zip(pools, choice)
+            for k, cand in enumerate(pool)
+            if mask >> k & 1
+        ]
+
+
+def _reference_connected(n: int, sigma_a: dict, sigma_b: dict) -> bool:
+    if n == 1:
+        return True
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    for table in (sigma_a, sigma_b):
+        for u, v in table.items():
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def _reference_build(n, sigma_a, sigma_b, chosen) -> Morphism:
+    vertices = [f"v{k}" for k in range(n)]
+    edges, labels = [], {}
+    for u, v in sorted(sigma_a.items()):
+        edges.append(Edge(f"a{u}", f"v{u}", f"v{v}"))
+        labels[f"a{u}"] = "a"
+    for u, v in sorted(sigma_b.items()):
+        edges.append(Edge(f"b{u}", f"v{u}", f"v{v}"))
+        labels[f"b{u}"] = "b"
+    faces, types = [], {}
+    for k, (ftype, sides) in enumerate(chosen):
+        faces.append(Face(f"f{k}", tuple(sides)))
+        types[f"f{k}"] = ftype
+    return Morphism(
+        TwoComplex.make(vertices, edges, faces), target_presentation(), labels, types
+    )
+
+
+def reference_enumerate_by_types(
+    max_vertices: int,
+    type_sets: list[frozenset[int]],
+    require_connected: bool = True,
+    require_no_free_faces: bool = True,
+) -> dict[frozenset[int], list[Morphism]]:
+    """Reference walk for enumeration.enumerate_by_types: every skeleton
+    pair is checked for connectivity, traced by reference_candidate_faces,
+    and every face subset of every type set is tried; no budget."""
+    found = {frozenset(types): {} for types in type_sets}
+    for n in range(1, max_vertices + 1):
+        b_skeletons = _partial_injections(n)
+        for sigma_a in _a_skeletons(n):
+            for sigma_b in b_skeletons:
+                if require_connected and not _reference_connected(n, sigma_a, sigma_b):
+                    continue
+                candidates = reference_candidate_faces(sigma_a, sigma_b)
+                for types, classes in found.items():
+                    for chosen in _reference_subsets_with_types(candidates, types):
+                        if require_no_free_faces:
+                            used: dict[str, int] = {}
+                            for _, sides in chosen:
+                                for eid, _ in sides:
+                                    used[eid] = used.get(eid, 0) + 1
+                            if 1 in used.values():
+                                continue
+                        morphism = _reference_build(n, sigma_a, sigma_b, chosen)
+                        classes.setdefault(canonical_form(morphism), morphism)
+    return {t: [classes[k] for k in sorted(classes)] for t, classes in found.items()}

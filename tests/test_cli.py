@@ -199,6 +199,25 @@ def test_verify_theorem_command(capsys):
     assert doc["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-lemma", "2.2", "--max-i", "5"],
+        ["verify-theorem", "--max-vertices", "3"],
+    ],
+    ids=["verify-lemma", "verify-theorem"],
+)
+def test_verify_output_is_deterministic_unless_timed(capsys, argv):
+    for flags in (["--json"], []):
+        first = run(capsys, *argv, *flags)
+        assert first == run(capsys, *argv, *flags)
+        assert "wall" not in first[1]
+    code, out = run(capsys, *argv, "--json", "--timing")
+    assert code == 0
+    assert json.loads(out)["wall_clock_s"] >= 0
+    assert "wall clock:" in run(capsys, *argv, "--timing")[1]
+
+
 def test_export_dot(kp_file, capsys):
     code, out = run(capsys, "export-dot", kp_file)
     assert code == 0 and out.startswith("digraph")

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -13,8 +13,22 @@ from foldcx.complexes import (
     free_faces,
     immersion_witness,
 )
-from foldcx.enumeration import BudgetExceeded, EnumerationFilter, enumerate_immersions
-from foldcx.families import classify, target_presentation
+from foldcx.enumeration import (
+    BudgetExceeded,
+    EnumerationFilter,
+    _a_skeletons,
+    _b_edge,
+    _face_table,
+    _faces_by_b_skeleton,
+    _holders,
+    _partial_injections,
+    _two_core,
+    enumerate_by_types,
+    enumerate_immersions,
+)
+from foldcx.families import TYPE_LONG, TYPE_SHORT, classify, target_presentation
+from foldcx.jsonio import morphism_to_json
+from helpers import reference_candidate_faces, reference_enumerate_by_types
 
 
 def brute_force_one_vertex():
@@ -163,3 +177,84 @@ def test_bad_filter_rejected():
         EnumerationFilter(0)
     with pytest.raises(ComplexError):
         EnumerationFilter(2, required_types=frozenset({7}))
+
+
+BOTH = frozenset({TYPE_SHORT, TYPE_LONG})
+SHORT = frozenset({TYPE_SHORT})
+LONG = frozenset({TYPE_LONG})
+NO_FACES = frozenset()
+
+
+def as_json(classes):
+    return [morphism_to_json(m) for m in classes]
+
+
+@pytest.mark.parametrize("require_connected", [True, False])
+@pytest.mark.parametrize("require_no_free_faces", [True, False])
+def test_walk_matches_the_reference_at_four_vertices(
+    require_connected, require_no_free_faces
+):
+    # the same classes, and byte for byte the same first representatives;
+    # a walk whose type sets all need a face skips b-skeletons without
+    # faces, one that asks for no faces visits every pair
+    flags = (require_connected, require_no_free_faces)
+    expected = reference_enumerate_by_types(4, [BOTH, SHORT, LONG, NO_FACES], *flags)
+    for type_sets in ([BOTH, SHORT, LONG], [NO_FACES]):
+        found = enumerate_by_types(4, type_sets, *flags)
+        for types in type_sets:
+            assert as_json(found[types]) == as_json(expected[types])
+
+
+def test_walk_matches_the_reference_at_five_vertices():
+    type_sets = [BOTH, SHORT, LONG]
+    expected = reference_enumerate_by_types(5, type_sets)
+    found = enumerate_by_types(5, type_sets)
+    for types in type_sets:
+        assert as_json(found[types]) == as_json(expected[types])
+
+
+def test_face_table_gives_the_closed_traces():
+    # for every skeleton pair with at most 4 vertices, the faces read off
+    # the table are the closed traces of trace_relator, in the same order,
+    # and each side's edge index names the side's edge
+    for n in range(1, 5):
+        b_skeletons = _partial_injections(n)
+        holding = _holders(n, b_skeletons)
+        for sigma_a in _a_skeletons(n):
+            table = _face_table(n, sigma_a)
+            present = _faces_by_b_skeleton(table, holding)
+            for j, sigma_b in enumerate(b_skeletons):
+                faces = [table[p] for p in present.get(j, ())]
+                expected = reference_candidate_faces(sigma_a, sigma_b)
+                assert [(f.rix, f.sides) for f in faces] == expected
+                index = {f"a{u}": u for u in sigma_a}
+                index.update({f"b{u}": _b_edge(n, u, v) for u, v in sigma_b.items()})
+                for face in faces:
+                    assert face.edges == tuple(index[e] for e, _ in face.sides)
+
+
+def test_two_core_holds_every_face_set_without_free_faces():
+    # the completeness argument of the 2-core, checked on every face subset
+    # of every skeleton pair with at most 3 vertices
+    checked = 0
+    for n in range(1, 4):
+        b_skeletons = _partial_injections(n)
+        holding = _holders(n, b_skeletons)
+        for sigma_a in _a_skeletons(n):
+            table = _face_table(n, sigma_a)
+            table_core = _two_core(table)
+            present = _faces_by_b_skeleton(table, holding)
+            for key in set(present.values()):
+                faces = [table[p] for p in key]
+                core = _two_core(faces)
+                assert all(face in table_core for face in core)
+                for size in range(1, len(faces) + 1):
+                    for chosen in combinations(faces, size):
+                        sides = {}
+                        for face in chosen:
+                            for e in face.edges:
+                                sides[e] = sides.get(e, 0) + 1
+                        if 1 not in sides.values():
+                            checked += 1
+                            assert all(face in core for face in chosen)
+    assert checked > 0

@@ -370,11 +370,12 @@ def test_lemma_report_is_pinned(checker):
 
 
 def test_main_theorem_budget_covers_one_pass():
-    # 60,215 skeleton pairs at up to 5 vertices, visited once, plus the face
-    # subsets of all three type sets
-    assert verify_main_theorem(5, max_nodes=93_003).passed
+    # 60,215 skeleton pairs at up to 5 vertices, each counted once whether
+    # or not its faces are looked at, plus the face subsets of all three
+    # type sets that lie in the free-face 2-core of their pair
+    assert verify_main_theorem(5, max_nodes=61_429).passed
     with pytest.raises(BudgetExceeded):
-        verify_main_theorem(5, max_nodes=93_002)
+        verify_main_theorem(5, max_nodes=61_428)
 
 
 @pytest.mark.parametrize("no_free_faces", [True, False])
