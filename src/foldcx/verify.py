@@ -21,17 +21,57 @@ confronts its conclusions with the independent exhaustive enumeration:
                           immersions have non-positive Euler
                           characteristic or a certificate.
 
-The first three stay on the compact fold state from input to verdict.
-Each input C(i) or D(i) is checked to be an immersion and turned into one
-fold state (folding._FoldState) once, and coupling builds one glued state
-per cell type (folding._coupling_base), on which a coupling is an edge
-identification.  Each row folds a copy of one such state and classifies
-the compact quotient (families.classify_compact), reading chi as V - E +
-F of that compact form.  A quotient whose key equals a family key is
-isomorphic to a built, immersion-checked family complex, so the row loses
-no check.  Only when the compact classifier finds no family does the row
-build the quotient, through folding._finish, which raises RuntimeError
-when folding ended at a non-immersion.
+The first three certify each row by an explicit quotient map onto the
+complex the row predicts, instead of keying its quotient (McConnell,
+Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", Computer Science
+Review 2011).  A row's target T is a family complex in its variant: C(d),
+Ct(d) for the Dt rows, D(i) or D(i + 1), and Dt(1) for the long coupling
+at position 0 of D(0).  Each checker call builds each T once, checks that
+it immerses and classifies it (_Targets).  The base of a row is the fold
+state the move copies: of C(i) or D(i), or for coupling of D(i) beside one
+closed cell (folding._coupling_base).  The map pi sends each family vertex
+v_x of the base to v_(x mod |V(T)|), and for coupling the glued cell's
+vertices to those met tracing the cell's relator round T, starting from
+the image of the edge it is glued to.  T immerses, so each of its
+vertices has at most one edge per (label, direction); each step of that
+trace is forced and the trace is unique.  Once per (base, T), so per row
+for coupling, _map_fibres checks that pi is a label-preserving cellular
+map onto T: every edge of the base lands on an edge of T with its label
+and ends, every face on a face of T with its whole boundary, and every
+vertex, edge and face of T is hit.
+
+Both bounds.  Lower: a partition made only of unions that the move
+forces, the moved pair's first, lies inside the fold's vertex classes.
+Upper: when that partition equals the fibres of pi, pi identifies the
+moved pair (an edge pair by its ends, since T has one edge per tail and
+label) and maps onto an immersion, and the fold is the least quotient
+that immerses (Stallings, "Topology of finite graphs", Invent. Math.
+1983), so every fold vertex class lies in one fibre of pi.  So a row
+passes its certificate when the partition equals the fibres of pi: the
+fold's classes lie between and equal them too.
+
+For a vertex row the partition is the sigma_a walk (_sigma_walk): join
+(v_u, v_v), step both ends along their a-edges, join again, i times.
+Each step is forced: every vertex of C(i) has exactly one outgoing a-edge
+(_permutation refuses a base where sigma_a is not a permutation), so
+once x ~ y the fold merges the a-edges leaving them, which share a label
+and a tail class, and with them their heads: sigma_a(x) ~ sigma_a(y).  No
+fold runs.  For an edge or coupling row the fold runs, and the partition
+is its flat vertex forest (_FoldState.vpar): the fold is its own lower
+bound, and only the map, not a canonical key, names the quotient.
+
+Why equal classes make the quotient T.  The fold reads edge classes off
+by (tail class, label) and face classes by (relator, first edge class);
+see folding.  With vertex classes the fibres of pi, two base edges share
+a class exactly when they map to one edge of T, since T has one edge per
+(tail, label), and two faces exactly when they map to one face of T,
+since T has one face per (relator, first edge).  pi hits every cell, so
+the quotient's cells biject with T's, boundaries included: the quotient
+is isomorphic to T, and the row reports classify(T) and the Euler
+characteristic of T, computed once per T.  A row whose certificate does
+not check falls back to classifying the compact form of its folded state
+(_classify_state), folding it first if it is a vertex row, so a failing
+row still reports the class of its actual quotient.
 
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
@@ -52,29 +92,36 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
-from .canonical import canonical_form, canonical_key, isomorphic
+from .canonical import _compact, canonical_form, canonical_key, isomorphic
 from .complexes import (
     ComplexError,
     Morphism,
     euler_characteristic,
     free_faces,
     id_key,
+    immersion_witness,
 )
 from .enumeration import MAX_NODES, enumerate_by_types
 from .families import (
+    STANDARD,
+    TILDE,
     TYPE_LONG,
     TYPE_SHORT,
     FamilyTag,
     build_C,
     build_D,
+    build_family,
     classify,
     classify_compact,
     odd_part,
 )
 from .folding import (
     _coupling_base,
+    _find,
     _finish,
+    _flatten,
     _FoldState,
     _identify_edges_state,
     _identify_vertices_state,
@@ -293,9 +340,10 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
 
 def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
     """(family tag, chi) of a folded state's quotient, both read off its
-    compact form; see the module docstring.  classify of the quotient
-    reads the same compact form, so when no family matches only the
-    immersion check of folding._finish is left to make."""
+    compact form.  classify of the quotient reads the same compact form,
+    so when no family matches only the immersion check of folding._finish
+    is left to make.  The lemma checkers call it only on a row whose
+    certificate does not check; see the module docstring."""
     c = state.compact()
     tag = classify_compact(c)
     if tag is None:
@@ -303,16 +351,176 @@ def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
     return tag, c.nv - len(c.tail) + len(c.ftype)
 
 
+class _Target(NamedTuple):
+    """A predicted family complex T, indexed for the coupling trace and the
+    map check, and the class and chi that a row certified onto T reports.
+    T immerses, so each (label, vertex) has at most one leaving and one
+    entering edge, and each (relator, edge) at most one face whose
+    boundary starts there; -1 marks none."""
+
+    tag: FamilyTag
+    at_number: list[int]  # x -> T's index of its vertex v_x
+    tail: list[int]  # edge -> vertex
+    head: list[int]
+    leaving: list[list[int]]  # [label][vertex] -> edge
+    entering: list[list[int]]
+    face_at: list[list[int]]  # [relator][first edge] -> face
+    sides: list[list[int]]  # face -> its boundary edges
+    reported: FamilyTag | None
+    chi: int
+
+
+class _Targets(dict):
+    """The targets of one checker call by tag, each built, checked to
+    immerse and classified once."""
+
+    def __missing__(self, tag: FamilyTag) -> _Target:
+        return self.add(tag, build_family(tag))
+
+    def add(self, tag: FamilyTag, t: Morphism) -> _Target:
+        """Index t, already built as the family complex tag names."""
+        witness = immersion_witness(t)
+        if witness is not None:
+            raise RuntimeError(f"target {tag} is not an immersion: {witness}")
+        c = _compact(t)
+        leaving = [[-1] * c.nv for _ in range(c.ngens)]
+        entering = [[-1] * c.nv for _ in range(c.ngens)]
+        for e, (tail, head, g) in enumerate(zip(c.tail, c.head, c.label)):
+            leaving[g][tail] = entering[g][head] = e
+        face_at = [[-1] * len(c.tail) for _ in t.presentation.relators]
+        for x, (ft, sides) in enumerate(zip(c.ftype, c.boundary)):
+            face_at[ft][sides[0][0]] = x
+        vix = {v: k for k, v in enumerate(t.complex.vertices)}
+        self[tag] = found = _Target(
+            tag,
+            [vix[f"v{x}"] for x in range(c.nv)],
+            c.tail,
+            c.head,
+            leaving,
+            entering,
+            face_at,
+            [[e for e, _ in sides] for sides in c.boundary],
+            classify_compact(c),
+            euler_characteristic(t.complex),
+        )
+        return found
+
+
+def _family_numbers(base: _FoldState) -> list[int]:
+    """x for each family vertex v_x of the base, -1 for any other vertex."""
+    return [int(v[1:]) if v[0] == "v" else -1 for v in base.vids]
+
+
+def _family_map(numbers: list[int], target: _Target) -> list[int]:
+    """pi on a base with these family numbers: v_x goes to v_(x mod |V(T)|)
+    of T, any other vertex to -1."""
+    at = target.at_number
+    return [at[x % len(at)] if x >= 0 else -1 for x in numbers]
+
+
+def _coupling_map(
+    glued: _FoldState, word, cell: list[str], p: int, edge: str, target: _Target
+) -> list[int] | None:
+    """pi on a glued coupling base whose cell, over the relator word, is
+    glued to edge at position p: the family map, with the cell's vertices
+    traced round word in T from the image of edge.  T immerses, so each
+    step follows the one edge of T with the letter's label and direction;
+    None when there is none.  Closing up is left to the map check."""
+    gen_ix = {g: k for k, g in enumerate(glued.presentation.generators)}
+    eix, tail, head = glued.edge_ix, glued.tail, glued.head
+    pi = _family_map(_family_numbers(glued), target)
+    start = eix[edge]
+    w = pi[tail[start] if word[p][1] > 0 else head[start]]
+    for k in range(len(word)):
+        q = (p + k) % len(word)
+        g, sign = word[q]
+        side = eix[cell[q]]
+        pi[tail[side] if sign > 0 else head[side]] = w
+        step = (target.leaving if sign > 0 else target.entering)[gen_ix[g]][w]
+        if step < 0:
+            return None
+        w = (target.head if sign > 0 else target.tail)[step]
+    return pi
+
+
+def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] | None:
+    """If pi extends to a label-preserving cellular map of the base onto T,
+    each base vertex's least fibre-mate, which is also what a flat vertex
+    forest holds when its classes are the fibres; otherwise None.  Every
+    edge must land on an edge of T with its label and both ends, every
+    face on a face of T of its relator with its whole boundary (the signs
+    are the relator's on both sides), and every cell of T must be hit."""
+    if -1 in pi:
+        return None
+    leaving, head = target.leaving, target.head
+    emap = [leaving[g][pi[t]] for t, g in zip(base.tail, base.elab)]
+    if -1 in emap or [head[e] for e in emap] != [pi[h] for h in base.head]:
+        return None
+    face_at = target.face_at
+    fmap = [face_at[ft][emap[sides[0][0]]] for ft, sides in zip(base.ftype, base.boundary)]
+    if -1 in fmap or [target.sides[x] for x in fmap] != [
+        [emap[e] for e, _ in sides] for sides in base.boundary
+    ]:
+        return None
+    # the least vertex of each fibre: in reverse, the last write wins
+    least = dict(zip(reversed(pi), range(len(pi) - 1, -1, -1)))
+    hit = len(least), len(set(emap)), len(set(fmap))
+    if hit != (len(target.at_number), len(head), len(target.sides)):
+        return None
+    return [least[y] for y in pi]
+
+
+def _permutation(base: _FoldState, gen: str) -> list[int]:
+    """sigma_gen on the base's vertices: the head of each vertex's one
+    outgoing gen-edge.  Raises ComplexError unless that is a permutation,
+    every vertex leaving and entering exactly one gen-edge; the base
+    immerses, so no vertex has two."""
+    label = base.presentation.generators.index(gen)
+    sigma = [-1] * len(base.vids)
+    for tail, head, g in zip(base.tail, base.head, base.elab):
+        if g == label:
+            sigma[tail] = head
+    if -1 in sigma or len(set(sigma)) != len(sigma):
+        raise ComplexError(f"sigma_{gen} of the base is not a permutation")
+    return sigma
+
+
+def _sigma_walk(sigma: list[int], u: int, v: int) -> list[int]:
+    """The flat forest, least index as root, of the unions (x, y),
+    (sigma(x), sigma(y)), ... from (u, v), one per vertex: each is forced
+    once the one before it is; see the module docstring."""
+    parent = list(range(len(sigma)))
+    for _ in sigma:
+        # most parents are roots, so only a deeper vertex calls _find
+        ru, rv = parent[u], parent[v]
+        if parent[ru] != ru or parent[rv] != rv:
+            ru, rv = _find(parent, u), _find(parent, v)
+        if ru < rv:
+            parent[rv] = ru
+        elif rv < ru:
+            parent[ru] = rv
+        u, v = sigma[u], sigma[v]
+    _flatten(parent)
+    return parent
+
+
 def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
-    """Classify each (description, folded state, expected (family, index))
-    row and compare; the wall clock covers building the rows too."""
+    """Report each (description, target T, uncertified) row.  A certified
+    row, with uncertified None, reports T's class and chi; any other row
+    reports those of its folded state, uncertified, through
+    _classify_state.  Either way the row passes when that class is T's
+    family and index, in either variant.  The wall clock covers building
+    the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
     report = VerificationReport(name, {"max_i": max_i})
-    for description, state, expected in rows:
-        tag, chi = _classify_state(state)
-        passed = _tag_is(tag, *expected)
+    for description, target, uncertified in rows:
+        if uncertified is None:
+            tag, chi = target.reported, target.chi
+        else:
+            tag, chi = _classify_state(uncertified)
+        passed = _tag_is(tag, target.tag.family, target.tag.index)
         report.rows.append(ReportRow(description, _tag_str(tag), chi, passed))
     report.wall_clock_s = time.monotonic() - started
     return report
@@ -320,30 +528,57 @@ def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
 
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
-    max_i and fold; each quotient must be C(gcd(i, v - u))."""
+    max_i; each quotient must be C(d), d = gcd(i, v - u).  A row is
+    certified without folding: its sigma_a walk from (v_u, v_v) must give
+    the fibres of x -> x mod d, checked once per (i, d) to map C(i) onto
+    C(d) (module docstring).  A row that does not check is folded and
+    classified."""
+    targets = _Targets()
 
     def rows():
         for i in range(3, max_i + 1, 2):
             base = _immersion_state(build_C(i))
+            numbers, sigma, vix = _family_numbers(base), _permutation(base, "a"), base.vertex_ix
+            maps: dict[int, tuple[_Target, list[int] | None]] = {}
             for u, v in combinations(range(i), 2):
-                state = _identify_vertices_state(base, f"v{u}", f"v{v}")
-                yield f"C:{i} identify v{u}~v{v}", state, ("C", gcd(i, v - u))
+                d = gcd(i, v - u)
+                if d not in maps:
+                    target = targets[FamilyTag("C", d, STANDARD)]
+                    maps[d] = target, _map_fibres(base, _family_map(numbers, target), target)
+                target, fibres = maps[d]
+                x, y = vix[f"v{u}"], vix[f"v{v}"]
+                uncertified = None
+                if _sigma_walk(sigma, x, y) != fibres:
+                    uncertified = _identify_vertices_state(base, f"v{u}", f"v{v}")
+                yield f"C:{i} identify v{u}~v{v}", target, uncertified
 
     return _lemma_report("vertex-identification", max_i, rows())
 
 
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
-    b-edge b_j and fold; each quotient must be C(odd_part(i - j)), in
-    either variant."""
+    b-edge b_j and fold; each quotient must be C(d), d = odd_part(i - j),
+    in either variant.  A row is certified when the fold's vertex classes
+    are the fibres of x -> x mod d onto C(d), or Ct(d) from Dt(i), checked
+    once per (i, d) to be a cellular map onto it (module docstring).  A
+    row that does not check is classified from its folded state."""
+    targets = _Targets()
 
     def rows():
-        for variant, label in (("standard", "D"), ("tilde", "Dt")):
+        for variant, label in ((STANDARD, "D"), (TILDE, "Dt")):
             for i in range(1, max_i + 1):
                 base = _immersion_state(build_D(i, variant))
+                numbers = _family_numbers(base)
+                maps: dict[int, tuple[_Target, list[int] | None]] = {}
                 for j in range(i):
+                    d = odd_part(i - j)
+                    if d not in maps:
+                        target = targets[FamilyTag("C", d, variant)]
+                        maps[d] = target, _map_fibres(base, _family_map(numbers, target), target)
+                    target, fibres = maps[d]
                     state = _identify_edges_state(base, f"b{i}", f"b{j}")
-                    yield f"{label}:{i} identify b{i}~b{j}", state, ("C", odd_part(i - j))
+                    uncertified = None if state.vpar == fibres else state
+                    yield f"{label}:{i} identify b{i}~b{j}", target, uncertified
 
     return _lemma_report("edge-identification", max_i, rows())
 
@@ -353,12 +588,24 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     b_i of D(i); each move has one outcome, compared up to mirror variant:
     the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
     at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
-    symmetric); the long cell at position 2 gives D(i + 1)."""
+    symmetric); the long cell at position 2 gives D(i + 1).  A row is
+    certified when the fold's vertex classes are the fibres of the
+    coupling map onto that outcome: v_x -> v_(x mod |V(T)|) on D(i), the
+    cell traced round its relator in T (module docstring).  A row that
+    does not check is classified from its folded state."""
+    targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 
     def rows():
+        following = build_D(0)
         for i in range(max_i + 1):
-            d = build_D(i)
+            # D(i + 1) is the target of the long cell at position 2 and
+            # the next base: built once for both; no row from here on
+            # predicts D(i - 1)
+            d, following = following, build_D(i + 1)
+            targets.add(FamilyTag("D", i + 1, STANDARD), following)
+            if i:
+                del targets[FamilyTag("D", i - 1, STANDARD)]
             free_labels[i] = sorted({d.edge_labels[e] for e in free_faces(d.complex)})
             edge = f"b{i}"
             for t, word in enumerate(d.presentation.relators):
@@ -367,11 +614,17 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
                     if gen != d.edge_labels[edge]:
                         continue
                     if t == TYPE_SHORT:
-                        expected = ("C", odd_part(i)) if i else ("D", 0)
+                        tag = ("C", odd_part(i), STANDARD) if i else ("D", 0, STANDARD)
+                    elif p == 2:
+                        tag = ("D", i + 1, STANDARD)
                     else:
-                        expected = ("D", i + 1) if p == 2 else ("D", i if i else 1)
+                        tag = ("D", i, STANDARD) if i else ("D", 1, TILDE)
+                    target = targets[FamilyTag(*tag)]
                     state = _identify_edges_state(base, cell[p], edge)
-                    yield f"D:{i} couple type {t} position {p} at {edge}", state, expected
+                    pi = _coupling_map(base, word, cell, p, edge, target)
+                    fibres = None if pi is None else _map_fibres(base, pi, target)
+                    uncertified = None if state.vpar == fibres else state
+                    yield f"D:{i} couple type {t} position {p} at {edge}", target, uncertified
 
     report = _lemma_report("coupling", max_i, rows())
     report.meta["free_edge_labels_of_D"] = free_labels

@@ -13,9 +13,11 @@ from foldcx.enumeration import (
     enumerate_by_types,
     enumerate_immersions,
 )
+from foldcx import verify
 from foldcx.families import (
     TYPE_LONG,
     TYPE_SHORT,
+    FamilyTag,
     build_C,
     build_D,
     build_family,
@@ -346,27 +348,105 @@ def test_main_theorem_report_is_pinned(max_vertices):
     assert digest == MAIN_THEOREM_REPORTS[max_vertices]
 
 
-# sha256 of each lemma checker's report JSON at max_i 31
+# sha256 of each lemma checker's report JSON by max_i; the 63 pins were
+# made by folding every row and keying its quotient, so they bind the
+# certificate route to the fold route's answers
 LEMMA_REPORTS = {
-    "vertex-identification": "bafaa490254df6bb6c5cc3f13a38454cbe9ac1a8c48c6338d75e120613ecf41d",
-    "edge-identification": "0af2bd61fbc16ba1c81ae14ac54aeaf6b64ce9d378f1d9eb29ecb3ade1c4cab5",
-    "coupling": "3cf8019a67243346fce3979dfe5feeb821728f78d8eef142133c8681a61290db",
+    31: {
+        "vertex-identification": "bafaa490254df6bb6c5cc3f13a38454cbe9ac1a8c48c6338d75e120613ecf41d",
+        "edge-identification": "0af2bd61fbc16ba1c81ae14ac54aeaf6b64ce9d378f1d9eb29ecb3ade1c4cab5",
+        "coupling": "3cf8019a67243346fce3979dfe5feeb821728f78d8eef142133c8681a61290db",
+    },
+    63: {
+        "vertex-identification": "36d2d1953eab57d016313ff3e077fc8248990983267a85bc6aabc9de6a0c3b38",
+        "edge-identification": "71f162e864ae80330c466497ee3fccf64f38ed25867fc34cbbacf76b8dc2032b",
+        "coupling": "e041d2088dcdd7137f93f492023c57c56768e2e9ee92337e47ae1f34534b489c",
+    },
 }
+LEMMA_CHECKERS = [
+    check_lemma_vertex_identification,
+    check_lemma_edge_identification,
+    check_lemma_coupling,
+]
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
-    "checker",
+    "checker, max_i",
     [
-        check_lemma_vertex_identification,
-        check_lemma_edge_identification,
-        check_lemma_coupling,
+        # an id names the checker, and max_i when it is not 31
+        pytest.param(checker, max_i, id=checker.__name__ + (f"-{max_i}" if max_i != 31 else ""))
+        for max_i in sorted(LEMMA_REPORTS)
+        for checker in LEMMA_CHECKERS
     ],
-    ids=lambda checker: checker.__name__,
 )
-def test_lemma_report_is_pinned(checker):
-    report = checker(31)
-    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == LEMMA_REPORTS[report.name]
+def test_lemma_report_is_pinned(checker, max_i):
+    report = checker(max_i)
+    assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
+
+
+def test_every_lemma_row_is_certified_by_its_map(monkeypatch):
+    # the fallback classifies a folded state; with it refusing, the pinned
+    # reports can only come from rows whose map and partition check
+    def refuse(state):
+        raise AssertionError("a row fell back to classifying its fold")
+
+    monkeypatch.setattr(verify, "_classify_state", refuse)
+    for checker in LEMMA_CHECKERS:
+        report = checker(31)
+        assert report_digest(report) == LEMMA_REPORTS[31][report.name]
+
+
+@pytest.mark.parametrize(
+    "checker, prediction, max_i, description, found",
+    [
+        (check_lemma_vertex_identification, "gcd", 9, "C:9 identify v0~v3", "C:3"),
+        (check_lemma_edge_identification, "odd_part", 6, "Dt:6 identify b6~b3", "C:3"),
+    ],
+)
+def test_a_wrong_prediction_fails_with_the_folds_class(
+    monkeypatch, checker, prediction, max_i, description, found
+):
+    # every row predicted C:1: the map onto C(1) checks, but the partition
+    # does not, so the row is folded and reports the class of its quotient
+    monkeypatch.setattr(verify, prediction, lambda *args: 1)
+    rows = {row.description: row for row in checker(max_i).rows}
+    assert (rows[description].classification, rows[description].passed) == (found, False)
+    assert all(row.passed == (row.classification == "C:1") for row in rows.values())
+
+
+@pytest.mark.parametrize("d", [3, 5, 15])
+def test_map_check_rejects_a_non_cellular_map(d):
+    base = _immersion_state(build_C(15))
+    target = verify._Targets()[FamilyTag("C", d, "standard")]
+    numbers = verify._family_numbers(base)
+    fibres = verify._map_fibres(base, verify._family_map(numbers, target), target)
+    assert fibres == [x % d for x in range(15)]
+    # x -> x + 1 mod d keeps the a-edges but sends b(j): v(2j) -> v(j) to
+    # v(2j + 1) -> v(j + 1), which is no b-edge of C(d)
+    shifted = [target.at_number[(x + 1) % d] for x in numbers]
+    assert verify._map_fibres(base, shifted, target) is None
+
+
+@pytest.mark.parametrize("i", [0, 1, 4])
+def test_sigma_walk_refuses_a_path(i):
+    # the a-edges of D(i) form a path: its ends leave or enter no a-edge
+    with pytest.raises(ComplexError, match="not a permutation"):
+        verify._permutation(_immersion_state(build_D(i)), "a")
+
+
+@pytest.mark.parametrize("variant", ["standard", "tilde"])
+def test_sigma_walk_matches_the_fold(variant):
+    for i in range(3, 16, 2):
+        base = _immersion_state(build_C(i, variant))
+        sigma = verify._permutation(base, "a")
+        vix = base.vertex_ix
+        for u, v in combinations(base.vids, 2):
+            walk = verify._sigma_walk(sigma, vix[u], vix[v])
+            assert walk == _identify_vertices_state(base, u, v).vpar
 
 
 def test_main_theorem_budget_covers_one_pass():
