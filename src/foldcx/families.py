@@ -189,23 +189,27 @@ def classify_compact(c: Compact) -> FamilyTag | None:
     Every family complex is folded, connected and non-empty, so its
     breadth-first key (canonical._bfs) exists and decides isomorphism with
     it; a complex without such a key is isomorphic to none of them.  Only
-    the four family complexes with c's vertex count are tried.  Lookup
-    order prefers C over D and standard over tilde, so when a tilde
-    complex happens to be isomorphic to its standard sibling the standard
-    tag is reported.
+    the family complexes with c's vertex count and face count are built
+    and tried: C(i) and D(i) have i + 1 faces each.  Lookup order prefers
+    C over D and standard over tilde, so when a tilde complex happens to
+    be isomorphic to its standard sibling the standard tag is reported.
     """
     n = c.nv
     if n % 2 == 0:
         return None
-    found = _bfs(c)
+    candidates = [
+        tag
+        for tag in (
+            FamilyTag("C", n, STANDARD),
+            FamilyTag("C", n, TILDE),
+            FamilyTag("D", (n - 1) // 2, STANDARD),
+            FamilyTag("D", (n - 1) // 2, TILDE),
+        )
+        if tag.index + 1 == len(c.ftype)
+    ]
+    found = _bfs(c) if candidates else None
     if found is None:
         return None
-    candidates = [
-        FamilyTag("C", n, STANDARD),
-        FamilyTag("C", n, TILDE),
-        FamilyTag("D", (n - 1) // 2, STANDARD),
-        FamilyTag("D", (n - 1) // 2, TILDE),
-    ]
     for tag in candidates:
         if _family_key(tag) == found[0]:
             return tag

@@ -10,8 +10,9 @@ by repeatedly merging cells that witness a failure of local injectivity:
 
 Each applied merge strictly decreases the number of live cells, so the
 process terminates, and both rules are forced in any immersion quotient,
-so the fixpoint does not depend on processing order.  Two engines share
-the merge primitives.
+so the fixpoint does not depend on processing order.  The one engine,
+_FoldState.run, unions vertex classes only; every other class is read off
+the vertex classes by key.
 
 fold() folds in three passes.  First it folds the 1-skeleton as a
 congruence closure on vertices under the partial maps sigma_g and their
@@ -40,16 +41,9 @@ class of its first boundary edge); the key is exact, and each face joins
 the least face holding its key.  No graph conflict appears afterwards,
 so that is the fixpoint.
 
-The rescan engine, which fold() runs when given an rng, reads no index:
-it recomputes the full conflict set after every merge and applies one
-conflict of either kind, chosen by the rng, a graph conflict by
-merge_edges.  Its face merges need not merge boundaries either, even
-before the skeleton is folded: the two boundaries stay in the skeleton,
-where the sides next to a shared slot share an endpoint, a label and a
-direction, so they form a graph conflict until merged, and by induction
-round the cycle the graph folds identify both boundaries.  The tests
-fold through both engines and through randomized orders and check the
-quotients and traces agree.
+The tests keep a rescan engine as the reference (tests/helpers.py): it
+recomputes every conflict after each merge and applies one in a random
+order, and its quotients and traces must agree with fold()'s.
 
 Internally cells are numbered in shortlex id order, so keeping the least
 integer of a merged class as its representative is the same rule as
@@ -58,34 +52,33 @@ gives compact(), the quotient in the integer form of canonical.Compact;
 the closure search deduplicates fold states on its canonical key, so it
 builds a Morphism only for the new ones.
 
-Every move merges one pair of cells in a copy of a prebuilt, unmerged
-state and folds.  Vertex and edge identification copy the state of the
-immersion itself.  Coupling copies the state of the immersion beside one
-closed cell of the relator, not yet attached (_coupling_base), and
-identifies the cell's edge at the given position with the given edge:
-the glued base depends on neither, so one base serves every coupling of
-one relator onto one immersion.
+Every move identifies one pair of cells in a copy of a prebuilt,
+unmerged state and folds.  Vertex and edge identification copy the state
+of the immersion itself.  An edge identification unions the two edges'
+tails and their heads; the edge pass then puts the two edges in one
+class, since they share a label and a tail class.  Coupling copies the
+state of the immersion beside one closed cell of the relator, not yet
+attached (_coupling_base), and identifies the cell's edge at the given
+position with the given edge: the glued base depends on neither, so one
+base serves every coupling of one relator onto one immersion.
 
 Every class keeps its least index as the root, whether a union or a
 keyed pass made it, so the union-find forest is the quotient map
-whatever the engine or the merge order.  Both engines leave the forests
-flat, each cell pointing at its root, and compact() and trace() read
-roots from them directly.  The FoldTrace is read off them: each absorbed
-cell with the output cell it became, vertices, then edges, then faces,
-each in index order.  Every engine and every order gives the same trace,
-and replaying it as raw unions reproduces the folded output from the
-input.
+whatever the merge order.  run() leaves the forests flat, each cell
+pointing at its root, and compact() and trace() read roots from them
+directly.  The FoldTrace is read off them: each absorbed cell with the
+output cell it became, vertices, then edges, then faces, each in index
+order.  Every merge order gives the same trace, and replaying it as raw
+unions reproduces the folded output from the input.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .canonical import Compact, _compact
 from .complexes import (
@@ -133,33 +126,6 @@ class FoldTrace:
             for ev in self.events
         )
 
-    @staticmethod
-    def from_json_lines(text: str) -> "FoldTrace":
-        """Parse to_json_lines output; a malformed line raises ComplexError
-        naming its line number."""
-        events = []
-        for number, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ComplexError(f"trace line {number} is not JSON: {exc}") from None
-            fields = ("kind", "survivor", "absorbed")
-            if not (
-                isinstance(doc, dict)
-                and all(isinstance(doc.get(name), str) for name in fields)
-            ):
-                raise ComplexError(
-                    f"trace line {number} must be an object with string fields "
-                    + ", ".join(fields)
-                )
-            try:
-                events.append(MergeEvent(*(doc[name] for name in fields)))
-            except ComplexError as exc:
-                raise ComplexError(f"trace line {number}: {exc}") from None
-        return FoldTrace(tuple(events))
-
 
 def _find(parent: list[int], x: int) -> int:
     p = parent[x]
@@ -177,12 +143,6 @@ def _flatten(*forests: list[int]) -> None:
     for parent in forests:
         for x, p in enumerate(parent):
             parent[x] = parent[p]
-
-
-def _pairs(groups: dict[tuple, list[int]]) -> list[tuple[int, int]]:
-    """The sorted pairs of cells that share a group.  Groups list roots in
-    increasing order, so each pair comes as (smaller, larger)."""
-    return sorted({pair for group in groups.values() for pair in combinations(group, 2)})
 
 
 class _FoldState:
@@ -209,11 +169,10 @@ class _FoldState:
     its class is absorbed; its entry is neither discarded nor updated, and
     merge_vertices resolves every pair to its roots.
 
-    Edges and faces need no index: once the queue is empty, run reads
-    their classes off in keyed passes (see the module docstring).
-    merge_edges and merge_faces are the rescan engine's merges, and
-    merge_edges is also the edge move; it merges both ends of the pair,
-    so run's edge pass puts the two edges in one class again.
+    Edges and faces need no index and no merge: once the queue is empty,
+    run reads their classes off in keyed passes (see the module
+    docstring), so merge_vertices is the one merge primitive, and every
+    move is one or two calls of it.
 
     copy() gives an independent state at the same point of folding, so a
     caller that makes many moves on one input builds its state once and
@@ -287,28 +246,7 @@ class _FoldState:
                 elif vpar[end_rep[dst + k]] != vpar[held]:
                     self.pending.append((end_rep[dst + k], held))
 
-    def merge_edges(self, e1: int, e2: int) -> None:
-        epar = self.epar
-        r1, r2 = _find(epar, e1), _find(epar, e2)
-        if r1 == r2:
-            return
-        if self.elab[r1] != self.elab[r2]:
-            raise RuntimeError("edge merge with mismatched labels")
-        survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
-        epar[absorbed] = survivor
-        self.merge_vertices(self.tail[r1], self.tail[r2])
-        self.merge_vertices(self.head[r1], self.head[r2])
-
-    def merge_faces(self, f1: int, f2: int) -> None:
-        r1, r2 = _find(self.fpar, f1), _find(self.fpar, f2)
-        if r1 == r2:
-            return
-        if self.ftype[r1] != self.ftype[r2]:
-            raise RuntimeError("face merge with mismatched types")
-        survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
-        self.fpar[absorbed] = survivor
-
-    # -- engines -------------------------------------------------------------
+    # -- engine --------------------------------------------------------------
 
     def run(self) -> None:
         """Close the vertex classes by draining the queue, then read the
@@ -330,34 +268,6 @@ class _FoldState:
     def _roots(self, parent: list[int]) -> list[int]:
         return [x for x, p in enumerate(parent) if p == x]
 
-    def graph_conflicts(self) -> list[tuple[int, int]]:
-        by_end: dict[tuple[int, int, int], list[int]] = {}
-        for e in self._roots(self.epar):
-            lab = self.elab[e]
-            by_end.setdefault((lab, _find(self.vpar, self.tail[e]), 0), []).append(e)
-            by_end.setdefault((lab, _find(self.vpar, self.head[e]), 1), []).append(e)
-        return _pairs(by_end)
-
-    def face_conflicts(self) -> list[tuple[int, int]]:
-        by_slot: dict[tuple[int, int, int], list[int]] = {}
-        for x in self._roots(self.fpar):
-            rtype = self.ftype[x]
-            for p, (e, _) in enumerate(self.boundary[x]):
-                by_slot.setdefault((_find(self.epar, e), rtype, p), []).append(x)
-        return _pairs(by_slot)
-
-    def run_rescan(self, rng: random.Random) -> None:
-        """Reference engine: recompute every conflict after each merge and
-        apply one chosen uniformly by rng, graph and face conflicts alike."""
-        while True:
-            merges = [(self.merge_edges, c) for c in self.graph_conflicts()]
-            merges += [(self.merge_faces, c) for c in self.face_conflicts()]
-            if not merges:
-                break
-            merge, pair = merges[rng.randrange(len(merges))]
-            merge(*pair)
-        _flatten(self.vpar, self.epar, self.fpar)
-
     # -- state queries (used by searches to avoid materializing quotients) ----
 
     def live_face_count(self) -> int:
@@ -366,7 +276,7 @@ class _FoldState:
     def compact(self) -> Compact:
         """The live quotient in compact form, cells numbered by their roots
         in index order; quotient() names each cell by its root's id.  It
-        reads roots straight off the forests, which the engines leave flat."""
+        reads roots straight off the forests, which run leaves flat."""
         vpar, epar = self.vpar, self.epar
         vroots, eroots = self._roots(vpar), self._roots(epar)
         froots = self._roots(self.fpar)
@@ -442,14 +352,10 @@ def _finish(state: _FoldState) -> Morphism:
     return out
 
 
-def fold(f: Morphism, rng: random.Random | None = None) -> tuple[Morphism, FoldTrace]:
-    """Fold to an immersion; returns the quotient and its trace.  Given an
-    rng, the rescan engine folds in that rng's order instead."""
+def fold(f: Morphism) -> tuple[Morphism, FoldTrace]:
+    """Fold to an immersion; returns the quotient and its trace."""
     state = _FoldState(_checked(f))
-    if rng is None:
-        state.run()
-    else:
-        state.run_rescan(rng)
+    state.run()
     return _finish(state), state.trace()
 
 
@@ -510,7 +416,8 @@ def _identify_edges_state(base: _FoldState, e1: str, e2: str) -> _FoldState:
             f"({gens[base.elab[x1]]!r} vs {gens[base.elab[x2]]!r})"
         )
     state = base.copy()
-    state.merge_edges(x1, x2)
+    state.merge_vertices(base.tail[x1], base.tail[x2])
+    state.merge_vertices(base.head[x1], base.head[x2])
     state.run()
     return state
 

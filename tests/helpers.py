@@ -1,5 +1,6 @@
-"""Shared test utilities: disjoint unions, randomized pre-fold inputs, a
-full-branch closure search kept as the reference for the one-edge rule,
+"""Shared test utilities: disjoint unions, randomized pre-fold inputs, the
+rescan fold engine kept as the reference for folding.fold, a full-branch
+closure search kept as the reference for the one-edge rule,
 dense homology kept as the reference for the reduced one, the exhaustive
 breadth-first key kept as the reference for the pruned one and the walk
 over every skeleton pair and face subset kept as the reference for the
@@ -10,7 +11,7 @@ from __future__ import annotations
 import functools
 import random
 from collections import deque
-from itertools import product
+from itertools import combinations, product
 
 from foldcx.canonical import Compact, canonical_form, canonical_key
 from foldcx.complexes import (
@@ -30,7 +31,13 @@ from foldcx.enumeration import (
 )
 from foldcx.families import build_C, build_D, kp, target_presentation
 from foldcx.folding import (
+    FoldTrace,
+    _checked,
     _coupling_base,
+    _find,
+    _finish,
+    _flatten,
+    _FoldState,
     _identify_edges_state,
     _immersion_state,
     fold,
@@ -109,6 +116,89 @@ def random_prefold(rng: random.Random) -> Morphism:
         for _ in range(rng.randint(1, 1 + len(vertices) // 2))
     ]
     return quotient_vertices(union, pairs)
+
+
+def _pairs(groups: dict[tuple, list[int]]) -> list[tuple[int, int]]:
+    """The sorted pairs of cells that share a group.  Groups list roots in
+    increasing order, so each pair comes as (smaller, larger)."""
+    return sorted({pair for group in groups.values() for pair in combinations(group, 2)})
+
+
+def merge_edges(state: _FoldState, e1: int, e2: int) -> None:
+    """Union two edge classes and both pairs of their ends."""
+    epar = state.epar
+    r1, r2 = _find(epar, e1), _find(epar, e2)
+    if r1 == r2:
+        return
+    if state.elab[r1] != state.elab[r2]:
+        raise RuntimeError("edge merge with mismatched labels")
+    survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
+    epar[absorbed] = survivor
+    state.merge_vertices(state.tail[r1], state.tail[r2])
+    state.merge_vertices(state.head[r1], state.head[r2])
+
+
+def merge_faces(state: _FoldState, f1: int, f2: int) -> None:
+    """Union two face classes; their boundaries are left to the graph folds."""
+    r1, r2 = _find(state.fpar, f1), _find(state.fpar, f2)
+    if r1 == r2:
+        return
+    if state.ftype[r1] != state.ftype[r2]:
+        raise RuntimeError("face merge with mismatched types")
+    survivor, absorbed = (r1, r2) if r1 < r2 else (r2, r1)
+    state.fpar[absorbed] = survivor
+
+
+def graph_conflicts(state: _FoldState) -> list[tuple[int, int]]:
+    """Pairs of live edges with one label at one (endpoint class, end)."""
+    by_end: dict[tuple[int, int, int], list[int]] = {}
+    for e in state._roots(state.epar):
+        lab = state.elab[e]
+        by_end.setdefault((lab, _find(state.vpar, state.tail[e]), 0), []).append(e)
+        by_end.setdefault((lab, _find(state.vpar, state.head[e]), 1), []).append(e)
+    return _pairs(by_end)
+
+
+def face_conflicts(state: _FoldState) -> list[tuple[int, int]]:
+    """Pairs of live faces of one relator with a side in the same slot."""
+    by_slot: dict[tuple[int, int, int], list[int]] = {}
+    for x in state._roots(state.fpar):
+        rtype = state.ftype[x]
+        for p, (e, _) in enumerate(state.boundary[x]):
+            by_slot.setdefault((_find(state.epar, e), rtype, p), []).append(x)
+    return _pairs(by_slot)
+
+
+def run_rescan(state: _FoldState, rng: random.Random) -> None:
+    """Recompute every conflict after each merge and apply one chosen
+    uniformly by rng, graph and face conflicts alike; the forests are left
+    flat, as _FoldState.run leaves them."""
+    while True:
+        merges = [(merge_edges, c) for c in graph_conflicts(state)]
+        merges += [(merge_faces, c) for c in face_conflicts(state)]
+        if not merges:
+            break
+        merge, pair = merges[rng.randrange(len(merges))]
+        merge(state, *pair)
+    _flatten(state.vpar, state.epar, state.fpar)
+
+
+def rescan_fold(f: Morphism, rng: random.Random) -> tuple[Morphism, FoldTrace]:
+    """Reference for folding.fold: the rescan engine, which reads no index.
+
+    It recomputes the full conflict set after every merge and applies one
+    conflict of either kind, chosen by rng, a graph conflict by
+    merge_edges.  Its face merges need not merge boundaries, even before
+    the skeleton is folded: the two boundaries stay in the skeleton, where
+    the sides next to a shared slot share an endpoint, a label and a
+    direction, so they form a graph conflict until merged, and by
+    induction round the cycle the graph folds identify both boundaries.
+    Every class keeps its least index as the root, so the quotient and the
+    trace do not depend on rng, and the tests check that they equal
+    fold()'s."""
+    state = _FoldState(_checked(f))
+    run_rescan(state, rng)
+    return _finish(state), state.trace()
 
 
 @functools.cache

@@ -28,7 +28,16 @@ from foldcx.folding import (
     identify_vertices,
     replay_trace,
 )
-from helpers import disjoint_union, quotient_vertices, random_prefold
+from helpers import (
+    disjoint_union,
+    face_conflicts,
+    graph_conflicts,
+    merge_edges,
+    quotient_vertices,
+    random_prefold,
+    rescan_fold,
+    run_rescan,
+)
 
 
 def cells(m):
@@ -174,13 +183,6 @@ def test_trace_replay_reproduces_output():
         assert replay_trace(noisy, trace) == folded
 
 
-def test_trace_json_lines_round_trip():
-    rng = random.Random(8)
-    noisy = random_prefold(rng)
-    _, trace = fold(noisy)
-    assert FoldTrace.from_json_lines(trace.to_json_lines()) == trace
-
-
 def test_trace_rejects_unknown_kinds_and_cells():
     rng = random.Random(5)
     noisy = random_prefold(rng)
@@ -188,9 +190,6 @@ def test_trace_rejects_unknown_kinds_and_cells():
     faces = [ev for ev in trace.events if ev.kind == "face-merge"]
     assert faces
     # a kind other than the three merges is no face merge
-    bogus = trace.to_json_lines().replace('"face-merge"', '"bogus"')
-    with pytest.raises(ComplexError, match="bogus"):
-        FoldTrace.from_json_lines(bogus)
     with pytest.raises(ComplexError, match="bogus"):
         MergeEvent("bogus", faces[0].survivor, faces[0].absorbed)
     # a cell the input lacks, or a cell of another sort, is named
@@ -200,22 +199,6 @@ def test_trace_rejects_unknown_kinds_and_cells():
     ):
         with pytest.raises(ComplexError, match=repr(ev.absorbed)):
             replay_trace(noisy, FoldTrace(trace.events + (ev,)))
-
-
-@pytest.mark.parametrize(
-    "line, reason",
-    [
-        ('{"kind": "edge-merge", "survivor": "a0"}', "string fields"),
-        ('["edge-merge", "a0", "a1"]', "string fields"),
-        ("edge-merge a0 a1", "not JSON"),
-        ('{"kind": "bogus", "survivor": "a0", "absorbed": "a1"}', "unknown merge kind"),
-    ],
-    ids=["missing-absorbed", "json-list", "not-json", "unknown-kind"],
-)
-def test_trace_rejects_malformed_lines(line, reason):
-    good = '{"kind": "edge-merge", "survivor": "a0", "absorbed": "a1"}'
-    with pytest.raises(ComplexError, match=f"line 3\\b.*{reason}"):
-        FoldTrace.from_json_lines(f"{good}\n\n{line}\n")
 
 
 def test_trace_covers_all_absorbed_cells():
@@ -232,7 +215,7 @@ def test_engines_agree():
     for _ in range(30):
         noisy = random_prefold(rng)
         worklist, _ = fold(noisy)
-        rescan, _ = fold(noisy, rng=random.Random(0))
+        rescan, _ = rescan_fold(noisy, random.Random(0))
         assert canonical_form(worklist) == canonical_form(rescan)
 
 
@@ -242,7 +225,7 @@ def test_confluence_across_random_orders():
         noisy = random_prefold(rng)
         reference = canonical_form(fold(noisy)[0])
         for seed in range(8):
-            shuffled, _ = fold(noisy, rng=random.Random(seed))
+            shuffled, _ = rescan_fold(noisy, random.Random(seed))
             assert canonical_form(shuffled) == reference
 
 
@@ -252,20 +235,28 @@ def test_deterministic_trace():
     assert fold(noisy)[1] == fold(noisy)[1]
 
 
+def merge_vertex_ids(state, u, v):
+    state.merge_vertices(state.vertex_ix[u], state.vertex_ix[v])
+
+
+def merge_edge_ids(state, e1, e2):
+    merge_edges(state, state.edge_ix[e1], state.edge_ix[e2])
+
+
 def move_cases():
-    """(input, merge, x, y) for the vertex moves of C(3..11) and the
-    b-edge moves of D(1..10) in both variants."""
+    """(input, move, merge, x, y) for the vertex moves of C(3..11) and the
+    b-edge moves of D(1..10) in both variants: move is the library's move
+    on a fold state, merge the rescan engine's union of the same pair."""
     cases = []
     for i in range(3, 12, 2):
         c = build_C(i)
-        for u, v in combinations(range(len(c.complex.vertices)), 2):
-            cases.append((c, _FoldState.merge_vertices, u, v))
+        for u, v in combinations(c.complex.vertices, 2):
+            cases.append((c, _identify_vertices_state, merge_vertex_ids, u, v))
     for variant in ("standard", "tilde"):
         for i in range(1, 11):
             d = build_D(i, variant)
-            eix = {e.id: k for k, e in enumerate(d.complex.edges)}
             for j, k in combinations(range(i + 1), 2):
-                cases.append((d, _FoldState.merge_edges, eix[f"b{j}"], eix[f"b{k}"]))
+                cases.append((d, _identify_edges_state, merge_edge_ids, f"b{j}", f"b{k}"))
     return cases
 
 
@@ -275,14 +266,12 @@ def test_flat_indexes_match_the_rescan_engine():
     # conflict from scratch after every merge
     cases = move_cases()
     assert len(cases) == 125 + 440  # vertex pairs, b-edge pairs
-    for k, (f, merge, x, y) in enumerate(cases):
-        quotients = []
-        for run in (_FoldState.run, lambda state: state.run_rescan(random.Random(k))):
-            state = _FoldState(f)
-            merge(state, x, y)
-            run(state)
-            quotients.append(state.quotient())
-        assert quotients[0] == quotients[1], (merge.__name__, x, y)
+    for k, (f, move, merge, x, y) in enumerate(cases):
+        moved = move(_FoldState(f), x, y)
+        state = _FoldState(f)
+        merge(state, x, y)
+        run_rescan(state, random.Random(k))
+        assert moved.quotient() == state.quotient(), (move.__name__, x, y)
 
 
 def test_run_leaves_no_conflict():
@@ -290,13 +279,11 @@ def test_run_leaves_no_conflict():
     # key, and the rescan engine's conflict sets must then be empty
     rng = random.Random(15)
     states = [_FoldState(random_prefold(rng)) for _ in range(25)]
-    for f, merge, x, y in move_cases():
-        state = _FoldState(f)
-        merge(state, x, y)
-        states.append(state)
     for state in states:
         state.run()
-        assert state.graph_conflicts() == [] and state.face_conflicts() == []
+    states += [move(_FoldState(f), x, y) for f, move, _, x, y in move_cases()]
+    for state in states:
+        assert graph_conflicts(state) == [] and face_conflicts(state) == []
 
 
 def test_folding_copies_leaves_the_base_state_unchanged():
@@ -334,16 +321,16 @@ def test_folded_skeleton_equates_faces_that_share_a_slot():
     # graph fold is left, faces of one relator sharing a slot share them all
     rng = random.Random(14)
     states = [_FoldState(random_prefold(rng)) for _ in range(25)]
-    for f, merge, x, y in move_cases():
+    for f, _, merge, x, y in move_cases():
         state = _FoldState(f)
         merge(state, x, y)
         states.append(state)
     pairs = 0
     for state in states:
-        while graph := state.graph_conflicts():
-            state.merge_edges(*graph[0])
+        while graph := graph_conflicts(state):
+            merge_edges(state, *graph[0])
         epar = state.epar
-        for x, y in state.face_conflicts():
+        for x, y in face_conflicts(state):
             pairs += 1
             assert [_find(epar, e) for e, _ in state.boundary[x]] == [
                 _find(epar, e) for e, _ in state.boundary[y]
@@ -365,7 +352,7 @@ def test_fold_is_confluent_and_replayable(seed, gluings, order_seed):
         noisy, [(vertices[a % n], vertices[b % n]) for a, b in gluings]
     )
     worklist, trace = fold(noisy)
-    shuffled, shuffled_trace = fold(noisy, rng=random.Random(order_seed))
+    shuffled, shuffled_trace = rescan_fold(noisy, random.Random(order_seed))
     assert shuffled == worklist
     assert shuffled_trace == trace
     assert replay_trace(noisy, trace) == worklist
@@ -377,9 +364,9 @@ def test_fold_is_confluent_and_replayable(seed, gluings, order_seed):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32))
 def test_edge_moves_match_the_rescan_engine(seed, pick, order_seed):
-    # an edge move unions two edges before run, which then reads the edge
-    # classes off by key instead of merging them; the rescan engine merges
-    # every edge pair it folds
+    # an edge move unions the two edges' tails and heads before run, which
+    # then reads the edge classes off by key instead of merging them; the
+    # rescan engine merges every edge pair it folds, the moved pair first
     base = _FoldState(random_prefold(random.Random(seed)))
     pairs = [
         (e1, e2)
@@ -388,10 +375,8 @@ def test_edge_moves_match_the_rescan_engine(seed, pick, order_seed):
     ]
     assume(pairs)  # a lone KP part has one edge per label
     e1, e2 = pairs[pick % len(pairs)]
-    folded = []
-    for run in (_FoldState.run, lambda state: state.run_rescan(random.Random(order_seed))):
-        state = base.copy()
-        state.merge_edges(e1, e2)
-        run(state)
-        folded.append((state.quotient(), state.trace()))
-    assert folded[0] == folded[1]
+    moved = _identify_edges_state(base, base.eids[e1], base.eids[e2])
+    state = base.copy()
+    merge_edges(state, e1, e2)
+    run_rescan(state, random.Random(order_seed))
+    assert (moved.quotient(), moved.trace()) == (state.quotient(), state.trace())

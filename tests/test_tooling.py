@@ -60,38 +60,62 @@ def _read_names(node) -> set[str]:
     return out
 
 
+def _defined_names(node) -> list[str]:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _method_name(node) -> list[str]:
+    """The name of a method other than a dunder, which is called implicitly."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    ):
+        return [node.name]
+    return []
+
+
+def _unread(statements, outside: set[str], defined):
+    """(statement, name) for each name defined(statement) gives that neither
+    outside nor another statement of the list reads."""
+    per_statement = [_read_names(node) for node in statements]
+    for k, node in enumerate(statements):
+        here = set().union(outside, *per_statement[:k], *per_statement[k + 1 :])
+        yield from ((node, name) for name in defined(node) if name not in here)
+
+
 def test_library_has_no_dead_helpers():
-    # a module-level function, class or constant that nothing in the
-    # library, the tests or the demos reads, imports or re-exports is left
-    # over from deleted code; its own definition does not count as a use
+    # a module-level function, class or constant, or a method of a library
+    # class, that nothing in the library or the demos reads, imports or
+    # re-exports is left over from deleted code; its own definition does
+    # not count as a use, and neither does a test: a reference that only
+    # the tests run belongs in the tests
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
-        for folder in (SOURCE, TESTS, ROOT / "demos")
+        for folder in (SOURCE, ROOT / "demos")
         for path in sorted(folder.rglob("*.py"))
     }
     assert SOURCE / "__init__.py" in trees, f"no sources under {SOURCE}"
     read = {path: _read_names(tree) for path, tree in trees.items()}
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        tree = trees[path]
+        body = trees[path].body
         elsewhere = set().union(*(names for p, names in read.items() if p != path))
-        per_statement = [_read_names(node) for node in tree.body]
-        for k, node in enumerate(tree.body):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [
-                    n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+        found += [
+            f"{path.name}:{node.lineno} {name}"
+            for node, name in _unread(body, elsewhere, _defined_names)
+        ]
+        for k, cls in enumerate(body):
+            if isinstance(cls, ast.ClassDef):
+                outside = elsewhere.union(*map(_read_names, body[:k] + body[k + 1 :]))
+                found += [
+                    f"{path.name}:{node.lineno} {cls.name}.{name}"
+                    for node, name in _unread(cls.body, outside, _method_name)
                 ]
-            else:
-                continue
-            here = set().union(*per_statement[:k], *per_statement[k + 1 :])
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name not in here and name not in elsewhere
-            ]
     assert not found, "dead helper " + ", ".join(found)
 
 
