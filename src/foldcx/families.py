@@ -194,10 +194,25 @@ def classify_compact(c: Compact) -> FamilyTag | None:
     C over D and standard over tilde, so when a tilde complex happens to
     be isomorphic to its standard sibling the standard tag is reported.
     """
+    found = _bfs(c) if _candidates(c) else None
+    return None if found is None else _match(c, found[0])
+
+
+def classify_built(tag: FamilyTag, c: Compact) -> FamilyTag | None:
+    """classify_compact(c) for c the compact form of build_family(tag).
+    c's key is then tag's own, so it is cached for tag from c, and tag's
+    complex is not built a second time to key it."""
+    key = _bfs(c)[0]
+    _key_cache.setdefault(tag, key)
+    return _match(c, key)
+
+
+def _candidates(c: Compact) -> list[FamilyTag]:
+    """The family tags with c's vertex and face counts, in lookup order."""
     n = c.nv
     if n % 2 == 0:
-        return None
-    candidates = [
+        return []
+    return [
         tag
         for tag in (
             FamilyTag("C", n, STANDARD),
@@ -207,13 +222,11 @@ def classify_compact(c: Compact) -> FamilyTag | None:
         )
         if tag.index + 1 == len(c.ftype)
     ]
-    found = _bfs(c) if candidates else None
-    if found is None:
-        return None
-    for tag in candidates:
-        if _family_key(tag) == found[0]:
-            return tag
-    return None
+
+
+def _match(c: Compact, key: tuple) -> FamilyTag | None:
+    """The first candidate tag of c whose key is c's breadth-first key."""
+    return next((tag for tag in _candidates(c) if _family_key(tag) == key), None)
 
 
 def classify(f: Morphism) -> FamilyTag | None:

@@ -13,7 +13,7 @@ from foldcx.enumeration import (
     enumerate_by_types,
     enumerate_immersions,
 )
-from foldcx import verify
+from foldcx import families, verify
 from foldcx.families import (
     TYPE_LONG,
     TYPE_SHORT,
@@ -22,6 +22,7 @@ from foldcx.families import (
     build_D,
     build_family,
     classify,
+    odd_part,
     parse_family_spec,
 )
 from foldcx.folding import (
@@ -447,6 +448,71 @@ def test_sigma_walk_matches_the_fold(variant):
         for u, v in combinations(base.vids, 2):
             walk = verify._sigma_walk(sigma, vix[u], vix[v])
             assert walk == _identify_vertices_state(base, u, v).vpar
+
+
+@pytest.mark.parametrize("variant", ["standard", "tilde"])
+def test_pair_walk_matches_the_fold_on_edge_rows(variant):
+    for i in range(1, 16):
+        base = _immersion_state(build_D(i, variant))
+        neighbours = verify._neighbours(base)
+        for j in range(i):
+            pairs = verify._end_pairs(base, f"b{i}", f"b{j}")
+            # the quotient is C(d) with d vertices; 0 classes never stop it
+            stopped = verify._pair_walk(neighbours, pairs, odd_part(i - j))
+            assert stopped == verify._pair_walk(neighbours, pairs, 0)
+            assert stopped == _identify_edges_state(base, f"b{i}", f"b{j}").vpar
+
+
+def test_pair_walk_is_a_lower_bound_on_coupling_rows():
+    # every union is forced, so the walk never merges more than the fold;
+    # it stops short where the cell joins two family vertices through a
+    # vertex that lacks their keys: u0 of the short cell has no a-edge
+    short_of_the_fold = []
+    for i in range(16):
+        d = build_D(i)
+        for t, p in COUPLINGS_AT_B:
+            glued, cell = _coupling_base(d, t)
+            pairs = verify._end_pairs(glued, cell[p], f"b{i}")
+            walk = verify._pair_walk(verify._neighbours(glued), pairs, 0)
+            fold = _identify_edges_state(glued, cell[p], f"b{i}").vpar
+            assert all(fold[root] == fold[x] for x, root in enumerate(walk))
+            if len(set(walk)) > len(set(fold)):
+                short_of_the_fold.append((i, t, p))
+    assert short_of_the_fold == [(0, TYPE_LONG, 0), (0, TYPE_LONG, 2)] + [
+        (i, TYPE_SHORT, 0) for i in range(1, 16)
+    ]
+
+
+def test_edge_rows_run_no_fold(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an edge row was folded")
+
+    monkeypatch.setattr(verify, "_identify_edges_state", refuse)
+    for max_i in sorted(LEMMA_REPORTS):
+        report = check_lemma_edge_identification(max_i)
+        assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
+
+
+def test_targets_report_what_classify_reports(monkeypatch):
+    # a target's key comes from the build that _Targets makes; from an
+    # empty key cache it must still give classify's name for that complex
+    used = set()
+    add = verify._Targets.add
+
+    def record(self, tag, t):
+        used.add(tag)
+        return add(self, tag, t)
+
+    monkeypatch.setattr(verify._Targets, "add", record)
+    for checker in LEMMA_CHECKERS:
+        checker(15)
+    monkeypatch.undo()
+    assert len(used) == 2 * 8 + 17 + 1  # C(d) and Ct(d), D(0..16), Dt(1)
+    for tag in sorted(used, key=str):
+        monkeypatch.setattr(families, "_key_cache", {})
+        expected = classify(build_family(tag))
+        monkeypatch.setattr(families, "_key_cache", {})
+        assert verify._Targets()[tag].reported == expected
 
 
 def test_main_theorem_budget_covers_one_pass():
