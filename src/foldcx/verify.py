@@ -41,43 +41,49 @@ label-preserving cellular map onto T: every edge of the base lands on an
 edge of T with its label and ends, every face on a face of T with its
 whole boundary, and every vertex, edge and face of T is hit.
 
-Both bounds.  Lower: a partition made only of unions that the move
-forces, the moved pair's first, lies inside the fold's vertex classes.
-Upper: when that partition equals the fibres of pi, pi identifies the
-moved pair (an edge pair by its ends, since T has one edge per tail and
-label) and maps onto an immersion, and the fold is the least quotient
-that immerses (Stallings, "Topology of finite graphs", Invent. Math.
-1983), so every fold vertex class lies in one fibre of pi.  So a row
-passes its certificate when the partition equals the fibres of pi: the
-fold's classes lie between and equal them too.
+Every row computes one partition, the forced-pair walk (_pair_walk, a
+partial congruence closure: Downey, Sethi & Tarjan, "Variations on the
+common subexpression problem", J. ACM 1980), from seed pairs that the
+row's move forces.  Each union of x and y pushes the pair of their
+neighbours under every (label, direction) key that both have, read off
+one neighbour array per key, built once per base (_neighbours).  Each
+pushed pair is forced: once x ~ y in the fold, the g-edges leaving x and
+y share a label and a tail class, so the fold makes them one edge and
+joins their heads; entering edges join their tails the same way.  The
+walk stops once its class count reaches |V(T)|.  No fold runs.
 
-For a vertex row the partition is the sigma_a walk (_sigma_walk): join
-(v_u, v_v), step both ends along their a-edges, join again, i times.
-Each step is forced: every vertex of C(i) has exactly one outgoing a-edge
-(_permutation refuses a base where sigma_a is not a permutation), so
-once x ~ y the fold merges the a-edges leaving them, which share a label
-and a tail class, and with them their heads: sigma_a(x) ~ sigma_a(y).  No
-fold runs.
+Both bounds.  Lower: the walk makes only forced unions, so it lies
+inside the fold's vertex classes.  Upper: when the walk equals the
+fibres of pi, pi identifies the moved pair (an edge pair by its ends,
+since T has one edge per tail and label) and maps onto an immersion, and
+the fold is the least quotient that immerses (Stallings, "Topology of
+finite graphs", Invent. Math. 1983), so every fold vertex class lies in
+one fibre of pi.  So a row passes its certificate when the walk equals
+the fibres of pi: the fold's classes lie between and equal them too.
+The comparison is exact, so an early stop, or a walk that stops short of
+the fold (it pushes the neighbours of the pair it joins, not of their
+whole classes), can only send a row to the fallback, never pass a wrong
+one.
 
-For an edge row the partition is the forced-pair walk (_pair_walk) from
-the two edges' tails and their heads.  Each union of x and y pushes the
-pair of their neighbours under every (label, direction) key that both
-have, read off one neighbour array per key, built once per base
-(_neighbours).  Each pushed pair is forced: once x ~ y in the fold, the
-g-edges leaving x and y share a label and a tail class, so the fold makes
-them one edge and joins their heads; entering edges join their tails the
-same way.  The walk stops once its class count reaches |V(T)|, and the
-partition is then compared with the fibres of pi exactly, so an early stop
-can only send a row to the fallback, never pass a wrong one.  No fold
-runs.  The walk is not complete in general: it pushes the neighbours of
-the pair it joins, not of their whole classes.  On the vertex rows it
-gives the sigma_a walk's partition about four times slower, so they keep
-the sigma_a walk.  On coupling rows it stops short of the fold: the short
-cell's vertex u0 has no a-edge, and the walk joins v(2i) ~ v(i) only
-through u0, so it never pairs their a-neighbours, which the fold joins.
-So for a coupling row the fold runs, and the partition is its flat vertex
-forest (_FoldState.vpar): the fold is its own lower bound, and only the
-map, not a canonical key, names the quotient.
+The seeds.  An edge row, b_i ~ b_j or a coupling's cell edge ~ b_i,
+seeds the two edges' tails and their heads (_end_pairs).  When one of
+the two is a loop, t1 = h1, it also seeds the other's tail and head: t2
+~ t1 = h1 ~ h2 by transitivity, and only a seeded or pushed pair has its
+neighbours paired.  This is what completes the coupling rows: the short
+cell is a b-loop at a vertex u0 with no a-edge, so without that seed
+the walk joins v(2i) ~ v(i) only through u0 and never pairs their
+a-neighbours, which the fold joins; b0 of D(0) is a loop too.
+
+A vertex row v_u ~ v_v of C(i) seeds one pair, (v_0, v_(v - u)).  Once
+per C(i) the checker checks that sigma_a, read off the a-leaving
+neighbour array, is the rotation v_x -> v_(x - 1 mod i), and raises
+RuntimeError if not.  Every vertex then has an a-edge, so x ~ y forces
+sigma_a(x) ~ sigma_a(y), and v_u ~ v_v forces sigma_a^u of the pair,
+(v_0, v_(v - u)): every row's fold contains the walk from it.  So one
+walk, and its verdict against the fibres, serves every row with that
+difference; in combinations order it is the first such row's own walk.
+The fibres do not depend on the row either: pi identifies v_u and v_v
+exactly when d divides v - u.
 
 Why equal classes make the quotient T.  The fold reads edge classes off
 by (tail class, label) and face classes by (relator, first edge class);
@@ -88,9 +94,9 @@ since T has one face per (relator, first edge).  pi hits every cell, so
 the quotient's cells biject with T's, boundaries included: the quotient
 is isomorphic to T, and the row reports classify(T) and the Euler
 characteristic of T, computed once per T.  A row whose certificate does
-not check falls back to classifying the compact form of its folded state
-(_classify_state), folding it first if it is a vertex or edge row, so a
-failing row still reports the class of its actual quotient.
+not check, and only such a row, is folded and falls back to classifying
+the compact form of its folded state (_classify_state), so a failing row
+still reports the class of its actual quotient.
 
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
@@ -490,54 +496,26 @@ def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] |
     return [least[y] for y in pi]
 
 
-def _permutation(base: _FoldState, gen: str) -> list[int]:
-    """sigma_gen on the base's vertices: the head of each vertex's one
-    outgoing gen-edge.  Raises ComplexError unless that is a permutation,
-    every vertex leaving and entering exactly one gen-edge; the base
-    immerses, so no vertex has two."""
-    label = base.presentation.generators.index(gen)
-    sigma = [-1] * len(base.vids)
-    for tail, head, g in zip(base.tail, base.head, base.elab):
-        if g == label:
-            sigma[tail] = head
-    if -1 in sigma or len(set(sigma)) != len(sigma):
-        raise ComplexError(f"sigma_{gen} of the base is not a permutation")
-    return sigma
-
-
-def _sigma_walk(sigma: list[int], u: int, v: int) -> list[int]:
-    """The flat forest, least index as root, of the unions (x, y),
-    (sigma(x), sigma(y)), ... from (u, v), one per vertex: each is forced
-    once the one before it is; see the module docstring."""
-    parent = list(range(len(sigma)))
-    for _ in sigma:
-        # most parents are roots, so only a deeper vertex calls _find
-        ru, rv = parent[u], parent[v]
-        if parent[ru] != ru or parent[rv] != rv:
-            ru, rv = _find(parent, u), _find(parent, v)
-        if ru < rv:
-            parent[rv] = ru
-        elif rv < ru:
-            parent[ru] = rv
-        u, v = sigma[u], sigma[v]
-    _flatten(parent)
-    return parent
-
-
 def _neighbours(base: _FoldState) -> list[list[int]]:
     """One array per (label, direction) key: each vertex's neighbour under
-    it, or -1.  The base immerses, so each key has at most one edge, and
+    it, or -1; key 2 * label is the label's leaving edge, so key 0 is
+    sigma_a.  The base immerses, so each key has at most one edge, and
     the fold's flat index (_FoldState.end_rep) holds its other end."""
     width = 2 * base.ngens
     return [base.end_rep[k::width] for k in range(width)]
 
 
-def _end_pairs(base: _FoldState, e1: str, e2: str) -> tuple:
-    """The two unions that identifying edges e1 and e2 forces first: their
-    tails, and their heads."""
+def _end_pairs(base: _FoldState, e1: str, e2: str) -> list[tuple[int, int]]:
+    """The unions that identifying edges e1 and e2 forces first: their
+    tails, their heads, and when either edge is a loop the other's tail
+    and head (t1 = h1 gives t2 ~ t1 = h1 ~ h2).  The walk pushes the
+    neighbours of the pairs it joins, so that third pair is what pairs the
+    neighbours of the other edge's ends."""
     eix, tail, head = base.edge_ix, base.tail, base.head
     x, y = eix[e1], eix[e2]
-    return (tail[x], tail[y]), (head[x], head[y])
+    pairs = [(tail[x], tail[y]), (head[x], head[y])]
+    pairs += [(tail[q], head[q]) for p, q in ((x, y), (y, x)) if tail[p] == head[p]]
+    return pairs
 
 
 def _pair_walk(neighbours: list[list[int]], pairs, classes: int) -> list[int]:
@@ -570,12 +548,13 @@ def _pair_walk(neighbours: list[list[int]], pairs, classes: int) -> list[int]:
 
 
 def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
-    """Report each (description, target T, uncertified) row.  A certified
-    row, with uncertified None, reports T's class and chi; any other row
-    reports those of its folded state, uncertified, through
-    _classify_state.  Either way the row passes when that class is T's
-    family and index, in either variant.  The wall clock covers building
-    the rows too."""
+    """Report each (description, target T, uncertified) row.  A row whose
+    walk gave the fibres of its map onto T is certified: uncertified is
+    None and the row reports T's class and chi.  Any other row was folded,
+    and reports the class and chi of its folded state, uncertified,
+    through _classify_state.  Either way the row passes when that class is
+    T's family and index, in either variant.  The wall clock covers
+    building the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
@@ -594,26 +573,34 @@ def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
     max_i; each quotient must be C(d), d = gcd(i, v - u).  A row is
-    certified without folding: its sigma_a walk from (v_u, v_v) must give
-    the fibres of x -> x mod d, checked once per (i, d) to map C(i) onto
-    C(d) (module docstring).  A row that does not check is folded and
-    classified."""
+    certified without folding: the forced-pair walk from (v_0, v_(v - u)),
+    stopped at d classes, must give the fibres of x -> x mod d, checked
+    once per (i, d) to map C(i) onto C(d).  Once per C(i) sigma_a is
+    checked to be the rotation v_x -> v_(x - 1), so the walk and its
+    verdict serve every row with that difference (module docstring); a
+    base where it is not raises RuntimeError.  A row that does not check
+    is folded and classified."""
     targets = _Targets()
 
     def rows():
         for i in range(3, max_i + 1, 2):
             base = _immersion_state(build_C(i))
-            numbers, sigma, vix = _family_numbers(base), _permutation(base, "a"), base.vertex_ix
+            numbers, neighbours, vix = _family_numbers(base), _neighbours(base), base.vertex_ix
+            if any(y < 0 or numbers[y] != (x - 1) % i for x, y in zip(numbers, neighbours[0])):
+                raise RuntimeError(f"sigma_a of C:{i} is not the rotation v_x -> v_(x-1)")
             maps: dict[int, tuple[_Target, list[int] | None]] = {}
+            certified: dict[int, bool] = {}  # by v - u
             for u, v in combinations(range(i), 2):
                 d = gcd(i, v - u)
                 if d not in maps:
                     target = targets[FamilyTag("C", d, STANDARD)]
                     maps[d] = target, _map_fibres(base, _family_map(numbers, target), target)
                 target, fibres = maps[d]
-                x, y = vix[f"v{u}"], vix[f"v{v}"]
+                if v - u not in certified:
+                    pairs = [(vix["v0"], vix[f"v{v - u}"])]
+                    certified[v - u] = _pair_walk(neighbours, pairs, d) == fibres
                 uncertified = None
-                if _sigma_walk(sigma, x, y) != fibres:
+                if not certified[v - u]:
                     uncertified = _identify_vertices_state(base, f"v{u}", f"v{v}")
                 yield f"C:{i} identify v{u}~v{v}", target, uncertified
 
@@ -624,11 +611,11 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
     b-edge b_j and fold; each quotient must be C(d), d = odd_part(i - j),
     in either variant.  A row is certified without folding: its forced-
-    pair walk from (tail, tail) and (head, head) of the two edges, stopped
-    at d classes, must give the fibres of x -> x mod d onto C(d), or Ct(d)
-    from Dt(i), checked once per (i, d) to be a cellular map onto it.  The
-    walk's unions are all forced, so it lies inside the fold's classes and
-    the map's fibres bound them from above (module docstring).  A row that
+    pair walk from the two edges' ends (_end_pairs), stopped at d classes,
+    must give the fibres of x -> x mod d onto C(d), or Ct(d) from Dt(i),
+    checked once per (i, d) to be a cellular map onto it.  The walk's
+    unions are all forced, so it lies inside the fold's classes and the
+    map's fibres bound them from above (module docstring).  A row that
     does not check is folded and classified."""
     targets = _Targets()
 
@@ -659,13 +646,12 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
     at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
     symmetric); the long cell at position 2 gives D(i + 1).  A row is
-    certified when the fold's vertex classes are the fibres of the
-    coupling map onto that outcome: v_x -> v_(x mod |V(T)|) on D(i), the
-    cell traced round its relator in T (module docstring).  Each row
-    folds: the forced-pair walk of the edge rows stops short of the fold
-    on every short-cell row with i >= 1 and on both long-cell rows at
-    i = 0.  A row that does not check is classified from its folded
-    state."""
+    certified without folding when its forced-pair walk from the two
+    edges' ends, the other's tail and head too when one is a loop
+    (_end_pairs), gives the fibres of the coupling map onto that outcome:
+    v_x -> v_(x mod |V(T)|) on D(i), the cell traced round its relator in
+    T (module docstring).  The neighbour arrays are built once per glued
+    base.  A row that does not check is folded and classified."""
     targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 
@@ -683,6 +669,7 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
             edge = f"b{i}"
             for t, word in enumerate(d.presentation.relators):
                 base, cell = _coupling_base(d, t)
+                neighbours = _neighbours(base)
                 for p, (gen, _) in enumerate(word):
                     if gen != d.edge_labels[edge]:
                         continue
@@ -693,10 +680,12 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
                     else:
                         tag = ("D", i, STANDARD) if i else ("D", 1, TILDE)
                     target = targets[FamilyTag(*tag)]
-                    state = _identify_edges_state(base, cell[p], edge)
                     pi = _coupling_map(base, word, cell, p, edge, target)
                     fibres = None if pi is None else _map_fibres(base, pi, target)
-                    uncertified = None if state.vpar == fibres else state
+                    pairs = _end_pairs(base, cell[p], edge)
+                    uncertified = None
+                    if _pair_walk(neighbours, pairs, len(target.at_number)) != fibres:
+                        uncertified = _identify_edges_state(base, cell[p], edge)
                     yield f"D:{i} couple type {t} position {p} at {edge}", target, uncertified
 
     report = _lemma_report("coupling", max_i, rows())

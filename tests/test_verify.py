@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -13,7 +14,7 @@ from foldcx.enumeration import (
     enumerate_by_types,
     enumerate_immersions,
 )
-from foldcx import families, verify
+from foldcx import cli, families, verify
 from foldcx.families import (
     TYPE_LONG,
     TYPE_SHORT,
@@ -432,22 +433,37 @@ def test_map_check_rejects_a_non_cellular_map(d):
     assert verify._map_fibres(base, shifted, target) is None
 
 
-@pytest.mark.parametrize("i", [0, 1, 4])
-def test_sigma_walk_refuses_a_path(i):
-    # the a-edges of D(i) form a path: its ends leave or enter no a-edge
-    with pytest.raises(ComplexError, match="not a permutation"):
-        verify._permutation(_immersion_state(build_D(i)), "a")
+@pytest.mark.parametrize(
+    "build",
+    [
+        # sigma_a of Ct(i) is x -> x + 1, so the walk from (v_0, v_(v - u))
+        # would not be forced by the row v_u ~ v_v
+        pytest.param(lambda i: build_C(i, "tilde"), id="tilde"),
+        # the a-edges of D(i) form a path: its first vertex leaves none
+        pytest.param(build_D, id="path"),
+    ],
+)
+def test_a_base_whose_sigma_a_is_not_the_rotation_raises(monkeypatch, capsys, build):
+    monkeypatch.setattr(verify, "build_C", build)
+    with pytest.raises(RuntimeError, match="not the rotation"):
+        check_lemma_vertex_identification(5)
+    assert cli.main(["verify-lemma", "2.2", "--max-i", "5"]) == 2
+    assert "internal error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variant", ["standard", "tilde"])
-def test_sigma_walk_matches_the_fold(variant):
+def test_pair_walk_matches_the_fold_on_vertex_rows(variant):
     for i in range(3, 16, 2):
         base = _immersion_state(build_C(i, variant))
-        sigma = verify._permutation(base, "a")
+        neighbours = verify._neighbours(base)
         vix = base.vertex_ix
-        for u, v in combinations(base.vids, 2):
-            walk = verify._sigma_walk(sigma, vix[u], vix[v])
-            assert walk == _identify_vertices_state(base, u, v).vpar
+        for u, v in combinations(range(i), 2):
+            fold = _identify_vertices_state(base, f"v{u}", f"v{v}").vpar
+            assert verify._pair_walk(neighbours, [(vix[f"v{u}"], vix[f"v{v}"])], 0) == fold
+            # the row's own pair forces (v_0, v_(v - u)) in either variant,
+            # whose walk the checker shares among all rows of that difference
+            shared = [(vix["v0"], vix[f"v{v - u}"])]
+            assert verify._pair_walk(neighbours, shared, gcd(i, v - u)) == fold
 
 
 @pytest.mark.parametrize("variant", ["standard", "tilde"])
@@ -463,34 +479,40 @@ def test_pair_walk_matches_the_fold_on_edge_rows(variant):
             assert stopped == _identify_edges_state(base, f"b{i}", f"b{j}").vpar
 
 
-def test_pair_walk_is_a_lower_bound_on_coupling_rows():
-    # every union is forced, so the walk never merges more than the fold;
-    # it stops short where the cell joins two family vertices through a
-    # vertex that lacks their keys: u0 of the short cell has no a-edge
-    short_of_the_fold = []
+def test_end_pairs_seed_the_other_ends_at_a_loop():
+    d = build_D(3)  # b3: v6 -> v3, b1: v2 -> v1, b0: v0 -> v0
+    base = _immersion_state(d)
+    v0, v1, v2, v3, v6 = (base.vertex_ix[f"v{x}"] for x in (0, 1, 2, 3, 6))
+    assert verify._end_pairs(base, "b3", "b1") == [(v6, v2), (v3, v1)]
+    assert verify._end_pairs(base, "b3", "b0") == [(v6, v0), (v3, v0), (v6, v3)]
+    glued, cell = _coupling_base(d, TYPE_SHORT)  # the short cell: a b-loop at u0
+    u0, v3, v6 = (glued.vertex_ix[x] for x in ("u0", "v3", "v6"))
+    assert verify._end_pairs(glued, cell[0], "b3") == [(u0, v6), (u0, v3), (v6, v3)]
+
+
+def test_pair_walk_matches_the_fold_on_coupling_rows():
+    # the short cell is a b-loop at u0, which has no a-edge, and b0 of
+    # D(0) is a loop: the loop seed pairs the other edge's ends, so the
+    # walk reaches the fold where it would stop short without it
     for i in range(16):
         d = build_D(i)
         for t, p in COUPLINGS_AT_B:
             glued, cell = _coupling_base(d, t)
             pairs = verify._end_pairs(glued, cell[p], f"b{i}")
             walk = verify._pair_walk(verify._neighbours(glued), pairs, 0)
-            fold = _identify_edges_state(glued, cell[p], f"b{i}").vpar
-            assert all(fold[root] == fold[x] for x, root in enumerate(walk))
-            if len(set(walk)) > len(set(fold)):
-                short_of_the_fold.append((i, t, p))
-    assert short_of_the_fold == [(0, TYPE_LONG, 0), (0, TYPE_LONG, 2)] + [
-        (i, TYPE_SHORT, 0) for i in range(1, 16)
-    ]
+            assert walk == _identify_edges_state(glued, cell[p], f"b{i}").vpar
 
 
-def test_edge_rows_run_no_fold(monkeypatch):
+def test_lemma_rows_run_no_fold(monkeypatch):
     def refuse(*args):
-        raise AssertionError("an edge row was folded")
+        raise AssertionError("a lemma row was folded")
 
     monkeypatch.setattr(verify, "_identify_edges_state", refuse)
+    monkeypatch.setattr(verify, "_identify_vertices_state", refuse)
     for max_i in sorted(LEMMA_REPORTS):
-        report = check_lemma_edge_identification(max_i)
-        assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
+        for checker in LEMMA_CHECKERS:
+            report = checker(max_i)
+            assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
 
 def test_targets_report_what_classify_reports(monkeypatch):
