@@ -101,9 +101,12 @@ still reports the class of its actual quotient.
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
 free-face-free immersions it reaches.  Each node branches on one free
-edge only, the one with the fewest moves: identify it with a same-labeled
-edge, or couple either cell type onto it.  Its docstring argues why one
-edge suffices and states the scope of that argument.
+edge only, the one with the fewest moves, ties broken by the largest
+canonical edge number: identify it with a same-labeled edge, or couple
+either cell type onto it.  Each node is keyed once, and the tie-break reads
+that key, so the search does the same work however the cells are named.
+Its docstring argues why one edge suffices and states the scope of that
+argument.
 
 Reports are deterministic: rows are generated in sorted order and the
 text and JSON forms exclude wall-clock time unless explicitly requested.
@@ -257,12 +260,23 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     the slot (type, position) of e's own side, where the new cell folds
     back onto that side and gives the node again.  The couplings of one
     type fold copies of one glued state (folding._coupling_base).  e is the
-    free edge with the fewest such moves, ties broken by shortlex id (the
-    minimum-remaining-values rule of exact-cover search).  Immersions
-    without free faces are collected, not expanded.  `folds` counts the
-    successor states folded; those over the face budget are dropped and
-    counted in `pruned`, those isomorphic to a state seen before in
-    `duplicates`.
+    free edge with the fewest such moves (the minimum-remaining-values rule
+    of exact-cover search), ties broken by the largest canonical number,
+    the eix that canonical_key gives the edge.  Immersions without free
+    faces are collected, not expanded.  `folds` counts the successor states
+    folded; those over the face budget are dropped and counted in `pruned`,
+    those isomorphic to a state seen before in `duplicates`.
+
+    Each node is keyed once, when it is reached: the start before the
+    loop, every other node as a successor, for the duplicate check.  Its
+    queue entry keeps that key's edge numbering (_edge_numbers), so the
+    tie-break keys nothing.  Equal keys number isomorphic complexes alike,
+    so e is fixed up to an automorphism of the node, and the node's
+    successors up to isomorphism.  The search keeps the first state of each
+    class it meets, and breadth first meets the classes of each depth after
+    all those of the depths before, whatever the order within a depth.  So
+    explored, folds, duplicates, pruned and max_depth do not depend on cell
+    names; only the recorded moves and which state of a class is kept do.
 
     Why one edge suffices.  Let phi: X -> Y map an immersion X with free
     edge e into an immersion Y without free faces, over the target.  phi(e)
@@ -305,12 +319,16 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     positions_per_label = Counter(
         gen for word in f.presentation.relators for gen, _ in word
     )
-    seen = {canonical_key(_immersion_state(f).compact())[0]}
-    queue: deque[tuple[Morphism, tuple[Move, ...]]] = deque([(f, ())])
+    start = _immersion_state(f)
+    key, _, eix, _ = canonical_key(start.compact())
+    seen = {key}
+    queue: deque[tuple[Morphism, tuple[Move, ...], dict[str, int]]] = deque(
+        [(f, (), _edge_numbers(start, eix))]
+    )
     results: list[tuple[Morphism, tuple[Move, ...]]] = []
     explored = pruned = max_depth = folds = duplicates = 0
     while queue:
-        current, moves = queue.popleft()
+        current, moves, number = queue.popleft()
         explored += 1
         max_depth = max(max_depth, len(moves))
         labels = current.edge_labels
@@ -319,7 +337,7 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             free_faces(current.complex),
             key=lambda e: (
                 edges_per_label[labels[e]] - 1 + positions_per_label[labels[e]],
-                id_key(e),
+                -number[e],
             ),
         )
         label = labels[eid]
@@ -350,18 +368,26 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             if state.live_face_count() > max_faces:
                 pruned += 1
                 continue
-            key = canonical_key(state.compact())[0]
+            key, _, eix, _ = canonical_key(state.compact())
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
             nxt = _finish(state)
             if free_faces(nxt.complex):
-                queue.append((nxt, moves + (move,)))
+                queue.append((nxt, moves + (move,), _edge_numbers(state, eix)))
             else:
                 results.append((nxt, moves + (move,)))
     results.sort(key=lambda pair: canonical_form(pair[0]))
     return ClosureResult(results, explored, pruned, max_depth, folds, duplicates)
+
+
+def _edge_numbers(state: _FoldState, eix: list[int]) -> dict[str, int]:
+    """The canonical number of each edge of state's quotient, by id, from
+    the eix of canonical_key(state.compact()): compact() numbers the edges
+    by their roots in index order, and quotient() names each edge by its
+    root's id in that order."""
+    return dict(zip((state.eids[e] for e in state._roots(state.epar)), eix))
 
 
 def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:

@@ -1,5 +1,6 @@
-"""Shared test utilities: disjoint unions, randomized pre-fold inputs, the
-rescan fold engine kept as the reference for folding.fold, a full-branch
+"""Shared test utilities: disjoint unions, isomorphic copies with shuffled
+names, randomized pre-fold inputs, the rescan fold engine kept as the
+reference for folding.fold, a full-branch
 closure search kept as the reference for the one-edge rule,
 dense homology kept as the reference for the reduced one, the exhaustive
 breadth-first key kept as the reference for the pruned one and the walk
@@ -61,6 +62,27 @@ def rename(f: Morphism, suffix: str) -> Morphism:
         f.presentation,
         {ren(e): lab for e, lab in f.edge_labels.items()},
         {ren(x): t for x, t in f.face_types.items()},
+    )
+
+
+def scrambled(f: Morphism, rng: random.Random) -> Morphism:
+    """An isomorphic copy with permuted ids, so shortlex order changes, and
+    with every cell list handed to make in shuffled order."""
+    cx = f.complex
+    ids = [*cx.vertices, *(e.id for e in cx.edges), *(x.id for x in cx.faces)]
+    fresh = [f"c{k}" for k in range(len(ids))]
+    rng.shuffle(fresh)
+    ren = dict(zip(ids, fresh))
+    vs = [ren[v] for v in cx.vertices]
+    es = [Edge(ren[e.id], ren[e.tail], ren[e.head]) for e in cx.edges]
+    fs = [Face(ren[x.id], tuple((ren[e], s) for e, s in x.boundary)) for x in cx.faces]
+    for cells in (vs, es, fs):
+        rng.shuffle(cells)
+    return Morphism(
+        TwoComplex.make(vs, es, fs),
+        f.presentation,
+        {ren[e]: lab for e, lab in f.edge_labels.items()},
+        {ren[x]: t for x, t in f.face_types.items()},
     )
 
 

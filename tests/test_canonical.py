@@ -27,7 +27,13 @@ from foldcx.folding import (
 from foldcx.presentations import parse_presentation
 from foldcx.complexes import presentation_complex
 
-from helpers import exhaustive_bfs, folded_prefold, four_vertex_classes, random_prefold
+from helpers import (
+    exhaustive_bfs,
+    folded_prefold,
+    four_vertex_classes,
+    random_prefold,
+    scrambled,
+)
 
 
 def relabeled(f: Morphism, suffix: str) -> Morphism:
@@ -189,27 +195,6 @@ morphisms = st.one_of(
     st.sampled_from(range(139)).map(lambda k: four_vertex_classes()[k]),
     st.sampled_from(range(400)).map(folded_prefold),
 )
-
-
-def scrambled(f: Morphism, rng: random.Random) -> Morphism:
-    """An isomorphic copy with permuted ids, so shortlex order changes, and
-    with every cell list handed to make in shuffled order."""
-    cx = f.complex
-    ids = [*cx.vertices, *(e.id for e in cx.edges), *(x.id for x in cx.faces)]
-    fresh = [f"c{k}" for k in range(len(ids))]
-    rng.shuffle(fresh)
-    ren = dict(zip(ids, fresh))
-    vs = [ren[v] for v in cx.vertices]
-    es = [Edge(ren[e.id], ren[e.tail], ren[e.head]) for e in cx.edges]
-    fs = [Face(ren[x.id], tuple((ren[e], s) for e, s in x.boundary)) for x in cx.faces]
-    for cells in (vs, es, fs):
-        rng.shuffle(cells)
-    return Morphism(
-        TwoComplex.make(vs, es, fs),
-        f.presentation,
-        {ren[e]: lab for e, lab in f.edge_labels.items()},
-        {ren[x]: t for x, t in f.face_types.items()},
-    )
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 from itertools import combinations
 from math import gcd
@@ -45,7 +46,7 @@ from foldcx.verify import (
     closure_search,
     verify_main_theorem,
 )
-from helpers import disjoint_union, full_branch_closure, quotient_vertices
+from helpers import disjoint_union, full_branch_closure, quotient_vertices, scrambled
 
 
 def test_closure_search_from_the_smallest_disc():
@@ -103,8 +104,8 @@ def test_closure_search_counts_are_pinned():
     # pins the one-edge rule: a change to the choice of branching edge or
     # to its successors would change these counts
     result = closure_search(build_D(1), 4)
-    assert (result.explored, result.pruned, result.max_depth) == (5, 2, 2)
-    assert (result.folds, result.duplicates) == (23, 15)
+    assert (result.explored, result.pruned, result.max_depth) == (3, 1, 2)
+    assert (result.folds, result.duplicates) == (12, 7)
     assert len(result.results) == 2
 
 
@@ -113,9 +114,41 @@ def test_closure_search_from_a_disconnected_start():
     # the refinement route; a key that merged non-isomorphic states or split
     # isomorphic ones would change these counts
     result = closure_search(disjoint_union([build_D(1), build_D(0)]), 5)
-    assert (result.explored, result.pruned, result.max_depth) == (20, 16, 3)
-    assert (result.folds, result.duplicates) == (106, 68)
+    assert (result.explored, result.pruned, result.max_depth) == (16, 14, 3)
+    assert (result.folds, result.duplicates) == (83, 51)
     assert len(result.results) == 3
+
+
+def closure_counts(result) -> tuple:
+    return (
+        result.explored,
+        result.folds,
+        result.duplicates,
+        result.pruned,
+        result.max_depth,
+        len(result.results),
+    )
+
+
+@pytest.mark.parametrize(
+    "start",
+    [build_D(1), build_family(parse_family_spec("Dt:1")), couple(build_D(0), 1, 2, "b0")],
+    ids=["D:1", "Dt:1", "couple"],
+)
+def test_closure_counts_do_not_depend_on_cell_names(start):
+    # the branching edge is chosen by canonical number, not by id, so
+    # renamings that reorder the ids in shortlex order do the same work
+    starts = [start] + [scrambled(start, random.Random(seed)) for seed in range(5)]
+    counts = {closure_counts(closure_search(s, 9)) for s in starts}
+    assert counts == {(8, 52, 40, 1, 7, 4)}
+
+
+def test_closure_frontier_at_forty_eight_faces():
+    result = closure_search(build_D(1), 48)
+    assert sorted(str(classify(m)) for m, _ in result.results) == sorted(
+        f"C:{i}" for i in range(1, 48, 2)
+    )
+    assert (result.explored, result.folds) == (47, 1222)
 
 
 def test_full_branch_reference_counts_are_pinned():
