@@ -4,11 +4,14 @@ Local injectivity pins down what an immersion's domain can be: at every
 vertex there is at most one outgoing and one incoming edge per label, so
 the 1-skeleton is exactly a pair (sigma_a, sigma_b) of partial injections on
 the vertex set.  Given the skeleton, each face is a closed trace of its
-relator (complexes.trace_relator) from some start vertex; the trace from a
-given vertex is unique when it exists, and distinct traces never share a
-side slot, so the legal face sets are exactly the subsets of the closed
-traces.  For each vertex count the walk settles the faces of a skeleton
-pair before anything else, in four stages.
+relator from some start vertex; the trace from a given vertex is unique
+when it exists, and distinct traces never share a side slot, so the legal
+face sets are exactly the subsets of the closed traces.  The walk does not
+trace through a whole skeleton, as complexes.trace_relator does for the
+families: it traces once per sigma_a with the b-steps free (_free_trace)
+and reads each sigma_b's traces off that table.  For each vertex count
+the walk settles the faces of a skeleton pair before anything else, in
+four stages.
 
 1. a-skeletons: one sigma_a per isomorphism class of the a-labeled
    subgraph (a multiset of directed paths and cycles).
@@ -73,12 +76,10 @@ class BudgetExceeded(RuntimeError):
     """Raised when a search hits its node budget; results are never
     silently truncated."""
 
-    def __init__(self, nodes: int, budget: int, message: str = ""):
+    def __init__(self, nodes: int, budget: int):
         self.nodes = nodes
         self.budget = budget
-        super().__init__(
-            message or f"search budget exhausted ({nodes} nodes > {budget})"
-        )
+        super().__init__(f"search budget exhausted ({nodes} nodes > {budget})")
 
 
 @dataclass(frozen=True)
@@ -325,7 +326,9 @@ def enumerate_by_types(
     immersions up to isomorphism, sorted by canonical form.  A node is a
     skeleton pair, skipped or not, or a face subset tried for any of the
     type sets; BudgetExceeded is raised when more than max_nodes are visited
-    in all."""
+    in all.  A budget below one is rejected before any work."""
+    if max_nodes < 1:
+        raise ComplexError("max_nodes must be at least 1")
     found = {frozenset(types): {} for types in type_sets}
     for types in found:  # the filter checks the arguments
         EnumerationFilter(max_vertices, required_types=types)

@@ -153,6 +153,8 @@ class _FoldState:
     ngens + label) * 2 + direction] holds the vertex at the other end of
     one edge with that label at that endpoint (direction 0 when the vertex
     is the edge's tail, so the head is held, 1 when it is the head), or -1.
+    neighbours() hands the index out as one array per key, so no other
+    module depends on this layout.
 
     One neighbour per key is enough.  In a folded skeleton a key has at
     most one edge, so the other ends of all edges with one key lie in one
@@ -272,6 +274,16 @@ class _FoldState:
 
     def live_face_count(self) -> int:
         return len(self._roots(self.fpar))
+
+    def neighbours(self) -> list[list[int]]:
+        """One array per (label, direction) key: each vertex's neighbour
+        under it, or -1.  Key 2 * label leaves by the label's edge and holds
+        its head, so key 0 is sigma_a; key 2 * label + 1 enters by it and
+        holds its tail.  On an unmerged state of an immersion each key has
+        at most one edge, so these are the partial maps sigma_g and their
+        inverses."""
+        width = 2 * self.ngens
+        return [self.end_rep[k::width] for k in range(width)]
 
     def compact(self) -> Compact:
         """The live quotient in compact form, cells numbered by their roots

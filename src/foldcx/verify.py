@@ -34,23 +34,23 @@ D(i) beside one closed cell (folding._coupling_base).  The map pi sends
 each family vertex v_x of the base to v_(x mod |V(T)|), and for coupling
 the glued cell's vertices to those met tracing the cell's relator round
 T, starting from the image of the edge it is glued to.  T immerses, so
-each of its vertices has at most one edge per (label, direction); each
-step of that trace is forced and the trace is unique.  Once per (base,
-T), so per row for coupling, _map_fibres checks that pi is a
-label-preserving cellular map onto T: every edge of the base lands on an
-edge of T with its label and ends, every face on a face of T with its
-whole boundary, and every vertex, edge and face of T is hit.
+its neighbour arrays (_FoldState.neighbours) hold at most one neighbour
+per (vertex, label, direction) and a relator read from a vertex traces
+at most one path: each step of the cell's trace is forced, and T's edges
+are fixed by (label, tail) and its faces, boundaries included, by
+(relator, start vertex).  Once per (base, T), so per row for coupling,
+_map_fibres checks on those arrays that pi is a cellular map onto T.
 
 Every row computes one partition, the forced-pair walk (_pair_walk, a
 partial congruence closure: Downey, Sethi & Tarjan, "Variations on the
 common subexpression problem", J. ACM 1980), from seed pairs that the
 row's move forces.  Each union of x and y pushes the pair of their
 neighbours under every (label, direction) key that both have, read off
-one neighbour array per key, built once per base (_neighbours).  Each
-pushed pair is forced: once x ~ y in the fold, the g-edges leaving x and
-y share a label and a tail class, so the fold makes them one edge and
-joins their heads; entering edges join their tails the same way.  The
-walk stops once its class count reaches |V(T)|.  No fold runs.
+the base's neighbour arrays, built once per base.  Each pushed pair is
+forced: once x ~ y in the fold, the g-edges leaving x and y share a
+label and a tail class, so the fold makes them one edge and joins their
+heads; entering edges join their tails the same way.  The walk stops
+once its class count reaches |V(T)|.  No fold runs.
 
 Both bounds.  Lower: the walk makes only forced unions, so it lies
 inside the fold's vertex classes.  Upper: when the walk equals the
@@ -87,16 +87,14 @@ exactly when d divides v - u.
 
 Why equal classes make the quotient T.  The fold reads edge classes off
 by (tail class, label) and face classes by (relator, first edge class);
-see folding.  With vertex classes the fibres of pi, two base edges share
-a class exactly when they map to one edge of T, since T has one edge per
-(tail, label), and two faces exactly when they map to one face of T,
-since T has one face per (relator, first edge).  pi hits every cell, so
-the quotient's cells biject with T's, boundaries included: the quotient
-is isomorphic to T, and the row reports classify(T) and the Euler
-characteristic of T, computed once per T.  A row whose certificate does
-not check, and only such a row, is folded and falls back to classifying
-the compact form of its folded state (_classify_state), so a failing row
-still reports the class of its actual quotient.
+see folding.  With vertex classes the fibres of pi, these are the keys
+that fix T's cells, and pi hits every cell, so the quotient's cells
+biject with T's, boundaries included: the quotient is isomorphic to T,
+and the row reports classify(T) and the Euler characteristic of T,
+computed once per T.  A row whose certificate does not check, and only
+such a row, is folded and falls back to classifying the compact form of
+its folded state (_classify_state), so a failing row still reports the
+class of its actual quotient.
 
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
@@ -122,7 +120,7 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .canonical import _compact, canonical_form, canonical_key, isomorphic
+from .canonical import canonical_form, canonical_key, isomorphic
 from .complexes import (
     ComplexError,
     Morphism,
@@ -269,8 +267,11 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
 
     Each node is keyed once, when it is reached: the start before the
     loop, every other node as a successor, for the duplicate check.  Its
-    queue entry keeps that key's edge numbering (_edge_numbers), so the
-    tie-break keys nothing.  Equal keys number isomorphic complexes alike,
+    queue entry keeps that key's eix, which numbers the edges of the
+    node's Morphism in its edge order: compact() numbers edges by their
+    roots in index order, and the quotient lists them, named by those
+    roots, in the same shortlex order.  So the tie-break keys nothing.
+    Equal keys number isomorphic complexes alike,
     so e is fixed up to an automorphism of the node, and the node's
     successors up to isomorphism.  The search keeps the first state of each
     class it meets, and breadth first meets the classes of each depth after
@@ -322,15 +323,14 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     start = _immersion_state(f)
     key, _, eix, _ = canonical_key(start.compact())
     seen = {key}
-    queue: deque[tuple[Morphism, tuple[Move, ...], dict[str, int]]] = deque(
-        [(f, (), _edge_numbers(start, eix))]
-    )
+    queue: deque[tuple[Morphism, tuple[Move, ...], list[int]]] = deque([(f, (), eix)])
     results: list[tuple[Morphism, tuple[Move, ...]]] = []
     explored = pruned = max_depth = folds = duplicates = 0
     while queue:
-        current, moves, number = queue.popleft()
+        current, moves, eix = queue.popleft()
         explored += 1
         max_depth = max(max_depth, len(moves))
+        number = dict(zip((e.id for e in current.complex.edges), eix))
         labels = current.edge_labels
         edges_per_label = Counter(labels.values())
         eid = min(
@@ -375,19 +375,11 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             seen.add(key)
             nxt = _finish(state)
             if free_faces(nxt.complex):
-                queue.append((nxt, moves + (move,), _edge_numbers(state, eix)))
+                queue.append((nxt, moves + (move,), eix))
             else:
                 results.append((nxt, moves + (move,)))
     results.sort(key=lambda pair: canonical_form(pair[0]))
     return ClosureResult(results, explored, pruned, max_depth, folds, duplicates)
-
-
-def _edge_numbers(state: _FoldState, eix: list[int]) -> dict[str, int]:
-    """The canonical number of each edge of state's quotient, by id, from
-    the eix of canonical_key(state.compact()): compact() numbers the edges
-    by their roots in index order, and quotient() names each edge by its
-    root's id in that order."""
-    return dict(zip((state.eids[e] for e in state._roots(state.epar)), eix))
 
 
 def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
@@ -406,18 +398,16 @@ def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
 class _Target(NamedTuple):
     """A predicted family complex T, indexed for the coupling trace and the
     map check, and the class and chi that a row certified onto T reports.
-    T immerses, so each (label, vertex) has at most one leaving and one
-    entering edge, and each (relator, edge) at most one face whose
-    boundary starts there; -1 marks none."""
+    T immerses, so a relator read from a vertex traces at most one path
+    through its neighbour arrays (_FoldState.neighbours): an edge of T is
+    fixed by its (label, tail) and a face by its (relator, start vertex),
+    so the map check needs no table per edge or per face."""
 
     tag: FamilyTag
     at_number: list[int]  # x -> T's index of its vertex v_x
-    tail: list[int]  # edge -> vertex
-    head: list[int]
-    leaving: list[list[int]]  # [label][vertex] -> edge
-    entering: list[list[int]]
-    face_at: list[list[int]]  # [relator][first edge] -> face
-    sides: list[list[int]]  # face -> its boundary edges
+    neighbours: list[list[int]]
+    faces: frozenset[tuple[int, int]]  # (relator, start vertex) per face
+    edges: int
     reported: FamilyTag | None
     chi: int
 
@@ -434,28 +424,28 @@ class _Targets(dict):
         witness = immersion_witness(t)
         if witness is not None:
             raise RuntimeError(f"target {tag} is not an immersion: {witness}")
-        c = _compact(t)
-        leaving = [[-1] * c.nv for _ in range(c.ngens)]
-        entering = [[-1] * c.nv for _ in range(c.ngens)]
-        for e, (tail, head, g) in enumerate(zip(c.tail, c.head, c.label)):
-            leaving[g][tail] = entering[g][head] = e
-        face_at = [[-1] * len(c.tail) for _ in t.presentation.relators]
-        for x, (ft, sides) in enumerate(zip(c.ftype, c.boundary)):
-            face_at[ft][sides[0][0]] = x
-        vix = {v: k for k, v in enumerate(t.complex.vertices)}
+        state = _FoldState(t)
+        vix = state.vertex_ix
         self[tag] = found = _Target(
             tag,
-            [vix[f"v{x}"] for x in range(c.nv)],
-            c.tail,
-            c.head,
-            leaving,
-            entering,
-            face_at,
-            [[e for e, _ in sides] for sides in c.boundary],
-            classify_built(tag, c),
+            [vix[f"v{x}"] for x in range(len(vix))],
+            state.neighbours(),
+            frozenset(_face_starts(state, range(len(vix)))),
+            len(state.tail),
+            classify_built(tag, state.compact()),
             euler_characteristic(t.complex),
         )
         return found
+
+
+def _face_starts(base: _FoldState, pi) -> set[tuple[int, int]]:
+    """(relator, pi(start)) for each face of the base, where the start of a
+    face is the tail of its first side's edge, or its head for sign -1."""
+    tail, head = base.tail, base.head
+    return {
+        (ft, pi[tail[e] if s > 0 else head[e]])
+        for ft, ((e, s), *_) in zip(base.ftype, base.boundary)
+    }
 
 
 def _family_numbers(base: _FoldState) -> list[int]:
@@ -476,10 +466,10 @@ def _coupling_map(
     """pi on a glued coupling base whose cell, over the relator word, is
     glued to edge at position p: the family map, with the cell's vertices
     traced round word in T from the image of edge.  T immerses, so each
-    step follows the one edge of T with the letter's label and direction;
+    step reads T's one neighbour under the letter's label and direction;
     None when there is none.  Closing up is left to the map check."""
     gen_ix = {g: k for k, g in enumerate(glued.presentation.generators)}
-    eix, tail, head = glued.edge_ix, glued.tail, glued.head
+    eix, tail, head, nb = glued.edge_ix, glued.tail, glued.head, target.neighbours
     pi = _family_map(_family_numbers(glued), target)
     start = eix[edge]
     w = pi[tail[start] if word[p][1] > 0 else head[start]]
@@ -488,47 +478,41 @@ def _coupling_map(
         g, sign = word[q]
         side = eix[cell[q]]
         pi[tail[side] if sign > 0 else head[side]] = w
-        step = (target.leaving if sign > 0 else target.entering)[gen_ix[g]][w]
-        if step < 0:
+        w = nb[2 * gen_ix[g] + (sign < 0)][w]
+        if w < 0:
             return None
-        w = (target.head if sign > 0 else target.tail)[step]
     return pi
 
 
 def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] | None:
     """If pi extends to a label-preserving cellular map of the base onto T,
     each base vertex's least fibre-mate, which is also what a flat vertex
-    forest holds when its classes are the fibres; otherwise None.  Every
-    edge must land on an edge of T with its label and both ends, every
-    face on a face of T of its relator with its whole boundary (the signs
-    are the relator's on both sides), and every cell of T must be hit."""
+    forest holds when its classes are the fibres; otherwise None.
+
+    Every base edge (t, h, g) must have pi(h) as pi(t)'s g-neighbour in T:
+    it then lands on T's one g-edge leaving pi(t).  A base face of relator
+    r starting at s reads r round a path from s, so its edges land on a
+    path reading r from pi(s) in T.  T immerses, so that path is the one
+    trace of r from pi(s), and T's face at (r, pi(s)), if there is one,
+    has exactly that boundary.  So the faces land, boundaries included,
+    when the (r, pi(s)) of the base's faces are among T's; they are all of
+    T's exactly when every face of T is hit.  Vertices and edges, an edge
+    by its (label, pi(tail)), are hit when their counts are T's."""
     if -1 in pi:
         return None
-    leaving, head = target.leaving, target.head
-    emap = [leaving[g][pi[t]] for t, g in zip(base.tail, base.elab)]
-    if -1 in emap or [head[e] for e in emap] != [pi[h] for h in base.head]:
-        return None
-    face_at = target.face_at
-    fmap = [face_at[ft][emap[sides[0][0]]] for ft, sides in zip(base.ftype, base.boundary)]
-    if -1 in fmap or [target.sides[x] for x in fmap] != [
-        [emap[e] for e, _ in sides] for sides in base.boundary
-    ]:
+    nb = target.neighbours
+    if [nb[2 * g][pi[t]] for t, g in zip(base.tail, base.elab)] != [pi[h] for h in base.head]:
         return None
     # the least vertex of each fibre: in reverse, the last write wins
     least = dict(zip(reversed(pi), range(len(pi) - 1, -1, -1)))
-    hit = len(least), len(set(emap)), len(set(fmap))
-    if hit != (len(target.at_number), len(head), len(target.sides)):
+    hit = (
+        len(least),
+        len({(g, pi[t]) for t, g in zip(base.tail, base.elab)}),
+        _face_starts(base, pi),
+    )
+    if hit != (len(target.at_number), target.edges, target.faces):
         return None
     return [least[y] for y in pi]
-
-
-def _neighbours(base: _FoldState) -> list[list[int]]:
-    """One array per (label, direction) key: each vertex's neighbour under
-    it, or -1; key 2 * label is the label's leaving edge, so key 0 is
-    sigma_a.  The base immerses, so each key has at most one edge, and
-    the fold's flat index (_FoldState.end_rep) holds its other end."""
-    width = 2 * base.ngens
-    return [base.end_rep[k::width] for k in range(width)]
 
 
 def _end_pairs(base: _FoldState, e1: str, e2: str) -> list[tuple[int, int]]:
@@ -611,7 +595,7 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     def rows():
         for i in range(3, max_i + 1, 2):
             base = _immersion_state(build_C(i))
-            numbers, neighbours, vix = _family_numbers(base), _neighbours(base), base.vertex_ix
+            numbers, neighbours, vix = _family_numbers(base), base.neighbours(), base.vertex_ix
             if any(y < 0 or numbers[y] != (x - 1) % i for x, y in zip(numbers, neighbours[0])):
                 raise RuntimeError(f"sigma_a of C:{i} is not the rotation v_x -> v_(x-1)")
             maps: dict[int, tuple[_Target, list[int] | None]] = {}
@@ -649,7 +633,7 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
         for variant, label in ((STANDARD, "D"), (TILDE, "Dt")):
             for i in range(1, max_i + 1):
                 base = _immersion_state(build_D(i, variant))
-                numbers, neighbours = _family_numbers(base), _neighbours(base)
+                numbers, neighbours = _family_numbers(base), base.neighbours()
                 maps: dict[int, tuple[_Target, list[int] | None]] = {}
                 for j in range(i):
                     d = odd_part(i - j)
@@ -695,7 +679,7 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
             edge = f"b{i}"
             for t, word in enumerate(d.presentation.relators):
                 base, cell = _coupling_base(d, t)
-                neighbours = _neighbours(base)
+                neighbours = base.neighbours()
                 for p, (gen, _) in enumerate(word):
                     if gen != d.edge_labels[edge]:
                         continue

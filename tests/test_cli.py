@@ -378,6 +378,15 @@ def test_max_nodes_applies_to_enumerate(capsys):
     assert main(["enumerate", "--max-vertices", "2"]) == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", ["enumerate", "verify-theorem"])
+def test_exit_two_on_node_budget_below_one(capsys, command, budget):
+    # rejected on entry, not reported as a budget the search exhausted
+    assert main([command, "--max-vertices", "3", "--max-nodes", budget]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: max_nodes must be at least 1\n")
+
+
 @pytest.mark.parametrize("error", [RuntimeError, RecursionError])
 def test_exit_two_on_internal_error(kp_file, capsys, monkeypatch, error):
     def failing(cx):

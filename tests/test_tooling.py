@@ -47,6 +47,22 @@ def test_library_has_no_unused_imports():
     assert not found, "unused import in " + ", ".join(found)
 
 
+def test_fold_state_internals_stay_in_folding():
+    # the union-find forests, the flat incidence index and the merge queue
+    # of folding._FoldState change as it folds; every other module reads a
+    # fold state through its methods (compact, neighbours, ...) instead
+    internals = {"end_rep", "vpar", "epar", "fpar", "pending", "_roots"}
+    files = sorted(p for p in SOURCE.glob("*.py") if p.name != "folding.py")
+    assert files, f"no sources under {SOURCE}"
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in internals
+    ]
+    assert not found, "fold state internals read in " + ", ".join(found)
+
+
 def _read_names(node) -> set[str]:
     """Every name node reads: loaded names, attributes and imported names."""
     out = set()

@@ -8,7 +8,13 @@ from math import gcd
 import pytest
 
 from foldcx.canonical import canonical_form
-from foldcx.complexes import ComplexError, Morphism, euler_characteristic
+from foldcx.complexes import (
+    ComplexError,
+    Edge,
+    Morphism,
+    TwoComplex,
+    euler_characteristic,
+)
 from foldcx.enumeration import (
     BudgetExceeded,
     EnumerationFilter,
@@ -466,6 +472,68 @@ def test_map_check_rejects_a_non_cellular_map(d):
     assert verify._map_fibres(base, shifted, target) is None
 
 
+def _with_cells(f: Morphism, faces, vertices=(), edges=()) -> Morphism:
+    """f with only the given faces, plus the given vertices and a-edges."""
+    cx = f.complex
+    return Morphism(
+        TwoComplex.make(list(cx.vertices) + list(vertices), list(cx.edges) + list(edges), faces),
+        f.presentation,
+        {**f.edge_labels, **{e.id: "a" for e in edges}},
+        {x.id: f.face_types[x.id] for x in faces},
+    )
+
+
+def _custom_target(monkeypatch, tag: FamilyTag, t: Morphism):
+    # classify_built caches t's key for tag, which would be wrong for tag
+    monkeypatch.setattr(families, "_key_cache", {})
+    return verify._Targets().add(tag, t)
+
+
+def _identity_fibres(base, target):
+    pi = verify._family_map(verify._family_numbers(base), target)
+    return verify._map_fibres(base, pi, target)
+
+
+def test_map_check_rejects_a_map_that_misses_a_face():
+    # every cell of C(5) less its last long cell lands on C(5), but the
+    # missed face makes the map not onto
+    c5 = build_C(5)
+    target = verify._Targets()[FamilyTag("C", 5, "standard")]
+    assert _identity_fibres(_immersion_state(c5), target) == list(range(5))
+    less = _with_cells(c5, c5.complex.faces[:-1])
+    assert _identity_fibres(_immersion_state(less), target) is None
+
+
+def test_map_check_rejects_a_face_where_the_target_has_none(monkeypatch):
+    # base and target are C(5) less one long cell each, f1 and f5: the
+    # counts agree, but the base's f5 lands where the target has no face
+    c5 = build_C(5)
+    first, last = c5.complex.faces[1], c5.complex.faces[-1]
+    assert (c5.face_types[first.id], c5.face_types[last.id]) == (TYPE_LONG, TYPE_LONG)
+    less_first, less_last = (
+        _with_cells(c5, [x for x in c5.complex.faces if x != cell]) for cell in (first, last)
+    )
+    base, tag = _immersion_state(less_first), FamilyTag("C", 5, "standard")
+    assert _identity_fibres(base, _custom_target(monkeypatch, tag, less_first)) == list(range(5))
+    assert _identity_fibres(base, _custom_target(monkeypatch, tag, less_last)) is None
+
+
+@pytest.mark.parametrize(
+    "vertices, edge",
+    [([], Edge("a3", "v0", "v2")), (["v3"], Edge("a3", "v0", "v3"))],
+    ids=["edge", "vertex"],
+)
+def test_map_check_rejects_a_map_that_misses_a_vertex_or_an_edge(monkeypatch, vertices, edge):
+    # D(1) has no a-edge out of v0; the target adds one, on no face, and
+    # maybe its own head, so D(1) maps into it with every face hit
+    d1 = build_D(1)
+    base = _immersion_state(d1)
+    assert _identity_fibres(base, verify._Targets()[FamilyTag("D", 1, "standard")]) == [0, 1, 2]
+    bigger = _with_cells(d1, d1.complex.faces, vertices, [edge])
+    target = _custom_target(monkeypatch, FamilyTag("D", 1, "standard"), bigger)
+    assert _identity_fibres(base, target) is None
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -488,7 +556,7 @@ def test_a_base_whose_sigma_a_is_not_the_rotation_raises(monkeypatch, capsys, bu
 def test_pair_walk_matches_the_fold_on_vertex_rows(variant):
     for i in range(3, 16, 2):
         base = _immersion_state(build_C(i, variant))
-        neighbours = verify._neighbours(base)
+        neighbours = base.neighbours()
         vix = base.vertex_ix
         for u, v in combinations(range(i), 2):
             fold = _identify_vertices_state(base, f"v{u}", f"v{v}").vpar
@@ -503,7 +571,7 @@ def test_pair_walk_matches_the_fold_on_vertex_rows(variant):
 def test_pair_walk_matches_the_fold_on_edge_rows(variant):
     for i in range(1, 16):
         base = _immersion_state(build_D(i, variant))
-        neighbours = verify._neighbours(base)
+        neighbours = base.neighbours()
         for j in range(i):
             pairs = verify._end_pairs(base, f"b{i}", f"b{j}")
             # the quotient is C(d) with d vertices; 0 classes never stop it
@@ -532,7 +600,7 @@ def test_pair_walk_matches_the_fold_on_coupling_rows():
         for t, p in COUPLINGS_AT_B:
             glued, cell = _coupling_base(d, t)
             pairs = verify._end_pairs(glued, cell[p], f"b{i}")
-            walk = verify._pair_walk(verify._neighbours(glued), pairs, 0)
+            walk = verify._pair_walk(glued.neighbours(), pairs, 0)
             assert walk == _identify_edges_state(glued, cell[p], f"b{i}").vpar
 
 
