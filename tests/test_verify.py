@@ -484,7 +484,8 @@ def _with_cells(f: Morphism, faces, vertices=(), edges=()) -> Morphism:
 
 
 def _custom_target(monkeypatch, tag: FamilyTag, t: Morphism):
-    # classify_built caches t's key for tag, which would be wrong for tag
+    # classify_built caches t's key as tag's; the emptied cache, restored
+    # after the test, keeps that wrong key out of every other test
     monkeypatch.setattr(families, "_key_cache", {})
     return verify._Targets().add(tag, t)
 
