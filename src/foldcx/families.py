@@ -85,7 +85,7 @@ class FamilyTag:
 
 def parse_family_spec(text: str) -> FamilyTag:
     head, sep, tail = text.partition(":")
-    if not sep or head not in ("D", "C", "Dt", "Ct") or not tail.isdigit():
+    if not sep or head not in ("D", "C", "Dt", "Ct") or not (tail.isascii() and tail.isdigit()):
         raise ComplexError(
             f"family spec {text!r} must look like 'D:3', 'C:5', 'Dt:3' or 'Ct:5'"
         )

@@ -185,7 +185,7 @@ class _FoldState:
 
     def __init__(self, f: Morphism):
         cx = f.complex
-        c = _compact(f)
+        self.unmerged = c = _compact(f)  # compact() before any merge
         self.presentation = f.presentation
         self.ngens = c.ngens
         self.vids = list(cx.vertices)  # shortlex-sorted by construction
@@ -208,8 +208,9 @@ class _FoldState:
 
     def copy(self) -> "_FoldState":
         """Copies the union-find arrays, the flat index and the queue; the
-        input cells (tail, head, elab, ftype, boundary and the ids) and the
-        name indexes are never written, so they are shared."""
+        input cells (tail, head, elab, ftype, boundary, their compact form
+        and the ids) and the name indexes are never written, so they are
+        shared."""
         twin = copy.copy(self)
         for name in ("vpar", "epar", "fpar", "end_rep"):
             setattr(twin, name, getattr(self, name).copy())

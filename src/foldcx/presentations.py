@@ -22,7 +22,7 @@ def parse_word(text: str, generators: tuple[str, ...]) -> Word:
     letters = []
     for ch in text:
         gen = ch.lower()
-        if gen not in generators:
+        if gen not in generators or not ch.isascii():
             raise PresentationError(f"unknown symbol {ch!r}")
         letters.append((gen, 1 if ch.islower() else -1))
     return tuple(letters)
@@ -118,7 +118,7 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationError("expected 'generators|relators'")
     generators = tuple(g for g in head.split(",") if g)
     for gen in generators:
-        if len(gen) != 1 or not gen.isalpha() or not gen.islower():
+        if len(gen) != 1 or not "a" <= gen <= "z":
             raise PresentationError(f"generator must be one lowercase letter: {gen!r}")
     relator_texts = [r for r in tail.split(",") if r] if tail else []
     relators = []

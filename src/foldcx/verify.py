@@ -27,19 +27,23 @@ Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", Computer Science
 Review 2011).  A row's target T is a family complex in its variant: C(d),
 Ct(d) for the Dt rows, D(i) or D(i + 1), and Dt(1) for the long coupling
 at position 0 of D(0).  Each checker call builds each T once, checks that
-it immerses and classifies it (_Targets); classify keys T from that build
-instead of building T again (families.classify_built).  The base of a row
-is the fold state the move copies: of C(i) or D(i), or for coupling of
-D(i) beside one closed cell (folding._coupling_base).  The map pi sends
-each family vertex v_x of the base to v_(x mod |V(T)|), and for coupling
-the glued cell's vertices to those met tracing the cell's relator round
-T, starting from the image of the edge it is glued to.  T immerses, so
-its neighbour arrays (_FoldState.neighbours) hold at most one neighbour
-per (vertex, label, direction) and a relator read from a vertex traces
-at most one path: each step of the cell's trace is forced, and T's edges
-are fixed by (label, tail) and its faces, boundaries included, by
-(relator, start vertex).  Once per (base, T), so per row for coupling,
-_map_fibres checks on those arrays that pi is a cellular map onto T.
+it immerses, compacts it once and classifies it (_Targets); classify keys
+T from that compact form instead of building T again
+(families.classify_built).  The base of a row is the fold state the move
+copies: of C(i) or D(i), or for coupling of D(i) beside one closed cell
+(folding._coupling_base).  The map pi sends each family vertex v_x of the
+base to v_(x mod |V(T)|), which is T's vertex of that index, and for
+coupling the glued cell's vertices to those met tracing the cell's
+relator round T, starting from the image of the edge it is glued to.  T
+immerses, so its neighbour arrays (_FoldState.neighbours) hold at most
+one neighbour per (vertex, label, direction) and a relator read from a
+vertex traces at most one path: each step of the cell's trace is forced,
+and T's edges are fixed by (label, tail) and its faces, boundaries
+included, by (relator, start vertex).  Once per (base, T), so per row
+for coupling, _map_fibres checks on those arrays that pi is a cellular
+map, and that it is onto T: one routine, _image, counts the cells that
+pi hits in the base and those that the identity hits in T, and the two
+must agree.
 
 Every row computes one partition, the forced-pair walk (_pair_walk, a
 partial congruence closure: Downey, Sethi & Tarjan, "Variations on the
@@ -92,9 +96,10 @@ that fix T's cells, and pi hits every cell, so the quotient's cells
 biject with T's, boundaries included: the quotient is isomorphic to T,
 and the row reports classify(T) and the Euler characteristic of T,
 computed once per T.  A row whose certificate does not check, and only
-such a row, is folded and falls back to classifying the compact form of
-its folded state (_classify_state), so a failing row still reports the
-class of its actual quotient.
+such a row, is folded, in the one place that folds rows (_lemma_report),
+and falls back to classifying the compact form of its folded state
+(_classify_state), so a failing row still reports the class of its
+actual quotient.
 
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
@@ -401,20 +406,24 @@ class _Target(NamedTuple):
     T immerses, so a relator read from a vertex traces at most one path
     through its neighbour arrays (_FoldState.neighbours): an edge of T is
     fixed by its (label, tail) and a face by its (relator, start vertex),
-    so the map check needs no table per edge or per face."""
+    so the map check needs no table per edge or per face.  Nor per vertex:
+    T's vertices are its family vertices v0, v1, ..., which sort shortlex
+    into index order, so v_x has index x.  The certificate rests only on
+    the map check, not on which vertex is which, so were an index not x,
+    the map could only fail that check and send its rows to the fold,
+    never pass a wrong row."""
 
     tag: FamilyTag
-    at_number: list[int]  # x -> T's index of its vertex v_x
     neighbours: list[list[int]]
-    faces: frozenset[tuple[int, int]]  # (relator, start vertex) per face
-    edges: int
+    image: tuple[int, int, frozenset[tuple[int, int]]]  # _image of T itself
     reported: FamilyTag | None
     chi: int
 
 
 class _Targets(dict):
     """The targets of one checker call by tag, each built, checked to
-    immerse and classified once; classify keys T from this build."""
+    immerse, compacted and classified once; classify keys T from this
+    build and this compact form."""
 
     def __missing__(self, tag: FamilyTag) -> _Target:
         return self.add(tag, build_family(tag))
@@ -425,27 +434,26 @@ class _Targets(dict):
         if witness is not None:
             raise RuntimeError(f"target {tag} is not an immersion: {witness}")
         state = _FoldState(t)
-        vix = state.vertex_ix
         self[tag] = found = _Target(
             tag,
-            [vix[f"v{x}"] for x in range(len(vix))],
             state.neighbours(),
-            frozenset(_face_starts(state, range(len(vix)))),
-            len(state.tail),
-            classify_built(tag, state.compact()),
+            _image(state, range(len(state.vids))),
+            classify_built(tag, state.unmerged),
             euler_characteristic(t.complex),
         )
         return found
 
 
-def _face_starts(base: _FoldState, pi) -> set[tuple[int, int]]:
-    """(relator, pi(start)) for each face of the base, where the start of a
-    face is the tail of its first side's edge, or its head for sign -1."""
-    tail, head = base.tail, base.head
-    return {
-        (ft, pi[tail[e] if s > 0 else head[e]])
-        for ft, ((e, s), *_) in zip(base.ftype, base.boundary)
-    }
+def _image(base: _FoldState, pi) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """What pi hits, read off the base's cells: the number of vertices, the
+    number of edges, an edge counted by its (label, pi(tail)), and the
+    (relator, pi(start)) of each face, where the start of a face is the
+    tail of its first side's edge, or its head for sign -1.  Under the
+    identity this is T's own image, which the map check compares with a
+    base's image under pi."""
+    tail, head, faces = base.tail, base.head, zip(base.ftype, base.boundary)
+    starts = frozenset((ft, pi[tail[e] if s > 0 else head[e]]) for ft, ((e, s), *_) in faces)
+    return len(set(pi)), len({(g, pi[t]) for t, g in zip(tail, base.elab)}), starts
 
 
 def _family_numbers(base: _FoldState) -> list[int]:
@@ -455,9 +463,9 @@ def _family_numbers(base: _FoldState) -> list[int]:
 
 def _family_map(numbers: list[int], target: _Target) -> list[int]:
     """pi on a base with these family numbers: v_x goes to v_(x mod |V(T)|)
-    of T, any other vertex to -1."""
-    at = target.at_number
-    return [at[x % len(at)] if x >= 0 else -1 for x in numbers]
+    of T, whose index is x mod |V(T)| (_Target), any other vertex to -1."""
+    n = len(target.neighbours[0])
+    return [x % n if x >= 0 else -1 for x in numbers]
 
 
 def _coupling_map(
@@ -497,21 +505,18 @@ def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] |
     has exactly that boundary.  So the faces land, boundaries included,
     when the (r, pi(s)) of the base's faces are among T's; they are all of
     T's exactly when every face of T is hit.  Vertices and edges, an edge
-    by its (label, pi(tail)), are hit when their counts are T's."""
+    by its (label, pi(tail)), are hit when their counts are T's.  One
+    routine, _image, reads all three off the base under pi and off T under
+    the identity, so pi is onto exactly when the two images are equal."""
     if -1 in pi:
         return None
     nb = target.neighbours
     if [nb[2 * g][pi[t]] for t, g in zip(base.tail, base.elab)] != [pi[h] for h in base.head]:
         return None
+    if _image(base, pi) != target.image:
+        return None
     # the least vertex of each fibre: in reverse, the last write wins
     least = dict(zip(reversed(pi), range(len(pi) - 1, -1, -1)))
-    hit = (
-        len(least),
-        len({(g, pi[t]) for t, g in zip(base.tail, base.elab)}),
-        _face_starts(base, pi),
-    )
-    if hit != (len(target.at_number), target.edges, target.faces):
-        return None
     return [least[y] for y in pi]
 
 
@@ -557,23 +562,24 @@ def _pair_walk(neighbours: list[list[int]], pairs, classes: int) -> list[int]:
     return parent
 
 
-def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
-    """Report each (description, target T, uncertified) row.  A row whose
-    walk gave the fibres of its map onto T is certified: uncertified is
-    None and the row reports T's class and chi.  Any other row was folded,
-    and reports the class and chi of its folded state, uncertified,
-    through _classify_state.  Either way the row passes when that class is
-    T's family and index, in either variant.  The wall clock covers
-    building the rows too."""
+def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
+    """Report each (description, target T, certified, base, x, y) row of a
+    checker whose move is fold.  A row is certified when its walk gave the
+    fibres of its map onto T, and reports T's class and chi.  Any other
+    row, and only such a row, is folded here, as fold(base, x, y), and
+    reports the class and chi of its folded state through _classify_state;
+    no checker folds a row itself.  Either way the row passes when that
+    class is T's family and index, in either variant.  The wall clock
+    covers building the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
     report = VerificationReport(name, {"max_i": max_i})
-    for description, target, uncertified in rows:
-        if uncertified is None:
+    for description, target, certified, base, x, y in rows:
+        if certified:
             tag, chi = target.reported, target.chi
         else:
-            tag, chi = _classify_state(uncertified)
+            tag, chi = _classify_state(fold(base, x, y))
         passed = _tag_is(tag, target.tag.family, target.tag.index)
         report.rows.append(ReportRow(description, _tag_str(tag), chi, passed))
     report.wall_clock_s = time.monotonic() - started
@@ -609,12 +615,9 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
                 if v - u not in certified:
                     pairs = [(vix["v0"], vix[f"v{v - u}"])]
                     certified[v - u] = _pair_walk(neighbours, pairs, d) == fibres
-                uncertified = None
-                if not certified[v - u]:
-                    uncertified = _identify_vertices_state(base, f"v{u}", f"v{v}")
-                yield f"C:{i} identify v{u}~v{v}", target, uncertified
+                yield f"C:{i} identify v{u}~v{v}", target, certified[v - u], base, f"v{u}", f"v{v}"
 
-    return _lemma_report("vertex-identification", max_i, rows())
+    return _lemma_report("vertex-identification", max_i, _identify_vertices_state, rows())
 
 
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
@@ -635,19 +638,18 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
                 base = _immersion_state(build_D(i, variant))
                 numbers, neighbours = _family_numbers(base), base.neighbours()
                 maps: dict[int, tuple[_Target, list[int] | None]] = {}
+                bi = f"b{i}"
                 for j in range(i):
                     d = odd_part(i - j)
                     if d not in maps:
                         target = targets[FamilyTag("C", d, variant)]
                         maps[d] = target, _map_fibres(base, _family_map(numbers, target), target)
                     target, fibres = maps[d]
-                    pairs = _end_pairs(base, f"b{i}", f"b{j}")
-                    uncertified = None
-                    if _pair_walk(neighbours, pairs, len(target.at_number)) != fibres:
-                        uncertified = _identify_edges_state(base, f"b{i}", f"b{j}")
-                    yield f"{label}:{i} identify b{i}~b{j}", target, uncertified
+                    bj = f"b{j}"
+                    certified = _pair_walk(neighbours, _end_pairs(base, bi, bj), d) == fibres
+                    yield f"{label}:{i} identify {bi}~{bj}", target, certified, base, bi, bj
 
-    return _lemma_report("edge-identification", max_i, rows())
+    return _lemma_report("edge-identification", max_i, _identify_edges_state, rows())
 
 
 def check_lemma_coupling(max_i: int) -> VerificationReport:
@@ -693,12 +695,11 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
                     pi = _coupling_map(base, word, cell, p, edge, target)
                     fibres = None if pi is None else _map_fibres(base, pi, target)
                     pairs = _end_pairs(base, cell[p], edge)
-                    uncertified = None
-                    if _pair_walk(neighbours, pairs, len(target.at_number)) != fibres:
-                        uncertified = _identify_edges_state(base, cell[p], edge)
-                    yield f"D:{i} couple type {t} position {p} at {edge}", target, uncertified
+                    certified = _pair_walk(neighbours, pairs, len(target.neighbours[0])) == fibres
+                    description = f"D:{i} couple type {t} position {p} at {edge}"
+                    yield description, target, certified, base, cell[p], edge
 
-    report = _lemma_report("coupling", max_i, rows())
+    report = _lemma_report("coupling", max_i, _identify_edges_state, rows())
     report.meta["free_edge_labels_of_D"] = free_labels
     return report
 

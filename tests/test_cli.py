@@ -340,6 +340,24 @@ def test_every_file_command_exits_two_on_a_malformed_document(
     assert line.startswith("error: malformed document:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "\u00df|\u1e9e"], "generator must be one lowercase letter"),
+        (["family", "D:\u00b2"], "must look like 'D:3'"),
+        (["family", "D:\u0663"], "must look like 'D:3'"),
+        (["family", "C:\uff13"], "must look like 'D:3'"),
+    ],
+    ids=["sharp-s", "superscript", "arabic-indic", "fullwidth"],
+)
+def test_exit_two_on_a_non_ascii_argument(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_exit_two_on_unknown_edge(d1_file):
     assert main(["collapse", d1_file, "--edge", "zz"]) == 2
 

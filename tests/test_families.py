@@ -187,6 +187,17 @@ def test_family_spec_parsing():
     )
 
 
+@pytest.mark.parametrize(
+    "spec", ["D:\u00b2", "D:\u0663", "C:\uff13", "D:", "D:-1"],
+    ids=["superscript", "arabic-indic", "fullwidth", "empty", "negative"],
+)
+def test_family_spec_index_is_ascii_digits(spec):
+    # str.isdigit holds for all but the last two, and int() reads the
+    # Arabic-Indic and full-width threes as 3
+    with pytest.raises(ComplexError, match="must look like 'D:3'"):
+        parse_family_spec(spec)
+
+
 def test_build_rejects_bad_indices():
     with pytest.raises(ComplexError):
         build_D(-1)

@@ -46,6 +46,22 @@ def test_unknown_symbol_rejected():
         parse_presentation("a|ab")
 
 
+@pytest.mark.parametrize(
+    "text", ["\u00df|\u1e9e", "\u00e9|\u00c9", "\u0431|"], ids=["sharp-s", "e-acute", "cyrillic"]
+)
+def test_non_ascii_generator_rejected(text):
+    # 'ß' is a lowercase letter to str, but its upper case is 'SS', which
+    # would print the inverse as two letters
+    with pytest.raises(PresentationError, match="one lowercase letter"):
+        parse_presentation(text)
+
+
+def test_non_ascii_inverse_rejected():
+    # the Kelvin sign lowers to 'k' but is not the ASCII inverse 'K'
+    with pytest.raises(PresentationError, match="unknown symbol"):
+        parse_presentation("k|\u212a")
+
+
 def test_empty_relator_rejected():
     with pytest.raises(PresentationError):
         Presentation(("a",), ((),))

@@ -95,6 +95,20 @@ def _method_name(node) -> list[str]:
     return []
 
 
+def _private_fields(node) -> list[tuple[ast.AnnAssign, str]]:
+    """(statement, field) for each field of a class that is a private
+    NamedTuple."""
+    if not node.name.startswith("_") or not any(
+        isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+    ):
+        return []
+    return [
+        (item, item.target.id)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
 def _unread(statements, outside: set[str], defined):
     """(statement, name) for each name defined(statement) gives that neither
     outside nor another statement of the list reads."""
@@ -109,7 +123,8 @@ def test_library_has_no_dead_helpers():
     # class, that nothing in the library or the demos reads, imports or
     # re-exports is left over from deleted code; its own definition does
     # not count as a use, and neither does a test: a reference that only
-    # the tests run belongs in the tests
+    # the tests run belongs in the tests.  So is a field of a private
+    # NamedTuple that no library code reads as an attribute
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for folder in (SOURCE, ROOT / "demos")
@@ -117,6 +132,13 @@ def test_library_has_no_dead_helpers():
     }
     assert SOURCE / "__init__.py" in trees, f"no sources under {SOURCE}"
     read = {path: _read_names(tree) for path, tree in trees.items()}
+    attributes = {
+        node.attr
+        for path, tree in trees.items()
+        if path.is_relative_to(SOURCE)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         body = trees[path].body
@@ -131,6 +153,11 @@ def test_library_has_no_dead_helpers():
                 found += [
                     f"{path.name}:{node.lineno} {cls.name}.{name}"
                     for node, name in _unread(cls.body, outside, _method_name)
+                ]
+                found += [
+                    f"{path.name}:{node.lineno} {cls.name}.{name}"
+                    for node, name in _private_fields(cls)
+                    if name not in attributes
                 ]
     assert not found, "dead helper " + ", ".join(found)
 

@@ -21,7 +21,7 @@ from foldcx.enumeration import (
     enumerate_by_types,
     enumerate_immersions,
 )
-from foldcx import cli, families, verify
+from foldcx import cli, families, folding, verify
 from foldcx.families import (
     TYPE_LONG,
     TYPE_SHORT,
@@ -468,7 +468,7 @@ def test_map_check_rejects_a_non_cellular_map(d):
     assert fibres == [x % d for x in range(15)]
     # x -> x + 1 mod d keeps the a-edges but sends b(j): v(2j) -> v(j) to
     # v(2j + 1) -> v(j + 1), which is no b-edge of C(d)
-    shifted = [target.at_number[(x + 1) % d] for x in numbers]
+    shifted = [(x + 1) % d for x in numbers]
     assert verify._map_fibres(base, shifted, target) is None
 
 
@@ -617,9 +617,8 @@ def test_lemma_rows_run_no_fold(monkeypatch):
             assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
 
-def test_targets_report_what_classify_reports(monkeypatch):
-    # a target's key comes from the build that _Targets makes; from an
-    # empty key cache it must still give classify's name for that complex
+def _targets_built(monkeypatch, max_i: int) -> list[FamilyTag]:
+    """The tags of every target the three checkers build at max_i."""
     used = set()
     add = verify._Targets.add
 
@@ -629,14 +628,63 @@ def test_targets_report_what_classify_reports(monkeypatch):
 
     monkeypatch.setattr(verify._Targets, "add", record)
     for checker in LEMMA_CHECKERS:
-        checker(15)
+        checker(max_i)
     monkeypatch.undo()
+    return sorted(used, key=str)
+
+
+def test_targets_report_what_classify_reports(monkeypatch):
+    # a target's key comes from the build that _Targets makes; from an
+    # empty key cache it must still give classify's name for that complex
+    used = _targets_built(monkeypatch, 15)
     assert len(used) == 2 * 8 + 17 + 1  # C(d) and Ct(d), D(0..16), Dt(1)
-    for tag in sorted(used, key=str):
+    for tag in used:
         monkeypatch.setattr(families, "_key_cache", {})
         expected = classify(build_family(tag))
         monkeypatch.setattr(families, "_key_cache", {})
         assert verify._Targets()[tag].reported == expected
+
+
+def test_every_target_indexes_its_vertex_v_x_at_x(monkeypatch):
+    # so the family map can send v_x to index x mod |V(T)| with no table;
+    # the map check stays the guard if this ever fails to hold
+    for tag in _targets_built(monkeypatch, 15):
+        state = _immersion_state(build_family(tag))
+        assert state.vertex_ix == {f"v{x}": x for x in range(len(state.vids))}, tag
+
+
+@pytest.mark.parametrize(
+    "build, family, cell",
+    [
+        pytest.param(lambda: _immersion_state(build_C(9)), 9, 0, id="C"),
+        pytest.param(lambda: _immersion_state(build_D(4)), 9, 0, id="D"),
+        pytest.param(lambda: _immersion_state(build_D(4, "tilde")), 9, 0, id="Dt"),
+        # the long cell's five vertices u0, ..., u4 beside D(3)
+        pytest.param(lambda: _coupling_base(build_D(3), TYPE_LONG)[0], 7, 5, id="coupling"),
+    ],
+)
+def test_family_map_sends_v_x_to_x_mod_n(build, family, cell):
+    base = build()
+    numbers = verify._family_numbers(base)
+    for tag, n in ((FamilyTag("C", 3, "standard"), 3), (FamilyTag("D", 2, "standard"), 5)):
+        pi = verify._family_map(numbers, verify._Targets()[tag])
+        expected = {f"v{x}": x % n for x in range(family)} | {f"u{k}": -1 for k in range(cell)}
+        assert dict(zip(base.vids, pi)) == expected
+
+
+def test_building_a_target_compacts_it_once(monkeypatch):
+    # classify keys T from the compact form its fold state was built from
+    calls = []
+
+    def counted(name, compact):
+        return lambda *args: calls.append(name) or compact(*args)
+
+    for module in (folding, families):
+        monkeypatch.setattr(module, "_compact", counted("_compact", module._compact))
+    state_compact = counted("_FoldState.compact", folding._FoldState.compact)
+    monkeypatch.setattr(folding._FoldState, "compact", state_compact)
+    verify._Targets()[FamilyTag("C", 5, "standard")]
+    assert calls == ["_compact"]
 
 
 def test_main_theorem_budget_covers_one_pass():
