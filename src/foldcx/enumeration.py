@@ -38,23 +38,35 @@ four stages.
    with every b-edge allowed, so cutting the table of sigma_a to its core
    once loses no trace of any pair's core, and an a-skeleton whose table
    core is empty has no valid face set with any sigma_b.
-4. b-skeletons: the faces of the pair are the table traces it holds, cut
-   to their core (once per a-skeleton and set of traces held).  A pair
-   whose faces cannot fill every type of any requested type set is skipped
-   before its connectivity is checked; when every requested type set needs
-   a face, a sigma_b that holds no trace is skipped without being looked
-   at.  Connectivity depends on sigma_b only through the components of
-   sigma_b alone, so it is found once per a-skeleton and such partition.
-   Face subsets run over the core pools only, in mask order per type.  A
-   valid subset lies in the core, and the mask order on the core keeps the
-   relative order that the valid subsets have in the mask order on all of
-   the pair's traces, so the first representative of each class is the
-   same as over all traces.
+4. b-skeletons: connectivity is settled before any face is read.  A pair
+   is connected or not by the component partitions of sigma_a and sigma_b
+   alone, so the b-skeletons are grouped by partition once per vertex
+   count, and once per partition of sigma_a (paths and cycles of equal
+   sizes share one) the groups that join it into one component are united
+   into the set of b-skeletons kept (_joining); without the connectivity
+   filter every b-skeleton is kept.  Faces are read off for the kept ones
+   only (_faces_by_b_skeleton intersects each trace's holders with them).
+   This leaves out exactly the disconnected pairs: such a pair yields no
+   class whatever its faces, its faces feed nothing that another pair
+   reads but a cache keyed by the face set alone, and its node is charged
+   whether or not it is looked at.  So the pairs and face subsets visited,
+   their order and the classes found do not change.  The faces of a kept
+   pair are the table traces it holds, cut to their core (once per
+   a-skeleton and set of traces held).  A pair whose faces cannot fill
+   every type of any requested type set is skipped; when every requested
+   type set needs a face, a sigma_b that holds no trace is skipped without
+   being looked at.  Face subsets run over the core pools only, in mask
+   order per type.  A valid subset lies in the core, and the mask order on
+   the core keeps the relative order that the valid subsets have in the
+   mask order on all of the pair's traces, so the first representative of
+   each class is the same as over all traces.
 
 Each skeleton pair is a node, skipped or not, as is each face subset tried;
 each subset without free faces (when required) is filed under the exact
-type set it uses, one class per canonical form.  Output order is the sorted
-order of canonical forms, independent of scheduling.
+type set it uses, one class per canonical form.  The pairs of a vertex
+count are charged before any b-skeleton is built, so a budget that they
+alone exceed is reported at once.  Output order is the sorted order of
+canonical forms, independent of scheduling.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, permutations, product
+from math import comb, factorial
 from typing import NamedTuple
 
 from .canonical import canonical_form
@@ -231,17 +244,17 @@ def _holders(n: int, b_skeletons: list[dict[int, int]]) -> dict[int, set[int]]:
 
 
 def _faces_by_b_skeleton(
-    table: list[_Trace], holding: dict[int, set[int]]
+    table: list[_Trace], holding: dict[int, set[int]], kept: set[int]
 ) -> dict[int, tuple[int, ...]]:
     """The closed relator traces of each skeleton (sigma_a, sigma_b), read
-    off the face table of sigma_a as positions in it, for each b-skeleton
-    that has any; holding maps each b-edge to the b-skeletons that hold it.
-    With sigma_b fixed every step of a trace is forced, so a trace is closed
-    iff sigma_b holds each b-edge it needs (every relator of the target
-    reads a b, so each trace needs one)."""
+    off the face table of sigma_a as positions in it, for each b-skeleton in
+    kept that has any; holding maps each b-edge to the b-skeletons that hold
+    it.  With sigma_b fixed every step of a trace is forced, so a trace is
+    closed iff sigma_b holds each b-edge it needs (every relator of the
+    target reads a b, so each trace needs one)."""
     present: dict[int, list[int]] = {}
     for p, face in enumerate(table):
-        for j in set.intersection(*(holding[e] for e in face.needs)):
+        for j in set.intersection(*(holding[e] for e in face.needs), kept):
             present.setdefault(j, []).append(p)
     return {j: tuple(ps) for j, ps in present.items()}
 
@@ -282,15 +295,58 @@ def _subsets_with_types(pools: dict[int, list[_Trace]], required: frozenset[int]
         ]
 
 
-def _components(labels: list[int], sigma: dict[int, int]) -> list[int]:
-    """The vertex labelling `labels` with the two labels at the ends of each
-    edge u - sigma[u] merged: the components of a graph, when labels are
-    the components of the rest of it."""
+def _merged(parts: tuple[int, ...], sigma: dict[int, int]) -> tuple[int, ...]:
+    """The partition parts of the vertices, each vertex labelled by the least
+    vertex of its block, with the two blocks at the ends of each edge
+    u - sigma[u] merged: the components of a graph, when parts are the
+    components of the rest of it."""
+    root = list(parts)  # a forest in which every vertex points lower
     for u, v in sigma.items():
-        lu, lv = labels[u], labels[v]
-        if lu != lv:
-            labels = [lu if x == lv else x for x in labels]
-    return labels
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+    least: list[int] = []
+    for x, r in enumerate(root):
+        least.append(x if r == x else least[r])
+    return tuple(least)
+
+
+def _by_partition(
+    n: int, b_skeletons: list[dict[int, int]]
+) -> dict[tuple[int, ...], set[int]]:
+    """The positions of the b-skeletons, grouped by component partition."""
+    singletons = tuple(range(n))
+    groups: dict[tuple[int, ...], set[int]] = {}
+    for j, sigma_b in enumerate(b_skeletons):
+        groups.setdefault(_merged(singletons, sigma_b), set()).add(j)
+    return groups
+
+
+def _joining(
+    a_part: tuple[int, ...], groups: dict[tuple[int, ...], set[int]]
+) -> set[int]:
+    """The positions of the b-skeletons whose partition joins the partition
+    a_part into one component: a pair is connected or not by the component
+    partitions of its two parts alone, and a partition is generated by the
+    edges from each vertex to the least vertex of its block."""
+    return set().union(
+        *(
+            js
+            for b_part, js in groups.items()
+            if not any(_merged(a_part, dict(enumerate(b_part))))
+        )
+    )
+
+
+def _count_partial_injections(n: int) -> int:
+    """len(_partial_injections(n)): k-element domains and codomains, and a
+    bijection between them."""
+    return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
 
 def _build(n, sigma_a, sigma_b, chosen: list[_Trace]) -> Morphism:
@@ -326,7 +382,13 @@ def enumerate_by_types(
     immersions up to isomorphism, sorted by canonical form.  A node is a
     skeleton pair, skipped or not, or a face subset tried for any of the
     type sets; BudgetExceeded is raised when more than max_nodes are visited
-    in all.  A budget below one is rejected before any work."""
+    in all, and before the pairs of a vertex count are built when they alone
+    overflow.  A budget below one is rejected before any work.  With
+    require_connected, the b-skeletons that make a connected pair with
+    sigma_a are chosen by component partition before any face is read; a
+    pair left out could only have been skipped, since connectivity does
+    not depend on the faces, and it is charged all the same, so the classes
+    and the node count are those of checking each pair after its faces."""
     if max_nodes < 1:
         raise ComplexError("max_nodes must be at least 1")
     found = {frozenset(types): {} for types in type_sets}
@@ -342,20 +404,27 @@ def enumerate_by_types(
             raise BudgetExceeded(max_nodes + 1, max_nodes)
 
     for n in range(1, max_vertices + 1):
+        a_skeletons = _a_skeletons(n)
+        # every pair counts once, so an overflow shows before any is built
+        visit(len(a_skeletons) * _count_partial_injections(n))
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
-        # a pair is connected or not by the components of its two parts
-        b_parts = [tuple(_components(list(range(n)), sigma_b)) for sigma_b in b_skeletons]
-        for sigma_a in _a_skeletons(n):
-            visit(len(b_skeletons))
-            a_labels = _components(list(range(n)), sigma_a)
-            joined: dict[tuple[int, ...], bool] = {}  # b-part -> connected pair
+        everything = set(range(len(b_skeletons)))
+        groups = _by_partition(n, b_skeletons) if require_connected else {}
+        joining: dict[tuple[int, ...], set[int]] = {}  # a-partition -> kept
+        for sigma_a in a_skeletons:
+            kept = everything
+            if require_connected:
+                a_part = _merged(tuple(range(n)), sigma_a)
+                if a_part not in joining:
+                    joining[a_part] = _joining(a_part, groups)
+                kept = joining[a_part]
             table = _face_table(n, sigma_a)
             if require_no_free_faces:
                 table = _two_core(table)
-            present = _faces_by_b_skeleton(table, holding)
+            present = _faces_by_b_skeleton(table, holding, kept)
             # a b-skeleton without faces can only serve a type set of no faces
-            visits = sorted(present) if need_faces else range(len(b_skeletons))
+            visits = sorted(present) if need_faces else sorted(kept)
             settled: dict[tuple[int, ...], list[_Trace] | None] = {}
             for j in visits:
                 key = present.get(j, ())
@@ -364,12 +433,6 @@ def enumerate_by_types(
                 faces, sigma_b = settled[key], b_skeletons[j]
                 if faces is None:
                     continue
-                if require_connected:
-                    part = b_parts[j]
-                    if part not in joined:
-                        joined[part] = len(set(_components(a_labels, sigma_b))) == 1
-                    if not joined[part]:
-                        continue
                 pools = {t: [face for face in faces if face.rix == t] for t in _TYPES}
                 for types, classes in found.items():
                     for chosen in _subsets_with_types(pools, types):

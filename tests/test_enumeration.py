@@ -18,9 +18,13 @@ from foldcx.enumeration import (
     EnumerationFilter,
     _a_skeletons,
     _b_edge,
+    _by_partition,
+    _count_partial_injections,
     _face_table,
     _faces_by_b_skeleton,
     _holders,
+    _joining,
+    _merged,
     _partial_injections,
     _two_core,
     enumerate_by_types,
@@ -28,7 +32,11 @@ from foldcx.enumeration import (
 )
 from foldcx.families import TYPE_LONG, TYPE_SHORT, classify, target_presentation
 from foldcx.jsonio import morphism_to_json
-from helpers import reference_candidate_faces, reference_enumerate_by_types
+from helpers import (
+    _reference_connected,
+    reference_candidate_faces,
+    reference_enumerate_by_types,
+)
 
 
 def brute_force_one_vertex():
@@ -172,6 +180,11 @@ def test_budget_exceeded_raises():
         enumerate_immersions(EnumerationFilter(4), max_nodes=10)
 
 
+def test_partial_injections_are_counted_in_advance():
+    for n in range(1, 6):
+        assert _count_partial_injections(n) == len(_partial_injections(n))
+
+
 def test_bad_filter_rejected():
     with pytest.raises(ComplexError):
         EnumerationFilter(0)
@@ -187,6 +200,23 @@ NO_FACES = frozenset()
 
 def as_json(classes):
     return [morphism_to_json(m) for m in classes]
+
+
+def test_budget_overflow_raises_before_the_pairs_are_built(monkeypatch):
+    # every a-skeleton charges every b-skeleton, so at 7 vertices the
+    # charge is known to overflow before any b-skeleton is listed
+    listed, built = _partial_injections, []
+
+    def refusing(n):
+        assert n < 7, "the b-skeletons on 7 vertices were built"
+        built.append(n)
+        return listed(n)
+
+    monkeypatch.setattr("foldcx.enumeration._partial_injections", refusing)
+    with pytest.raises(BudgetExceeded) as raised:
+        enumerate_by_types(7, [BOTH], max_nodes=2_000_000)
+    assert (raised.value.nodes, raised.value.budget) == (2_000_001, 2_000_000)
+    assert built == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("require_connected", [True, False])
@@ -220,9 +250,10 @@ def test_face_table_gives_the_closed_traces():
     for n in range(1, 5):
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
+        everything = set(range(len(b_skeletons)))
         for sigma_a in _a_skeletons(n):
             table = _face_table(n, sigma_a)
-            present = _faces_by_b_skeleton(table, holding)
+            present = _faces_by_b_skeleton(table, holding, everything)
             for j, sigma_b in enumerate(b_skeletons):
                 faces = [table[p] for p in present.get(j, ())]
                 expected = reference_candidate_faces(sigma_a, sigma_b)
@@ -240,10 +271,11 @@ def test_two_core_holds_every_face_set_without_free_faces():
     for n in range(1, 4):
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
+        everything = set(range(len(b_skeletons)))
         for sigma_a in _a_skeletons(n):
             table = _face_table(n, sigma_a)
             table_core = _two_core(table)
-            present = _faces_by_b_skeleton(table, holding)
+            present = _faces_by_b_skeleton(table, holding, everything)
             for key in set(present.values()):
                 faces = [table[p] for p in key]
                 core = _two_core(faces)
@@ -258,3 +290,19 @@ def test_two_core_holds_every_face_set_without_free_faces():
                             checked += 1
                             assert all(face in core for face in chosen)
     assert checked > 0
+
+
+def test_connected_pairs_are_chosen_by_partition():
+    # for every sigma_a, not only the a-skeletons, the b-skeletons kept are
+    # exactly those that make a connected pair
+    for n in range(1, 5):
+        b_skeletons = _partial_injections(n)
+        groups = _by_partition(n, b_skeletons)
+        for sigma_a in b_skeletons:
+            kept = _joining(_merged(tuple(range(n)), sigma_a), groups)
+            expected = {
+                j
+                for j, sigma_b in enumerate(b_skeletons)
+                if _reference_connected(n, sigma_a, sigma_b)
+            }
+            assert kept == expected

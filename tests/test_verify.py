@@ -389,6 +389,20 @@ def test_main_theorem_report_is_pinned(max_vertices):
     assert digest == MAIN_THEOREM_REPORTS[max_vertices]
 
 
+def test_main_theorem_at_six_vertices():
+    # the digest was made by the walk that checked connectivity after
+    # reading faces, so it binds the partition filter to that walk
+    report = verify_main_theorem(6)
+    assert report.passed
+    counts = [
+        report.meta[key]
+        for key in ("both_type_classes", "short-only_classes", "long-only_classes")
+    ]
+    assert counts == [3, 0, 10]
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "1a11a02d3ce87e6adc4ac53c6d06e710c4c8c8d836260d72cea67dab2f03a955"
+
+
 # sha256 of each lemma checker's report JSON by max_i; the 63 pins were
 # made by folding every row and keying its quotient, so they bind the
 # certificate route to the fold route's answers
