@@ -18,13 +18,15 @@ four stages.
 2. The face table of sigma_a (_face_table): each relator word is traced
    from every start vertex with its a-steps read off sigma_a and each
    b-step free, so a start gives one trace per choice of b-edges that
-   closes up and forms a partial injection.  A trace keeps its sides, the
-   integer index of each side's edge and the b-edges it needs, in
-   (relator, start) order.  For a b-skeleton sigma_b every step of a trace
-   is forced, so its closed traces are exactly the table's traces whose
-   b-edges sigma_b all holds, in the same order (_faces_by_b_skeleton reads
-   them off for every sigma_b at once, by intersecting, for each trace, the
-   sets of b-skeletons that hold each edge it needs).
+   closes up and forms a partial injection.  The a-letters after the last
+   b-letter are traced backwards from the start first: a-steps are
+   injective, so only the vertex reached that way can close the trace as
+   the last b-step's head, and only the earlier b-steps branch (n + n^2
+   traces tried per a-skeleton rather than n^2 + n^3).  A trace keeps its
+   sides, the integer index of each side's edge and the b-edges it needs,
+   in (relator, start) order.  For a b-skeleton sigma_b every step of a
+   trace is forced, so its closed traces are exactly the table's traces
+   whose b-edges sigma_b all holds, in the same order.
 3. The free-face 2-core (_two_core), when free faces are excluded: drop
    every trace with an edge that has fewer than two sides among the traces
    left, until none is dropped.  A valid face set S lies inside the core.
@@ -38,28 +40,34 @@ four stages.
    with every b-edge allowed, so cutting the table of sigma_a to its core
    once loses no trace of any pair's core, and an a-skeleton whose table
    core is empty has no valid face set with any sigma_b.
-4. b-skeletons: connectivity is settled before any face is read.  A pair
-   is connected or not by the component partitions of sigma_a and sigma_b
-   alone, so the b-skeletons are grouped by partition once per vertex
-   count, and once per partition of sigma_a (paths and cycles of equal
-   sizes share one) the groups that join it into one component are united
-   into the set of b-skeletons kept (_joining); without the connectivity
-   filter every b-skeleton is kept.  Faces are read off for the kept ones
-   only (_faces_by_b_skeleton intersects each trace's holders with them).
-   This leaves out exactly the disconnected pairs: such a pair yields no
-   class whatever its faces, its faces feed nothing that another pair
-   reads but a cache keyed by the face set alone, and its node is charged
-   whether or not it is looked at.  So the pairs and face subsets visited,
-   their order and the classes found do not change.  The faces of a kept
-   pair are the table traces it holds, cut to their core (once per
-   a-skeleton and set of traces held).  A pair whose faces cannot fill
-   every type of any requested type set is skipped; when every requested
-   type set needs a face, a sigma_b that holds no trace is skipped without
-   being looked at.  Face subsets run over the core pools only, in mask
-   order per type.  A valid subset lies in the core, and the mask order on
-   the core keeps the relative order that the valid subsets have in the
-   mask order on all of the pair's traces, so the first representative of
-   each class is the same as over all traces.
+4. b-skeletons, as bits of integer masks over their positions.  Once per
+   vertex count the holders of each b-edge become one mask (_holders).
+   Connectivity is settled before any face is read: a pair is connected
+   or not by the component partition of sigma_a and the b-edges alone, so
+   once per partition of sigma_a (paths and cycles of equal sizes share
+   one) the mask kept is the b-skeletons that hold a b-edge across every
+   cut of its blocks (_joining); without the connectivity filter every
+   b-skeleton is kept.  Each trace of the cored table is then held by the
+   AND of the holders of its b-edges, and kept is split by these masks
+   into groups with one face key each, the positions in the table of the
+   traces held (_groups).  This leaves out exactly the disconnected
+   pairs: such a pair yields no class whatever its faces, its faces feed
+   nothing that another pair reads, and its node is charged whether or
+   not it is looked at.  The faces of a group are the traces of its key,
+   cut to their core once (_settle); a group whose core cannot fill every
+   type of any requested type set is dropped whole, so a b-skeleton that
+   holds no trace is never looked at when every requested type set needs
+   a face.  Only the groups that settle are read out into positions, and
+   their pairs are visited in increasing position.  That is the order in
+   which the pairs would be visited one by one, less the pairs that try
+   no subset, and a pair's subsets depend on its key alone, so the pairs
+   and face subsets visited, their order, the node count and the classes
+   found are those of reading every pair's faces in turn.  Face subsets
+   run over the core pools only, in mask order per type.  A valid subset
+   lies in the core, and the mask order on the core keeps the relative
+   order that the valid subsets have in the mask order on all of the
+   pair's traces, so the first representative of each class is the same
+   as over all traces.
 
 Each skeleton pair is a node, skipped or not, as is each face subset tried;
 each subset without free faces (when required) is filed under the exact
@@ -73,8 +81,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from functools import reduce
+from itertools import chain, compress, permutations, product
 from math import comb, factorial
+from operator import or_
 from typing import NamedTuple
 
 from .canonical import canonical_form
@@ -206,14 +216,25 @@ def _face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
     """Every closed trace of each relator through sigma_a with its b-steps
     free, in (relator, start vertex) order: a b-letter may read any b-edge
     at the current vertex, so each start gives one trace per choice of
-    b-edges that closes up and forms a partial injection."""
+    b-edges that closes up and forms a partial injection.  The a-letters
+    after the last b-letter are traced backwards from the start, which
+    gives the one endpoint of the last b-step that can close the trace, so
+    only the earlier b-steps branch, in the order of their choices."""
     backward = {v: u for u, v in sigma_a.items()}
     table = []
     for rix, word in enumerate(target_presentation().relators):
-        free = sum(gen == "b" for gen, _ in word)
+        last = max(k for k, (gen, _) in enumerate(word) if gen == "b")
+        free = sum(gen == "b" for gen, _ in word[:last])
         for start in range(n):
+            end: int | None = start  # where the last b-step must lead
+            for _, sign in reversed(word[last + 1 :]):
+                end = (backward if sign > 0 else sigma_a).get(end)
+                if end is None:
+                    break
+            if end is None:
+                continue
             for choice in product(range(n), repeat=free):
-                ends = _free_trace(word, start, choice, sigma_a, backward)
+                ends = _free_trace(word, start, (*choice, end), sigma_a, backward)
                 if ends is None:
                     continue
                 letters = [(gen, sign, t, h) for (gen, sign), (t, h) in zip(word, ends)]
@@ -233,30 +254,79 @@ def _face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
     return table
 
 
-def _holders(n: int, b_skeletons: list[dict[int, int]]) -> dict[int, set[int]]:
-    """Each b-edge's index, mapped to the positions of the b-skeletons that
-    hold it."""
-    holding: dict[int, set[int]] = {}
-    for j, sigma_b in enumerate(b_skeletons):
-        for u, v in sigma_b.items():
-            holding.setdefault(_b_edge(n, u, v), set()).add(j)
+# the set bits of each byte value, in increasing order
+_BITS = [tuple(k for k in range(8) if byte >> k & 1) for byte in range(256)]
+
+
+def _positions(mask: int) -> list[int]:
+    """The set bits of mask in increasing order, read from its non-zero
+    bytes only."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * i + k for i in compress(range(len(data)), data) for k in _BITS[data[i]]]
+
+
+def _holders(n: int, b_skeletons: list[dict[int, int]]) -> dict[int, int]:
+    """Each b-edge's index, mapped to the mask of the positions of the
+    b-skeletons that hold it: one byte per b-skeleton names the head of
+    the b-edge at a tail (n when there is none), and each head's bytes
+    become the binary digits of the mask in one step."""
+    digits = [bytes(b"01"[x == v] for x in range(256)) for v in range(n)]
+    holding = {}
+    for u in range(n):
+        heads = bytes(sigma_b.get(u, n) for sigma_b in b_skeletons)[::-1]
+        for v in range(n):
+            holding[_b_edge(n, u, v)] = int(heads.translate(digits[v]), 2)
     return holding
 
 
-def _faces_by_b_skeleton(
-    table: list[_Trace], holding: dict[int, set[int]], kept: set[int]
-) -> dict[int, tuple[int, ...]]:
-    """The closed relator traces of each skeleton (sigma_a, sigma_b), read
-    off the face table of sigma_a as positions in it, for each b-skeleton in
-    kept that has any; holding maps each b-edge to the b-skeletons that hold
-    it.  With sigma_b fixed every step of a trace is forced, so a trace is
-    closed iff sigma_b holds each b-edge it needs (every relator of the
-    target reads a b, so each trace needs one)."""
-    present: dict[int, list[int]] = {}
+def _clashes(n: int, b_edges) -> int:
+    """The b-edges that share a tail or a head with one of the given ones,
+    but are none of them, as bits of their indices; no partial injection
+    holds one of them beside the given ones."""
+    bits = 0
+    for e in b_edges:
+        tail, head = divmod(e - n, n)
+        for k in range(n):
+            bits |= 1 << _b_edge(n, tail, k) | 1 << _b_edge(n, k, head)
+    return bits & ~sum(1 << e for e in b_edges)
+
+
+def _groups(
+    n: int, table: list[_Trace], holding: dict[int, int], kept: int
+) -> dict[tuple[int, ...], int]:
+    """The b-skeletons in the mask kept, split by face key: the positions
+    in the table of the closed relator traces of the skeleton (sigma_a,
+    sigma_b), mapped to the mask of the b-skeletons that have exactly
+    those.  With sigma_b fixed every step of a trace is forced, so a trace
+    is closed iff sigma_b holds each b-edge it needs (holding maps each
+    b-edge to its holders, and every relator of the target reads a b).
+    Each group also keeps, as bits of b-edge indices, the b-edges that the
+    traces of its key need and those that clash with them (_clashes):
+    every member holds a trace that needs no other b-edge, and none holds
+    a trace that needs a clashing one, so only the other traces are read
+    off the masks."""
+    groups = [((), kept, 0, 0)]
     for p, face in enumerate(table):
-        for j in set.intersection(*(holding[e] for e in face.needs), kept):
-            present.setdefault(j, []).append(p)
-    return {j: tuple(ps) for j, ps in present.items()}
+        held = kept
+        for e in face.needs:
+            held &= holding[e]
+        if not held:
+            continue
+        needs = sum(1 << e for e in face.needs)
+        clashes = _clashes(n, face.needs)
+        split = []
+        for key, mask, edges, barred in groups:
+            if needs & barred:
+                split.append((key, mask, edges, barred))
+                continue
+            inside = mask if needs & edges == needs else mask & held
+            if inside:
+                split.append((key + (p,), inside, edges | needs, barred | clashes))
+                mask ^= inside
+            if mask:
+                split.append((key, mask, edges, barred))
+        groups = split
+    return {key: mask for key, mask, _, _ in groups}
 
 
 def _two_core(faces: list[_Trace]) -> list[_Trace]:
@@ -316,31 +386,28 @@ def _merged(parts: tuple[int, ...], sigma: dict[int, int]) -> tuple[int, ...]:
     return tuple(least)
 
 
-def _by_partition(
-    n: int, b_skeletons: list[dict[int, int]]
-) -> dict[tuple[int, ...], set[int]]:
-    """The positions of the b-skeletons, grouped by component partition."""
-    singletons = tuple(range(n))
-    groups: dict[tuple[int, ...], set[int]] = {}
-    for j, sigma_b in enumerate(b_skeletons):
-        groups.setdefault(_merged(singletons, sigma_b), set()).add(j)
-    return groups
-
-
-def _joining(
-    a_part: tuple[int, ...], groups: dict[tuple[int, ...], set[int]]
-) -> set[int]:
-    """The positions of the b-skeletons whose partition joins the partition
-    a_part into one component: a pair is connected or not by the component
-    partitions of its two parts alone, and a partition is generated by the
-    edges from each vertex to the least vertex of its block."""
-    return set().union(
-        *(
-            js
-            for b_part, js in groups.items()
-            if not any(_merged(a_part, dict(enumerate(b_part))))
+def _joining(a_part: tuple[int, ...], holding: dict[int, int], everything: int) -> int:
+    """The mask of the b-skeletons, among those in everything, that join
+    the partition a_part (each vertex labelled by the least vertex of its
+    block) into one component: those that hold a b-edge across every cut
+    of the blocks into two non-empty sides.  A cut is named by the blocks
+    other than the first that lie on the first one's side."""
+    n = len(a_part)
+    others = sorted(set(a_part) - {0})
+    kept = everything
+    for bits in range((1 << len(others)) - 1):
+        side = {0} | {block for k, block in enumerate(others) if bits >> k & 1}
+        inside = [block in side for block in a_part]
+        kept &= reduce(
+            or_,
+            (
+                holding[_b_edge(n, u, v)]
+                for u in range(n)
+                for v in range(n)
+                if inside[u] != inside[v]
+            ),
         )
-    )
+    return kept
 
 
 def _count_partial_injections(n: int) -> int:
@@ -387,14 +454,18 @@ def enumerate_by_types(
     require_connected, the b-skeletons that make a connected pair with
     sigma_a are chosen by component partition before any face is read; a
     pair left out could only have been skipped, since connectivity does
-    not depend on the faces, and it is charged all the same, so the classes
-    and the node count are those of checking each pair after its faces."""
+    not depend on the faces, and it is charged all the same.  The kept
+    b-skeletons are grouped by face key and each key is settled once; the
+    pairs of the groups that settle are visited in increasing position,
+    the order of visiting every pair in turn less the pairs that try no
+    subset, and a pair's subsets depend on its key alone.  So the classes,
+    their first representatives and the node count are those of checking
+    each pair after its faces."""
     if max_nodes < 1:
         raise ComplexError("max_nodes must be at least 1")
     found = {frozenset(types): {} for types in type_sets}
     for types in found:  # the filter checks the arguments
         EnumerationFilter(max_vertices, required_types=types)
-    need_faces = all(found)
     nodes = 0
 
     def visit(count: int = 1):
@@ -409,31 +480,29 @@ def enumerate_by_types(
         visit(len(a_skeletons) * _count_partial_injections(n))
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
-        everything = set(range(len(b_skeletons)))
-        groups = _by_partition(n, b_skeletons) if require_connected else {}
-        joining: dict[tuple[int, ...], set[int]] = {}  # a-partition -> kept
+        everything = (1 << len(b_skeletons)) - 1
+        joining: dict[tuple[int, ...], int] = {}  # a-partition -> kept
         for sigma_a in a_skeletons:
             kept = everything
             if require_connected:
                 a_part = _merged(tuple(range(n)), sigma_a)
                 if a_part not in joining:
-                    joining[a_part] = _joining(a_part, groups)
+                    joining[a_part] = _joining(a_part, holding, everything)
                 kept = joining[a_part]
             table = _face_table(n, sigma_a)
             if require_no_free_faces:
                 table = _two_core(table)
-            present = _faces_by_b_skeleton(table, holding, kept)
-            # a b-skeleton without faces can only serve a type set of no faces
-            visits = sorted(present) if need_faces else sorted(kept)
-            settled: dict[tuple[int, ...], list[_Trace] | None] = {}
-            for j in visits:
-                key = present.get(j, ())
-                if key not in settled:
-                    settled[key] = _settle(key, table, found, require_no_free_faces)
-                faces, sigma_b = settled[key], b_skeletons[j]
+            # each face key once; a key that settles serves every b-skeleton
+            # of its group, and the pairs are visited in position order
+            visits: dict[int, dict[int, list[_Trace]]] = {}
+            for key, mask in _groups(n, table, holding, kept).items():
+                faces = _settle(key, table, found, require_no_free_faces)
                 if faces is None:
                     continue
                 pools = {t: [face for face in faces if face.rix == t] for t in _TYPES}
+                visits.update(dict.fromkeys(_positions(mask), pools))
+            for j in sorted(visits):
+                pools, sigma_b = visits[j], b_skeletons[j]
                 for types, classes in found.items():
                     for chosen in _subsets_with_types(pools, types):
                         visit()

@@ -5,7 +5,9 @@ closure search kept as the reference for the one-edge rule,
 dense homology kept as the reference for the reduced one, the exhaustive
 breadth-first key kept as the reference for the pruned one and the walk
 over every skeleton pair and face subset kept as the reference for the
-enumeration's face table and free-face 2-core."""
+enumeration's face table and free-face 2-core, and the face table that
+tries every choice of b-steps kept as the reference for the one that
+forces the last b-step."""
 
 from __future__ import annotations
 
@@ -27,7 +29,10 @@ from foldcx.complexes import (
 from foldcx.enumeration import (
     EnumerationFilter,
     _a_skeletons,
+    _b_edge,
+    _free_trace,
     _partial_injections,
+    _Trace,
     enumerate_immersions,
 )
 from foldcx.families import build_C, build_D, kp, target_presentation
@@ -380,6 +385,35 @@ def exhaustive_bfs(c: Compact):
                 fix[x] = k
             best = (key, vix, eix, fix)
     return best
+
+
+def reference_face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
+    """enumeration._face_table without forcing the last b-step: each start
+    tries every choice of heads for all of its b-steps, in product order."""
+    backward = {v: u for u, v in sigma_a.items()}
+    table = []
+    for rix, word in enumerate(target_presentation().relators):
+        free = sum(gen == "b" for gen, _ in word)
+        for start in range(n):
+            for choice in product(range(n), repeat=free):
+                ends = _free_trace(word, start, choice, sigma_a, backward)
+                if ends is None:
+                    continue
+                letters = [(gen, sign, t, h) for (gen, sign), (t, h) in zip(word, ends)]
+                table.append(
+                    _Trace(
+                        rix,
+                        tuple((f"{gen}{t}", sign) for gen, sign, t, _ in letters),
+                        tuple(
+                            t if gen == "a" else _b_edge(n, t, h)
+                            for gen, _, t, h in letters
+                        ),
+                        frozenset(
+                            _b_edge(n, t, h) for gen, _, t, h in letters if gen == "b"
+                        ),
+                    )
+                )
+    return table
 
 
 def reference_candidate_faces(sigma_a: dict[int, int], sigma_b: dict[int, int]):

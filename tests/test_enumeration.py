@@ -18,14 +18,14 @@ from foldcx.enumeration import (
     EnumerationFilter,
     _a_skeletons,
     _b_edge,
-    _by_partition,
     _count_partial_injections,
     _face_table,
-    _faces_by_b_skeleton,
+    _groups,
     _holders,
     _joining,
     _merged,
     _partial_injections,
+    _positions,
     _two_core,
     enumerate_by_types,
     enumerate_immersions,
@@ -36,6 +36,7 @@ from helpers import (
     _reference_connected,
     reference_candidate_faces,
     reference_enumerate_by_types,
+    reference_face_table,
 )
 
 
@@ -243,6 +244,20 @@ def test_walk_matches_the_reference_at_five_vertices():
         assert as_json(found[types]) == as_json(expected[types])
 
 
+def test_positions_reads_the_set_bits_in_order():
+    masks = (0, 1, 0b1011_0000_0001, (1 << 200) | (1 << 64) | 0xFF, (1 << 999) - 1)
+    for mask in masks:
+        assert _positions(mask) == [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def test_face_table_matches_the_reference():
+    # forcing the last b-step keeps the traces and their order, for every
+    # partial injection as sigma_a, not only the a-skeletons
+    for n in range(1, 6):
+        for sigma_a in _partial_injections(n):
+            assert _face_table(n, sigma_a) == reference_face_table(n, sigma_a)
+
+
 def test_face_table_gives_the_closed_traces():
     # for every skeleton pair with at most 4 vertices, the faces read off
     # the table are the closed traces of trace_relator, in the same order,
@@ -250,12 +265,14 @@ def test_face_table_gives_the_closed_traces():
     for n in range(1, 5):
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
-        everything = set(range(len(b_skeletons)))
+        everything = (1 << len(b_skeletons)) - 1
         for sigma_a in _a_skeletons(n):
             table = _face_table(n, sigma_a)
-            present = _faces_by_b_skeleton(table, holding, everything)
+            groups = _groups(n, table, holding, everything)
+            keys = {j: key for key, mask in groups.items() for j in _positions(mask)}
+            assert sorted(keys) == list(range(len(b_skeletons)))
             for j, sigma_b in enumerate(b_skeletons):
-                faces = [table[p] for p in present.get(j, ())]
+                faces = [table[p] for p in keys[j]]
                 expected = reference_candidate_faces(sigma_a, sigma_b)
                 assert [(f.rix, f.sides) for f in faces] == expected
                 index = {f"a{u}": u for u in sigma_a}
@@ -271,12 +288,11 @@ def test_two_core_holds_every_face_set_without_free_faces():
     for n in range(1, 4):
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
-        everything = set(range(len(b_skeletons)))
+        everything = (1 << len(b_skeletons)) - 1
         for sigma_a in _a_skeletons(n):
             table = _face_table(n, sigma_a)
             table_core = _two_core(table)
-            present = _faces_by_b_skeleton(table, holding, everything)
-            for key in set(present.values()):
+            for key in _groups(n, table, holding, everything):
                 faces = [table[p] for p in key]
                 core = _two_core(faces)
                 assert all(face in table_core for face in core)
@@ -292,17 +308,38 @@ def test_two_core_holds_every_face_set_without_free_faces():
     assert checked > 0
 
 
+def test_groups_partition_the_kept_pairs():
+    # every kept position lies in exactly one group, and no group is empty,
+    # for every sigma_a as a-skeleton, with and without the connectivity
+    # filter, and on the cored table as the walk reads it
+    for n in range(1, 5):
+        b_skeletons = _partial_injections(n)
+        holding = _holders(n, b_skeletons)
+        everything = (1 << len(b_skeletons)) - 1
+        for sigma_a in b_skeletons:
+            connected = _joining(_merged(tuple(range(n)), sigma_a), holding, everything)
+            table = _face_table(n, sigma_a)
+            for kept in (everything, connected):
+                for faces in (table, _two_core(table)):
+                    groups = _groups(n, faces, holding, kept)
+                    masks = list(groups.values())
+                    assert all(masks)
+                    positions = sorted(j for mask in masks for j in _positions(mask))
+                    assert positions == _positions(kept)
+
+
 def test_connected_pairs_are_chosen_by_partition():
     # for every sigma_a, not only the a-skeletons, the b-skeletons kept are
     # exactly those that make a connected pair
     for n in range(1, 5):
         b_skeletons = _partial_injections(n)
-        groups = _by_partition(n, b_skeletons)
+        holding = _holders(n, b_skeletons)
+        everything = (1 << len(b_skeletons)) - 1
         for sigma_a in b_skeletons:
-            kept = _joining(_merged(tuple(range(n)), sigma_a), groups)
-            expected = {
+            kept = _joining(_merged(tuple(range(n)), sigma_a), holding, everything)
+            expected = [
                 j
                 for j, sigma_b in enumerate(b_skeletons)
                 if _reference_connected(n, sigma_a, sigma_b)
-            }
-            assert kept == expected
+            ]
+            assert _positions(kept) == expected

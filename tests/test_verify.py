@@ -200,6 +200,22 @@ def test_closure_matches_enumeration_at_seven_faces(variant, six_vertex_forms):
     assert closure_forms == six_vertex_forms
 
 
+@pytest.fixture(scope="module")
+def seven_vertex_classes():
+    # the 15,327,890 skeleton pairs at up to 7 vertices alone exceed the
+    # default budget
+    return enumerate_immersions(EnumerationFilter(7), max_nodes=20_000_000)
+
+
+@pytest.mark.parametrize("variant", ["standard", "tilde"])
+def test_closure_matches_enumeration_at_eight_faces(variant, seven_vertex_classes):
+    result = closure_search(build_D(1, variant), 8)
+    closure_forms = sorted(canonical_form(m) for m, _ in result.results)
+    assert closure_forms == [canonical_form(m) for m in seven_vertex_classes]
+    tags = [str(classify(m)) for m in seven_vertex_classes]
+    assert sorted(tags) == ["C:1", "C:3", "C:5", "C:7"]
+
+
 def test_closure_reaches_every_c_up_to_fifteen():
     result = closure_search(build_D(1), 16)
     forms = sorted(canonical_form(m) for m, _ in result.results)
@@ -708,6 +724,15 @@ def test_main_theorem_budget_covers_one_pass():
     assert verify_main_theorem(5, max_nodes=61_429).passed
     with pytest.raises(BudgetExceeded):
         verify_main_theorem(5, max_nodes=61_428)
+
+
+def test_main_theorem_budget_at_six_vertices():
+    # 926,470 skeleton pairs at up to 6 vertices plus 9,341 face subsets;
+    # the node count binds the walk to visit the same pairs and subsets
+    assert verify_main_theorem(6, max_nodes=935_811).passed
+    with pytest.raises(BudgetExceeded) as raised:
+        verify_main_theorem(6, max_nodes=935_810)
+    assert (raised.value.nodes, raised.value.budget) == (935_811, 935_810)
 
 
 @pytest.mark.parametrize("no_free_faces", [True, False])
