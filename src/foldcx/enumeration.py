@@ -14,7 +14,8 @@ the walk settles the faces of a skeleton pair before anything else, in
 four stages.
 
 1. a-skeletons: one sigma_a per isomorphism class of the a-labeled
-   subgraph (a multiset of directed paths and cycles).
+   subgraph (a multiset of directed paths and cycles), laid out with its
+   components, the a-partition, as blocks of consecutive vertices.
 2. The face table of sigma_a (_face_table): each relator word is traced
    from every start vertex with its a-steps read off sigma_a and each
    b-step free, so a start gives one trace per choice of b-edges that
@@ -23,10 +24,11 @@ four stages.
    injective, so only the vertex reached that way can close the trace as
    the last b-step's head, and only the earlier b-steps branch (n + n^2
    traces tried per a-skeleton rather than n^2 + n^3).  A trace keeps its
-   sides, the integer index of each side's edge and the b-edges it needs,
-   in (relator, start) order.  For a b-skeleton sigma_b every step of a
-   trace is forced, so its closed traces are exactly the table's traces
-   whose b-edges sigma_b all holds, in the same order.
+   relator and the integer index of each side's edge, in (relator, start)
+   order; the b-edges it needs are its indices of at least n.  For a
+   b-skeleton sigma_b every step of a trace is forced, so its closed
+   traces are exactly the table's traces whose b-edges sigma_b all holds,
+   in the same order.
 3. The free-face 2-core (_two_core), when free faces are excluded: drop
    every trace with an edge that has fewer than two sides among the traces
    left, until none is dropped.  A valid face set S lies inside the core.
@@ -42,38 +44,41 @@ four stages.
    core is empty has no valid face set with any sigma_b.
 4. b-skeletons, as bits of integer masks over their positions.  Once per
    vertex count the holders of each b-edge become one mask (_holders).
-   Connectivity is settled before any face is read: a pair is connected
-   or not by the component partition of sigma_a and the b-edges alone, so
-   once per partition of sigma_a (paths and cycles of equal sizes share
+   Connectivity is settled before any face is read: a pair is connected or
+   not by the a-partition, which comes with the a-skeleton, and the b-edges
+   alone, so once per a-partition (paths and cycles of equal sizes share
    one) the mask kept is the b-skeletons that hold a b-edge across every
    cut of its blocks (_joining); without the connectivity filter every
    b-skeleton is kept.  Each trace of the cored table is then held by the
-   AND of the holders of its b-edges, and kept is split by these masks
-   into groups with one face key each, the positions in the table of the
-   traces held (_groups).  This leaves out exactly the disconnected
-   pairs: such a pair yields no class whatever its faces, its faces feed
-   nothing that another pair reads, and its node is charged whether or
-   not it is looked at.  The faces of a group are the traces of its key,
-   cut to their core once (_settle); a group whose core cannot fill every
-   type of any requested type set is dropped whole, so a b-skeleton that
-   holds no trace is never looked at when every requested type set needs
-   a face.  Only the groups that settle are read out into positions, and
-   their pairs are visited in increasing position.  That is the order in
-   which the pairs would be visited one by one, less the pairs that try
-   no subset, and a pair's subsets depend on its key alone, so the pairs
-   and face subsets visited, their order, the node count and the classes
-   found are those of reading every pair's faces in turn.  Face subsets
-   run over the core pools only, in mask order per type.  A valid subset
-   lies in the core, and the mask order on the core keeps the relative
-   order that the valid subsets have in the mask order on all of the
-   pair's traces, so the first representative of each class is the same
+   AND of the holders of its b-edges, and kept is split by these masks into
+   groups with one face key each, the positions in the table of the traces
+   held (_groups).  This leaves out exactly the disconnected pairs: such a
+   pair yields no class whatever its faces, its faces feed nothing that
+   another pair reads, and its node is charged whether or not it is looked
+   at.  The faces of a group are the traces of its key, cut to their core
+   once (_settle); a group whose core cannot fill every type of any
+   requested type set is dropped whole, so a b-skeleton that holds no trace
+   is never looked at when every requested type set needs a face.  Only the
+   groups that settle are read out into positions, and their pairs are
+   visited in increasing position.  That is the order in which the pairs
+   would be visited one by one, less the pairs that try no subset, and a
+   pair's subsets depend on its key alone, so the pairs and face subsets
+   visited, their order, the node count and the classes found are those of
+   reading every pair's faces in turn.  Face subsets run over the core
+   pools only, each subset once per pair, in mask order per type with the
+   short type outermost; a subset is filed under the exact type set it
+   uses, and one of a type set not asked for is skipped uncounted, so
+   within each type set the order is that of walking its subsets alone.  A
+   valid subset lies in the core, and the mask order on the core keeps the
+   relative order that the valid subsets have in the mask order on all of
+   the pair's traces, so the first representative of each class is the same
    as over all traces.
 
 Each skeleton pair is a node, skipped or not, as is each face subset tried;
 each subset without free faces (when required) is filed under the exact
 type set it uses, one class per canonical form.  The pairs of a vertex
 count are charged before any b-skeleton is built, so a budget that they
-alone exceed is reported at once.  Output order is the sorted order of
+alone exceed is reported at once, with the count reached.  Output order is the sorted order of
 canonical forms, independent of scheduling.
 """
 
@@ -97,7 +102,9 @@ _TYPES = (TYPE_SHORT, TYPE_LONG)  # relator indices of the target
 
 class BudgetExceeded(RuntimeError):
     """Raised when a search hits its node budget; results are never
-    silently truncated."""
+    silently truncated.  nodes is the count the search had reached, which
+    may pass the budget by a whole vertex count's pairs: a lower bound on
+    the budget needed."""
 
     def __init__(self, nodes: int, budget: int):
         self.nodes = nodes
@@ -142,20 +149,20 @@ def _typed_partitions(n: int):
     yield from rec(n, 0, [])
 
 
-def _a_skeletons(n: int) -> list[dict[int, int]]:
+def _a_skeletons(n: int) -> list[tuple[dict[int, int], tuple[int, ...]]]:
     """One representative partial injection per isomorphism class of the
-    a-labeled subgraph."""
+    a-labeled subgraph, with its components: each vertex labelled by the
+    least vertex of its path or cycle."""
     out = []
     for partition in _typed_partitions(n):
         sigma: dict[int, int] = {}
-        base = 0
+        labels: list[int] = []
         for size, kind in partition:
-            for k in range(size - 1):
-                sigma[base + k] = base + k + 1
-            if kind == "c":
-                sigma[base + size - 1] = base
-            base += size
-        out.append(sigma)
+            base = len(labels)
+            labels += [base] * size
+            for k in range(size if kind == "c" else size - 1):  # a cycle closes
+                sigma[base + k] = base + (k + 1) % size
+        out.append((sigma, tuple(labels)))
     return out
 
 
@@ -170,14 +177,12 @@ def _partial_injections(n: int) -> list[dict[int, int]]:
 
 
 class _Trace(NamedTuple):
-    """A closed trace of relator rix in a face table: its sides as
-    (edge id, sign), the integer index of each side's edge (_b_edge) and
-    the b-edges it needs."""
+    """A closed trace of relator rix in a face table: the integer index of
+    each side's edge (_b_edge), the signs being the relator's.  The b-edges
+    it needs are its indices of at least n."""
 
     rix: int
-    sides: tuple[tuple[str, int], ...]
     edges: tuple[int, ...]
-    needs: frozenset[int]
 
 
 def _b_edge(n: int, tail: int, head: int) -> int:
@@ -237,20 +242,11 @@ def _face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
                 ends = _free_trace(word, start, (*choice, end), sigma_a, backward)
                 if ends is None:
                     continue
-                letters = [(gen, sign, t, h) for (gen, sign), (t, h) in zip(word, ends)]
-                table.append(
-                    _Trace(
-                        rix,
-                        tuple((f"{gen}{t}", sign) for gen, sign, t, _ in letters),
-                        tuple(
-                            t if gen == "a" else _b_edge(n, t, h)
-                            for gen, _, t, h in letters
-                        ),
-                        frozenset(
-                            _b_edge(n, t, h) for gen, _, t, h in letters if gen == "b"
-                        ),
-                    )
-                )
+                edges = [
+                    t if gen == "a" else _b_edge(n, t, h)
+                    for (gen, _), (t, h) in zip(word, ends)
+                ]
+                table.append(_Trace(rix, tuple(edges)))
     return table
 
 
@@ -298,8 +294,9 @@ def _groups(
     in the table of the closed relator traces of the skeleton (sigma_a,
     sigma_b), mapped to the mask of the b-skeletons that have exactly
     those.  With sigma_b fixed every step of a trace is forced, so a trace
-    is closed iff sigma_b holds each b-edge it needs (holding maps each
-    b-edge to its holders, and every relator of the target reads a b).
+    is closed iff sigma_b holds each b-edge it needs, its edge indices of
+    at least n (holding maps each b-edge to its holders, and every relator
+    of the target reads a b).
     Each group also keeps, as bits of b-edge indices, the b-edges that the
     traces of its key need and those that clash with them (_clashes):
     every member holds a trace that needs no other b-edge, and none holds
@@ -307,13 +304,14 @@ def _groups(
     off the masks."""
     groups = [((), kept, 0, 0)]
     for p, face in enumerate(table):
+        b_edges = {e for e in face.edges if e >= n}
         held = kept
-        for e in face.needs:
+        for e in b_edges:
             held &= holding[e]
         if not held:
             continue
-        needs = sum(1 << e for e in face.needs)
-        clashes = _clashes(n, face.needs)
+        needs = sum(1 << e for e in b_edges)
+        clashes = _clashes(n, b_edges)
         split = []
         for key, mask, edges, barred in groups:
             if needs & barred:
@@ -351,41 +349,6 @@ def _settle(key, table, found, require_no_free_faces) -> list[_Trace] | None:
     return faces if any(types <= held for types in found) else None
 
 
-def _subsets_with_types(pools: dict[int, list[_Trace]], required: frozenset[int]):
-    """Subsets whose set of used types is exactly `required`: a non-empty
-    subset of each required type's pool, in mask order per type."""
-    chosen_pools = [pools[t] for t in sorted(required)]
-    masks = [range(1, 1 << len(pool)) for pool in chosen_pools]
-    for choice in product(*masks):
-        yield [
-            face
-            for pool, mask in zip(chosen_pools, choice)
-            for k, face in enumerate(pool)
-            if mask >> k & 1
-        ]
-
-
-def _merged(parts: tuple[int, ...], sigma: dict[int, int]) -> tuple[int, ...]:
-    """The partition parts of the vertices, each vertex labelled by the least
-    vertex of its block, with the two blocks at the ends of each edge
-    u - sigma[u] merged: the components of a graph, when parts are the
-    components of the rest of it."""
-    root = list(parts)  # a forest in which every vertex points lower
-    for u, v in sigma.items():
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u < v:
-            root[v] = u
-        elif v < u:
-            root[u] = v
-    least: list[int] = []
-    for x, r in enumerate(root):
-        least.append(x if r == x else least[r])
-    return tuple(least)
-
-
 def _joining(a_part: tuple[int, ...], holding: dict[int, int], everything: int) -> int:
     """The mask of the b-skeletons, among those in everything, that join
     the partition a_part (each vertex labelled by the least vertex of its
@@ -417,17 +380,23 @@ def _count_partial_injections(n: int) -> int:
 
 
 def _build(n, sigma_a, sigma_b, chosen: list[_Trace]) -> Morphism:
+    """The immersion of the skeleton pair with the chosen traces as faces.
+    An edge index below n names the a-edge out of that vertex, any other
+    the b-edge out of vertex (index - n) // n (_b_edge)."""
     vertices = [f"v{k}" for k in range(n)]
     edges, labels = [], {}
-    for u, v in sorted(sigma_a.items()):
-        edges.append(Edge(f"a{u}", f"v{u}", f"v{v}"))
-        labels[f"a{u}"] = "a"
-    for u, v in sorted(sigma_b.items()):
-        edges.append(Edge(f"b{u}", f"v{u}", f"v{v}"))
-        labels[f"b{u}"] = "b"
+    for gen, sigma in (("a", sigma_a), ("b", sigma_b)):
+        for u, v in sorted(sigma.items()):
+            edges.append(Edge(f"{gen}{u}", f"v{u}", f"v{v}"))
+            labels[f"{gen}{u}"] = gen
+    relators = target_presentation().relators
     faces, types = [], {}
     for k, face in enumerate(chosen):
-        faces.append(Face(f"f{k}", face.sides))
+        sides = [
+            (f"a{e}" if e < n else f"b{(e - n) // n}", sign)
+            for e, (_, sign) in zip(face.edges, relators[face.rix])
+        ]
+        faces.append(Face(f"f{k}", tuple(sides)))
         types[f"f{k}"] = face.rix
     return Morphism(
         TwoComplex.make(vertices, edges, faces),
@@ -448,19 +417,22 @@ def enumerate_by_types(
     type_sets, from one walk over the skeletons: each type set maps to its
     immersions up to isomorphism, sorted by canonical form.  A node is a
     skeleton pair, skipped or not, or a face subset tried for any of the
-    type sets; BudgetExceeded is raised when more than max_nodes are visited
-    in all, and before the pairs of a vertex count are built when they alone
-    overflow.  A budget below one is rejected before any work.  With
-    require_connected, the b-skeletons that make a connected pair with
-    sigma_a are chosen by component partition before any face is read; a
-    pair left out could only have been skipped, since connectivity does
-    not depend on the faces, and it is charged all the same.  The kept
-    b-skeletons are grouped by face key and each key is settled once; the
-    pairs of the groups that settle are visited in increasing position,
-    the order of visiting every pair in turn less the pairs that try no
-    subset, and a pair's subsets depend on its key alone.  So the classes,
-    their first representatives and the node count are those of checking
-    each pair after its faces."""
+    type sets; BudgetExceeded is raised with the count reached when more
+    than max_nodes are visited in all, and before the pairs of a vertex
+    count are built when they alone overflow.  A budget below one is
+    rejected before any work.  With require_connected, the b-skeletons that
+    make a connected pair with sigma_a are chosen by its a-partition before
+    any face is read; a pair left out could only have been skipped, since
+    connectivity does not depend on the faces, and it is charged all the
+    same.  The kept b-skeletons are grouped by face key and each key is
+    settled once; the pairs of the groups that settle are visited in
+    increasing position, the order of visiting every pair in turn less the
+    pairs that try no subset, and a pair's subsets depend on its key alone.
+    Each pair walks its face subsets once, filing each under the exact type
+    set it uses and skipping uncounted those of a type set not in
+    type_sets, so each type set sees its subsets in mask order per type.
+    So the classes, their first representatives and the node count are
+    those of checking each pair after its faces."""
     if max_nodes < 1:
         raise ComplexError("max_nodes must be at least 1")
     found = {frozenset(types): {} for types in type_sets}
@@ -472,7 +444,7 @@ def enumerate_by_types(
         nonlocal nodes
         nodes += count
         if nodes > max_nodes:
-            raise BudgetExceeded(max_nodes + 1, max_nodes)
+            raise BudgetExceeded(nodes, max_nodes)
 
     for n in range(1, max_vertices + 1):
         a_skeletons = _a_skeletons(n)
@@ -482,10 +454,9 @@ def enumerate_by_types(
         holding = _holders(n, b_skeletons)
         everything = (1 << len(b_skeletons)) - 1
         joining: dict[tuple[int, ...], int] = {}  # a-partition -> kept
-        for sigma_a in a_skeletons:
+        for sigma_a, a_part in a_skeletons:
             kept = everything
             if require_connected:
-                a_part = _merged(tuple(range(n)), sigma_a)
                 if a_part not in joining:
                     joining[a_part] = _joining(a_part, holding, everything)
                 kept = joining[a_part]
@@ -494,24 +465,34 @@ def enumerate_by_types(
                 table = _two_core(table)
             # each face key once; a key that settles serves every b-skeleton
             # of its group, and the pairs are visited in position order
-            visits: dict[int, dict[int, list[_Trace]]] = {}
+            visits: dict[int, list[list[_Trace]]] = {}
             for key, mask in _groups(n, table, holding, kept).items():
                 faces = _settle(key, table, found, require_no_free_faces)
                 if faces is None:
                     continue
-                pools = {t: [face for face in faces if face.rix == t] for t in _TYPES}
+                pools = [[face for face in faces if face.rix == t] for t in _TYPES]
                 visits.update(dict.fromkeys(_positions(mask), pools))
             for j in sorted(visits):
                 pools, sigma_b = visits[j], b_skeletons[j]
-                for types, classes in found.items():
-                    for chosen in _subsets_with_types(pools, types):
-                        visit()
-                        if require_no_free_faces:
-                            sides = Counter(chain.from_iterable(f.edges for f in chosen))
-                            if 1 in sides.values():
-                                continue
-                        morphism = _build(n, sigma_a, sigma_b, chosen)
-                        classes.setdefault(canonical_form(morphism), morphism)
+                # one mask per type, the short type outermost; a subset is
+                # filed under the exact type set it uses
+                for masks in product(*(range(1 << len(pool)) for pool in pools)):
+                    classes = found.get(frozenset(compress(_TYPES, masks)))
+                    if classes is None:
+                        continue
+                    visit()
+                    chosen = [
+                        face
+                        for pool, mask in zip(pools, masks)
+                        for k, face in enumerate(pool)
+                        if mask >> k & 1
+                    ]
+                    if require_no_free_faces:
+                        sides = Counter(chain.from_iterable(f.edges for f in chosen))
+                        if 1 in sides.values():
+                            continue
+                    morphism = _build(n, sigma_a, sigma_b, chosen)
+                    classes.setdefault(canonical_form(morphism), morphism)
     return {t: [classes[k] for k in sorted(classes)] for t, classes in found.items()}
 
 

@@ -399,20 +399,11 @@ def reference_face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
                 ends = _free_trace(word, start, choice, sigma_a, backward)
                 if ends is None:
                     continue
-                letters = [(gen, sign, t, h) for (gen, sign), (t, h) in zip(word, ends)]
-                table.append(
-                    _Trace(
-                        rix,
-                        tuple((f"{gen}{t}", sign) for gen, sign, t, _ in letters),
-                        tuple(
-                            t if gen == "a" else _b_edge(n, t, h)
-                            for gen, _, t, h in letters
-                        ),
-                        frozenset(
-                            _b_edge(n, t, h) for gen, _, t, h in letters if gen == "b"
-                        ),
-                    )
-                )
+                edges = [
+                    t if gen == "a" else _b_edge(n, t, h)
+                    for (gen, _), (t, h) in zip(word, ends)
+                ]
+                table.append(_Trace(rix, tuple(edges)))
     return table
 
 
@@ -445,6 +436,28 @@ def _reference_subsets_with_types(candidates, required: frozenset[int]):
             for k, cand in enumerate(pool)
             if mask >> k & 1
         ]
+
+
+def reference_components(n: int, sigma: dict[int, int]) -> tuple[int, ...]:
+    """The components of the graph on range(n) with the edges u - sigma[u],
+    found breadth first from each vertex not yet reached, in increasing
+    order: each vertex is labelled by the least vertex of its component."""
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in sigma.items():
+        adj[u].append(v)
+        adj[v].append(u)
+    labels: list[int | None] = [None] * n
+    for root in range(n):
+        if labels[root] is not None:
+            continue
+        labels[root] = root
+        queue = deque([root])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if labels[w] is None:
+                    labels[w] = root
+                    queue.append(w)
+    return tuple(labels)
 
 
 def _reference_connected(n: int, sigma_a: dict, sigma_b: dict) -> bool:
@@ -495,7 +508,7 @@ def reference_enumerate_by_types(
     found = {frozenset(types): {} for types in type_sets}
     for n in range(1, max_vertices + 1):
         b_skeletons = _partial_injections(n)
-        for sigma_a in _a_skeletons(n):
+        for sigma_a, _ in _a_skeletons(n):
             for sigma_b in b_skeletons:
                 if require_connected and not _reference_connected(n, sigma_a, sigma_b):
                     continue

@@ -374,6 +374,16 @@ def test_exit_two_on_budget(capsys):
     assert main(["verify-theorem", "--max-vertices", "3", "--max-nodes", "3"]) == 2
 
 
+def test_budget_overflow_reports_the_count_reached(capsys):
+    # the pairs on 7 vertices are charged at once, so the count reached,
+    # 935,811 nodes through 6 vertices plus 14,401,420 pairs, is reported:
+    # a lower bound on the budget needed, not the budget plus one
+    assert main(["verify-theorem", "--max-vertices", "7"]) == 2
+    captured = capsys.readouterr()
+    message = "error: search budget exhausted (15337231 nodes > 5000000)\n"
+    assert (captured.out, captured.err) == ("", message)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

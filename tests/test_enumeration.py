@@ -17,13 +17,12 @@ from foldcx.enumeration import (
     BudgetExceeded,
     EnumerationFilter,
     _a_skeletons,
-    _b_edge,
+    _build,
     _count_partial_injections,
     _face_table,
     _groups,
     _holders,
     _joining,
-    _merged,
     _partial_injections,
     _positions,
     _two_core,
@@ -35,6 +34,7 @@ from foldcx.jsonio import morphism_to_json
 from helpers import (
     _reference_connected,
     reference_candidate_faces,
+    reference_components,
     reference_enumerate_by_types,
     reference_face_table,
 )
@@ -216,7 +216,9 @@ def test_budget_overflow_raises_before_the_pairs_are_built(monkeypatch):
     monkeypatch.setattr("foldcx.enumeration._partial_injections", refusing)
     with pytest.raises(BudgetExceeded) as raised:
         enumerate_by_types(7, [BOTH], max_nodes=2_000_000)
-    assert (raised.value.nodes, raised.value.budget) == (2_000_001, 2_000_000)
+    # the count reached: 926,647 nodes through 6 vertices, then the pairs
+    # on 7 vertices (14,401,420) in one charge
+    assert (raised.value.nodes, raised.value.budget) == (15_328_067, 2_000_000)
     assert built == [1, 2, 3, 4, 5, 6]
 
 
@@ -261,24 +263,23 @@ def test_face_table_matches_the_reference():
 def test_face_table_gives_the_closed_traces():
     # for every skeleton pair with at most 4 vertices, the faces read off
     # the table are the closed traces of trace_relator, in the same order,
-    # and each side's edge index names the side's edge
+    # and _build names each side's edge by its index
     for n in range(1, 5):
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
         everything = (1 << len(b_skeletons)) - 1
-        for sigma_a in _a_skeletons(n):
+        for sigma_a, _ in _a_skeletons(n):
             table = _face_table(n, sigma_a)
             groups = _groups(n, table, holding, everything)
             keys = {j: key for key, mask in groups.items() for j in _positions(mask)}
             assert sorted(keys) == list(range(len(b_skeletons)))
             for j, sigma_b in enumerate(b_skeletons):
-                faces = [table[p] for p in keys[j]]
-                expected = reference_candidate_faces(sigma_a, sigma_b)
-                assert [(f.rix, f.sides) for f in faces] == expected
-                index = {f"a{u}": u for u in sigma_a}
-                index.update({f"b{u}": _b_edge(n, u, v) for u, v in sigma_b.items()})
-                for face in faces:
-                    assert face.edges == tuple(index[e] for e, _ in face.sides)
+                built = _build(n, sigma_a, sigma_b, [table[p] for p in keys[j]])
+                faces = [
+                    (built.face_types[face.id], face.boundary)
+                    for face in built.complex.faces
+                ]
+                assert faces == reference_candidate_faces(sigma_a, sigma_b)
 
 
 def test_two_core_holds_every_face_set_without_free_faces():
@@ -289,7 +290,7 @@ def test_two_core_holds_every_face_set_without_free_faces():
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
         everything = (1 << len(b_skeletons)) - 1
-        for sigma_a in _a_skeletons(n):
+        for sigma_a, _ in _a_skeletons(n):
             table = _face_table(n, sigma_a)
             table_core = _two_core(table)
             for key in _groups(n, table, holding, everything):
@@ -317,7 +318,8 @@ def test_groups_partition_the_kept_pairs():
         holding = _holders(n, b_skeletons)
         everything = (1 << len(b_skeletons)) - 1
         for sigma_a in b_skeletons:
-            connected = _joining(_merged(tuple(range(n)), sigma_a), holding, everything)
+            a_part = reference_components(n, sigma_a)
+            connected = _joining(a_part, holding, everything)
             table = _face_table(n, sigma_a)
             for kept in (everything, connected):
                 for faces in (table, _two_core(table)):
@@ -328,6 +330,14 @@ def test_groups_partition_the_kept_pairs():
                     assert positions == _positions(kept)
 
 
+def test_a_skeletons_carry_their_components():
+    # the a-partition that comes with each a-skeleton is the components of
+    # its a-edges, each vertex labelled by the least vertex of its block
+    for n in range(1, 7):
+        for sigma_a, a_part in _a_skeletons(n):
+            assert a_part == reference_components(n, sigma_a)
+
+
 def test_connected_pairs_are_chosen_by_partition():
     # for every sigma_a, not only the a-skeletons, the b-skeletons kept are
     # exactly those that make a connected pair
@@ -336,7 +346,7 @@ def test_connected_pairs_are_chosen_by_partition():
         holding = _holders(n, b_skeletons)
         everything = (1 << len(b_skeletons)) - 1
         for sigma_a in b_skeletons:
-            kept = _joining(_merged(tuple(range(n)), sigma_a), holding, everything)
+            kept = _joining(reference_components(n, sigma_a), holding, everything)
             expected = [
                 j
                 for j, sigma_b in enumerate(b_skeletons)

@@ -1,8 +1,10 @@
 import ast
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -160,6 +162,50 @@ def test_library_has_no_dead_helpers():
                     if name not in attributes
                 ]
     assert not found, "dead helper " + ", ".join(found)
+
+
+def test_docs_name_what_the_library_defines():
+    # a docstring or comment that names a private name (`_name`) or a
+    # member of a library module (`module.name`) names something the
+    # package still defines: a function, class, assignment target,
+    # attribute, argument or field; a file name such as `homology.py` is
+    # not a member
+    files = sorted(SOURCE.glob("*.py"))
+    assert files, f"no sources under {SOURCE}"
+    modules = {path.stem for path in files}
+    scopes = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, texts = set(), []
+    for path in files:
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, scopes[1:]):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            if isinstance(node, scopes) and ast.get_docstring(node, clean=False):
+                doc = node.body[0]
+                texts.append((f"{path.name}:{doc.lineno}", doc.value.value))
+        texts += [
+            (f"{path.name}:{token.start[0]}", token.string)
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT
+        ]
+    found = []
+    for where, text in texts:
+        names = re.findall(r"(?<![\w.])_[A-Za-z0-9]\w*", text)
+        names += [
+            f"{module}.{name}"
+            for module, name in re.findall(r"(?<![\w.])([a-z]\w*)\.(\w+)", text)
+            if module in modules and name != "py"
+        ]
+        found += [
+            f"{where} {name}" for name in names if name.split(".")[-1] not in defined
+        ]
+    assert not found, "undefined name in the docs: " + ", ".join(found)
 
 
 def test_test_imports_are_declared():
