@@ -66,20 +66,22 @@ four stages.
    visited, their order, the node count and the classes found are those of
    reading every pair's faces in turn.  Face subsets run over the core
    pools only, each subset once per pair, in mask order per type with the
-   short type outermost; a subset is filed under the exact type set it
-   uses, and one of a type set not asked for is skipped uncounted, so
-   within each type set the order is that of walking its subsets alone.  A
-   valid subset lies in the core, and the mask order on the core keeps the
-   relative order that the valid subsets have in the mask order on all of
-   the pair's traces, so the first representative of each class is the same
-   as over all traces.
+   short type outermost, and each is filed under the exact type set it
+   uses.  Only subsets of a requested type set are generated: the short
+   mask runs only when some requested set holds the short type, and each
+   short mask enters only the long masks that complete a requested set.
+   So within each type set the order is that of walking its subsets alone.
+   A valid subset lies in the core, and the mask order on the core keeps
+   the relative order that the valid subsets have in the mask order on all
+   of the pair's traces, so the first representative of each class is the
+   same as over all traces.
 
 Each skeleton pair is a node, skipped or not, as is each face subset tried;
 each subset without free faces (when required) is filed under the exact
 type set it uses, one class per canonical form.  The pairs of a vertex
 count are charged before any b-skeleton is built, so a budget that they
-alone exceed is reported at once, with the count reached.  Output order is the sorted order of
-canonical forms, independent of scheduling.
+alone exceed is reported at once, with the count reached.  Output order is
+the sorted order of canonical forms, independent of scheduling.
 """
 
 from __future__ import annotations
@@ -429,13 +431,14 @@ def enumerate_by_types(
     increasing position, the order of visiting every pair in turn less the
     pairs that try no subset, and a pair's subsets depend on its key alone.
     Each pair walks its face subsets once, filing each under the exact type
-    set it uses and skipping uncounted those of a type set not in
-    type_sets, so each type set sees its subsets in mask order per type.
+    set it uses; only subsets of a type set in type_sets are generated, so
+    each type set sees its subsets in mask order per type.
     So the classes, their first representatives and the node count are
     those of checking each pair after its faces."""
     if max_nodes < 1:
         raise ComplexError("max_nodes must be at least 1")
     found = {frozenset(types): {} for types in type_sets}
+    used = frozenset().union(*found)  # the types some requested set holds
     for types in found:  # the filter checks the arguments
         EnumerationFilter(max_vertices, required_types=types)
     nodes = 0
@@ -473,26 +476,25 @@ def enumerate_by_types(
                 pools = [[face for face in faces if face.rix == t] for t in _TYPES]
                 visits.update(dict.fromkeys(_positions(mask), pools))
             for j in sorted(visits):
-                pools, sigma_b = visits[j], b_skeletons[j]
-                # one mask per type, the short type outermost; a subset is
-                # filed under the exact type set it uses
-                for masks in product(*(range(1 << len(pool)) for pool in pools)):
-                    classes = found.get(frozenset(compress(_TYPES, masks)))
-                    if classes is None:
-                        continue
-                    visit()
-                    chosen = [
-                        face
-                        for pool, mask in zip(pools, masks)
-                        for k, face in enumerate(pool)
-                        if mask >> k & 1
-                    ]
-                    if require_no_free_faces:
-                        sides = Counter(chain.from_iterable(f.edges for f in chosen))
-                        if 1 in sides.values():
-                            continue
-                    morphism = _build(n, sigma_a, sigma_b, chosen)
-                    classes.setdefault(canonical_form(morphism), morphism)
+                (short, long_), sigma_b = visits[j], b_skeletons[j]
+                # one mask per type, the short type outermost; a short mask
+                # enters only the long masks that complete a requested set
+                for ms in range(1 << len(short) if TYPE_SHORT in used else 1):
+                    head = frozenset([TYPE_SHORT] if ms else [])
+                    tail = head | {TYPE_LONG}
+                    low = 0 if head in found else 1
+                    shorts = [f for k, f in enumerate(short) if ms >> k & 1]
+                    for ml in range(low, 1 << len(long_) if tail in found else 1):
+                        visit()
+                        chosen = shorts + [f for k, f in enumerate(long_) if ml >> k & 1]
+                        if require_no_free_faces:
+                            sides = Counter(chain.from_iterable(f.edges for f in chosen))
+                            if 1 in sides.values():
+                                continue
+                        morphism = _build(n, sigma_a, sigma_b, chosen)
+                        found[tail if ml else head].setdefault(
+                            canonical_form(morphism), morphism
+                        )
     return {t: [classes[k] for k in sorted(classes)] for t, classes in found.items()}
 
 
