@@ -45,26 +45,60 @@ map, and that it is onto T: one routine, _image, counts the cells that
 pi hits in the base and those that the identity hits in T, and the two
 must agree.
 
-Every row computes one partition, the forced-pair walk (_pair_walk, a
-partial congruence closure: Downey, Sethi & Tarjan, "Variations on the
-common subexpression problem", J. ACM 1980), from seed pairs that the
-row's move forces.  Each union of x and y pushes the pair of their
-neighbours under every (label, direction) key that both have, read off
-the base's neighbour arrays, built once per base.  Each pushed pair is
-forced: once x ~ y in the fold, the g-edges leaving x and y share a
-label and a tail class, so the fold makes them one edge and joins their
-heads; entering edges join their tails the same way.  The walk stops
-once its class count reaches |V(T)|.  No fold runs.
+Every row has a lower bound: a partition of the base's vertices whose
+classes the fold must join, built from unions that the row's move forces.
+Once x ~ y in the fold, the g-edges leaving x and y share a label and a
+tail class, so the fold makes them one edge and joins their heads;
+entering edges join their tails the same way.  Vertex and edge rows
+derive the bound from the shape of sigma_a, checked once per base, in
+O(log i) steps per row; coupling rows walk it.  No fold runs.
 
-Both bounds.  Lower: the walk makes only forced unions, so it lies
-inside the fold's vertex classes.  Upper: when the walk equals the
-fibres of pi, pi identifies the moved pair (an edge pair by its ends,
-since T has one edge per tail and label) and maps onto an immersion, and
-the fold is the least quotient that immerses (Stallings, "Topology of
-finite graphs", Invent. Math. 1983), so every fold vertex class lies in
-one fibre of pi.  So a row passes its certificate when the walk equals
-the fibres of pi: the fold's classes lie between and equal them too.
-The comparison is exact, so an early stop, or a walk that stops short of
+Edge rows.  Once per D(i) or Dt(i) the checker checks on the neighbour
+arrays that the vertex of index x is v_x and that sigma_a is the shift
+(_shift): v_x has the a-neighbour v_(x - 1) in the down direction, which
+is a-leaving for D and a-entering for Dt, for 1 <= x <= 2i, and v_(x + 1)
+in the up direction for 0 <= x < 2i.  A base where it is not raises
+RuntimeError; a missing neighbour, -1, fails the check and is never
+used as an index.  A row b_i ~ b_j joins the two edges' heads v_p and
+v_q, p > q, whose numbers it reads off the base (_shift_period).  q
+down-steps force v_(p - q) ~ v_0.  While the difference k is even, the
+b-edges v_0 -> v_0 and v_k -> v_(k/2), read off the b-leaving array,
+force v_0 ~ v_(k/2).  At the first odd difference x, up-steps from v_0 ~
+v_x force v_m ~ v_(m + x) for every m: the fold joins every class mod x.
+
+Vertex rows.  Once per C(i) the checker checks that sigma_a, read off
+the a-leaving array, is the rotation v_x -> v_(x - 1 mod i), and raises
+RuntimeError if not.  Every vertex then has an a-edge, so v_u ~ v_v
+forces sigma_a^u of the pair, v_0 ~ v_m with m = v - u, and from there
+v_x ~ v_(x + m) for every x mod i: the fold joins the cosets of the
+subgroup <m> of Z/i.  A row that predicts d carries a Bezout witness, s =
+(m/d)^-1 mod i/d (_in_subgroup).  When d divides m and s * m = d mod i,
+which one multiplication checks, d lies in <m>, so the fold joins every
+class mod d.
+
+Coupling rows walk: the glued cell's vertices are not on the shift, so
+no arithmetic on the base predicts which of them join.  The forced-pair
+walk (_pair_walk, a partial congruence closure: Downey, Sethi & Tarjan,
+"Variations on the common subexpression problem", J. ACM 1980) starts
+from seed pairs that the move forces.  Each union of x and y pushes the
+pair of their neighbours under every (label, direction) key that both
+have, read off the glued base's neighbour arrays, built once per base.
+The walk stops once its class count reaches |V(T)|.
+
+Both bounds.  Lower: the derivation and the walk make only forced
+unions, so they lie inside the fold's vertex classes.  Upper: when every
+seed pair lies in one fibre of pi, pi identifies the moved pair (an edge
+pair by its ends, since T has one edge per tail and label) and maps onto
+an immersion, and the fold is the least quotient that immerses
+(Stallings, "Topology of finite graphs", Invent. Math. 1983), so every
+fold vertex class lies in one fibre of pi.  So a row passes its
+certificate when its lower bound equals the fibres of pi: the fold's
+classes lie between and equal them too.  On a vertex or edge row the
+fibres are the classes mod |V(T)|, so the row checks that the map check
+passed, that its seeds lie in one fibre each (d divides m for a vertex
+row), and that its modulus, x or d, is |V(T)|; a coupling row checks
+that its seeds lie in one fibre and its walk equals the fibres.  The
+comparisons are exact, so an early stop, or a walk that stops short of
 the fold (it pushes the neighbours of the pair it joins, not of their
 whole classes), can only send a row to the fallback, never pass a wrong
 one.
@@ -76,18 +110,8 @@ the two is a loop, t1 = h1, it also seeds the other's tail and head: t2
 neighbours paired.  This is what completes the coupling rows: the short
 cell is a b-loop at a vertex u0 with no a-edge, so without that seed
 the walk joins v(2i) ~ v(i) only through u0 and never pairs their
-a-neighbours, which the fold joins; b0 of D(0) is a loop too.
-
-A vertex row v_u ~ v_v of C(i) seeds one pair, (v_0, v_(v - u)).  Once
-per C(i) the checker checks that sigma_a, read off the a-leaving
-neighbour array, is the rotation v_x -> v_(x - 1 mod i), and raises
-RuntimeError if not.  Every vertex then has an a-edge, so x ~ y forces
-sigma_a(x) ~ sigma_a(y), and v_u ~ v_v forces sigma_a^u of the pair,
-(v_0, v_(v - u)): every row's fold contains the walk from it.  So one
-walk, and its verdict against the fibres, serves every row with that
-difference; in combinations order it is the first such row's own walk.
-The fibres do not depend on the row either: pi identifies v_u and v_v
-exactly when d divides v - u.
+a-neighbours, which the fold joins; b0 of D(0) is a loop too.  A vertex
+row v_u ~ v_v seeds the one pair (v_u, v_v).
 
 Why equal classes make the quotient T.  The fold reads edge classes off
 by (tail class, label) and face classes by (relator, first edge class);
@@ -415,7 +439,7 @@ class _Target(NamedTuple):
 
     tag: FamilyTag
     neighbours: list[list[int]]
-    image: tuple[int, int, frozenset[tuple[int, int]]]  # _image of T itself
+    image: tuple[int, int, frozenset[int]]  # _image of T itself
     reported: FamilyTag | None
     chi: int
 
@@ -444,16 +468,20 @@ class _Targets(dict):
         return found
 
 
-def _image(base: _FoldState, pi) -> tuple[int, int, frozenset[tuple[int, int]]]:
+def _image(base: _FoldState, pi) -> tuple[int, int, frozenset[int]]:
     """What pi hits, read off the base's cells: the number of vertices, the
     number of edges, an edge counted by its (label, pi(tail)), and the
     (relator, pi(start)) of each face, where the start of a face is the
-    tail of its first side's edge, or its head for sign -1.  Under the
+    tail of its first side's edge, or its head for sign -1.  Each pair is
+    keyed as one integer, pi(tail) * ngens + label for an edge and
+    pi(start) * (number of relators) + relator for a face, which is one to
+    one since label < ngens and relator < number of relators.  Under the
     identity this is T's own image, which the map check compares with a
-    base's image under pi."""
+    base's image under pi; base and T share the presentation."""
     tail, head, faces = base.tail, base.head, zip(base.ftype, base.boundary)
-    starts = frozenset((ft, pi[tail[e] if s > 0 else head[e]]) for ft, ((e, s), *_) in faces)
-    return len(set(pi)), len({(g, pi[t]) for t, g in zip(tail, base.elab)}), starts
+    ngens, nrel = base.ngens, len(base.presentation.relators)
+    starts = frozenset(pi[tail[e] if s > 0 else head[e]] * nrel + ft for ft, ((e, s), *_) in faces)
+    return len(set(pi)), len({pi[t] * ngens + g for t, g in zip(tail, base.elab)}), starts
 
 
 def _family_numbers(base: _FoldState) -> list[int]:
@@ -523,14 +551,65 @@ def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] |
 def _end_pairs(base: _FoldState, e1: str, e2: str) -> list[tuple[int, int]]:
     """The unions that identifying edges e1 and e2 forces first: their
     tails, their heads, and when either edge is a loop the other's tail
-    and head (t1 = h1 gives t2 ~ t1 = h1 ~ h2).  The walk pushes the
-    neighbours of the pairs it joins, so that third pair is what pairs the
-    neighbours of the other edge's ends."""
+    and head (t1 = h1 gives t2 ~ t1 = h1 ~ h2).  An edge row checks that
+    each pair lies in one fibre of its map.  The coupling walk starts from
+    them and pushes the neighbours of the pairs it joins, so that third
+    pair is what pairs the neighbours of the other edge's ends."""
     eix, tail, head = base.edge_ix, base.tail, base.head
     x, y = eix[e1], eix[e2]
     pairs = [(tail[x], tail[y]), (head[x], head[y])]
     pairs += [(tail[q], head[q]) for p, q in ((x, y), (y, x)) if tail[p] == head[p]]
     return pairs
+
+
+def _shift(base: _FoldState, variant: str, name: str) -> list[int]:
+    """The b-leaving array of the D(i) or Dt(i) base named name, once its
+    vertex of index x is checked to be v_x and sigma_a to be the shift:
+    v_x has the a-neighbour v_(x - 1) in the down direction, a-leaving for
+    D and a-entering for Dt, for x >= 1, and v_(x + 1) in the up direction
+    below the last vertex v_2i.  The arrays are compared with the indices
+    they must hold, so a missing neighbour, -1, fails the check and is
+    never used as an index.  Raises RuntimeError if the check fails."""
+    gens = base.presentation.generators
+    a, b = (2 * gens.index(g) for g in "ab")
+    nb = base.neighbours()
+    down, up = (nb[a], nb[a + 1]) if variant == STANDARD else (nb[a + 1], nb[a])
+    n = len(base.vids)
+    if (
+        _family_numbers(base) != list(range(n))
+        or down[1:] != list(range(n - 1))
+        or up[:-1] != list(range(1, n))
+    ):
+        raise RuntimeError(f"sigma_a of {name} is not the shift v_x -> v_(x-1)")
+    return nb[b]
+
+
+def _shift_period(b_out: list[int], p: int, q: int) -> int:
+    """The odd x such that joining v_p and v_q, p > q, on a base checked by
+    _shift, whose b-leaving array is b_out, forces v_m ~ v_(m + x) for
+    every m (module docstring); 0 when p <= q or a b-edge that a step
+    needs is missing."""
+    k = p - q
+    if k <= 0:
+        return 0
+    while k % 2 == 0:
+        if b_out[0] != 0 or b_out[k] != k // 2:
+            return 0
+        k //= 2
+    return k
+
+
+def _in_subgroup(d: int, m: int, i: int) -> bool:
+    """Whether d divides m and lies in the subgroup <m> of Z/i, shown by
+    the Bezout witness s = (m/d)^-1 mod i/d: s * m = d mod i.  No witness,
+    a ValueError from pow, is a no."""
+    if m % d:
+        return False
+    try:
+        s = pow(m // d, -1, i // d)
+    except ValueError:
+        return False
+    return (s * m - d) % i == 0
 
 
 def _pair_walk(neighbours: list[list[int]], pairs, classes: int) -> list[int]:
@@ -562,26 +641,33 @@ def _pair_walk(neighbours: list[list[int]], pairs, classes: int) -> list[int]:
     return parent
 
 
+def _row_fields(target: _Target, tag: FamilyTag | None, chi: int) -> tuple[str, int, bool]:
+    """(classification, chi, passed) of a row that predicted target and
+    found tag and chi."""
+    return _tag_str(tag), chi, _tag_is(tag, target.tag.family, target.tag.index)
+
+
 def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
     """Report each (description, target T, certified, base, x, y) row of a
-    checker whose move is fold.  A row is certified when its walk gave the
-    fibres of its map onto T, and reports T's class and chi.  Any other
-    row, and only such a row, is folded here, as fold(base, x, y), and
-    reports the class and chi of its folded state through _classify_state;
-    no checker folds a row itself.  Either way the row passes when that
-    class is T's family and index, in either variant.  The wall clock
-    covers building the rows too."""
+    checker whose move is fold.  A row is certified when its lower bound
+    equals the fibres of its map onto T (module docstring), and reports
+    T's class and chi.  Any other row, and only such a row, is folded
+    here, as fold(base, x, y), and reports the class and chi of its folded
+    state through _classify_state; no checker folds a row itself.  Either
+    way the row passes when that class is T's family and index, in either
+    variant.  What a certified row reports depends on T alone, so it is
+    worked out once per T.  The wall clock covers building the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
     report = VerificationReport(name, {"max_i": max_i})
+    certified_as: dict[FamilyTag, tuple[str, int, bool]] = {}
     for description, target, certified, base, x, y in rows:
-        if certified:
-            tag, chi = target.reported, target.chi
-        else:
-            tag, chi = _classify_state(fold(base, x, y))
-        passed = _tag_is(tag, target.tag.family, target.tag.index)
-        report.rows.append(ReportRow(description, _tag_str(tag), chi, passed))
+        if not certified:
+            found = _row_fields(target, *_classify_state(fold(base, x, y)))
+        elif (found := certified_as.get(target.tag)) is None:
+            found = certified_as[target.tag] = _row_fields(target, target.reported, target.chi)
+        report.rows.append(ReportRow(description, *found))
     report.wall_clock_s = time.monotonic() - started
     return report
 
@@ -589,33 +675,32 @@ def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
     max_i; each quotient must be C(d), d = gcd(i, v - u).  A row is
-    certified without folding: the forced-pair walk from (v_0, v_(v - u)),
-    stopped at d classes, must give the fibres of x -> x mod d, checked
-    once per (i, d) to map C(i) onto C(d).  Once per C(i) sigma_a is
-    checked to be the rotation v_x -> v_(x - 1), so the walk and its
-    verdict serve every row with that difference (module docstring); a
-    base where it is not raises RuntimeError.  A row that does not check
-    is folded and classified."""
+    certified without folding.  Once per C(i) sigma_a is checked to be the
+    rotation v_x -> v_(x - 1), so the fold of v_u ~ v_v joins the cosets of
+    <v - u> in Z/i; a base where it is not raises RuntimeError.  The row's
+    Bezout witness (_in_subgroup) shows that d divides v - u and lies in
+    <v - u>, so the fold joins the classes mod d, and the map x -> x mod d,
+    checked once per (i, d) to map C(i) onto C(d), bounds it from above
+    (module docstring).  A row that does not check is folded and
+    classified."""
     targets = _Targets()
 
     def rows():
         for i in range(3, max_i + 1, 2):
             base = _immersion_state(build_C(i))
-            numbers, neighbours, vix = _family_numbers(base), base.neighbours(), base.vertex_ix
+            numbers, neighbours = _family_numbers(base), base.neighbours()
             if any(y < 0 or numbers[y] != (x - 1) % i for x, y in zip(numbers, neighbours[0])):
                 raise RuntimeError(f"sigma_a of C:{i} is not the rotation v_x -> v_(x-1)")
-            maps: dict[int, tuple[_Target, list[int] | None]] = {}
-            certified: dict[int, bool] = {}  # by v - u
+            maps: dict[int, tuple[_Target, bool]] = {}  # by d: T, and whether C(i) maps onto it
             for u, v in combinations(range(i), 2):
                 d = gcd(i, v - u)
                 if d not in maps:
                     target = targets[FamilyTag("C", d, STANDARD)]
-                    maps[d] = target, _map_fibres(base, _family_map(numbers, target), target)
-                target, fibres = maps[d]
-                if v - u not in certified:
-                    pairs = [(vix["v0"], vix[f"v{v - u}"])]
-                    certified[v - u] = _pair_walk(neighbours, pairs, d) == fibres
-                yield f"C:{i} identify v{u}~v{v}", target, certified[v - u], base, f"v{u}", f"v{v}"
+                    fibres = _map_fibres(base, _family_map(numbers, target), target)
+                    maps[d] = target, fibres is not None and len(target.neighbours[0]) == d
+                target, mapped = maps[d]
+                certified = mapped and _in_subgroup(d, v - u, i)
+                yield f"C:{i} identify v{u}~v{v}", target, certified, base, f"v{u}", f"v{v}"
 
     return _lemma_report("vertex-identification", max_i, _identify_vertices_state, rows())
 
@@ -623,22 +708,26 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
     b-edge b_j and fold; each quotient must be C(d), d = odd_part(i - j),
-    in either variant.  A row is certified without folding: its forced-
-    pair walk from the two edges' ends (_end_pairs), stopped at d classes,
-    must give the fibres of x -> x mod d onto C(d), or Ct(d) from Dt(i),
-    checked once per (i, d) to be a cellular map onto it.  The walk's
-    unions are all forced, so it lies inside the fold's classes and the
-    map's fibres bound them from above (module docstring).  A row that
-    does not check is folded and classified."""
+    in either variant.  A row is certified without folding.  Once per base
+    sigma_a is checked to be the shift v_x -> v_(x - 1) (_shift); a base
+    where it is not raises RuntimeError.  From the heads of b_i and b_j the
+    row derives the odd x such that the fold joins every class mod x
+    (_shift_period).  The map x -> x mod d onto C(d), or Ct(d) from Dt(i),
+    checked once per (i, d), bounds the fold from above when the edges'
+    ends (_end_pairs) lie in its fibres; the row passes when x = d
+    (module docstring).  A row that does not check is folded and
+    classified."""
     targets = _Targets()
 
     def rows():
         for variant, label in ((STANDARD, "D"), (TILDE, "Dt")):
             for i in range(1, max_i + 1):
                 base = _immersion_state(build_D(i, variant))
-                numbers, neighbours = _family_numbers(base), base.neighbours()
+                b_out = _shift(base, variant, f"{label}:{i}")
+                numbers, eix, head = _family_numbers(base), base.edge_ix, base.head
                 maps: dict[int, tuple[_Target, list[int] | None]] = {}
                 bi = f"b{i}"
+                p = head[eix[bi]]
                 for j in range(i):
                     d = odd_part(i - j)
                     if d not in maps:
@@ -646,7 +735,11 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
                         maps[d] = target, _map_fibres(base, _family_map(numbers, target), target)
                     target, fibres = maps[d]
                     bj = f"b{j}"
-                    certified = _pair_walk(neighbours, _end_pairs(base, bi, bj), d) == fibres
+                    certified = (
+                        fibres is not None
+                        and all(fibres[x] == fibres[y] for x, y in _end_pairs(base, bi, bj))
+                        and _shift_period(b_out, p, head[eix[bj]]) == len(target.neighbours[0])
+                    )
                     yield f"{label}:{i} identify {bi}~{bj}", target, certified, base, bi, bj
 
     return _lemma_report("edge-identification", max_i, _identify_edges_state, rows())
@@ -662,8 +755,11 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     edges' ends, the other's tail and head too when one is a loop
     (_end_pairs), gives the fibres of the coupling map onto that outcome:
     v_x -> v_(x mod |V(T)|) on D(i), the cell traced round its relator in
-    T (module docstring).  The neighbour arrays are built once per glued
-    base.  A row that does not check is folded and classified."""
+    T (module docstring).  This is the one checker that walks: the glued
+    cell's vertices are not on the shift of D(i), so the vertex and edge
+    rows' arithmetic does not say which of them join.  The neighbour
+    arrays are built once per glued base.  A row that does not check is
+    folded and classified."""
     targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 

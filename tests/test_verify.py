@@ -459,6 +459,17 @@ def test_lemma_report_is_pinned(checker, max_i):
     assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
 
+def test_identification_reports_at_127_are_pinned():
+    # made when every row of both checkers was certified by a forced-pair
+    # walk, so they bind the shift derivation and the Bezout witness to it
+    pins = {
+        check_lemma_vertex_identification: "8c753434d352781345dfc18aa6793ac7b378a3bb36dad99bc7589cbc6e148b41",
+        check_lemma_edge_identification: "f6c606d2a6d57b03a5e7aa2e8ca23160a0d5b18535841fab24f0784bdca79a91",
+    }
+    for checker, digest in pins.items():
+        assert report_digest(checker(127)) == digest, checker.__name__
+
+
 def test_every_lemma_row_is_certified_by_its_map(monkeypatch):
     # the fallback classifies a folded state; with it refusing, the pinned
     # reports can only come from rows whose map and partition check
@@ -583,32 +594,79 @@ def test_a_base_whose_sigma_a_is_not_the_rotation_raises(monkeypatch, capsys, bu
     assert "internal error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("variant", ["standard", "tilde"])
-def test_pair_walk_matches_the_fold_on_vertex_rows(variant):
+def _less_the_last_a_edge(i: int, variant: str = "standard") -> Morphism:
+    """D(i) in the variant less its a-edge a(2i) and the faces on it."""
+    d = build_D(i, variant)
+    cut = f"a{2 * i}"
+    faces = [x for x in d.complex.faces if all(e != cut for e, _ in x.boundary)]
+    return Morphism(
+        TwoComplex.make(d.complex.vertices, [e for e in d.complex.edges if e.id != cut], faces),
+        d.presentation,
+        {e: g for e, g in d.edge_labels.items() if e != cut},
+        {x.id: d.face_types[x.id] for x in faces},
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # the other variant's a-edges run up the path, not down it
+        pytest.param(
+            lambda i, variant="standard": build_D(i, "tilde" if variant == "standard" else "standard"),
+            id="variant",
+        ),
+        # v(2i) has no a-neighbour down and v(2i - 1) none up: each reads
+        # -1, and numbers[-1] would read v(2i), the up neighbour expected
+        pytest.param(_less_the_last_a_edge, id="missing-edge"),
+    ],
+)
+def test_a_base_whose_sigma_a_is_not_the_shift_raises(monkeypatch, capsys, build):
+    monkeypatch.setattr(verify, "build_D", build)
+    with pytest.raises(RuntimeError, match="not the shift"):
+        check_lemma_edge_identification(5)
+    assert cli.main(["verify-lemma", "2.4", "--max-i", "5"]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_bezout_witness_matches_the_fold_on_vertex_rows():
+    # the fold of v_u ~ v_v joins the classes mod d = gcd(i, v - u): the
+    # row's rotation check and witness certify exactly that partition
     for i in range(3, 16, 2):
-        base = _immersion_state(build_C(i, variant))
-        neighbours = base.neighbours()
-        vix = base.vertex_ix
+        base = _immersion_state(build_C(i))
+        numbers = verify._family_numbers(base)
+        assert [numbers[y] for y in base.neighbours()[0]] == [(x - 1) % i for x in numbers]
         for u, v in combinations(range(i), 2):
+            d = gcd(i, v - u)
             fold = _identify_vertices_state(base, f"v{u}", f"v{v}").vpar
-            assert verify._pair_walk(neighbours, [(vix[f"v{u}"], vix[f"v{v}"])], 0) == fold
-            # the row's own pair forces (v_0, v_(v - u)) in either variant,
-            # whose walk the checker shares among all rows of that difference
-            shared = [(vix["v0"], vix[f"v{v - u}"])]
-            assert verify._pair_walk(neighbours, shared, gcd(i, v - u)) == fold
+            assert fold == [x % d for x in range(i)]
+            assert verify._in_subgroup(d, v - u, i)
 
 
 @pytest.mark.parametrize("variant", ["standard", "tilde"])
-def test_pair_walk_matches_the_fold_on_edge_rows(variant):
+def test_shift_derivation_matches_the_fold_on_edge_rows(variant):
+    # the fold of b_i ~ b_j joins the classes mod d = odd_part(i - j): the
+    # shift derivation from the two heads gives exactly d, and the edges'
+    # ends lie in one class each
     for i in range(1, 16):
         base = _immersion_state(build_D(i, variant))
-        neighbours = base.neighbours()
+        b_out = verify._shift(base, variant, f"D:{i}")
+        eix, head = base.edge_ix, base.head
         for j in range(i):
-            pairs = verify._end_pairs(base, f"b{i}", f"b{j}")
-            # the quotient is C(d) with d vertices; 0 classes never stop it
-            stopped = verify._pair_walk(neighbours, pairs, odd_part(i - j))
-            assert stopped == verify._pair_walk(neighbours, pairs, 0)
-            assert stopped == _identify_edges_state(base, f"b{i}", f"b{j}").vpar
+            d = odd_part(i - j)
+            fold = _identify_edges_state(base, f"b{i}", f"b{j}").vpar
+            assert fold == [x % d for x in range(2 * i + 1)]
+            assert verify._shift_period(b_out, head[eix[f"b{i}"]], head[eix[f"b{j}"]]) == d
+            assert all(fold[x] == fold[y] for x, y in verify._end_pairs(base, f"b{i}", f"b{j}"))
+
+
+@pytest.mark.parametrize(
+    "d, m, i, certified",
+    [(3, 6, 9, True), (1, 4, 9, True), (3, 3, 15, True), (1, 3, 9, False), (2, 3, 9, False)],
+)
+def test_bezout_witness_needs_d_to_divide_m_and_lie_in_its_subgroup(d, m, i, certified):
+    # gcd(9, 3) = 3: 1 is not in <3> of Z/9 (no inverse of 3 mod 9), and 2
+    # does not divide 3
+    assert verify._in_subgroup(d, m, i) is certified
 
 
 def test_end_pairs_seed_the_other_ends_at_a_loop():
