@@ -116,11 +116,11 @@ def parse_presentation(text: str) -> Presentation:
     head, sep, tail = text.partition("|")
     if not sep:
         raise PresentationError("expected 'generators|relators'")
-    generators = tuple(g for g in head.split(",") if g)
+    generators = tuple(head.split(",")) if head else ()
     for gen in generators:
         if len(gen) != 1 or not "a" <= gen <= "z":
             raise PresentationError(f"generator must be one lowercase letter: {gen!r}")
-    relator_texts = [r for r in tail.split(",") if r] if tail else []
+    relator_texts = tail.split(",") if tail else []
     relators = []
     for rtext in relator_texts:
         word = parse_word(rtext, generators)

@@ -45,13 +45,13 @@ map, and that it is onto T: one routine, _image, counts the cells that
 pi hits in the base and those that the identity hits in T, and the two
 must agree.
 
-Every row has a lower bound: a partition of the base's vertices whose
-classes the fold must join, built from unions that the row's move forces.
-Once x ~ y in the fold, the g-edges leaving x and y share a label and a
-tail class, so the fold makes them one edge and joins their heads;
-entering edges join their tails the same way.  Vertex and edge rows
+Every vertex or edge row has a lower bound: a partition of the base's
+vertices whose classes the fold must join, built from unions that the
+row's move forces.  Once x ~ y in the fold, the g-edges leaving x and y
+share a label and a tail class, so the fold makes them one edge and joins
+their heads; entering edges join their tails the same way.  These rows
 derive the bound from the shape of sigma_a, checked once per base, in
-O(log i) steps per row; coupling rows walk it.  No fold runs.
+O(log i) steps per row, and run no fold.  A coupling row folds instead.
 
 Edge rows.  Once per D(i) or Dt(i) the checker checks on the neighbour
 arrays that the vertex of index x is v_x and that sigma_a is the shift
@@ -76,42 +76,29 @@ subgroup <m> of Z/i.  A row that predicts d carries a Bezout witness, s =
 which one multiplication checks, d lies in <m>, so the fold joins every
 class mod d.
 
-Coupling rows walk: the glued cell's vertices are not on the shift, so
-no arithmetic on the base predicts which of them join.  The forced-pair
-walk (_pair_walk, a partial congruence closure: Downey, Sethi & Tarjan,
-"Variations on the common subexpression problem", J. ACM 1980) starts
-from seed pairs that the move forces.  Each union of x and y pushes the
-pair of their neighbours under every (label, direction) key that both
-have, read off the glued base's neighbour arrays, built once per base.
-The walk stops once its class count reaches |V(T)|.
+Coupling rows fold: the glued cell's vertices are not on the shift, so
+no arithmetic on the base predicts which of them join.  Each row folds
+its move once, in a copy of the glued base (the engine's congruence
+closure, folding._FoldState.run), and is certified when the fold's
+vertex classes, each vertex's root (_FoldState.vertex_roots), equal the
+fibres of pi.
 
-Both bounds.  Lower: the derivation and the walk make only forced
-unions, so they lie inside the fold's vertex classes.  Upper: when every
-seed pair lies in one fibre of pi, pi identifies the moved pair (an edge
-pair by its ends, since T has one edge per tail and label) and maps onto
-an immersion, and the fold is the least quotient that immerses
-(Stallings, "Topology of finite graphs", Invent. Math. 1983), so every
-fold vertex class lies in one fibre of pi.  So a row passes its
-certificate when its lower bound equals the fibres of pi: the fold's
-classes lie between and equal them too.  On a vertex or edge row the
-fibres are the classes mod |V(T)|, so the row checks that the map check
-passed, that its seeds lie in one fibre each (d divides m for a vertex
-row), and that its modulus, x or d, is |V(T)|; a coupling row checks
-that its seeds lie in one fibre and its walk equals the fibres.  The
-comparisons are exact, so an early stop, or a walk that stops short of
-the fold (it pushes the neighbours of the pair it joins, not of their
-whole classes), can only send a row to the fallback, never pass a wrong
-one.
-
-The seeds.  An edge row, b_i ~ b_j or a coupling's cell edge ~ b_i,
-seeds the two edges' tails and their heads (_end_pairs).  When one of
-the two is a loop, t1 = h1, it also seeds the other's tail and head: t2
-~ t1 = h1 ~ h2 by transitivity, and only a seeded or pushed pair has its
-neighbours paired.  This is what completes the coupling rows: the short
-cell is a b-loop at a vertex u0 with no a-edge, so without that seed
-the walk joins v(2i) ~ v(i) only through u0 and never pairs their
-a-neighbours, which the fold joins; b0 of D(0) is a loop too.  A vertex
-row v_u ~ v_v seeds the one pair (v_u, v_v).
+Both bounds, two routes.  A vertex or edge row bounds the fold from both
+sides.  Lower: the derivation makes only forced unions, so its classes
+lie inside the fold's vertex classes.  Upper: when the moved pair lies
+in one fibre of pi (for a vertex row, d divides m; for an edge row, the
+two edges' tails and their heads, _end_pairs, since T has one edge per
+tail and label), pi identifies the moved pair and maps onto an
+immersion, and the fold is the least quotient that immerses (Stallings,
+"Topology of finite graphs", Invent. Math. 1983), so every fold vertex
+class lies in one fibre of pi.  The fibres are the classes mod |V(T)|,
+so the row passes its certificate when the map check passed, the moved
+pair lies in one fibre and its modulus, x or d, is |V(T)|: the fold's
+classes lie between the derivation's and the fibres, which are equal.
+A coupling row needs no bound: its fold's classes are the quotient's
+own, compared with the fibres directly.  The comparisons are exact, so
+a wrong derivation or map can only send a row to the fallback, never
+pass a wrong one.
 
 Why equal classes make the quotient T.  The fold reads edge classes off
 by (tail class, label) and face classes by (relator, first edge class);
@@ -120,7 +107,7 @@ that fix T's cells, and pi hits every cell, so the quotient's cells
 biject with T's, boundaries included: the quotient is isomorphic to T,
 and the row reports classify(T) and the Euler characteristic of T,
 computed once per T.  A row whose certificate does not check, and only
-such a row, is folded, in the one place that folds rows (_lemma_report),
+such a row, is folded in _lemma_report, a coupling row a second time,
 and falls back to classifying the compact form of its folded state
 (_classify_state), so a failing row still reports the class of its
 actual quotient.
@@ -175,9 +162,7 @@ from .families import (
 )
 from .folding import (
     _coupling_base,
-    _find,
     _finish,
-    _flatten,
     _FoldState,
     _identify_edges_state,
     _identify_vertices_state,
@@ -550,16 +535,12 @@ def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] |
 
 def _end_pairs(base: _FoldState, e1: str, e2: str) -> list[tuple[int, int]]:
     """The unions that identifying edges e1 and e2 forces first: their
-    tails, their heads, and when either edge is a loop the other's tail
-    and head (t1 = h1 gives t2 ~ t1 = h1 ~ h2).  An edge row checks that
-    each pair lies in one fibre of its map.  The coupling walk starts from
-    them and pushes the neighbours of the pairs it joins, so that third
-    pair is what pairs the neighbours of the other edge's ends."""
+    tails and their heads.  An edge row checks that each pair lies in one
+    fibre of its map; when either edge is a loop, the other's tail and
+    head then lie in one fibre too, by transitivity."""
     eix, tail, head = base.edge_ix, base.tail, base.head
     x, y = eix[e1], eix[e2]
-    pairs = [(tail[x], tail[y]), (head[x], head[y])]
-    pairs += [(tail[q], head[q]) for p, q in ((x, y), (y, x)) if tail[p] == head[p]]
-    return pairs
+    return [(tail[x], tail[y]), (head[x], head[y])]
 
 
 def _shift(base: _FoldState, variant: str, name: str) -> list[int]:
@@ -612,35 +593,6 @@ def _in_subgroup(d: int, m: int, i: int) -> bool:
     return (s * m - d) % i == 0
 
 
-def _pair_walk(neighbours: list[list[int]], pairs, classes: int) -> list[int]:
-    """The flat forest, least index as root, of the forced unions from
-    pairs: each union of x and y pushes the pair of their neighbours under
-    every key both have (module docstring), unless the two share a parent
-    and so a class already.  The walk stops when no pair is left or when
-    only `classes` classes are."""
-    parent = list(range(len(neighbours[0])))
-    left = len(parent)
-    stack = list(pairs)
-    while stack and left > classes:
-        x, y = stack.pop()
-        rx, ry = parent[x], parent[y]
-        if parent[rx] != rx or parent[ry] != ry:
-            rx, ry = _find(parent, x), _find(parent, y)
-        if rx == ry:
-            continue
-        if rx < ry:
-            parent[ry] = rx
-        else:
-            parent[rx] = ry
-        left -= 1
-        for nb in neighbours:
-            p, q = nb[x], nb[y]
-            if p >= 0 and q >= 0 and parent[p] != parent[q]:
-                stack.append((p, q))
-    _flatten(parent)
-    return parent
-
-
 def _row_fields(target: _Target, tag: FamilyTag | None, chi: int) -> tuple[str, int, bool]:
     """(classification, chi, passed) of a row that predicted target and
     found tag and chi."""
@@ -649,14 +601,15 @@ def _row_fields(target: _Target, tag: FamilyTag | None, chi: int) -> tuple[str, 
 
 def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
     """Report each (description, target T, certified, base, x, y) row of a
-    checker whose move is fold.  A row is certified when its lower bound
-    equals the fibres of its map onto T (module docstring), and reports
-    T's class and chi.  Any other row, and only such a row, is folded
-    here, as fold(base, x, y), and reports the class and chi of its folded
-    state through _classify_state; no checker folds a row itself.  Either
-    way the row passes when that class is T's family and index, in either
-    variant.  What a certified row reports depends on T alone, so it is
-    worked out once per T.  The wall clock covers building the rows too."""
+    checker whose move is fold.  A row is certified when its vertex
+    classes, derived or, for coupling, folded, equal the fibres of its map
+    onto T (module docstring), and reports T's class and chi.  Any other
+    row, and only such a row, is folded here, as fold(base, x, y), and
+    reports the class and chi of its folded state through _classify_state;
+    a coupling row is then folded a second time.  Either way the row passes
+    when that class is T's family and index, in either variant.  What a
+    certified row reports depends on T alone, so it is worked out once per
+    T.  The wall clock covers building the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
@@ -751,15 +704,13 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
     at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
     symmetric); the long cell at position 2 gives D(i + 1).  A row is
-    certified without folding when its forced-pair walk from the two
-    edges' ends, the other's tail and head too when one is a loop
-    (_end_pairs), gives the fibres of the coupling map onto that outcome:
-    v_x -> v_(x mod |V(T)|) on D(i), the cell traced round its relator in
-    T (module docstring).  This is the one checker that walks: the glued
-    cell's vertices are not on the shift of D(i), so the vertex and edge
-    rows' arithmetic does not say which of them join.  The neighbour
-    arrays are built once per glued base.  A row that does not check is
-    folded and classified."""
+    certified when the vertex classes of its fold are the fibres of the
+    coupling map onto that outcome: v_x -> v_(x mod |V(T)|) on D(i), the
+    cell traced round its relator in T (module docstring).  This is the
+    one checker that folds its rows: the glued cell's vertices are not on
+    the shift of D(i), so the vertex and edge rows' arithmetic does not
+    say which of them join.  A row that does not check is folded again and
+    classified."""
     targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 
@@ -777,7 +728,6 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
             edge = f"b{i}"
             for t, word in enumerate(d.presentation.relators):
                 base, cell = _coupling_base(d, t)
-                neighbours = base.neighbours()
                 for p, (gen, _) in enumerate(word):
                     if gen != d.edge_labels[edge]:
                         continue
@@ -790,8 +740,8 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
                     target = targets[FamilyTag(*tag)]
                     pi = _coupling_map(base, word, cell, p, edge, target)
                     fibres = None if pi is None else _map_fibres(base, pi, target)
-                    pairs = _end_pairs(base, cell[p], edge)
-                    certified = _pair_walk(neighbours, pairs, len(target.neighbours[0])) == fibres
+                    folded = _identify_edges_state(base, cell[p], edge)
+                    certified = fibres is not None and folded.vertex_roots() == fibres
                     description = f"D:{i} couple type {t} position {p} at {edge}"
                     yield description, target, certified, base, cell[p], edge
 

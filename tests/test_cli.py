@@ -228,6 +228,7 @@ def test_exit_two_on_malformed_input(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["chi", str(bad)]) == 2
     assert main(["build", "a|aa"]) == 2
+    assert main(["build", "a,b|b,,baBAA"]) == 2  # an empty relator
     assert main(["chi", str(tmp_path / "missing.json")]) == 2
     assert main(["family", "X:1"]) == 2
     incomplete = tmp_path / "incomplete.json"

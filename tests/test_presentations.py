@@ -25,7 +25,7 @@ def test_parse_no_relators():
 
 
 def test_str_round_trip():
-    for text in ("a,b|b,baBAA", "a|", "a,b|abAB"):
+    for text in ("a,b|b,baBAA", "a|", "|", "a,b|abAB"):
         assert str(parse_presentation(text)) == text
 
 
@@ -65,6 +65,21 @@ def test_non_ascii_inverse_rejected():
 def test_empty_relator_rejected():
     with pytest.raises(PresentationError):
         Presentation(("a",), ((),))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b|b,,baBAA", "empty relator"),
+        ("a,b|b,", "empty relator"),
+        ("a|,", "empty relator"),
+        ("a,,b|b", "one lowercase letter: ''"),
+    ],
+)
+def test_an_empty_name_between_commas_is_rejected(text, message):
+    # not dropped: "a,b|b,,baBAA" is not "a,b|b,baBAA"
+    with pytest.raises(PresentationError, match=message):
+        parse_presentation(text)
 
 
 def test_missing_separator_rejected():

@@ -165,16 +165,16 @@ def test_library_has_no_dead_helpers():
 
 
 def test_docs_name_what_the_library_defines():
-    # a docstring or comment that names a private name (`_name`) or a
-    # member of a library module (`module.name`) names something the
-    # package still defines: a function, class, assignment target,
-    # attribute, argument or field; a file name such as `homology.py` is
-    # not a member
+    # a docstring or comment, or the README, that names a private name
+    # (`_name`) or a member of a library module (`module.name`) names
+    # something the package still defines: a function, class, assignment
+    # target, attribute, argument or field; a file name such as
+    # `homology.py` is not a member
     files = sorted(SOURCE.glob("*.py"))
     assert files, f"no sources under {SOURCE}"
     modules = {path.stem for path in files}
     scopes = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined, texts = set(), []
+    defined, texts = set(), [("README.md", (ROOT / "README.md").read_text())]
     for path in files:
         source = path.read_text()
         for node in ast.walk(ast.parse(source, filename=str(path))):

@@ -459,12 +459,14 @@ def test_lemma_report_is_pinned(checker, max_i):
     assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
 
-def test_identification_reports_at_127_are_pinned():
-    # made when every row of both checkers was certified by a forced-pair
-    # walk, so they bind the shift derivation and the Bezout witness to it
+def test_lemma_reports_at_127_are_pinned():
+    # made when every row of the three checkers was certified by a
+    # forced-pair walk, so they bind the shift derivation, the Bezout
+    # witness and the coupling rows' own folds to it
     pins = {
         check_lemma_vertex_identification: "8c753434d352781345dfc18aa6793ac7b378a3bb36dad99bc7589cbc6e148b41",
         check_lemma_edge_identification: "f6c606d2a6d57b03a5e7aa2e8ca23160a0d5b18535841fab24f0784bdca79a91",
+        check_lemma_coupling: "9d2cbdd060a38fa27955428ab49c2830f4504b06b36df134c69c7af20835c5b5",
     }
     for checker, digest in pins.items():
         assert report_digest(checker(127)) == digest, checker.__name__
@@ -498,6 +500,25 @@ def test_a_wrong_prediction_fails_with_the_folds_class(
     rows = {row.description: row for row in checker(max_i).rows}
     assert (rows[description].classification, rows[description].passed) == (found, False)
     assert all(row.passed == (row.classification == "C:1") for row in rows.values())
+
+
+def test_a_wrong_coupling_prediction_fails_with_the_folds_class(monkeypatch):
+    # the short cell on D(i), i >= 1, predicted C:1: the fold's classes are
+    # the fibres of the map onto C(1) only when odd_part(i) is 1, so any
+    # other short row is folded again and reports the class of its
+    # quotient; the long cells' rows still pass
+    monkeypatch.setattr(verify, "odd_part", lambda i: 1)
+    rows = check_lemma_coupling(6).rows
+    short = {
+        row.description: (row.classification, row.passed)
+        for row in rows
+        if f" type {TYPE_SHORT} " in row.description
+    }
+    assert short == {
+        f"D:{i} couple type {TYPE_SHORT} position 0 at b{i}": (found, found in ("D:0", "C:1"))
+        for i, found in enumerate(["D:0", "C:1", "C:1", "C:3", "C:1", "C:5", "C:3"])
+    }
+    assert all(row.passed for row in rows if row.description not in short)
 
 
 @pytest.mark.parametrize("d", [3, 5, 15])
@@ -669,38 +690,25 @@ def test_bezout_witness_needs_d_to_divide_m_and_lie_in_its_subgroup(d, m, i, cer
     assert verify._in_subgroup(d, m, i) is certified
 
 
-def test_end_pairs_seed_the_other_ends_at_a_loop():
+def test_end_pairs_are_the_tails_and_the_heads():
+    # at a loop too: the fibres of a map are classes, so t2 ~ t1 = h1 ~ h2
+    # follows from the two pairs
     d = build_D(3)  # b3: v6 -> v3, b1: v2 -> v1, b0: v0 -> v0
     base = _immersion_state(d)
     v0, v1, v2, v3, v6 = (base.vertex_ix[f"v{x}"] for x in (0, 1, 2, 3, 6))
     assert verify._end_pairs(base, "b3", "b1") == [(v6, v2), (v3, v1)]
-    assert verify._end_pairs(base, "b3", "b0") == [(v6, v0), (v3, v0), (v6, v3)]
-    glued, cell = _coupling_base(d, TYPE_SHORT)  # the short cell: a b-loop at u0
-    u0, v3, v6 = (glued.vertex_ix[x] for x in ("u0", "v3", "v6"))
-    assert verify._end_pairs(glued, cell[0], "b3") == [(u0, v6), (u0, v3), (v6, v3)]
-
-
-def test_pair_walk_matches_the_fold_on_coupling_rows():
-    # the short cell is a b-loop at u0, which has no a-edge, and b0 of
-    # D(0) is a loop: the loop seed pairs the other edge's ends, so the
-    # walk reaches the fold where it would stop short without it
-    for i in range(16):
-        d = build_D(i)
-        for t, p in COUPLINGS_AT_B:
-            glued, cell = _coupling_base(d, t)
-            pairs = verify._end_pairs(glued, cell[p], f"b{i}")
-            walk = verify._pair_walk(glued.neighbours(), pairs, 0)
-            assert walk == _identify_edges_state(glued, cell[p], f"b{i}").vpar
+    assert verify._end_pairs(base, "b3", "b0") == [(v6, v0), (v3, v0)]
 
 
 def test_lemma_rows_run_no_fold(monkeypatch):
+    # vertex and edge rows are certified by derivation; coupling rows fold
     def refuse(*args):
         raise AssertionError("a lemma row was folded")
 
     monkeypatch.setattr(verify, "_identify_edges_state", refuse)
     monkeypatch.setattr(verify, "_identify_vertices_state", refuse)
     for max_i in sorted(LEMMA_REPORTS):
-        for checker in LEMMA_CHECKERS:
+        for checker in (check_lemma_vertex_identification, check_lemma_edge_identification):
             report = checker(max_i)
             assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
