@@ -44,7 +44,7 @@ import json
 from collections import Counter
 from typing import NamedTuple
 
-from .complexes import ComplexError, Morphism
+from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex
 
 
 class Compact(NamedTuple):
@@ -74,6 +74,25 @@ def _compact(f: Morphism) -> Compact:
         [gen_ix[f.edge_labels[e.id]] for e in cx.edges],
         [f.face_types[x.id] for x in cx.faces],
         [[(eix[eid], sign) for eid, sign in x.boundary] for x in cx.faces],
+    )
+
+
+def _morphism(c: Compact, presentation, ids) -> Morphism:
+    """The inverse of _compact: the Morphism over presentation of the
+    compact complex c whose cells are named by ids = (vertex ids, edge ids,
+    face ids), each list in c's numbering and so in shortlex order."""
+    vids, eids, fids = ids
+    gens = presentation.generators
+    cx = TwoComplex.make(
+        vids,
+        [Edge(e, vids[t], vids[h]) for e, t, h in zip(eids, c.tail, c.head)],
+        [Face(x, tuple([(eids[e], s) for e, s in sides])) for x, sides in zip(fids, c.boundary)],
+    )
+    return Morphism(
+        cx,
+        presentation,
+        {e: gens[g] for e, g in zip(eids, c.label)},
+        dict(zip(fids, c.ftype)),
     )
 
 

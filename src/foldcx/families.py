@@ -22,25 +22,30 @@ has at most one incident edge per (label, direction), and it either closes
 up (yielding a face) or not (yielding none).  The short relator b closes
 only on the b-loop b0; the long relator closes exactly i times in D(i) and
 in C(i), so both have i + 1 faces.
+
+The routine builds the integer form directly: the canonical.Compact of the
+complex, cells numbered in shortlex id order, with the ids (_assemble).
+family_state makes the unmerged fold state of that form, which the lemma
+checkers use for every base and target with no Morphism in between, and
+the family keys that classify compares are read off it too.  build_family,
+build_D and build_C make the Morphism of the same form, through
+TwoComplex.make and the immersion check, for the CLI and library callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import Compact, _bfs, _compact
+from .canonical import Compact, _bfs, _compact, _morphism
 from .complexes import (
     ComplexError,
-    Edge,
-    Face,
     Morphism,
-    TwoComplex,
-    free_faces,
     id_key,
     immersion_witness,
     presentation_complex,
     trace_relator,
 )
+from .folding import _FoldState
 from .presentations import Presentation, parse_presentation
 
 KP_TEXT = "a,b|b,baBAA"
@@ -101,51 +106,103 @@ def odd_part(i: int) -> int:
     return i
 
 
-def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str) -> Morphism:
+def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
     """family(i) on the skeleton of the module docstring with (n, #a, #b) =
-    (n, na, nb) in the given variant; its faces are traced, and there must
-    be i + 1 of them."""
-    if variant not in (STANDARD, TILDE):
-        raise ComplexError(f"unknown variant {variant!r}")
-    edges, labels = [], {}
+    (n, na, nb) in the given variant, as (compact form, (vertex ids, edge
+    ids, face ids)): cells are numbered in shortlex id order, as
+    canonical.Compact requires, so vertex v_x has index x.
+
+    What the formula could get wrong is checked, each raising RuntimeError:
+    the skeleton is folded (no two edges of one label leave or enter one
+    vertex), there are i + 1 faces, no two sides of one edge share a
+    (relator, position) slot, and C has no free faces.  With the skeleton
+    folded and the slots distinct, the complex immerses.  The generic
+    checks of TwoComplex.make and validate hold by construction: ids are
+    unique, since the formula's indices are distinct per sort; every
+    reference is in range, since a tail is reduced mod n, a head is j - 1
+    or j with #a <= n and #b <= n in both formulas, and a side's edge is
+    read off the skeleton's own edges; and each boundary is closed and
+    reads its relator, since trace_relator returns only a trace that reads
+    the relator's letters, with their signs, round a path back to its
+    start."""
+    pres = target_presentation()
+    gens = pres.generators
+    a, b = (gens.index(g) for g in "ab")
+    rows = []
     for j in range(1, na + 1):
-        tail, head = f"v{j % n}", f"v{j - 1}"
+        tail, head = j % n, j - 1
         if variant == TILDE:
             tail, head = head, tail
-        edges.append(Edge(f"a{j}", tail, head))
-        labels[f"a{j}"] = "a"
-    for j in range(nb):
-        edges.append(Edge(f"b{j}", f"v{2 * j % n}", f"v{j}"))
-        labels[f"b{j}"] = "b"
-    pres = target_presentation()
-    forward = {g: {} for g in pres.generators}
-    backward = {g: {} for g in pres.generators}
-    edge_at: dict[tuple[str, str], str] = {}
-    for e in edges:
-        gen = labels[e.id]
-        if e.tail in forward[gen] or e.head in backward[gen]:
-            raise RuntimeError("cannot trace faces: skeleton not folded")
-        forward[gen][e.tail] = e.head
-        backward[gen][e.head] = e.tail
-        edge_at[gen, e.tail] = e.id
-    ordered = sorted(edges, key=lambda e: id_key(e.id))
-    faces, types = [], {}
+        rows.append((id_key(f"a{j}"), tail, head, a))
+    rows += [(id_key(f"b{j}"), 2 * j % n, j, b) for j in range(nb)]
+    rows.sort()  # by the edges' id keys, which are distinct
+    keys, tails, heads, labels = (list(column) for column in zip(*rows))
+    eids = [eid for _, eid in keys]
+    forward = {g: {} for g in gens}
+    backward = {g: {} for g in gens}
+    edge_at: dict[tuple[str, int], int] = {}
+    for e, (tail, head, g) in enumerate(zip(tails, heads, labels)):
+        gen = gens[g]
+        if tail in forward[gen] or head in backward[gen]:
+            raise RuntimeError(f"{family}({i}): skeleton not folded at edge {eids[e]}")
+        forward[gen][tail] = head
+        backward[gen][head] = tail
+        edge_at[gen, tail] = e
+    ftype, boundary = [], []
     for rix, word in enumerate(pres.relators):
-        gen0, sign0 = word[0]
-        for e in ordered:
-            if labels[e.id] != gen0:
+        g0, sign0 = gens.index(word[0][0]), word[0][1]
+        for e, g in enumerate(labels):
+            if g != g0:
                 continue
-            start = e.tail if sign0 > 0 else e.head
-            tails = trace_relator(word, forward, backward, start)
-            if tails is not None:
-                fid = f"f{len(faces)}"
-                sides = tuple((edge_at[g, t], s) for (g, s), t in zip(word, tails))
-                faces.append(Face(fid, sides))
-                types[fid] = rix
-    if len(faces) != i + 1:
-        raise RuntimeError(f"{family}({i}) has {len(faces)} faces, not {i + 1}")
-    vertices = [f"v{j}" for j in range(n)]
-    out = Morphism(TwoComplex.make(vertices, edges, faces), pres, labels, types)
+            trace = trace_relator(word, forward, backward, tails[e] if sign0 > 0 else heads[e])
+            if trace is None:
+                continue
+            ftype.append(rix)
+            boundary.append([(edge_at[gen, tail], sign) for (gen, sign), tail in zip(word, trace)])
+        # the edges at one position of one relator's faces, one per face
+        for column in zip(*(sides for sides, t in zip(boundary, ftype) if t == rix)):
+            if len(set(column)) != len(column):
+                raise RuntimeError(f"{family}({i}): two sides of one edge share a slot")
+    if len(ftype) != i + 1:
+        raise RuntimeError(f"{family}({i}) has {len(ftype)} faces, not {i + 1}")
+    c = Compact(len(gens), n, tails, heads, labels, ftype, boundary)
+    if family == "C" and free_edges(c):
+        raise RuntimeError(f"C({i}) has free faces")
+    ids = [f"v{x}" for x in range(n)], eids, [f"f{k}" for k in range(len(ftype))]
+    return c, ids
+
+
+def free_edges(c: Compact) -> list[int]:
+    """The edges of c that occur exactly once over all boundaries, in
+    index order."""
+    count = [0] * len(c.tail)
+    for sides in c.boundary:
+        for e, _ in sides:
+            count[e] += 1
+    return [e for e, k in enumerate(count) if k == 1]
+
+
+def _form(tag: FamilyTag):
+    """_assemble of tag's complex; an even C(i) is C(odd_part(i))."""
+    i = tag.index
+    if tag.family == "D":
+        return _assemble("D", i, 2 * i + 1, 2 * i, i + 1, tag.variant)
+    i = odd_part(i)
+    return _assemble("C", i, i, i, i, tag.variant)
+
+
+def family_state(tag: FamilyTag) -> _FoldState:
+    """The unmerged fold state of tag's complex, built from its compact form
+    with no Morphism in between; _assemble has checked that it immerses."""
+    c, ids = _form(tag)
+    return _FoldState.from_compact(c, target_presentation(), ids)
+
+
+def build_family(tag: FamilyTag) -> Morphism:
+    """tag's complex as a Morphism, through TwoComplex.make and the
+    immersion check, as every library caller gets it."""
+    c, ids = _form(tag)
+    out = _morphism(c, target_presentation(), ids)
     witness = immersion_witness(out)
     if witness is not None:
         raise RuntimeError(f"family complex is not an immersion: {witness}")
@@ -155,22 +212,13 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str) -> Mo
 def build_D(i: int, variant: str = STANDARD) -> Morphism:
     if i < 0:
         raise ComplexError("build_D needs i >= 0")
-    return _assemble("D", i, 2 * i + 1, 2 * i, i + 1, variant)
+    return build_family(FamilyTag("D", i, variant))
 
 
 def build_C(i: int, variant: str = STANDARD) -> Morphism:
     if i < 1:
         raise ComplexError("build_C needs i >= 1")
-    if i % 2 == 0:
-        return build_C(odd_part(i), variant)
-    out = _assemble("C", i, i, i, i, variant)
-    if free_faces(out.complex):
-        raise RuntimeError(f"C({i}) has free faces")
-    return out
-
-
-def build_family(tag: FamilyTag) -> Morphism:
-    return (build_D if tag.family == "D" else build_C)(tag.index, tag.variant)
+    return build_family(FamilyTag("C", i, variant))
 
 
 _key_cache: dict[FamilyTag, tuple] = {}
@@ -178,7 +226,7 @@ _key_cache: dict[FamilyTag, tuple] = {}
 
 def _family_key(tag: FamilyTag) -> tuple:
     if tag not in _key_cache:
-        _key_cache[tag] = _bfs(_compact(build_family(tag)))[0]
+        _key_cache[tag] = _bfs(_form(tag)[0])[0]
     return _key_cache[tag]
 
 

@@ -50,7 +50,10 @@ integer of a merged class as its representative is the same rule as
 keeping the shortlex-least id.  Numbering the live roots in that order
 gives compact(), the quotient in the integer form of canonical.Compact;
 the closure search deduplicates fold states on its canonical key, so it
-builds a Morphism only for the new ones.
+builds a Morphism only for the new ones.  A state is built from a
+Morphism through canonical._compact, or straight from a compact form and
+its ids (_FoldState.from_compact), as the family builder and the glue of
+a coupling base build theirs.
 
 Every move identifies one pair of cells in a copy of a prebuilt,
 unmerged state and folds.  Vertex and edge identification copy the state
@@ -60,7 +63,11 @@ class, since they share a label and a tail class.  Coupling copies the
 state of the immersion beside one closed cell of the relator, not yet
 attached (_coupling_base), and identifies the cell's edge at the given
 position with the given edge: the glued base depends on neither, so one
-base serves every coupling of one relator onto one immersion.
+base serves every coupling of one relator onto one immersion.  The glue
+reads the immersion's unmerged state, not a Morphism: it appends the
+cell's vertices, edges and face to the compact form and renumbers every
+sort in shortlex id order, the fresh u*, c* and f* ids among the
+existing ones.
 
 Every class keeps its least index as the root, whether a union or a
 keyed pass made it, so the union-find forest is the quotient map
@@ -80,16 +87,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import Compact, _compact
-from .complexes import (
-    ComplexError,
-    Edge,
-    Face,
-    Morphism,
-    TwoComplex,
-    immersion_witness,
-    validate,
-)
+from .canonical import Compact, _compact, _morphism
+from .complexes import ComplexError, Morphism, id_key, immersion_witness, validate
 
 
 MERGE_KINDS = ("vertex-merge", "edge-merge", "face-merge")
@@ -184,13 +183,25 @@ class _FoldState:
     VERTEX, EDGE, FACE = MERGE_KINDS
 
     def __init__(self, f: Morphism):
+        """The unmerged state of f, through its compact form."""
         cx = f.complex
-        self.unmerged = c = _compact(f)  # compact() before any merge
-        self.presentation = f.presentation
+        ids = list(cx.vertices), [e.id for e in cx.edges], [x.id for x in cx.faces]
+        self._load(_compact(f), f.presentation, ids)
+
+    @classmethod
+    def from_compact(cls, c: Compact, presentation, ids) -> "_FoldState":
+        """The unmerged state of the compact complex c over presentation,
+        whose cells are named by ids = (vertex ids, edge ids, face ids),
+        each list in c's numbering and so in shortlex order."""
+        state = cls.__new__(cls)
+        state._load(c, presentation, ids)
+        return state
+
+    def _load(self, c: Compact, presentation, ids) -> None:
+        self.unmerged = c  # compact() before any merge
+        self.presentation = presentation
         self.ngens = c.ngens
-        self.vids = list(cx.vertices)  # shortlex-sorted by construction
-        self.eids = [e.id for e in cx.edges]
-        self.fids = [x.id for x in cx.faces]
+        self.vids, self.eids, self.fids = ids
         self.tail, self.head, self.elab = c.tail, c.head, c.label
         self.ftype, self.boundary = c.ftype, c.boundary
         self.vpar = list(range(c.nv))
@@ -328,25 +339,12 @@ class _FoldState:
         )
 
     def quotient(self) -> Morphism:
-        c = self.compact()
-        vids = [self.vids[v] for v in self._roots(self.vpar)]
-        eids = [self.eids[e] for e in self._roots(self.epar)]
-        fids = [self.fids[x] for x in self._roots(self.fpar)]
-        gens = self.presentation.generators
-        cx = TwoComplex.make(
-            vids,
-            [Edge(e, vids[t], vids[h]) for e, t, h in zip(eids, c.tail, c.head)],
-            [
-                Face(x, tuple((eids[e], s) for e, s in sides))
-                for x, sides in zip(fids, c.boundary)
-            ],
+        ids = (
+            [self.vids[v] for v in self._roots(self.vpar)],
+            [self.eids[e] for e in self._roots(self.epar)],
+            [self.fids[x] for x in self._roots(self.fpar)],
         )
-        return Morphism(
-            cx,
-            self.presentation,
-            {e: gens[g] for e, g in zip(eids, c.label)},
-            dict(zip(fids, c.ftype)),
-        )
+        return _morphism(self.compact(), self.presentation, ids)
 
 
 def _checked(f: Morphism) -> Morphism:
@@ -457,53 +455,67 @@ def _fresh_ids(taken: set[str], prefix: str, count: int) -> list[str]:
     return out
 
 
-def _coupling_base(f: Morphism, face_type: int) -> tuple[_FoldState, list[str]]:
-    """The unmerged fold state of the immersion f beside one closed cell of
-    the given relator type, not yet attached, and the cell's edge ids by
-    relator position.  Its fresh ids depend on f's ids and the relator
-    length alone, so coupling at (position, edge) is the identification
-    of cell[position] with edge in a copy of it, for every position and
-    edge."""
-    _require_immersion(f)
-    if not 0 <= face_type < len(f.presentation.relators):
+def _shortlex(ids: list[str]) -> tuple[list[int], list[int]]:
+    """The indices of ids in shortlex order of the ids, and the place of
+    each index in that order."""
+    order = sorted(range(len(ids)), key=lambda k: id_key(ids[k]))
+    rank = [0] * len(ids)
+    for k, old in enumerate(order):
+        rank[old] = k
+    return order, rank
+
+
+def _coupling_base(base: _FoldState, face_type: int) -> tuple[_FoldState, list[str]]:
+    """The unmerged fold state of the immersion whose unmerged state is
+    base, beside one closed cell of the given relator type, not yet
+    attached, and the cell's edge ids by relator position.  Its fresh ids
+    depend on base's ids and the relator length alone, so coupling at
+    (position, edge) is the identification of cell[position] with edge in
+    a copy of it, for every position and edge.  The fresh u*, c* and f*
+    ids sort among the existing ones, so every sort is renumbered in
+    shortlex id order, the numbering of every state."""
+    relators = base.presentation.relators
+    if not 0 <= face_type < len(relators):
         raise ComplexError(f"unknown relator type {face_type}")
-    word = f.presentation.relators[face_type]
-    cx = f.complex
-    taken = set(cx.vertices) | {e.id for e in cx.edges} | {x.id for x in cx.faces}
+    word = relators[face_type]
+    taken = set(base.vids) | set(base.eids) | set(base.fids)
     n = len(word)
     poly_vertices = _fresh_ids(taken, "u", n)
     poly_edges = _fresh_ids(taken, "c", n)
-    (face_id,) = _fresh_ids(taken, "f", 1)
+    poly_face = _fresh_ids(taken, "f", 1)
 
-    edges = list(cx.edges)
-    labels = dict(f.edge_labels)
-    boundary = []
+    c = base.unmerged
+    gen_ix = {g: k for k, g in enumerate(base.presentation.generators)}
+    tail, head, label = list(c.tail), list(c.head), list(c.label)
     for q, (g, sign) in enumerate(word):
-        eid = poly_edges[q]
-        start, end = poly_vertices[q], poly_vertices[(q + 1) % n]
-        if sign > 0:
-            edges.append(Edge(eid, start, end))
-        else:
-            edges.append(Edge(eid, end, start))
-        labels[eid] = g
-        boundary.append((eid, sign))
-    faces = list(cx.faces) + [Face(face_id, tuple(boundary))]
-    types = dict(f.face_types)
-    types[face_id] = face_type
+        start, end = c.nv + q, c.nv + (q + 1) % n
+        tail.append(start if sign > 0 else end)
+        head.append(end if sign > 0 else start)
+        label.append(gen_ix[g])
+    boundary = c.boundary + [[(len(c.tail) + q, sign) for q, (_, sign) in enumerate(word)]]
+    ftype = c.ftype + [face_type]
 
-    glued = Morphism(
-        TwoComplex.make(list(cx.vertices) + poly_vertices, edges, faces),
-        f.presentation,
-        labels,
-        types,
+    vids, eids, fids = base.vids + poly_vertices, base.eids + poly_edges, base.fids + poly_face
+    vorder, vrank = _shortlex(vids)
+    eorder, erank = _shortlex(eids)
+    forder, _ = _shortlex(fids)
+    glued = Compact(
+        c.ngens,
+        len(vids),
+        [vrank[tail[e]] for e in eorder],
+        [vrank[head[e]] for e in eorder],
+        [label[e] for e in eorder],
+        [ftype[x] for x in forder],
+        [[(erank[e], sign) for e, sign in boundary[x]] for x in forder],
     )
-    return _FoldState(glued), poly_edges
+    ids = [vids[v] for v in vorder], [eids[e] for e in eorder], [fids[x] for x in forder]
+    return _FoldState.from_compact(glued, base.presentation, ids), poly_edges
 
 
 def couple(f: Morphism, face_type: int, position: int, edge_id: str) -> Morphism:
     """Glue one closed 2-cell of the given type to an immersion along one
     edge (matched to the relator occurrence at `position`) and fold."""
-    base, cell = _coupling_base(f, face_type)
+    base, cell = _coupling_base(_immersion_state(f), face_type)
     if not 0 <= position < len(cell):
         raise ComplexError(f"position {position} outside relator of length {len(cell)}")
     if edge_id not in f.edge_labels:

@@ -26,11 +26,14 @@ complex the row predicts, instead of keying its quotient (McConnell,
 Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", Computer Science
 Review 2011).  A row's target T is a family complex in its variant: C(d),
 Ct(d) for the Dt rows, D(i) or D(i + 1), and Dt(1) for the long coupling
-at position 0 of D(0).  Each checker call builds each T once, checks that
-it immerses, compacts it once and classifies it (_Targets); classify keys
-T from that compact form instead of building T again
-(families.classify_built).  The base of a row is the fold state the move
-copies: of C(i) or D(i), or for coupling of D(i) beside one closed cell
+at position 0 of D(0).  Every base and every T is a family state, built
+straight from the compact form that the family builder makes and checks
+(families.family_state), so the route makes no Morphism.  Each checker
+call builds each T once and classifies it (_Targets); classify keys T
+from the compact form its state was built from (families.classify_built),
+and T's Euler characteristic is read off the same form's cell counts.
+The base of a row is the fold state the move copies: of C(i) or D(i), or
+for coupling of D(i) beside one closed cell, glued onto the state of D(i)
 (folding._coupling_base).  The map pi sends each family vertex v_x of the
 base to v_(x mod |V(T)|), which is T's vertex of that index, and for
 coupling the glued cell's vertices to those met tracing the cell's
@@ -136,14 +139,13 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .canonical import canonical_form, canonical_key, isomorphic
+from .canonical import Compact, canonical_form, canonical_key, isomorphic
 from .complexes import (
     ComplexError,
     Morphism,
     euler_characteristic,
     free_faces,
     id_key,
-    immersion_witness,
 )
 from .enumeration import MAX_NODES, enumerate_by_types
 from .families import (
@@ -153,11 +155,11 @@ from .families import (
     TYPE_SHORT,
     FamilyTag,
     build_C,
-    build_D,
-    build_family,
     classify,
     classify_built,
     classify_compact,
+    family_state,
+    free_edges,
     odd_part,
 )
 from .folding import (
@@ -372,7 +374,7 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
                 p for p, (gen, _) in enumerate(word) if gen == label and (t, p) != own_slot
             ]
             if slots:
-                glued, cell = _coupling_base(current, t)
+                glued, cell = _coupling_base(base, t)
                 successors += [
                     (("couple", t, p, eid), _identify_edges_state(glued, cell[p], eid))
                     for p in slots
@@ -406,7 +408,12 @@ def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
     tag = classify_compact(c)
     if tag is None:
         _finish(state)
-    return tag, c.nv - len(c.tail) + len(c.ftype)
+    return tag, _chi(c)
+
+
+def _chi(c: Compact) -> int:
+    """The Euler characteristic of a compact complex, from its cell counts."""
+    return c.nv - len(c.tail) + len(c.ftype)
 
 
 class _Target(NamedTuple):
@@ -430,25 +437,22 @@ class _Target(NamedTuple):
 
 
 class _Targets(dict):
-    """The targets of one checker call by tag, each built, checked to
-    immerse, compacted and classified once; classify keys T from this
-    build and this compact form."""
+    """The targets of one checker call by tag, each built as a family state,
+    with no Morphism, and indexed and classified once; classify keys T from
+    the compact form the state was built from."""
 
     def __missing__(self, tag: FamilyTag) -> _Target:
-        return self.add(tag, build_family(tag))
+        return self.add(tag, family_state(tag))
 
-    def add(self, tag: FamilyTag, t: Morphism) -> _Target:
-        """Index t, already built as the family complex tag names."""
-        witness = immersion_witness(t)
-        if witness is not None:
-            raise RuntimeError(f"target {tag} is not an immersion: {witness}")
-        state = _FoldState(t)
+    def add(self, tag: FamilyTag, state: _FoldState) -> _Target:
+        """Index the unmerged state of the family complex tag names."""
+        c = state.unmerged
         self[tag] = found = _Target(
             tag,
             state.neighbours(),
-            _image(state, range(len(state.vids))),
-            classify_built(tag, state.unmerged),
-            euler_characteristic(t.complex),
+            _image(state, range(c.nv)),
+            classify_built(tag, c),
+            _chi(c),
         )
         return found
 
@@ -640,7 +644,7 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 
     def rows():
         for i in range(3, max_i + 1, 2):
-            base = _immersion_state(build_C(i))
+            base = family_state(FamilyTag("C", i, STANDARD))
             numbers, neighbours = _family_numbers(base), base.neighbours()
             if any(y < 0 or numbers[y] != (x - 1) % i for x, y in zip(numbers, neighbours[0])):
                 raise RuntimeError(f"sigma_a of C:{i} is not the rotation v_x -> v_(x-1)")
@@ -653,9 +657,12 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
                     maps[d] = target, fibres is not None and len(target.neighbours[0]) == d
                 target, mapped = maps[d]
                 certified = mapped and _in_subgroup(d, v - u, i)
-                yield f"C:{i} identify v{u}~v{v}", target, certified, base, f"v{u}", f"v{v}"
+                yield f"C:{i} identify v{u}~v{v}", target, certified, base, u, v
 
-    return _lemma_report("vertex-identification", max_i, _identify_vertices_state, rows())
+    def fold(base: _FoldState, u: int, v: int) -> _FoldState:
+        return _identify_vertices_state(base, f"v{u}", f"v{v}")
+
+    return _lemma_report("vertex-identification", max_i, fold, rows())
 
 
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
@@ -675,7 +682,7 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     def rows():
         for variant, label in ((STANDARD, "D"), (TILDE, "Dt")):
             for i in range(1, max_i + 1):
-                base = _immersion_state(build_D(i, variant))
+                base = family_state(FamilyTag("D", i, variant))
                 b_out = _shift(base, variant, f"{label}:{i}")
                 numbers, eix, head = _family_numbers(base), base.edge_ix, base.head
                 maps: dict[int, tuple[_Target, list[int] | None]] = {}
@@ -715,21 +722,23 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     free_labels: dict[int, list[str]] = {}
 
     def rows():
-        following = build_D(0)
+        following = family_state(FamilyTag("D", 0, STANDARD))
+        gens = following.presentation.generators
         for i in range(max_i + 1):
             # D(i + 1) is the target of the long cell at position 2 and
             # the next base: built once for both; no row from here on
             # predicts D(i - 1)
-            d, following = following, build_D(i + 1)
+            d, following = following, family_state(FamilyTag("D", i + 1, STANDARD))
             targets.add(FamilyTag("D", i + 1, STANDARD), following)
             if i:
                 del targets[FamilyTag("D", i - 1, STANDARD)]
-            free_labels[i] = sorted({d.edge_labels[e] for e in free_faces(d.complex)})
+            free_labels[i] = sorted({gens[d.elab[e]] for e in free_edges(d.unmerged)})
             edge = f"b{i}"
+            label = gens[d.elab[d.edge_ix[edge]]]
             for t, word in enumerate(d.presentation.relators):
                 base, cell = _coupling_base(d, t)
                 for p, (gen, _) in enumerate(word):
-                    if gen != d.edge_labels[edge]:
+                    if gen != label:
                         continue
                     if t == TYPE_SHORT:
                         tag = ("C", odd_part(i), STANDARD) if i else ("D", 0, STANDARD)

@@ -1,6 +1,7 @@
 """Shared test utilities: disjoint unions, isomorphic copies with shuffled
 names, randomized pre-fold inputs, the rescan fold engine kept as the
-reference for folding.fold, a full-branch
+reference for folding.fold, the glue of a closed cell beside a Morphism
+kept as the reference for the one beside a fold state, a full-branch
 closure search kept as the reference for the one-edge rule,
 dense homology kept as the reference for the reduced one, the exhaustive
 breadth-first key kept as the reference for the pruned one and the walk
@@ -44,8 +45,10 @@ from foldcx.folding import (
     _finish,
     _flatten,
     _FoldState,
+    _fresh_ids,
     _identify_edges_state,
     _immersion_state,
+    _require_immersion,
     fold,
 )
 from foldcx.homology import HomologyProfile, smith_normal_form
@@ -228,6 +231,46 @@ def rescan_fold(f: Morphism, rng: random.Random) -> tuple[Morphism, FoldTrace]:
     return _finish(state), state.trace()
 
 
+def unmerged_view(state: _FoldState) -> tuple:
+    """What an unmerged fold state holds: its presentation, its compact
+    form, its ids, its neighbour arrays and its queue of pairs."""
+    ids = state.vids, state.eids, state.fids
+    return state.presentation, state.unmerged, ids, state.neighbours(), list(state.pending)
+
+
+def reference_coupling_base(f: Morphism, face_type: int) -> tuple[_FoldState, list[str]]:
+    """Reference for folding._coupling_base: the immersion f beside one
+    closed cell of the given relator type, glued as a Morphism with fresh
+    u*, c* and f* ids, which TwoComplex.make sorts among f's, and its
+    unmerged fold state, with the cell's edge ids by relator position."""
+    _require_immersion(f)
+    word = f.presentation.relators[face_type]
+    cx = f.complex
+    taken = set(cx.vertices) | {e.id for e in cx.edges} | {x.id for x in cx.faces}
+    n = len(word)
+    poly_vertices = _fresh_ids(taken, "u", n)
+    poly_edges = _fresh_ids(taken, "c", n)
+    (face_id,) = _fresh_ids(taken, "f", 1)
+    edges = list(cx.edges)
+    labels = dict(f.edge_labels)
+    boundary = []
+    for q, (g, sign) in enumerate(word):
+        eid = poly_edges[q]
+        start, end = poly_vertices[q], poly_vertices[(q + 1) % n]
+        edges.append(Edge(eid, start, end) if sign > 0 else Edge(eid, end, start))
+        labels[eid] = g
+        boundary.append((eid, sign))
+    glued = Morphism(
+        TwoComplex.make(
+            list(cx.vertices) + poly_vertices, edges, list(cx.faces) + [Face(face_id, tuple(boundary))]
+        ),
+        f.presentation,
+        labels,
+        {**f.face_types, face_id: face_type},
+    )
+    return _FoldState(glued), poly_edges
+
+
 @functools.cache
 def four_vertex_classes() -> list[Morphism]:
     """The 139 connected immersion classes with at most 4 vertices, free
@@ -257,7 +300,7 @@ def full_branch_closure(f: Morphism, max_faces: int) -> ClosureResult:
         frees = sorted(free_faces(current.complex))
         free_set = set(frees)
         base = _immersion_state(current)
-        glued = [_coupling_base(current, t) for t in range(len(relators))]
+        glued = [_coupling_base(base, t) for t in range(len(relators))]
         for eid in frees:
             label = current.edge_labels[eid]
             for other in sorted(current.edge_labels):

@@ -243,7 +243,7 @@ def lemma_quotients() -> list[Compact]:
             for j, k in combinations(range(i + 1), 2):
                 out.append(_identify_edges_state(base, f"b{j}", f"b{k}").compact())
             for t, p in ((0, 0), (1, 0), (1, 2)):
-                glued, cell = _coupling_base(d, t)
+                glued, cell = _coupling_base(base, t)
                 out.append(_identify_edges_state(glued, cell[p], f"b{i}").compact())
     return out
 

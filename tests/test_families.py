@@ -11,20 +11,22 @@ from foldcx.complexes import (
     presentation_complex,
     validate,
 )
+from foldcx import families
 from foldcx.families import (
     FamilyTag,
     build_C,
     build_D,
     build_family,
     classify,
+    family_state,
     kp,
     odd_part,
     parse_family_spec,
 )
-from foldcx.folding import identify_edges
+from foldcx.folding import _FoldState, identify_edges
 from foldcx.jsonio import morphism_to_json
 from foldcx.presentations import parse_presentation
-from helpers import four_vertex_classes
+from helpers import four_vertex_classes, unmerged_view
 
 
 def occurrence_counts(m):
@@ -220,3 +222,36 @@ def test_family_and_enumeration_json_is_pinned():
     assert digest.hexdigest() == (
         "3e676b99d8ae8a8da09a22bfc24e2248c2d101f45b5225d3ce1003db4bc782b0"
     )
+
+
+def test_family_state_equals_the_state_of_the_built_morphism():
+    # the lemma checkers build their states from the compact form; every
+    # library caller gets the Morphism that build_family makes of it
+    tags = [
+        FamilyTag(family, i, variant)
+        for variant in ("standard", "tilde")
+        for family, indices in (("D", range(41)), ("C", range(1, 42)))
+        for i in indices
+    ]
+    for tag in tags:
+        state = family_state(tag)
+        assert unmerged_view(state) == unmerged_view(_FoldState(build_family(tag))), tag
+        assert not state.pending, tag
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # n = 4: b0 and b2 both leave v0
+        (("D", 2, 4, 4, 3, "standard"), r"D\(2\): skeleton not folded at edge b2"),
+        # the skeleton of D(2), which has 3 faces
+        (("D", 3, 5, 4, 3, "standard"), r"D\(3\) has 3 faces, not 4"),
+        # D(2) again, folded with 3 faces, but a disc
+        (("C", 2, 5, 4, 3, "standard"), r"C\(2\) has free faces"),
+    ],
+    ids=["not-folded", "face-count", "free-faces"],
+)
+def test_a_perturbed_formula_raises(args, message):
+    with pytest.raises(RuntimeError, match=message):
+        families._assemble(*args)
+

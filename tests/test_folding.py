@@ -31,12 +31,15 @@ from foldcx.folding import (
 from helpers import (
     disjoint_union,
     face_conflicts,
+    folded_prefold,
     graph_conflicts,
     merge_edges,
     quotient_vertices,
     random_prefold,
+    reference_coupling_base,
     rescan_fold,
     run_rescan,
+    unmerged_view,
 )
 
 
@@ -102,6 +105,22 @@ def test_two_short_faces_on_one_edge_merge():
 def test_coupling_base_step_both_appearances():
     assert str(classify(couple(build_D(0), 1, 2, "b0"))) == "D:1"
     assert str(classify(couple(build_D(0), 1, 0, "b0"))) == "Dt:1"
+
+
+def test_coupling_base_matches_the_morphism_glue():
+    # the glue renumbers the state's cells with the fresh ones in shortlex
+    # order, as TwoComplex.make sorts the glued Morphism's: D(i) takes the
+    # face ids f0..fi, so the cell's face sorts last, and the u* vertices
+    # sort before every v_x; random immersions have dotted ids
+    starts = [build_D(i) for i in range(41)] + [folded_prefold(seed) for seed in range(30)]
+    for f in starts:
+        base = _immersion_state(f)
+        for t in range(len(f.presentation.relators)):
+            glued, cell = _coupling_base(base, t)
+            reference, reference_cell = reference_coupling_base(f, t)
+            assert cell == reference_cell
+            assert unmerged_view(glued) == unmerged_view(reference)
+            assert not glued.pending
 
 
 def test_coupling_matches_construction():
@@ -292,7 +311,7 @@ def test_folding_copies_leaves_the_base_state_unchanged():
     # beside one unattached cell
     d = build_D(6)
     base = _immersion_state(d)
-    glued = {t: _coupling_base(d, t) for t in (0, 1)}
+    glued = {t: _coupling_base(base, t) for t in (0, 1)}
     bases = [base] + [state for state, _ in glued.values()]
     fields = ("vpar", "epar", "fpar", "end_rep")
     before = [{name: list(getattr(b, name)) for name in fields} for b in bases]

@@ -322,7 +322,7 @@ def test_classify_state_matches_the_morphism_route_in_both_variants():
                     assert found == by_morphism(identify_edges(d, e1, e2))
                     unmatched += found[0] is None
             for t, word in enumerate(d.presentation.relators):
-                glued, cell = _coupling_base(d, t)
+                glued, cell = _coupling_base(base, t)
                 for p, (gen, _) in enumerate(word):
                     for e in sorted(e for e in labels if labels[e] == gen):
                         found = _classify_state(_identify_edges_state(glued, cell[p], e))
@@ -549,7 +549,19 @@ def _custom_target(monkeypatch, tag: FamilyTag, t: Morphism):
     # classify_built caches t's key as tag's; the emptied cache, restored
     # after the test, keeps that wrong key out of every other test
     monkeypatch.setattr(families, "_key_cache", {})
-    return verify._Targets().add(tag, t)
+    return verify._Targets().add(tag, _immersion_state(t))
+
+
+def _bases_built_by(monkeypatch, family: str, build) -> None:
+    """Make the checkers build every state of the family, bases and
+    targets, as the immersion state of build(tag) instead of from its
+    compact form."""
+    family_state = verify.family_state
+    monkeypatch.setattr(
+        verify,
+        "family_state",
+        lambda tag: _immersion_state(build(tag)) if tag.family == family else family_state(tag),
+    )
 
 
 def _identity_fibres(base, target):
@@ -608,7 +620,7 @@ def test_map_check_rejects_a_map_that_misses_a_vertex_or_an_edge(monkeypatch, ve
     ],
 )
 def test_a_base_whose_sigma_a_is_not_the_rotation_raises(monkeypatch, capsys, build):
-    monkeypatch.setattr(verify, "build_C", build)
+    _bases_built_by(monkeypatch, "C", lambda tag: build(tag.index))
     with pytest.raises(RuntimeError, match="not the rotation"):
         check_lemma_vertex_identification(5)
     assert cli.main(["verify-lemma", "2.2", "--max-i", "5"]) == 2
@@ -642,7 +654,7 @@ def _less_the_last_a_edge(i: int, variant: str = "standard") -> Morphism:
     ],
 )
 def test_a_base_whose_sigma_a_is_not_the_shift_raises(monkeypatch, capsys, build):
-    monkeypatch.setattr(verify, "build_D", build)
+    _bases_built_by(monkeypatch, "D", lambda tag: build(tag.index, tag.variant))
     with pytest.raises(RuntimeError, match="not the shift"):
         check_lemma_edge_identification(5)
     assert cli.main(["verify-lemma", "2.4", "--max-i", "5"]) == 2
@@ -713,14 +725,78 @@ def test_lemma_rows_run_no_fold(monkeypatch):
             assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
 
+def test_lemma_checkers_make_no_morphism(monkeypatch):
+    # every base and target is a family state built from its compact form,
+    # and every key is read off one, so with no complex made the pinned
+    # reports still come out
+    def refuse(*args):
+        raise AssertionError("the lemma route made a Morphism")
+
+    monkeypatch.setattr(TwoComplex, "make", staticmethod(refuse))
+    monkeypatch.setattr(families, "_key_cache", {})
+    for max_i in sorted(LEMMA_REPORTS):
+        for checker in LEMMA_CHECKERS:
+            report = checker(max_i)
+            assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
+
+
+def _repeat_first_trace(monkeypatch):
+    first = {}
+    trace = families.trace_relator
+
+    def repeat(word, forward, backward, start):
+        if first.get(word) is None:
+            first[word] = trace(word, forward, backward, start)
+        return first[word]
+
+    monkeypatch.setattr(families, "trace_relator", repeat)
+
+
+def _perturb_formula(change):
+    def perturb(monkeypatch):
+        assemble = families._assemble
+        monkeypatch.setattr(families, "_assemble", lambda *args: assemble(*change(*args)))
+
+    return perturb
+
+
+@pytest.mark.parametrize(
+    "perturb, message",
+    [
+        # D(1) on two vertices: b0 and b1 both leave v0
+        pytest.param(
+            _perturb_formula(lambda family, i, n, na, nb, v: (family, i, n - 1, na - 1, nb, v)),
+            "not folded",
+            id="not-folded",
+        ),
+        pytest.param(
+            _perturb_formula(lambda family, i, n, na, nb, v: (family, i + 1, n, na, nb, v)),
+            "faces, not",
+            id="face-count",
+        ),
+        # every trace of a relator is its first: two faces on one loop
+        pytest.param(_repeat_first_trace, "share a slot", id="shared-slot"),
+    ],
+)
+def test_a_perturbed_family_formula_raises_before_any_row(monkeypatch, capsys, perturb, message):
+    perturb(monkeypatch)
+    rows = []
+    monkeypatch.setattr(verify, "ReportRow", lambda *args: rows.append(args))
+    with pytest.raises(RuntimeError, match=message):
+        check_lemma_edge_identification(5)
+    assert rows == []
+    assert cli.main(["verify-lemma", "2.4", "--max-i", "5"]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
 def _targets_built(monkeypatch, max_i: int) -> list[FamilyTag]:
     """The tags of every target the three checkers build at max_i."""
     used = set()
     add = verify._Targets.add
 
-    def record(self, tag, t):
+    def record(self, tag, state):
         used.add(tag)
-        return add(self, tag, t)
+        return add(self, tag, state)
 
     monkeypatch.setattr(verify._Targets, "add", record)
     for checker in LEMMA_CHECKERS:
@@ -730,8 +806,9 @@ def _targets_built(monkeypatch, max_i: int) -> list[FamilyTag]:
 
 
 def test_targets_report_what_classify_reports(monkeypatch):
-    # a target's key comes from the build that _Targets makes; from an
-    # empty key cache it must still give classify's name for that complex
+    # a target's key comes from the compact form its family state was
+    # built from; from an empty key cache it must still give classify's
+    # name for the Morphism that build_family makes
     used = _targets_built(monkeypatch, 15)
     assert len(used) == 2 * 8 + 17 + 1  # C(d) and Ct(d), D(0..16), Dt(1)
     for tag in used:
@@ -756,7 +833,9 @@ def test_every_target_indexes_its_vertex_v_x_at_x(monkeypatch):
         pytest.param(lambda: _immersion_state(build_D(4)), 9, 0, id="D"),
         pytest.param(lambda: _immersion_state(build_D(4, "tilde")), 9, 0, id="Dt"),
         # the long cell's five vertices u0, ..., u4 beside D(3)
-        pytest.param(lambda: _coupling_base(build_D(3), TYPE_LONG)[0], 7, 5, id="coupling"),
+        pytest.param(
+            lambda: _coupling_base(_immersion_state(build_D(3)), TYPE_LONG)[0], 7, 5, id="coupling"
+        ),
     ],
 )
 def test_family_map_sends_v_x_to_x_mod_n(build, family, cell):
@@ -769,18 +848,23 @@ def test_family_map_sends_v_x_to_x_mod_n(build, family, cell):
 
 
 def test_building_a_target_compacts_it_once(monkeypatch):
-    # classify keys T from the compact form its fold state was built from
+    # the family builder makes T's compact form once; T's fold state and
+    # its key are both read off that form, and T is never compacted from
+    # a Morphism, nor made one
     calls = []
 
-    def counted(name, compact):
-        return lambda *args: calls.append(name) or compact(*args)
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
 
     for module in (folding, families):
         monkeypatch.setattr(module, "_compact", counted("_compact", module._compact))
     state_compact = counted("_FoldState.compact", folding._FoldState.compact)
     monkeypatch.setattr(folding._FoldState, "compact", state_compact)
+    monkeypatch.setattr(families, "_form", counted("_form", families._form))
+    monkeypatch.setattr(TwoComplex, "make", staticmethod(counted("TwoComplex.make", TwoComplex.make)))
+    monkeypatch.setattr(families, "_key_cache", {})
     verify._Targets()[FamilyTag("C", 5, "standard")]
-    assert calls == ["_compact"]
+    assert calls == ["_form"]
 
 
 def test_main_theorem_budget_covers_one_pass():
