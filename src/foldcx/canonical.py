@@ -34,8 +34,9 @@ an edge: it is one more than the largest vertex number in the edge rows,
 since then every vertex ends an edge (_bfs), or the isolated vertices
 keep the least color through refinement and so take the least numbers
 (_refined).  canonical_form encodes the key with the presentation and
-the vertex count; isomorphic compares those encodings and maps cells
-through the numberings.
+the vertex count (_encode, which the enumeration applies to the keys of
+its compact candidates too); isomorphic compares those encodings and maps
+cells through the numberings.
 """
 
 from __future__ import annotations
@@ -304,19 +305,25 @@ def canonical_key(c: Compact):
     return _bfs(c) or _refined(c)
 
 
-def _canonical(f: Morphism) -> tuple[bytes, tuple[list[int], list[int], list[int]]]:
-    """The canonical form of f and the canonical number of each vertex,
-    edge and face of f, in the complex's cell order."""
-    (erows, frows), vix, eix, fix = canonical_key(_compact(f))
-    gens = f.presentation.generators
+def _encode(key, presentation, nv: int) -> bytes:
+    """The canonical form of a complex with nv vertices over presentation
+    whose canonical key is key."""
+    erows, frows = key
+    gens = presentation.generators
     doc = {
-        "p": str(f.presentation),
-        "nv": len(vix),
+        "p": str(presentation),
+        "nv": nv,
         "e": [(gens[g], t, h) for g, t, h in erows],
         "f": frows,
     }
-    form = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
-    return form, (vix, eix, fix)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _canonical(f: Morphism) -> tuple[bytes, tuple[list[int], list[int], list[int]]]:
+    """The canonical form of f and the canonical number of each vertex,
+    edge and face of f, in the complex's cell order."""
+    key, vix, eix, fix = canonical_key(_compact(f))
+    return _encode(key, f.presentation, len(vix)), (vix, eix, fix)
 
 
 def _cell_ids(f: Morphism) -> tuple[tuple[str, ...], list[str], list[str]]:

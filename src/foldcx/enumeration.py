@@ -78,10 +78,16 @@ four stages.
 
 Each skeleton pair is a node, skipped or not, as is each face subset tried;
 each subset without free faces (when required) is filed under the exact
-type set it uses, one class per canonical form.  The pairs of a vertex
-count are charged before any b-skeleton is built, so a budget that they
-alone exceed is reported at once, with the count reached.  Output order is
-the sorted order of canonical forms, independent of scheduling.
+type set it uses, one class per canonical form.  A subset kept is a
+canonical.Compact: the pair's skeleton part is built once per pair
+(_skeleton), and only the face types and boundaries change per subset.
+It is keyed on that form (canonical_key) and its bytes come from the
+encoder canonical_form uses (canonical._encode), so a Morphism is made
+only for the first subset of a new class (canonical._morphism).  The
+pairs of a vertex count are charged before any b-skeleton is built, so a
+budget that they alone exceed is reported at once, with the count
+reached.  Output order is the sorted order of canonical forms,
+independent of scheduling.
 """
 
 from __future__ import annotations
@@ -94,8 +100,8 @@ from math import comb, factorial
 from operator import or_
 from typing import NamedTuple
 
-from .canonical import canonical_form
-from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex
+from .canonical import Compact, _encode, _morphism, canonical_key
+from .complexes import ComplexError, Morphism, id_key
 from .families import TYPE_LONG, TYPE_SHORT, target_presentation
 
 MAX_NODES = 5_000_000  # default node budget of one enumeration pass
@@ -381,31 +387,21 @@ def _count_partial_injections(n: int) -> int:
     return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
 
-def _build(n, sigma_a, sigma_b, chosen: list[_Trace]) -> Morphism:
-    """The immersion of the skeleton pair with the chosen traces as faces.
-    An edge index below n names the a-edge out of that vertex, any other
-    the b-edge out of vertex (index - n) // n (_b_edge)."""
-    vertices = [f"v{k}" for k in range(n)]
-    edges, labels = [], {}
-    for gen, sigma in (("a", sigma_a), ("b", sigma_b)):
-        for u, v in sorted(sigma.items()):
-            edges.append(Edge(f"{gen}{u}", f"v{u}", f"v{v}"))
-            labels[f"{gen}{u}"] = gen
-    relators = target_presentation().relators
-    faces, types = [], {}
-    for k, face in enumerate(chosen):
-        sides = [
-            (f"a{e}" if e < n else f"b{(e - n) // n}", sign)
-            for e, (_, sign) in zip(face.edges, relators[face.rix])
-        ]
-        faces.append(Face(f"f{k}", tuple(sides)))
-        types[f"f{k}"] = face.rix
-    return Morphism(
-        TwoComplex.make(vertices, edges, faces),
-        target_presentation(),
-        labels,
-        types,
+def _skeleton(n, sigma_a, sigma_b) -> tuple[Compact, list[str], dict[int, int]]:
+    """The skeleton pair as a canonical.Compact without faces, its edge
+    ids, a{u} and b{u} for the edge out of vertex u, and the place of each
+    edge's index (_b_edge) in the Compact's numbering.  That numbering is
+    shortlex id order, as Compact requires, which puts the a-edges before
+    the b-edges only below 11 vertices."""
+    gens = target_presentation().generators
+    edges = sorted(
+        (id_key(f"{gen}{u}"), u if gen == "a" else _b_edge(n, u, v), u, v, gens.index(gen))
+        for gen, sigma in (("a", sigma_a), ("b", sigma_b))
+        for u, v in sigma.items()
     )
+    keys, indices, tails, heads, labels = ([row[k] for row in edges] for k in range(5))
+    place = {e: k for k, e in enumerate(indices)}
+    return Compact(len(gens), n, tails, heads, labels, [], []), [eid for _, eid in keys], place
 
 
 def enumerate_by_types(
@@ -431,12 +427,14 @@ def enumerate_by_types(
     increasing position, the order of visiting every pair in turn less the
     pairs that try no subset, and a pair's subsets depend on its key alone.
     Each pair walks its face subsets once, filing each under the exact type
-    set it uses; only subsets of a type set in type_sets are generated, so
+    set it uses, keyed on its compact form; a Morphism is made only for a
+    new class.  Only subsets of a type set in type_sets are generated, so
     each type set sees its subsets in mask order per type.
     So the classes, their first representatives and the node count are
     those of checking each pair after its faces."""
     if max_nodes < 1:
         raise ComplexError("max_nodes must be at least 1")
+    pres = target_presentation()
     found = {frozenset(types): {} for types in type_sets}
     used = frozenset().union(*found)  # the types some requested set holds
     for types in found:  # the filter checks the arguments
@@ -454,6 +452,7 @@ def enumerate_by_types(
         # every pair counts once, so an overflow shows before any is built
         visit(len(a_skeletons) * _count_partial_injections(n))
         b_skeletons = _partial_injections(n)
+        vids = [f"v{k}" for k in range(n)]
         holding = _holders(n, b_skeletons)
         everything = (1 << len(b_skeletons)) - 1
         joining: dict[tuple[int, ...], int] = {}  # a-partition -> kept
@@ -476,7 +475,12 @@ def enumerate_by_types(
                 pools = [[face for face in faces if face.rix == t] for t in _TYPES]
                 visits.update(dict.fromkeys(_positions(mask), pools))
             for j in sorted(visits):
-                (short, long_), sigma_b = visits[j], b_skeletons[j]
+                short, long_ = visits[j]
+                skeleton, eids, place = _skeleton(n, sigma_a, b_skeletons[j])
+                boundary = {
+                    face: [(place[e], s) for e, (_, s) in zip(face.edges, pres.relators[face.rix])]
+                    for face in short + long_
+                }
                 # one mask per type, the short type outermost; a short mask
                 # enters only the long masks that complete a requested set
                 for ms in range(1 << len(short) if TYPE_SHORT in used else 1):
@@ -491,10 +495,14 @@ def enumerate_by_types(
                             sides = Counter(chain.from_iterable(f.edges for f in chosen))
                             if 1 in sides.values():
                                 continue
-                        morphism = _build(n, sigma_a, sigma_b, chosen)
-                        found[tail if ml else head].setdefault(
-                            canonical_form(morphism), morphism
+                        c = skeleton._replace(
+                            ftype=[f.rix for f in chosen], boundary=[boundary[f] for f in chosen]
                         )
+                        form = _encode(canonical_key(c)[0], pres, n)
+                        classes = found[tail if ml else head]
+                        if form not in classes:
+                            fids = [f"f{k}" for k in range(len(chosen))]
+                            classes[form] = _morphism(c, pres, (vids, eids, fids))
     return {t: [classes[k] for k in sorted(classes)] for t, classes in found.items()}
 
 

@@ -25,11 +25,13 @@ in C(i), so both have i + 1 faces.
 
 The routine builds the integer form directly: the canonical.Compact of the
 complex, cells numbered in shortlex id order, with the ids (_assemble).
-family_state makes the unmerged fold state of that form, which the lemma
-checkers use for every base and target with no Morphism in between, and
-the family keys that classify compares are read off it too.  build_family,
-build_D and build_C make the Morphism of the same form, through
-TwoComplex.make and the immersion check, for the CLI and library callers.
+The routine checks that form with the library's one immersion check
+(folding._check_immersion).  family_state makes the unmerged fold state
+of that form, which the lemma checkers use for every base and target
+with no Morphism in between, and the family keys that classify compares
+are read off it too.  build_family, build_D and build_C make the
+Morphism of the same form, through TwoComplex.make, for the CLI and
+library callers.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .complexes import (
     ComplexError,
     Morphism,
     id_key,
-    immersion_witness,
     presentation_complex,
     trace_relator,
 )
-from .folding import _FoldState
+from .folding import _check_immersion, _FoldState
 from .presentations import Presentation, parse_presentation
 
 KP_TEXT = "a,b|b,baBAA"
@@ -113,18 +114,14 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
     canonical.Compact requires, so vertex v_x has index x.
 
     What the formula could get wrong is checked, each raising RuntimeError:
-    the skeleton is folded (no two edges of one label leave or enter one
-    vertex), there are i + 1 faces, no two sides of one edge share a
-    (relator, position) slot, and C has no free faces.  With the skeleton
-    folded and the slots distinct, the complex immerses.  The generic
-    checks of TwoComplex.make and validate hold by construction: ids are
-    unique, since the formula's indices are distinct per sort; every
-    reference is in range, since a tail is reduced mod n, a head is j - 1
-    or j with #a <= n and #b <= n in both formulas, and a side's edge is
-    read off the skeleton's own edges; and each boundary is closed and
-    reads its relator, since trace_relator returns only a trace that reads
-    the relator's letters, with their signs, round a path back to its
-    start."""
+    the complex immerses (folding._check_immersion: the skeleton is folded,
+    each boundary reads its relator round a closed path, and no two sides
+    of one edge share a slot), there are i + 1 faces, and C has no free
+    faces.  The generic checks of TwoComplex.make hold by construction:
+    ids are unique, since the formula's indices are distinct per sort, and
+    every reference is in range, since a tail is reduced mod n, a head is
+    j - 1 or j with #a <= n and #b <= n in both formulas, and a side's edge
+    is read off the skeleton's own edges."""
     pres = target_presentation()
     gens = pres.generators
     a, b = (gens.index(g) for g in "ab")
@@ -143,8 +140,6 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
     edge_at: dict[tuple[str, int], int] = {}
     for e, (tail, head, g) in enumerate(zip(tails, heads, labels)):
         gen = gens[g]
-        if tail in forward[gen] or head in backward[gen]:
-            raise RuntimeError(f"{family}({i}): skeleton not folded at edge {eids[e]}")
         forward[gen][tail] = head
         backward[gen][head] = tail
         edge_at[gen, tail] = e
@@ -159,16 +154,13 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
                 continue
             ftype.append(rix)
             boundary.append([(edge_at[gen, tail], sign) for (gen, sign), tail in zip(word, trace)])
-        # the edges at one position of one relator's faces, one per face
-        for column in zip(*(sides for sides, t in zip(boundary, ftype) if t == rix)):
-            if len(set(column)) != len(column):
-                raise RuntimeError(f"{family}({i}): two sides of one edge share a slot")
+    c = Compact(len(gens), n, tails, heads, labels, ftype, boundary)
+    ids = [f"v{x}" for x in range(n)], eids, [f"f{k}" for k in range(len(ftype))]
+    _check_immersion(c, pres, ids, f"{family}({i})")
     if len(ftype) != i + 1:
         raise RuntimeError(f"{family}({i}) has {len(ftype)} faces, not {i + 1}")
-    c = Compact(len(gens), n, tails, heads, labels, ftype, boundary)
     if family == "C" and free_edges(c):
         raise RuntimeError(f"C({i}) has free faces")
-    ids = [f"v{x}" for x in range(n)], eids, [f"f{k}" for k in range(len(ftype))]
     return c, ids
 
 
@@ -199,14 +191,10 @@ def family_state(tag: FamilyTag) -> _FoldState:
 
 
 def build_family(tag: FamilyTag) -> Morphism:
-    """tag's complex as a Morphism, through TwoComplex.make and the
-    immersion check, as every library caller gets it."""
+    """tag's complex as a Morphism, through TwoComplex.make, as every
+    library caller gets it; _assemble has checked that it immerses."""
     c, ids = _form(tag)
-    out = _morphism(c, target_presentation(), ids)
-    witness = immersion_witness(out)
-    if witness is not None:
-        raise RuntimeError(f"family complex is not an immersion: {witness}")
-    return out
+    return _morphism(c, target_presentation(), ids)
 
 
 def build_D(i: int, variant: str = STANDARD) -> Morphism:
@@ -248,10 +236,12 @@ def classify_compact(c: Compact) -> FamilyTag | None:
 
 def classify_built(tag: FamilyTag, c: Compact) -> FamilyTag | None:
     """classify_compact(c) for c the compact form of build_family(tag).
-    c's key is then tag's own, so it is cached for tag from c, and tag's
-    complex is not built a second time to key it."""
-    key = _bfs(c)[0]
-    _key_cache.setdefault(tag, key)
+    c's key is then tag's own: a key cached for tag is reused, and an
+    uncached one is read off c and cached, so tag's complex is neither
+    built a second time nor keyed twice."""
+    key = _key_cache.get(tag)
+    if key is None:
+        key = _key_cache[tag] = _bfs(c)[0]
     return _match(c, key)
 
 

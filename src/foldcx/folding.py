@@ -48,12 +48,19 @@ order, and its quotients and traces must agree with fold()'s.
 Internally cells are numbered in shortlex id order, so keeping the least
 integer of a merged class as its representative is the same rule as
 keeping the shortlex-least id.  Numbering the live roots in that order
-gives compact(), the quotient in the integer form of canonical.Compact;
-the closure search deduplicates fold states on its canonical key, so it
-builds a Morphism only for the new ones.  A state is built from a
+gives compact(), the quotient in the integer form of canonical.Compact,
+its cells named by their roots' ids (root_ids).  A state is built from a
 Morphism through canonical._compact, or straight from a compact form and
-its ids (_FoldState.from_compact), as the family builder and the glue of
-a coupling base build theirs.
+its ids (_FoldState.from_compact), as the family builder, the glue of a
+coupling base and the closure search build theirs: the search keys each
+folded state's compact form, keeps a new one as the unmerged state of
+that form, and builds a Morphism only for a result.
+
+_check_immersion checks on the compact form that a folded or built
+complex immerses, naming the first failure by cell id; _finish runs it
+before it builds the quotient's Morphism, and the closure search's new
+nodes, the lemma checkers' fallback and the family builder run it on
+the compact form alone.
 
 Every move identifies one pair of cells in a copy of a prebuilt,
 unmerged state and folds.  Vertex and edge identification copy the state
@@ -338,13 +345,17 @@ class _FoldState:
             )
         )
 
-    def quotient(self) -> Morphism:
-        ids = (
+    def root_ids(self) -> tuple[list[str], list[str], list[str]]:
+        """The ids of compact()'s cells, each cell named by its root's id:
+        the roots come in index order, so each list is in shortlex order."""
+        return (
             [self.vids[v] for v in self._roots(self.vpar)],
             [self.eids[e] for e in self._roots(self.epar)],
             [self.fids[x] for x in self._roots(self.fpar)],
         )
-        return _morphism(self.compact(), self.presentation, ids)
+
+    def quotient(self) -> Morphism:
+        return _morphism(self.compact(), self.presentation, self.root_ids())
 
 
 def _checked(f: Morphism) -> Morphism:
@@ -360,12 +371,52 @@ def _require_immersion(f: Morphism) -> None:
         raise ComplexError(f"expected an immersion, but {witness}")
 
 
+def _check_immersion(
+    c: Compact, presentation, ids, failure: str = "folding ended at a non-immersion"
+) -> None:
+    """Raise RuntimeError, the message failure and the first problem, when
+    the compact complex c, whose cells are named by ids = (vertex ids, edge
+    ids, face ids), does not immerse over presentation.  In order: vertex
+    links, no two edges of one label leaving or entering one vertex (the
+    skeleton is folded; the first such edge is named); boundaries, each
+    face reading its relator's letters and signs round a closed path; edge
+    links, no two sides of one edge in one (relator, position) slot.  Once
+    the skeleton is folded, a face's boundary is the one trace of its
+    relator through any of its sides (module docstring), so two faces of
+    one relator that share a slot share their first edge, and the edge
+    links are checked by (relator, first edge).  This is the one check of
+    what the library folds or builds; immersion_witness checks the
+    Morphisms that come from outside."""
+    _, eids, fids = ids
+    outs, ins = list(zip(c.tail, c.label)), list(zip(c.head, c.label))
+    if len(set(outs)) < len(outs) or len(set(ins)) < len(ins):
+        e = next(e for e in range(len(outs)) if outs[e] in outs[:e] or ins[e] in ins[:e])
+        raise RuntimeError(f"{failure}: skeleton not folded at edge {eids[e]}")
+    words, firsts, label = _words(presentation), {}, c.label
+    ends = {1: (c.tail, c.head), -1: (c.head, c.tail)}  # (start, stop) of each edge by sign
+    for x, (t, sides) in enumerate(zip(c.ftype, c.boundary)):
+        e, s = sides[-1]
+        at = ends[s][1][e]  # where the last side stops and so the first starts
+        closed = len(sides) == len(words[t])
+        for (e, s), (g, sign) in zip(sides, words[t]):
+            start, stop = ends[s]
+            closed = closed and start[e] == at and label[e] == g and s == sign
+            at = stop[e]
+        if not closed:
+            raise RuntimeError(f"{failure}: face {fids[x]} does not read its relator on a closed path")
+        if firsts.setdefault((t, sides[0][0]), x) != x:
+            raise RuntimeError(f"{failure}: two sides of {eids[sides[0][0]]} share a slot ({t}, 0)")
+
+
+def _words(presentation) -> list[list[tuple[int, int]]]:
+    """Each relator as its (generator index, sign) pairs."""
+    gens = presentation.generators
+    return [[(gens.index(g), s) for g, s in word] for word in presentation.relators]
+
+
 def _finish(state: _FoldState) -> Morphism:
-    out = state.quotient()
-    witness = immersion_witness(out)
-    if witness is not None:
-        raise RuntimeError(f"folding ended at a non-immersion: {witness}")
-    return out
+    _check_immersion(state.compact(), state.presentation, state.root_ids())
+    return state.quotient()
 
 
 def fold(f: Morphism) -> tuple[Morphism, FoldTrace]:

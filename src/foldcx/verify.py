@@ -122,8 +122,9 @@ edge only, the one with the fewest moves, ties broken by the largest
 canonical edge number: identify it with a same-labeled edge, or couple
 either cell type onto it.  Each node is keyed once, and the tie-break reads
 that key, so the search does the same work however the cells are named.
-Its docstring argues why one edge suffices and states the scope of that
-argument.
+A node is a fold state, checked to immerse on its compact form, and a
+Morphism is made only for a result.  Its docstring argues why one edge
+suffices and states the scope of that argument.
 
 Reports are deterministic: rows are generated in sorted order and the
 text and JSON forms exclude wall-clock time unless explicitly requested.
@@ -140,13 +141,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .canonical import Compact, canonical_form, canonical_key, isomorphic
-from .complexes import (
-    ComplexError,
-    Morphism,
-    euler_characteristic,
-    free_faces,
-    id_key,
-)
+from .complexes import ComplexError, Morphism, euler_characteristic
 from .enumeration import MAX_NODES, enumerate_by_types
 from .families import (
     STANDARD,
@@ -163,12 +158,14 @@ from .families import (
     odd_part,
 )
 from .folding import (
+    _check_immersion,
     _coupling_base,
     _finish,
     _FoldState,
     _identify_edges_state,
     _identify_vertices_state,
     _immersion_state,
+    _words,
 )
 from .groups import MAX_COSETS, check_max_cosets
 from .topology import certify_contractible
@@ -279,15 +276,23 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     the eix that canonical_key gives the edge.  Immersions without free
     faces are collected, not expanded.  `folds` counts the successor states
     folded; those over the face budget are dropped and counted in `pruned`,
-    those isomorphic to a state seen before in `duplicates`.
+    those isomorphic to a state seen before in `duplicates`.  max_faces
+    below one is rejected before any work.
+
+    A node is the unmerged fold state of its compact form, named by the
+    roots' ids (_FoldState.from_compact, root_ids), so the search makes a
+    Morphism only for a result (folding._finish).  Each new node's form is
+    checked to immerse (folding._check_immersion).  The branching edge is
+    read off the form: its free edges (families.free_edges), integer
+    labels, and the own slot from the boundary rows.  compact() numbers
+    edges by their roots, whose ids are in shortlex order, so the
+    identify-edges partners, taken in edge-index order, come in id order.
 
     Each node is keyed once, when it is reached: the start before the
     loop, every other node as a successor, for the duplicate check.  Its
-    queue entry keeps that key's eix, which numbers the edges of the
-    node's Morphism in its edge order: compact() numbers edges by their
-    roots in index order, and the quotient lists them, named by those
-    roots, in the same shortlex order.  So the tie-break keys nothing.
-    Equal keys number isomorphic complexes alike,
+    queue entry keeps that key's eix, which numbers the node's edges, since
+    the node is built from the form that was keyed; so the tie-break keys
+    nothing.  Equal keys number isomorphic complexes alike,
     so e is fixed up to an automorphism of the node, and the node's
     successors up to isomorphism.  The search keeps the first state of each
     class it meets, and breadth first meets the classes of each depth after
@@ -331,48 +336,36 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     the results are exactly the immersion classes is checked, not proved:
     the enumeration cross-check stays the arbiter.
     """
-    if not free_faces(f.complex):
-        raise ComplexError("closure_search needs a starting immersion with free faces")
-    positions_per_label = Counter(
-        gen for word in f.presentation.relators for gen, _ in word
-    )
+    if max_faces < 1:
+        raise ComplexError("max_faces must be at least 1")
     start = _immersion_state(f)
-    key, _, eix, _ = canonical_key(start.compact())
+    if not free_edges(start.unmerged):
+        raise ComplexError("closure_search needs a starting immersion with free faces")
+    pres, relators = f.presentation, _words(f.presentation)
+    positions_per_label = Counter(g for word in relators for g, _ in word)
+    key, _, eix, _ = canonical_key(start.unmerged)
     seen = {key}
-    queue: deque[tuple[Morphism, tuple[Move, ...], list[int]]] = deque([(f, (), eix)])
+    queue: deque[tuple[_FoldState, tuple[Move, ...], list[int]]] = deque([(start, (), eix)])
     results: list[tuple[Morphism, tuple[Move, ...]]] = []
     explored = pruned = max_depth = folds = duplicates = 0
     while queue:
-        current, moves, eix = queue.popleft()
+        base, moves, eix = queue.popleft()
         explored += 1
         max_depth = max(max_depth, len(moves))
-        number = dict(zip((e.id for e in current.complex.edges), eix))
-        labels = current.edge_labels
-        edges_per_label = Counter(labels.values())
-        eid = min(
-            free_faces(current.complex),
-            key=lambda e: (
-                edges_per_label[labels[e]] - 1 + positions_per_label[labels[e]],
-                -number[e],
-            ),
-        )
-        label = labels[eid]
-        base = _immersion_state(current)
+        c = base.unmerged
+        moves_at = Counter(c.label) + positions_per_label  # one more than the moves at each label
+        e = min(free_edges(c), key=lambda x: (moves_at[c.label[x]], -eix[x]))
+        label, eid = c.label[e], base.eids[e]
+        # edges are numbered in shortlex id order, so partners come in id order
         successors: list[tuple[Move, _FoldState]] = [
-            (("identify-edges", eid, other), _identify_edges_state(base, eid, other))
-            for other in sorted(labels, key=id_key)
-            if other != eid and labels[other] == label
+            (("identify-edges", eid, base.eids[o]), _identify_edges_state(base, eid, base.eids[o]))
+            for o, g in enumerate(c.label) if o != e and g == label
         ]
         own_slot = next(
-            (current.face_types[x.id], q)
-            for x in current.complex.faces
-            for q, (e, _) in enumerate(x.boundary)
-            if e == eid
+            (t, q) for t, row in zip(c.ftype, c.boundary) for q, (x, _) in enumerate(row) if x == e
         )
-        for t, word in enumerate(current.presentation.relators):
-            slots = [
-                p for p, (gen, _) in enumerate(word) if gen == label and (t, p) != own_slot
-            ]
+        for t, word in enumerate(relators):
+            slots = [p for p, (g, _) in enumerate(word) if g == label and (t, p) != own_slot]
             if slots:
                 glued, cell = _coupling_base(base, t)
                 successors += [
@@ -384,31 +377,30 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             if state.live_face_count() > max_faces:
                 pruned += 1
                 continue
-            key, _, eix, _ = canonical_key(state.compact())
+            folded = state.compact()
+            key, _, eix, _ = canonical_key(folded)
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
-            nxt = _finish(state)
-            if free_faces(nxt.complex):
-                queue.append((nxt, moves + (move,), eix))
+            if free_edges(folded):
+                ids = state.root_ids()
+                _check_immersion(folded, pres, ids)
+                queue.append((_FoldState.from_compact(folded, pres, ids), moves + (move,), eix))
             else:
-                results.append((nxt, moves + (move,)))
+                results.append((_finish(state), moves + (move,)))
     results.sort(key=lambda pair: canonical_form(pair[0]))
     return ClosureResult(results, explored, pruned, max_depth, folds, duplicates)
 
 
 def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
     """(family tag, chi) of a folded state's quotient, both read off its
-    compact form.  classify of the quotient reads the same compact form,
-    so when no family matches only the immersion check of folding._finish
-    is left to make.  The lemma checkers call it only on a row whose
+    compact form once folding._check_immersion has checked that form, so
+    no Morphism is made.  The lemma checkers call it only on a row whose
     certificate does not check; see the module docstring."""
     c = state.compact()
-    tag = classify_compact(c)
-    if tag is None:
-        _finish(state)
-    return tag, _chi(c)
+    _check_immersion(c, state.presentation, state.root_ids())
+    return classify_compact(c), _chi(c)
 
 
 def _chi(c: Compact) -> int:

@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from foldcx.canonical import canonical_form
+from foldcx.canonical import _morphism, canonical_form
 from foldcx.complexes import (
     ComplexError,
     Edge,
@@ -17,7 +17,6 @@ from foldcx.enumeration import (
     BudgetExceeded,
     EnumerationFilter,
     _a_skeletons,
-    _build,
     _count_partial_injections,
     _face_table,
     _groups,
@@ -25,6 +24,7 @@ from foldcx.enumeration import (
     _joining,
     _partial_injections,
     _positions,
+    _skeleton,
     _two_core,
     enumerate_by_types,
     enumerate_immersions,
@@ -260,10 +260,35 @@ def test_face_table_matches_the_reference():
             assert _face_table(n, sigma_a) == reference_face_table(n, sigma_a)
 
 
+def test_skeleton_numbers_edges_in_shortlex_order():
+    # from 11 vertices on, a10 sorts after b9: the a-edges no longer come
+    # first, and each edge index is placed where its id sorts
+    skeleton, eids, place = _skeleton(12, {11: 0, 1: 2}, {10: 3, 0: 0})
+    assert eids == ["a1", "b0", "a11", "b10"]
+    assert (skeleton.tail, skeleton.head, skeleton.label) == ([1, 0, 11, 10], [2, 0, 0, 3], [0, 1, 0, 1])
+    assert place == {1: 0, 12: 1, 11: 2, 12 + 10 * 12 + 3: 3}
+
+
+def _candidate(n, sigma_a, sigma_b, chosen) -> Morphism:
+    """The Morphism of a face subset by the enumeration's compact route:
+    the pair's skeleton, the chosen traces as faces, then _morphism."""
+    pres = target_presentation()
+    skeleton, eids, place = _skeleton(n, sigma_a, sigma_b)
+    c = skeleton._replace(
+        ftype=[face.rix for face in chosen],
+        boundary=[
+            [(place[e], sign) for e, (_, sign) in zip(face.edges, pres.relators[face.rix])]
+            for face in chosen
+        ],
+    )
+    ids = [f"v{k}" for k in range(n)], eids, [f"f{k}" for k in range(len(chosen))]
+    return _morphism(c, pres, ids)
+
+
 def test_face_table_gives_the_closed_traces():
     # for every skeleton pair with at most 4 vertices, the faces read off
     # the table are the closed traces of trace_relator, in the same order,
-    # and _build names each side's edge by its index
+    # and the compact route names each side's edge by its index
     for n in range(1, 5):
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
@@ -274,7 +299,7 @@ def test_face_table_gives_the_closed_traces():
             keys = {j: key for key, mask in groups.items() for j in _positions(mask)}
             assert sorted(keys) == list(range(len(b_skeletons)))
             for j, sigma_b in enumerate(b_skeletons):
-                built = _build(n, sigma_a, sigma_b, [table[p] for p in keys[j]])
+                built = _candidate(n, sigma_a, sigma_b, [table[p] for p in keys[j]])
                 faces = [
                     (built.face_types[face.id], face.boundary)
                     for face in built.complex.faces

@@ -12,10 +12,12 @@ from foldcx.complexes import (
     is_immersion,
     validate,
 )
-from foldcx.families import build_C, build_D, classify, kp
+from foldcx import families
+from foldcx.families import FamilyTag, build_C, build_D, classify, kp, target_presentation
 from foldcx.folding import (
     FoldTrace,
     MergeEvent,
+    _check_immersion,
     _coupling_base,
     _find,
     _FoldState,
@@ -399,3 +401,33 @@ def test_edge_moves_match_the_rescan_engine(seed, pick, order_seed):
     merge_edges(state, e1, e2)
     run_rescan(state, random.Random(order_seed))
     assert (moved.quotient(), moved.trace()) == (state.quotient(), state.trace())
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # b1 leaves v0 beside the loop b0
+        (lambda c: c._replace(tail=[1, 2, 0, 0]), "skeleton not folded at edge b1"),
+        # the long face's last side reads a2 forwards, where its relator reads A
+        (
+            lambda c: c._replace(boundary=[c.boundary[0], c.boundary[1][:-1] + [(1, 1)]]),
+            "face f1 does not read its relator on a closed path",
+        ),
+        # the long face's second side is a2, which does not start where b1 stops
+        (
+            lambda c: c._replace(boundary=[c.boundary[0], [(3, 1), (1, 1), *c.boundary[1][2:]]]),
+            "face f1 does not read its relator on a closed path",
+        ),
+        # a second short face on the loop b0
+        (
+            lambda c: c._replace(ftype=[0, *c.ftype], boundary=[c.boundary[0], *c.boundary]),
+            r"two sides of b0 share a slot \(0, 0\)",
+        ),
+    ],
+    ids=["vertex-link", "letter", "open-path", "edge-link"],
+)
+def test_check_immersion_names_the_first_failure(change, message):
+    c, ids = families._form(FamilyTag("D", 1, "standard"))
+    _check_immersion(c, target_presentation(), ids)
+    with pytest.raises(RuntimeError, match="folding ended at a non-immersion: " + message):
+        _check_immersion(change(c), target_presentation(), ids)

@@ -149,6 +149,79 @@ def test_closure_counts_do_not_depend_on_cell_names(start):
     assert counts == {(8, 52, 40, 1, 7, 4)}
 
 
+# sha256 prefixes of the recorded move sequences at 9 faces, taken while
+# each node was a Morphism whose identify-edges partners were sorted by id:
+# taking the partners in edge-index order keeps every move.  From D:2 the
+# order of the partners decides which of two isomorphic successors is kept
+CLOSURE_MOVES_AT_NINE = {
+    "D:1": "5593741d83e14d27",
+    "D:2": "1e879dd6855fd95c",
+    "Dt:1": "4594726c65985b57",
+    "couple": "572743dc1a40ebab",
+    "scrambled": "2bbf3b408b0b7384",
+}
+
+
+CLOSURE_STARTS = {
+    "D:1": lambda: build_D(1),
+    "D:2": lambda: build_D(2),
+    "Dt:1": lambda: build_D(1, "tilde"),
+    "couple": lambda: couple(build_D(0), 1, 2, "b0"),
+    "scrambled": lambda: scrambled(build_D(1), random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_STARTS)
+def test_closure_moves_are_pinned(name):
+    moves = [list(path) for _, path in closure_search(CLOSURE_STARTS[name](), 9).results]
+    digest = hashlib.sha256(json.dumps(moves).encode()).hexdigest()[:16]
+    assert digest == CLOSURE_MOVES_AT_NINE[name]
+
+
+@pytest.mark.parametrize("max_faces", [0, -1])
+def test_closure_rejects_a_face_budget_below_one(monkeypatch, max_faces):
+    # rejected before any work, as every other search budget is
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(verify, "_immersion_state", refuse)
+    with pytest.raises(ComplexError, match="max_faces must be at least 1"):
+        closure_search(build_D(1), max_faces)
+
+
+def test_a_closure_node_that_does_not_immerse_raises(monkeypatch):
+    # a successor whose edges' tails are joined and never folded has two
+    # edges of one label leaving one vertex; the check on each new node
+    # catches it before any result is finished
+    def unrun(base, e1, e2):
+        state = base.copy()
+        state.merge_vertices(base.tail[base.edge_ix[e1]], base.tail[base.edge_ix[e2]])
+        return state
+
+    def refuse(state):
+        raise AssertionError("a result was finished")
+
+    monkeypatch.setattr(verify, "_identify_edges_state", unrun)
+    monkeypatch.setattr(verify, "_finish", refuse)
+    with pytest.raises(RuntimeError, match="folding ended at a non-immersion: skeleton not folded"):
+        closure_search(build_D(1), 2)
+
+
+def test_searches_make_one_morphism_per_result_or_class(monkeypatch):
+    # closure nodes are fold states and enumeration candidates are keyed
+    # on their compact form, so a complex is made only for what is returned
+    start = build_D(1)
+    calls = []
+    make = TwoComplex.make
+    monkeypatch.setattr(TwoComplex, "make", staticmethod(lambda *args: calls.append(1) or make(*args)))
+    assert len(closure_search(start, 16).results) == len(calls) == 8
+    calls.clear()
+    classes = enumerate_by_types(
+        5, [frozenset({TYPE_SHORT, TYPE_LONG}), frozenset({TYPE_SHORT}), frozenset({TYPE_LONG})]
+    )
+    assert sum(map(len, classes.values())) == len(calls) == 10
+
+
 def test_closure_frontier_at_forty_eight_faces():
     result = closure_search(build_D(1), 48)
     assert sorted(str(classify(m)) for m, _ in result.results) == sorted(
