@@ -7,21 +7,28 @@ and share one form, built by one routine:
 
   vertices v0..v(n-1); a(j): v(j mod n) -> v(j-1) for 1 <= j <= #a;
   b(j): v(2j mod n) -> v(j) for 0 <= j < #b;
-  (n, #a, #b) = (2i+1, 2i, i+1) for D(i), and (i, i, i) for C(i), i odd.
+  (n, #a, #b) = (2i+1, 2i, i+1) for D(i), and (i, i, i) for C(i), i odd;
+  faces: the short cell at v0, and a long cell at v(2j mod n) for
+  1 <= j <= i, or for 0 <= j < i in the tilde variant.
 
 The tilde variants reverse the orientation of every a-edge.  For even i,
 C(i) equals C applied to the largest odd divisor of i, and the constructor
 delegates accordingly (the identification cascade that proves this is
-exercised separately through identify_edges).
+exercised separately through identify_edges).  A face sits at its start,
+the tail of its first edge: both relators start with b.  So the long
+faces of C(i) start at every vertex, those of D(i) at v2, v4, ..., v2i
+and those of Dt(i) at v0, v2, ..., v(2i-2).  _closed_form writes this
+down once.
 
-Face boundaries are not listed explicitly anywhere; they are derived by
+Face boundaries are not built from that list; they are derived by
 tracing every relator through the skeleton (complexes.trace_relator) from
 each edge that carries the relator's first letter, relators in order and
 edges in shortlex order.  The trace is deterministic because each vertex
 has at most one incident edge per (label, direction), and it either closes
 up (yielding a face) or not (yielding none).  The short relator b closes
 only on the b-loop b0; the long relator closes exactly i times in D(i) and
-in C(i), so both have i + 1 faces.
+in C(i), so both have i + 1 faces.  The lemma checkers compare the traced
+faces' starts with the list (verify).
 
 The routine builds the integer form directly: the canonical.Compact of the
 complex, cells numbered in shortlex id order, with the ids (_assemble).
@@ -107,11 +114,32 @@ def odd_part(i: int) -> int:
     return i
 
 
+def _closed_form(i: int, n: int, na: int, nb: int, variant: str):
+    """The complex of index i on the skeleton of the module docstring with
+    (n, #a, #b) = (n, na, nb) in the given variant, by formula, as (vertex
+    ids, edges, faces): an edge is (id, tail, head, label), sorted in
+    shortlex id order, as canonical.Compact numbers edges, and a face is
+    its (relator, start vertex), sorted."""
+    gens = target_presentation().generators
+    a, b = (gens.index(g) for g in "ab")
+    edges = []
+    for j in range(1, na + 1):
+        tail, head = j % n, j - 1
+        if variant == TILDE:
+            tail, head = head, tail
+        edges.append((f"a{j}", tail, head, a))
+    edges += [(f"b{j}", 2 * j % n, j, b) for j in range(nb)]
+    edges.sort(key=lambda edge: id_key(edge[0]))
+    first = 1 if variant == STANDARD else 0
+    faces = [(TYPE_SHORT, 0)] + [(TYPE_LONG, 2 * j % n) for j in range(first, first + i)]
+    return [f"v{x}" for x in range(n)], edges, sorted(faces)
+
+
 def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
-    """family(i) on the skeleton of the module docstring with (n, #a, #b) =
-    (n, na, nb) in the given variant, as (compact form, (vertex ids, edge
-    ids, face ids)): cells are numbered in shortlex id order, as
-    canonical.Compact requires, so vertex v_x has index x.
+    """family(i) on the skeleton of _closed_form(i, n, na, nb, variant), as
+    (compact form, (vertex ids, edge ids, face ids)): cells are numbered in
+    shortlex id order, as canonical.Compact requires, so vertex v_x has
+    index x.  The faces are traced, not read off the formula.
 
     What the formula could get wrong is checked, each raising RuntimeError:
     the complex immerses (folding._check_immersion: the skeleton is folded,
@@ -124,17 +152,8 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
     is read off the skeleton's own edges."""
     pres = target_presentation()
     gens = pres.generators
-    a, b = (gens.index(g) for g in "ab")
-    rows = []
-    for j in range(1, na + 1):
-        tail, head = j % n, j - 1
-        if variant == TILDE:
-            tail, head = head, tail
-        rows.append((id_key(f"a{j}"), tail, head, a))
-    rows += [(id_key(f"b{j}"), 2 * j % n, j, b) for j in range(nb)]
-    rows.sort()  # by the edges' id keys, which are distinct
-    keys, tails, heads, labels = (list(column) for column in zip(*rows))
-    eids = [eid for _, eid in keys]
+    vids, edges, _ = _closed_form(i, n, na, nb, variant)
+    eids, tails, heads, labels = (list(column) for column in zip(*edges))
     forward = {g: {} for g in gens}
     backward = {g: {} for g in gens}
     edge_at: dict[tuple[str, int], int] = {}
@@ -155,7 +174,7 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
             ftype.append(rix)
             boundary.append([(edge_at[gen, tail], sign) for (gen, sign), tail in zip(word, trace)])
     c = Compact(len(gens), n, tails, heads, labels, ftype, boundary)
-    ids = [f"v{x}" for x in range(n)], eids, [f"f{k}" for k in range(len(ftype))]
+    ids = vids, eids, [f"f{k}" for k in range(len(ftype))]
     _check_immersion(c, pres, ids, f"{family}({i})")
     if len(ftype) != i + 1:
         raise RuntimeError(f"{family}({i}) has {len(ftype)} faces, not {i + 1}")
@@ -174,13 +193,19 @@ def free_edges(c: Compact) -> list[int]:
     return [e for e, k in enumerate(count) if k == 1]
 
 
-def _form(tag: FamilyTag):
-    """_assemble of tag's complex; an even C(i) is C(odd_part(i))."""
+def _shape(tag: FamilyTag) -> tuple[int, int, int, int, str]:
+    """(i, n, #a, #b, variant) of tag's complex, the arguments of
+    _closed_form; an even C(i) is C(odd_part(i))."""
     i = tag.index
     if tag.family == "D":
-        return _assemble("D", i, 2 * i + 1, 2 * i, i + 1, tag.variant)
+        return i, 2 * i + 1, 2 * i, i + 1, tag.variant
     i = odd_part(i)
-    return _assemble("C", i, i, i, i, tag.variant)
+    return i, i, i, i, tag.variant
+
+
+def _form(tag: FamilyTag):
+    """_assemble of tag's complex."""
+    return _assemble(tag.family, *_shape(tag))
 
 
 def family_state(tag: FamilyTag) -> _FoldState:

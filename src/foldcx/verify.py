@@ -21,87 +21,107 @@ confronts its conclusions with the independent exhaustive enumeration:
                           immersions have non-positive Euler
                           characteristic or a certificate.
 
-The first three certify each row by an explicit quotient map onto the
-complex the row predicts, instead of keying its quotient (McConnell,
-Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", Computer Science
-Review 2011).  A row's target T is a family complex in its variant: C(d),
-Ct(d) for the Dt rows, D(i) or D(i + 1), and Dt(1) for the long coupling
-at position 0 of D(0).  Every base and every T is a family state, built
-straight from the compact form that the family builder makes and checks
-(families.family_state), so the route makes no Morphism.  Each checker
-call builds each T once and classifies it (_Targets); classify keys T
-from the compact form its state was built from (families.classify_built),
-and T's Euler characteristic is read off the same form's cell counts.
-The base of a row is the fold state the move copies: of C(i) or D(i), or
-for coupling of D(i) beside one closed cell, glued onto the state of D(i)
-(folding._coupling_base).  The map pi sends each family vertex v_x of the
-base to v_(x mod |V(T)|), which is T's vertex of that index, and for
-coupling the glued cell's vertices to those met tracing the cell's
-relator round T, starting from the image of the edge it is glued to.  T
-immerses, so its neighbour arrays (_FoldState.neighbours) hold at most
-one neighbour per (vertex, label, direction) and a relator read from a
-vertex traces at most one path: each step of the cell's trace is forced,
-and T's edges are fixed by (label, tail) and its faces, boundaries
-included, by (relator, start vertex).  Once per (base, T), so per row
-for coupling, _map_fibres checks on those arrays that pi is a cellular
-map, and that it is onto T: one routine, _image, counts the cells that
-pi hits in the base and those that the identity hits in T, and the two
-must agree.
+The first three certify each row instead of keying its quotient
+(McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying algorithms",
+Computer Science Review 2011).  A row's target T is a family complex in
+its variant: C(d), Ct(d) for the Dt rows, D(i) or D(i + 1), and Dt(1) for
+the long coupling at position 0 of D(0).  Every base and every T is a
+family state, built straight from the compact form that the family
+builder makes and checks (families.family_state), so the route makes no
+Morphism.  Each checker call builds each T once and classifies it
+(_Targets); classify keys T from the compact form its state was built
+from (families.classify_built), and T's Euler characteristic is read off
+the same form's cell counts.  The base of a row is the fold state the
+move copies: of C(i) or D(i), or for coupling of D(i) beside one closed
+cell, glued onto the state of D(i) (folding._coupling_base).
+
+The formula check.  Every family state the checkers read, each base and
+each T, is checked when it is built against the closed form of its
+complex (families._closed_form, _checked_state): v_x has index x, the
+edges, ids included, are the formula's, so sigma_a and sigma_b are
+exactly the skeleton, and the faces' (relator, start) pairs are exactly
+the formula's.  A state that is off raises RuntimeError before a row
+reads it.  The skeleton is folded: per label, the formula's tails are
+distinct, and so are its heads.  So a relator read from a vertex traces
+at most one path, and a face, whose boundary reads its relator round a
+closed path from its start (folding._check_immersion, in the family
+builder), is fixed by its (relator, start).  A checked state is its
+family complex cell for cell, and the rest argues on the formula.
+
+The map pi.  For odd d, pi sends v_x of a base to v_(x mod d) of T =
+C(d), or Ct(d) from a tilde base.  Take C(i) with d dividing i, or D(i)
+with d <= i.  The edge a(j): v(j mod i) -> v(j - 1) goes to v(j mod d)
+-> v(j - 1 mod d), the a-edge of C(d) leaving v(j mod d), and b(j): v(2j
+mod i) -> v(j) goes to v(2j mod d) -> v(j mod d), which is b(j mod d);
+D(i) reads the same with no reduction mod i, and the tilde variants
+reverse every a-edge on both sides.  Reducing mod i and then mod d is
+reducing mod d only when d divides i; else an a-edge of C(i) lands on no
+edge.  So each edge lands on an edge, and each face on the closed path
+that reads its relator from the image of its start.  That path is T's
+face there: T has the short cell at v0, the image of the base's, and a
+long cell at every vertex.  pi is onto: T's v_y and b(k), y, k < d, and
+a(k), 1 <= k <= d, are the images of the base's own (d <= i), and T's
+long cells are hit by the base's long cells at v(2j), reduced mod i in
+C(i), for 1 <= j <= d, or 0 <= j < d in the tilde variant, whose images
+reach every class mod d, 2 being invertible mod d.  A coupling row extends pi over the glued
+cell, which is off the formula, by tracing the cell's relator round T
+from the image of the edge it is glued to (_coupling_map), and checks
+that map on T's neighbour arrays (_FoldState.neighbours) to be cellular
+and onto (_map_fibres): one routine, _image, counts the cells that pi
+hits in the base and those that the identity hits in T, and the two must
+agree.
 
 Every vertex or edge row has a lower bound: a partition of the base's
 vertices whose classes the fold must join, built from unions that the
 row's move forces.  Once x ~ y in the fold, the g-edges leaving x and y
-share a label and a tail class, so the fold makes them one edge and joins
-their heads; entering edges join their tails the same way.  These rows
-derive the bound from the shape of sigma_a, checked once per base, in
-O(log i) steps per row, and run no fold.  A coupling row folds instead.
+share a label and a tail class, so the fold makes them one edge and
+joins their heads; entering edges join their tails the same way.  These
+rows derive the bound from the skeleton, in O(log i) steps per row, and
+run no fold and no map check: nothing runs per (base, T).  A coupling row
+folds instead.
 
-Edge rows.  Once per D(i) or Dt(i) the checker checks on the neighbour
-arrays that the vertex of index x is v_x and that sigma_a is the shift
-(_shift): v_x has the a-neighbour v_(x - 1) in the down direction, which
-is a-leaving for D and a-entering for Dt, for 1 <= x <= 2i, and v_(x + 1)
-in the up direction for 0 <= x < 2i.  A base where it is not raises
-RuntimeError; a missing neighbour, -1, fails the check and is never
-used as an index.  A row b_i ~ b_j joins the two edges' heads v_p and
-v_q, p > q, whose numbers it reads off the base (_shift_period).  q
-down-steps force v_(p - q) ~ v_0.  While the difference k is even, the
+Vertex rows.  sigma_a of C(i) is the rotation v_x -> v_(x - 1 mod i), so
+every vertex has an a-edge, and v_u ~ v_v forces sigma_a^u of the pair,
+v_0 ~ v_m with m = v - u, and from there v_x ~ v_(x + m) for every x mod
+i: the fold joins the cosets of the subgroup <m> of Z/i.  A row that
+predicts d carries a Bezout witness, s = (m/d)^-1 mod i/d (_in_subgroup).
+When d divides m and s * m = d mod i, which one multiplication checks, d
+lies in <m>, so the fold joins v_x ~ v_(x + d) for every x.  The row is
+certified when, besides, d divides i and T has d vertices: then those
+are the classes mod d, the fibres of pi, and v_u, v_v lie in one fibre.
+d must divide i: in Z/7, 3 lies in <3>, yet the fold of v0 ~ v3 in C(7)
+is C(1), not C(3).
+
+Edge rows.  A row b_i ~ b_j, j < i, of D(i) or Dt(i) joins the two
+edges' heads v_i and v_j.  sigma_a is the path v_x -> v_(x - 1) in the
+down direction, which is a-leaving for D and a-entering for Dt, so j
+down-steps force v_(i - j) ~ v_0.  While the difference k is even, the
 b-edges v_0 -> v_0 and v_k -> v_(k/2), read off the b-leaving array,
 force v_0 ~ v_(k/2).  At the first odd difference x, up-steps from v_0 ~
-v_x force v_m ~ v_(m + x) for every m: the fold joins every class mod x.
+v_x force v_m ~ v_(m + x) for every m (_shift_period): the fold joins
+every class mod x, and x, the odd part of i - j, is at most i.  The row
+is certified when T has x vertices: the classes mod x are then the
+fibres of pi, and the moved pair lies in one fibre, since x divides i -
+j, and b_i and b_j run v_2i -> v_i and v_2j -> v_j.
 
-Vertex rows.  Once per C(i) the checker checks that sigma_a, read off
-the a-leaving array, is the rotation v_x -> v_(x - 1 mod i), and raises
-RuntimeError if not.  Every vertex then has an a-edge, so v_u ~ v_v
-forces sigma_a^u of the pair, v_0 ~ v_m with m = v - u, and from there
-v_x ~ v_(x + m) for every x mod i: the fold joins the cosets of the
-subgroup <m> of Z/i.  A row that predicts d carries a Bezout witness, s =
-(m/d)^-1 mod i/d (_in_subgroup).  When d divides m and s * m = d mod i,
-which one multiplication checks, d lies in <m>, so the fold joins every
-class mod d.
+Coupling rows fold: the glued cell's vertices are not on the skeleton,
+so no arithmetic on the base predicts which of them join.  Each row
+folds its move once, in a copy of the glued base (the engine's
+congruence closure, folding._FoldState.run), and is certified when the
+fold's vertex classes, each vertex's root (_FoldState.vertex_roots),
+equal the fibres of pi.
 
-Coupling rows fold: the glued cell's vertices are not on the shift, so
-no arithmetic on the base predicts which of them join.  Each row folds
-its move once, in a copy of the glued base (the engine's congruence
-closure, folding._FoldState.run), and is certified when the fold's
-vertex classes, each vertex's root (_FoldState.vertex_roots), equal the
-fibres of pi.
-
-Both bounds, two routes.  A vertex or edge row bounds the fold from both
-sides.  Lower: the derivation makes only forced unions, so its classes
-lie inside the fold's vertex classes.  Upper: when the moved pair lies
-in one fibre of pi (for a vertex row, d divides m; for an edge row, the
-two edges' tails and their heads, _end_pairs, since T has one edge per
-tail and label), pi identifies the moved pair and maps onto an
-immersion, and the fold is the least quotient that immerses (Stallings,
-"Topology of finite graphs", Invent. Math. 1983), so every fold vertex
-class lies in one fibre of pi.  The fibres are the classes mod |V(T)|,
-so the row passes its certificate when the map check passed, the moved
-pair lies in one fibre and its modulus, x or d, is |V(T)|: the fold's
-classes lie between the derivation's and the fibres, which are equal.
-A coupling row needs no bound: its fold's classes are the quotient's
-own, compared with the fibres directly.  The comparisons are exact, so
-a wrong derivation or map can only send a row to the fallback, never
-pass a wrong one.
+Both bounds.  A vertex or edge row bounds the fold from both sides.
+Lower: the derivation makes only forced unions, so its classes lie
+inside the fold's vertex classes.  Upper: pi identifies the moved pair
+and maps onto an immersion, and the fold is the least quotient that
+immerses (Stallings, "Topology of finite graphs", Invent. Math. 1983),
+so every fold vertex class lies in one fibre of pi.  A certified row's
+derived classes are the fibres, so the fold's classes are the fibres
+too.  A coupling row needs no bound: its fold's classes are the
+quotient's own, compared with the fibres directly.  The comparisons are
+exact, so a wrong derivation or prediction can only send a row to the
+fallback, never pass a wrong one.
 
 Why equal classes make the quotient T.  The fold reads edge classes off
 by (tail class, label) and face classes by (relator, first edge class);
@@ -149,7 +169,10 @@ from .families import (
     TYPE_LONG,
     TYPE_SHORT,
     FamilyTag,
+    _closed_form,
+    _shape,
     build_C,
+    build_family,
     classify,
     classify_built,
     classify_compact,
@@ -415,13 +438,12 @@ class _Target(NamedTuple):
     through its neighbour arrays (_FoldState.neighbours): an edge of T is
     fixed by its (label, tail) and a face by its (relator, start vertex),
     so the map check needs no table per edge or per face.  Nor per vertex:
-    T's vertices are its family vertices v0, v1, ..., which sort shortlex
-    into index order, so v_x has index x.  The certificate rests only on
-    the map check, not on which vertex is which, so were an index not x,
-    the map could only fail that check and send its rows to the fold,
-    never pass a wrong row."""
+    every T the checkers build is checked against the family formula
+    (_checked_state), so its vertex v_x has index x, and nv, its vertex
+    count, is the modulus of the family map."""
 
     tag: FamilyTag
+    nv: int
     neighbours: list[list[int]]
     image: tuple[int, int, frozenset[int]]  # _image of T itself
     reported: FamilyTag | None
@@ -429,18 +451,20 @@ class _Target(NamedTuple):
 
 
 class _Targets(dict):
-    """The targets of one checker call by tag, each built as a family state,
-    with no Morphism, and indexed and classified once; classify keys T from
-    the compact form the state was built from."""
+    """The targets of one checker call by tag, each built as a family state
+    checked against the formula, with no Morphism, and indexed and
+    classified once; classify keys T from the compact form the state was
+    built from.  add indexes a state it is given, unchecked."""
 
     def __missing__(self, tag: FamilyTag) -> _Target:
-        return self.add(tag, family_state(tag))
+        return self.add(tag, _checked_state(tag))
 
     def add(self, tag: FamilyTag, state: _FoldState) -> _Target:
         """Index the unmerged state of the family complex tag names."""
         c = state.unmerged
         self[tag] = found = _Target(
             tag,
+            c.nv,
             state.neighbours(),
             _image(state, range(c.nv)),
             classify_built(tag, c),
@@ -449,20 +473,41 @@ class _Targets(dict):
         return found
 
 
+def _checked_state(tag: FamilyTag) -> _FoldState:
+    """family_state(tag), once checked against the closed form of tag's
+    complex (families._closed_form): its vertex ids are v0, v1, ... in
+    index order, its edges, in index order, are the formula's (id, tail,
+    head, label), and its faces' (relator, start) pairs are the formula's
+    (_starts).  Raises RuntimeError if not; the module docstring argues
+    what a checked state buys."""
+    state = family_state(tag)
+    c = state.unmerged
+    found = state.vids, list(zip(state.eids, c.tail, c.head, c.label)), sorted(_starts(state))
+    if found != _closed_form(*_shape(tag)):
+        raise RuntimeError(f"{tag} is off the family formula")
+    return state
+
+
+def _starts(base: _FoldState) -> list[tuple[int, int]]:
+    """The (relator, start vertex) of each face of the base, where the
+    start of a face is the tail of its first side's edge, or its head for
+    sign -1."""
+    tail, head, faces = base.tail, base.head, zip(base.ftype, base.boundary)
+    return [(ft, tail[e] if s > 0 else head[e]) for ft, ((e, s), *_) in faces]
+
+
 def _image(base: _FoldState, pi) -> tuple[int, int, frozenset[int]]:
     """What pi hits, read off the base's cells: the number of vertices, the
     number of edges, an edge counted by its (label, pi(tail)), and the
-    (relator, pi(start)) of each face, where the start of a face is the
-    tail of its first side's edge, or its head for sign -1.  Each pair is
-    keyed as one integer, pi(tail) * ngens + label for an edge and
-    pi(start) * (number of relators) + relator for a face, which is one to
-    one since label < ngens and relator < number of relators.  Under the
-    identity this is T's own image, which the map check compares with a
-    base's image under pi; base and T share the presentation."""
-    tail, head, faces = base.tail, base.head, zip(base.ftype, base.boundary)
+    (relator, pi(start)) of each face (_starts).  Each pair is keyed as one
+    integer, pi(tail) * ngens + label for an edge and pi(start) * (number
+    of relators) + relator for a face, which is one to one since label <
+    ngens and relator < number of relators.  Under the identity this is
+    T's own image, which the map check compares with a base's image under
+    pi; base and T share the presentation."""
     ngens, nrel = base.ngens, len(base.presentation.relators)
-    starts = frozenset(pi[tail[e] if s > 0 else head[e]] * nrel + ft for ft, ((e, s), *_) in faces)
-    return len(set(pi)), len({pi[t] * ngens + g for t, g in zip(tail, base.elab)}), starts
+    starts = frozenset(pi[x] * nrel + ft for ft, x in _starts(base))
+    return len(set(pi)), len({pi[t] * ngens + g for t, g in zip(base.tail, base.elab)}), starts
 
 
 def _family_numbers(base: _FoldState) -> list[int]:
@@ -473,7 +518,7 @@ def _family_numbers(base: _FoldState) -> list[int]:
 def _family_map(numbers: list[int], target: _Target) -> list[int]:
     """pi on a base with these family numbers: v_x goes to v_(x mod |V(T)|)
     of T, whose index is x mod |V(T)| (_Target), any other vertex to -1."""
-    n = len(target.neighbours[0])
+    n = target.nv
     return [x % n if x >= 0 else -1 for x in numbers]
 
 
@@ -529,43 +574,11 @@ def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] |
     return [least[y] for y in pi]
 
 
-def _end_pairs(base: _FoldState, e1: str, e2: str) -> list[tuple[int, int]]:
-    """The unions that identifying edges e1 and e2 forces first: their
-    tails and their heads.  An edge row checks that each pair lies in one
-    fibre of its map; when either edge is a loop, the other's tail and
-    head then lie in one fibre too, by transitivity."""
-    eix, tail, head = base.edge_ix, base.tail, base.head
-    x, y = eix[e1], eix[e2]
-    return [(tail[x], tail[y]), (head[x], head[y])]
-
-
-def _shift(base: _FoldState, variant: str, name: str) -> list[int]:
-    """The b-leaving array of the D(i) or Dt(i) base named name, once its
-    vertex of index x is checked to be v_x and sigma_a to be the shift:
-    v_x has the a-neighbour v_(x - 1) in the down direction, a-leaving for
-    D and a-entering for Dt, for x >= 1, and v_(x + 1) in the up direction
-    below the last vertex v_2i.  The arrays are compared with the indices
-    they must hold, so a missing neighbour, -1, fails the check and is
-    never used as an index.  Raises RuntimeError if the check fails."""
-    gens = base.presentation.generators
-    a, b = (2 * gens.index(g) for g in "ab")
-    nb = base.neighbours()
-    down, up = (nb[a], nb[a + 1]) if variant == STANDARD else (nb[a + 1], nb[a])
-    n = len(base.vids)
-    if (
-        _family_numbers(base) != list(range(n))
-        or down[1:] != list(range(n - 1))
-        or up[:-1] != list(range(1, n))
-    ):
-        raise RuntimeError(f"sigma_a of {name} is not the shift v_x -> v_(x-1)")
-    return nb[b]
-
-
 def _shift_period(b_out: list[int], p: int, q: int) -> int:
-    """The odd x such that joining v_p and v_q, p > q, on a base checked by
-    _shift, whose b-leaving array is b_out, forces v_m ~ v_(m + x) for
-    every m (module docstring); 0 when p <= q or a b-edge that a step
-    needs is missing."""
+    """The odd x such that joining v_p and v_q, p > q, on a D(i) or Dt(i)
+    base checked against the family formula, whose b-leaving array is
+    b_out, forces v_m ~ v_(m + x) for every m (module docstring); 0 when p
+    <= q or a b-edge that a step needs is missing."""
     k = p - q
     if k <= 0:
         return 0
@@ -598,14 +611,15 @@ def _row_fields(target: _Target, tag: FamilyTag | None, chi: int) -> tuple[str, 
 def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
     """Report each (description, target T, certified, base, x, y) row of a
     checker whose move is fold.  A row is certified when its vertex
-    classes, derived or, for coupling, folded, equal the fibres of its map
-    onto T (module docstring), and reports T's class and chi.  Any other
-    row, and only such a row, is folded here, as fold(base, x, y), and
-    reports the class and chi of its folded state through _classify_state;
-    a coupling row is then folded a second time.  Either way the row passes
-    when that class is T's family and index, in either variant.  What a
-    certified row reports depends on T alone, so it is worked out once per
-    T.  The wall clock covers building the rows too."""
+    classes, derived or, for coupling, folded, equal the fibres of the map
+    v_x -> v_(x mod |V(T)|) onto T (module docstring), and reports T's
+    class and chi.  Any other row, and only such a row, is folded here, as
+    fold(base, x, y), and reports the class and chi of its folded state
+    through _classify_state; a coupling row is then folded a second time.
+    Either way the row passes when that class is T's family and index, in
+    either variant.  What a certified row reports depends on T alone, so it
+    is worked out once per T.  The wall clock covers building the rows
+    too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
@@ -624,31 +638,29 @@ def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
     max_i; each quotient must be C(d), d = gcd(i, v - u).  A row is
-    certified without folding.  Once per C(i) sigma_a is checked to be the
-    rotation v_x -> v_(x - 1), so the fold of v_u ~ v_v joins the cosets of
-    <v - u> in Z/i; a base where it is not raises RuntimeError.  The row's
+    certified without folding: C(i) and C(d) are checked against the
+    family formula when they are built (_checked_state), and the row
+    passes its certificate when d divides i, C(d) has d vertices, and the
     Bezout witness (_in_subgroup) shows that d divides v - u and lies in
-    <v - u>, so the fold joins the classes mod d, and the map x -> x mod d,
-    checked once per (i, d) to map C(i) onto C(d), bounds it from above
-    (module docstring).  A row that does not check is folded and
-    classified."""
+    <v - u> of Z/i.  The fold of v_u ~ v_v then joins the classes mod d,
+    and the map x -> x mod d of C(i) onto C(d) shows that it joins no
+    more (module docstring).  T and the certificate depend on i and v - u
+    alone, so each is worked out once per (i, v - u).  A row that does not
+    check is folded and classified."""
     targets = _Targets()
+
+    def certificate(i: int, m: int) -> tuple[_Target, bool]:
+        """T and the certificate of each row v_u ~ v_v of C(i), v - u = m."""
+        d = gcd(i, m)
+        target = targets[FamilyTag("C", d, STANDARD)]
+        return target, i % d == 0 and target.nv == d and _in_subgroup(d, m, i)
 
     def rows():
         for i in range(3, max_i + 1, 2):
-            base = family_state(FamilyTag("C", i, STANDARD))
-            numbers, neighbours = _family_numbers(base), base.neighbours()
-            if any(y < 0 or numbers[y] != (x - 1) % i for x, y in zip(numbers, neighbours[0])):
-                raise RuntimeError(f"sigma_a of C:{i} is not the rotation v_x -> v_(x-1)")
-            maps: dict[int, tuple[_Target, bool]] = {}  # by d: T, and whether C(i) maps onto it
+            base = _checked_state(FamilyTag("C", i, STANDARD))
+            by_m = [certificate(i, m) for m in range(1, i)]
             for u, v in combinations(range(i), 2):
-                d = gcd(i, v - u)
-                if d not in maps:
-                    target = targets[FamilyTag("C", d, STANDARD)]
-                    fibres = _map_fibres(base, _family_map(numbers, target), target)
-                    maps[d] = target, fibres is not None and len(target.neighbours[0]) == d
-                target, mapped = maps[d]
-                certified = mapped and _in_subgroup(d, v - u, i)
+                target, certified = by_m[v - u - 1]
                 yield f"C:{i} identify v{u}~v{v}", target, certified, base, u, v
 
     def fold(base: _FoldState, u: int, v: int) -> _FoldState:
@@ -660,38 +672,25 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
     b-edge b_j and fold; each quotient must be C(d), d = odd_part(i - j),
-    in either variant.  A row is certified without folding.  Once per base
-    sigma_a is checked to be the shift v_x -> v_(x - 1) (_shift); a base
-    where it is not raises RuntimeError.  From the heads of b_i and b_j the
-    row derives the odd x such that the fold joins every class mod x
-    (_shift_period).  The map x -> x mod d onto C(d), or Ct(d) from Dt(i),
-    checked once per (i, d), bounds the fold from above when the edges'
-    ends (_end_pairs) lie in its fibres; the row passes when x = d
-    (module docstring).  A row that does not check is folded and
-    classified."""
+    in either variant.  A row is certified without folding: D(i) and C(d),
+    or Dt(i) and Ct(d), are checked against the family formula when they
+    are built (_checked_state), and the row derives from the heads v_i
+    and v_j the odd x such that the fold joins every class mod x
+    (_shift_period).  The row passes its certificate when T has x
+    vertices: the map v_y -> v_(y mod x) of the base onto T then shows
+    that the fold joins no more (module docstring).  A row that does not check is
+    folded and classified."""
     targets = _Targets()
 
     def rows():
         for variant, label in ((STANDARD, "D"), (TILDE, "Dt")):
             for i in range(1, max_i + 1):
-                base = family_state(FamilyTag("D", i, variant))
-                b_out = _shift(base, variant, f"{label}:{i}")
-                numbers, eix, head = _family_numbers(base), base.edge_ix, base.head
-                maps: dict[int, tuple[_Target, list[int] | None]] = {}
-                bi = f"b{i}"
-                p = head[eix[bi]]
+                base = _checked_state(FamilyTag("D", i, variant))
+                b_out = base.neighbours()[2 * base.presentation.generators.index("b")]
                 for j in range(i):
-                    d = odd_part(i - j)
-                    if d not in maps:
-                        target = targets[FamilyTag("C", d, variant)]
-                        maps[d] = target, _map_fibres(base, _family_map(numbers, target), target)
-                    target, fibres = maps[d]
-                    bj = f"b{j}"
-                    certified = (
-                        fibres is not None
-                        and all(fibres[x] == fibres[y] for x, y in _end_pairs(base, bi, bj))
-                        and _shift_period(b_out, p, head[eix[bj]]) == len(target.neighbours[0])
-                    )
+                    target = targets[FamilyTag("C", odd_part(i - j), variant)]
+                    certified = _shift_period(b_out, i, j) == target.nv
+                    bi, bj = f"b{i}", f"b{j}"
                     yield f"{label}:{i} identify {bi}~{bj}", target, certified, base, bi, bj
 
     return _lemma_report("edge-identification", max_i, _identify_edges_state, rows())
@@ -706,21 +705,21 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     certified when the vertex classes of its fold are the fibres of the
     coupling map onto that outcome: v_x -> v_(x mod |V(T)|) on D(i), the
     cell traced round its relator in T (module docstring).  This is the
-    one checker that folds its rows: the glued cell's vertices are not on
-    the shift of D(i), so the vertex and edge rows' arithmetic does not
-    say which of them join.  A row that does not check is folded again and
-    classified."""
+    one checker that folds its rows and checks a map per row: the glued
+    cell's vertices are off the formula, so the vertex and edge rows'
+    arithmetic does not say which of them join.  A row that does not check
+    is folded again and classified."""
     targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 
     def rows():
-        following = family_state(FamilyTag("D", 0, STANDARD))
+        following = _checked_state(FamilyTag("D", 0, STANDARD))
         gens = following.presentation.generators
         for i in range(max_i + 1):
             # D(i + 1) is the target of the long cell at position 2 and
             # the next base: built once for both; no row from here on
             # predicts D(i - 1)
-            d, following = following, family_state(FamilyTag("D", i + 1, STANDARD))
+            d, following = following, _checked_state(FamilyTag("D", i + 1, STANDARD))
             targets.add(FamilyTag("D", i + 1, STANDARD), following)
             if i:
                 del targets[FamilyTag("D", i - 1, STANDARD)]
@@ -760,7 +759,10 @@ def verify_main_theorem(
     dichotomy: both-type classes are C up to mirror, with chi 1 and a
     certificate; single-type classes have chi <= 0 or a certificate.  One
     enumeration pass serves all three type sets, and max_nodes bounds that
-    single pass."""
+    single pass.  The family that classify names for a both-type class is
+    backed by an explicit isomorphism onto the built family complex
+    (canonical.isomorphic, which checks its own bijection); a mismatch
+    raises RuntimeError."""
     check_max_cosets(max_cosets)
     started = time.monotonic()
     report = VerificationReport(
@@ -784,6 +786,8 @@ def verify_main_theorem(
         report.meta[meta_key] = len(classes[types])
         for k, morphism in enumerate(classes[types]):
             tag = classify(morphism)
+            if both and tag is not None and isomorphic(morphism, build_family(tag)) is None:
+                raise RuntimeError(f"{name} class {k} is not {tag}, as classify names it")
             chi = euler_characteristic(morphism.complex)
             if not both and chi <= 0:
                 passed, detail = True, "chi <= 0"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from itertools import combinations
 from math import gcd
@@ -32,9 +33,11 @@ from foldcx.families import (
     classify,
     odd_part,
     parse_family_spec,
+    target_presentation,
 )
 from foldcx.folding import (
     _coupling_base,
+    _FoldState,
     _identify_edges_state,
     _identify_vertices_state,
     _immersion_state,
@@ -478,6 +481,17 @@ def test_main_theorem_report_is_pinned(max_vertices):
     assert digest == MAIN_THEOREM_REPORTS[max_vertices]
 
 
+def test_a_both_type_class_classify_misnames_raises(monkeypatch, capsys):
+    # the name classify gives a both-type class is backed by an explicit
+    # isomorphism onto the family complex it names
+    c3, c5 = FamilyTag("C", 3, "standard"), FamilyTag("C", 5, "standard")
+    monkeypatch.setattr(verify, "classify", lambda f: c5 if classify(f) == c3 else classify(f))
+    with pytest.raises(RuntimeError, match="is not C:5"):
+        verify_main_theorem(5)
+    assert cli.main(["verify-theorem", "--max-vertices", "5"]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_main_theorem_at_six_vertices():
     # the digest was made by the walk that checked connectivity after
     # reading faces, so it binds the partition filter to that walk
@@ -575,6 +589,20 @@ def test_a_wrong_prediction_fails_with_the_folds_class(
     assert all(row.passed == (row.classification == "C:1") for row in rows.values())
 
 
+def test_a_prediction_that_does_not_divide_i_is_never_certified(monkeypatch):
+    # every row predicts C(v - u): in Z/7, 3 lies in <3>, so the Bezout
+    # witness checks for v0 ~ v3, but x -> x mod 3 is no map of C(7), and
+    # the fold of v0 ~ v3 is C(1); only the rows with v - u = 1 pass
+    monkeypatch.setattr(verify, "gcd", lambda i, m: m)
+    rows = {row.description: row for row in check_lemma_vertex_identification(7).rows}
+    row = rows["C:7 identify v0~v3"]
+    assert (row.classification, row.passed) == ("C:1", False)
+    for description, row in rows.items():
+        i, u, v = map(int, re.fullmatch(r"C:(\d+) identify v(\d+)~v(\d+)", description).groups())
+        assert row.classification == f"C:{gcd(i, v - u)}"
+        assert row.passed == (v - u == gcd(i, v - u))
+
+
 def test_a_wrong_coupling_prediction_fails_with_the_folds_class(monkeypatch):
     # the short cell on D(i), i >= 1, predicted C:1: the fold's classes are
     # the fibres of the map onto C(1) only when odd_part(i) is 1, so any
@@ -607,6 +635,22 @@ def test_map_check_rejects_a_non_cellular_map(d):
     assert verify._map_fibres(base, shifted, target) is None
 
 
+@pytest.mark.parametrize("variant", ["standard", "tilde"])
+def test_the_map_check_passes_every_family_map_of_the_lemma_rows(variant):
+    # the map route that vertex and edge rows no longer run, kept as their
+    # reference: x -> x mod d maps C(i) onto C(d) for each d dividing i, and
+    # D(i) onto C(d) for each d = odd_part(i - j), in the variant of both
+    targets = verify._Targets()
+    pairs = [("C", i, d) for i in range(1, 64, 2) for d in range(1, i + 1) if i % d == 0]
+    pairs += [("D", i, odd_part(i - j)) for i in range(1, 64) for j in range(i)]
+    for family, i, d in sorted(set(pairs)):
+        base = verify._checked_state(FamilyTag(family, i, variant))
+        target = targets[FamilyTag("C", d, variant)]
+        pi = verify._family_map(verify._family_numbers(base), target)
+        fibres = verify._map_fibres(base, pi, target)
+        assert fibres == [x % d for x in range(len(base.vids))], (family, i, d)
+
+
 def _with_cells(f: Morphism, faces, vertices=(), edges=()) -> Morphism:
     """f with only the given faces, plus the given vertices and a-edges."""
     cx = f.complex
@@ -625,16 +669,22 @@ def _custom_target(monkeypatch, tag: FamilyTag, t: Morphism):
     return verify._Targets().add(tag, _immersion_state(t))
 
 
-def _bases_built_by(monkeypatch, family: str, build) -> None:
+def _states_built_by(monkeypatch, family: str, build) -> None:
     """Make the checkers build every state of the family, bases and
-    targets, as the immersion state of build(tag) instead of from its
-    compact form."""
+    targets, as build(tag)."""
     family_state = verify.family_state
     monkeypatch.setattr(
         verify,
         "family_state",
-        lambda tag: _immersion_state(build(tag)) if tag.family == family else family_state(tag),
+        lambda tag: build(tag) if tag.family == family else family_state(tag),
     )
+
+
+def _bases_built_by(monkeypatch, family: str, build) -> None:
+    """Make the checkers build every state of the family, bases and
+    targets, as the immersion state of build(tag) instead of from its
+    compact form."""
+    _states_built_by(monkeypatch, family, lambda tag: _immersion_state(build(tag)))
 
 
 def _identity_fibres(base, target):
@@ -694,9 +744,20 @@ def test_map_check_rejects_a_map_that_misses_a_vertex_or_an_edge(monkeypatch, ve
 )
 def test_a_base_whose_sigma_a_is_not_the_rotation_raises(monkeypatch, capsys, build):
     _bases_built_by(monkeypatch, "C", lambda tag: build(tag.index))
-    with pytest.raises(RuntimeError, match="not the rotation"):
-        check_lemma_vertex_identification(5)
-    assert cli.main(["verify-lemma", "2.2", "--max-i", "5"]) == 2
+    _raises_before_any_row(monkeypatch, capsys, check_lemma_vertex_identification, "2.2")
+
+
+def _raises_before_any_row(
+    monkeypatch, capsys, checker, lemma: str, message: str = "off the family formula"
+) -> None:
+    """checker(5) raises RuntimeError with message and no row made, and
+    the CLI reports it as an internal error, exit 2."""
+    rows = []
+    monkeypatch.setattr(verify, "ReportRow", lambda *args: rows.append(args))
+    with pytest.raises(RuntimeError, match=message):
+        checker(5)
+    assert rows == []
+    assert cli.main(["verify-lemma", lemma, "--max-i", "5"]) == 2
     assert "internal error" in capsys.readouterr().err
 
 
@@ -728,19 +789,32 @@ def _less_the_last_a_edge(i: int, variant: str = "standard") -> Morphism:
 )
 def test_a_base_whose_sigma_a_is_not_the_shift_raises(monkeypatch, capsys, build):
     _bases_built_by(monkeypatch, "D", lambda tag: build(tag.index, tag.variant))
-    with pytest.raises(RuntimeError, match="not the shift"):
+    _raises_before_any_row(monkeypatch, capsys, check_lemma_edge_identification, "2.4")
+
+
+def test_a_target_off_the_formula_raises_when_it_is_built(monkeypatch):
+    # C(5) less one long cell, first needed by the row D:5 identify b5~b0:
+    # the rows of D(1), ..., D(4) come before it, and no other
+    c5 = build_C(5)
+    less = _immersion_state(_with_cells(c5, c5.complex.faces[:-1]))
+    build = families.family_state
+    _states_built_by(monkeypatch, "C", lambda tag: less if tag.index == 5 else build(tag))
+    with pytest.raises(RuntimeError, match="C:5 is off the family formula"):
+        verify._Targets()[FamilyTag("C", 5, "standard")]
+    rows = []
+    monkeypatch.setattr(verify, "ReportRow", lambda *args: rows.append(args[0]))
+    with pytest.raises(RuntimeError, match="C:5 is off the family formula"):
         check_lemma_edge_identification(5)
-    assert cli.main(["verify-lemma", "2.4", "--max-i", "5"]) == 2
-    assert "internal error" in capsys.readouterr().err
+    assert rows == [f"D:{i} identify b{i}~b{j}" for i in range(1, 5) for j in range(i)]
 
 
 def test_bezout_witness_matches_the_fold_on_vertex_rows():
-    # the fold of v_u ~ v_v joins the classes mod d = gcd(i, v - u): the
-    # row's rotation check and witness certify exactly that partition
+    # the fold of v_u ~ v_v joins the classes mod d = gcd(i, v - u): on a
+    # base checked against the formula, whose sigma_a is the rotation, the
+    # row's witness certifies exactly that partition
     for i in range(3, 16, 2):
-        base = _immersion_state(build_C(i))
-        numbers = verify._family_numbers(base)
-        assert [numbers[y] for y in base.neighbours()[0]] == [(x - 1) % i for x in numbers]
+        base = verify._checked_state(FamilyTag("C", i, "standard"))
+        assert base.neighbours()[0] == [(x - 1) % i for x in range(i)]
         for u, v in combinations(range(i), 2):
             d = gcd(i, v - u)
             fold = _identify_vertices_state(base, f"v{u}", f"v{v}").vpar
@@ -750,19 +824,20 @@ def test_bezout_witness_matches_the_fold_on_vertex_rows():
 
 @pytest.mark.parametrize("variant", ["standard", "tilde"])
 def test_shift_derivation_matches_the_fold_on_edge_rows(variant):
-    # the fold of b_i ~ b_j joins the classes mod d = odd_part(i - j): the
-    # shift derivation from the two heads gives exactly d, and the edges'
-    # ends lie in one class each
+    # the fold of b_i ~ b_j joins the classes mod d = odd_part(i - j): on a
+    # base checked against the formula, the derivation from the two heads
+    # v_i and v_j gives exactly d, and the edges' ends lie in one class each
     for i in range(1, 16):
-        base = _immersion_state(build_D(i, variant))
-        b_out = verify._shift(base, variant, f"D:{i}")
-        eix, head = base.edge_ix, base.head
+        base = verify._checked_state(FamilyTag("D", i, variant))
+        b_out = base.neighbours()[2]  # b-leaving: b is generator 1
+        eix, tail, head = base.edge_ix, base.tail, base.head
         for j in range(i):
             d = odd_part(i - j)
             fold = _identify_edges_state(base, f"b{i}", f"b{j}").vpar
             assert fold == [x % d for x in range(2 * i + 1)]
-            assert verify._shift_period(b_out, head[eix[f"b{i}"]], head[eix[f"b{j}"]]) == d
-            assert all(fold[x] == fold[y] for x, y in verify._end_pairs(base, f"b{i}", f"b{j}"))
+            assert verify._shift_period(b_out, i, j) == d
+            bi, bj = eix[f"b{i}"], eix[f"b{j}"]
+            assert (fold[tail[bi]], fold[head[bi]]) == (fold[tail[bj]], fold[head[bj]])
 
 
 @pytest.mark.parametrize(
@@ -775,23 +850,15 @@ def test_bezout_witness_needs_d_to_divide_m_and_lie_in_its_subgroup(d, m, i, cer
     assert verify._in_subgroup(d, m, i) is certified
 
 
-def test_end_pairs_are_the_tails_and_the_heads():
-    # at a loop too: the fibres of a map are classes, so t2 ~ t1 = h1 ~ h2
-    # follows from the two pairs
-    d = build_D(3)  # b3: v6 -> v3, b1: v2 -> v1, b0: v0 -> v0
-    base = _immersion_state(d)
-    v0, v1, v2, v3, v6 = (base.vertex_ix[f"v{x}"] for x in (0, 1, 2, 3, 6))
-    assert verify._end_pairs(base, "b3", "b1") == [(v6, v2), (v3, v1)]
-    assert verify._end_pairs(base, "b3", "b0") == [(v6, v0), (v3, v0)]
-
-
 def test_lemma_rows_run_no_fold(monkeypatch):
-    # vertex and edge rows are certified by derivation; coupling rows fold
+    # vertex and edge rows are certified by derivation on states checked
+    # against the formula, with no map check; coupling rows fold and map
     def refuse(*args):
-        raise AssertionError("a lemma row was folded")
+        raise AssertionError("a lemma row was folded or mapped")
 
     monkeypatch.setattr(verify, "_identify_edges_state", refuse)
     monkeypatch.setattr(verify, "_identify_vertices_state", refuse)
+    monkeypatch.setattr(verify, "_map_fibres", refuse)
     for max_i in sorted(LEMMA_REPORTS):
         for checker in (check_lemma_vertex_identification, check_lemma_edge_identification):
             report = checker(max_i)
@@ -811,6 +878,15 @@ def test_lemma_checkers_make_no_morphism(monkeypatch):
         for checker in LEMMA_CHECKERS:
             report = checker(max_i)
             assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
+
+
+def _with_b_heads_swapped(tag: FamilyTag) -> _FoldState:
+    """tag's family state with the heads of b0 and b1 swapped, faces kept."""
+    c, (vids, eids, fids) = families._form(tag)
+    head = c.head.copy()
+    b0, b1 = eids.index("b0"), eids.index("b1")
+    head[b0], head[b1] = head[b1], head[b0]
+    return _FoldState.from_compact(c._replace(head=head), target_presentation(), (vids, eids, fids))
 
 
 def _repeat_first_trace(monkeypatch):
@@ -849,17 +925,17 @@ def _perturb_formula(change):
         ),
         # every trace of a relator is its first: two faces on one loop
         pytest.param(_repeat_first_trace, "share a slot", id="shared-slot"),
+        # D(1) with b0: v0 -> v1 and b1: v2 -> v0, the first base
+        pytest.param(
+            lambda monkeypatch: _states_built_by(monkeypatch, "D", _with_b_heads_swapped),
+            "D:1 is off the family formula",
+            id="sigma-b",
+        ),
     ],
 )
 def test_a_perturbed_family_formula_raises_before_any_row(monkeypatch, capsys, perturb, message):
     perturb(monkeypatch)
-    rows = []
-    monkeypatch.setattr(verify, "ReportRow", lambda *args: rows.append(args))
-    with pytest.raises(RuntimeError, match=message):
-        check_lemma_edge_identification(5)
-    assert rows == []
-    assert cli.main(["verify-lemma", "2.4", "--max-i", "5"]) == 2
-    assert "internal error" in capsys.readouterr().err
+    _raises_before_any_row(monkeypatch, capsys, check_lemma_edge_identification, "2.4", message)
 
 
 def _targets_built(monkeypatch, max_i: int) -> list[FamilyTag]:
@@ -893,7 +969,7 @@ def test_targets_report_what_classify_reports(monkeypatch):
 
 def test_every_target_indexes_its_vertex_v_x_at_x(monkeypatch):
     # so the family map can send v_x to index x mod |V(T)| with no table;
-    # the map check stays the guard if this ever fails to hold
+    # the formula check stays the guard if this ever fails to hold
     for tag in _targets_built(monkeypatch, 15):
         state = _immersion_state(build_family(tag))
         assert state.vertex_ix == {f"v{x}": x for x in range(len(state.vids))}, tag
