@@ -304,11 +304,6 @@ class _FoldState:
         width = 2 * self.ngens
         return [self.end_rep[k::width] for k in range(width)]
 
-    def vertex_roots(self) -> list[int]:
-        """Each vertex's root, the least index of its class: a copy of the
-        vertex forest, which run leaves flat."""
-        return self.vpar.copy()
-
     def compact(self) -> Compact:
         """The live quotient in compact form, cells numbered by their roots
         in index order; quotient() names each cell by its root's id.  It

@@ -31,9 +31,10 @@ builder makes and checks (families.family_state), so the route makes no
 Morphism.  Each checker call builds each T once and classifies it
 (_Targets); classify keys T from the compact form its state was built
 from (families.classify_built), and T's Euler characteristic is read off
-the same form's cell counts.  The base of a row is the fold state the
-move copies: of C(i) or D(i), or for coupling of D(i) beside one closed
-cell, glued onto the state of D(i) (folding._coupling_base).
+the same form's cell counts.  The base of a row is the state of C(i) or
+D(i).  A coupling row's move glues a cell beside D(i) first
+(folding._coupling_base), but only a row that falls back builds that
+glued base.
 
 The formula check.  Every family state the checkers read, each base and
 each T, is checked when it is built against the closed form of its
@@ -63,22 +64,15 @@ long cell at every vertex.  pi is onto: T's v_y and b(k), y, k < d, and
 a(k), 1 <= k <= d, are the images of the base's own (d <= i), and T's
 long cells are hit by the base's long cells at v(2j), reduced mod i in
 C(i), for 1 <= j <= d, or 0 <= j < d in the tilde variant, whose images
-reach every class mod d, 2 being invertible mod d.  A coupling row extends pi over the glued
-cell, which is off the formula, by tracing the cell's relator round T
-from the image of the edge it is glued to (_coupling_map), and checks
-that map on T's neighbour arrays (_FoldState.neighbours) to be cellular
-and onto (_map_fibres): one routine, _image, counts the cells that pi
-hits in the base and those that the identity hits in T, and the two must
-agree.
+reach every class mod d, 2 being invertible mod d.
 
-Every vertex or edge row has a lower bound: a partition of the base's
-vertices whose classes the fold must join, built from unions that the
-row's move forces.  Once x ~ y in the fold, the g-edges leaving x and y
-share a label and a tail class, so the fold makes them one edge and
-joins their heads; entering edges join their tails the same way.  These
-rows derive the bound from the skeleton, in O(log i) steps per row, and
-run no fold and no map check: nothing runs per (base, T).  A coupling row
-folds instead.
+Every row has a lower bound: a partition of the vertices of the row's
+move whose classes the fold must join, built from unions that the move
+forces.  Once x ~ y in the fold, the g-edges leaving x and y share a
+label and a tail class, so the fold makes them one edge and joins their
+heads; entering edges join their tails the same way.  Rows derive the
+bound from the checked skeleton, in O(log i) steps per row, and run no
+fold and no map check: nothing runs per (base, T).
 
 Vertex rows.  sigma_a of C(i) is the rotation v_x -> v_(x - 1 mod i), so
 every vertex has an a-edge, and v_u ~ v_v forces sigma_a^u of the pair,
@@ -104,24 +98,67 @@ is certified when T has x vertices: the classes mod x are then the
 fibres of pi, and the moved pair lies in one fibre, since x divides i -
 j, and b_i and b_j run v_2i -> v_i and v_2j -> v_j.
 
-Coupling rows fold: the glued cell's vertices are not on the skeleton,
-so no arithmetic on the base predicts which of them join.  Each row
-folds its move once, in a copy of the glued base (the engine's
-congruence closure, folding._FoldState.run), and is certified when the
-fold's vertex classes, each vertex's root (_FoldState.vertex_roots),
-equal the fibres of pi.
+Coupling rows.  A row glues a closed cell of relator t beside D(i) and
+identifies the cell's edge at position p with the last b-edge b_i: v_2i
+-> v_i.  The cell's vertices u0, ..., u(n - 1) are off the formula; its
+edge at position q runs u_q -> u_(q + 1) for a letter of sign +1 and
+back for -1.  So the short cell is the b-loop at u0, and the long cell
+is b: u0 -> u1, a: u1 -> u2, b: u3 -> u2, a: u4 -> u3 and a: u0 -> u4.  b
+sits at position 0 of the short relator and at 0 and 2 of the long one,
+so each i has three rows, and each falls into one of four cases.  In
+each, pi extends the family map over the cell by formula, and the row
+counts the classes of its lower bound, read off the checked base.
 
-Both bounds.  A vertex or edge row bounds the fold from both sides.
-Lower: the derivation makes only forced unions, so its classes lie
-inside the fold's vertex classes.  Upper: pi identifies the moved pair
-and maps onto an immersion, and the fold is the least quotient that
+  Own slot.  (t, p) is the slot of b_i's one side, read off the base's
+  boundary rows (_own_slot): (long, 0), on the long face at v_2i, for i
+  >= 1, and (short, 0) for i = 0.  The cell reads its relator from that
+  slot as the face does, so each of its edges in turn shares a label
+  and a direction with the face's, from joined vertices: every u_q joins
+  the face's q-th vertex, and the bound has |V(D(i))| classes.  pi is the
+  identity on D(i) and sends the cell onto that face, so T = D(i).
+  Certified when |V(T)| = |V(D(i))|.
+
+  Short cell, i >= 1.  The loop at u0 joins v_2i ~ v_i, and the edge
+  rows' derivation from that pair (_shift_period(b_out, 2i, i)) joins
+  every class mod x, the odd part of i, with u0 in the class of v_i,
+  which is v_0's.  pi is v_y -> v_(y mod d) of T = C(d), d = odd_part(i),
+  and u0 -> v_0.  The loop lands on b(0), the loop at v_0, and so does
+  b_i, whose ends v_2i and v_i go to v_0, as d divides i; the cell lands
+  on the short cell.  Certified when the derivation gives |V(T)|.
+
+  Long cell at position 2.  b: u3 -> u2 ~ b_i joins u3 ~ v_2i and u2 ~
+  v_i.  The base's a-edge into v_i, read off its a-entering array, is
+  a(i + 1) from v_(i + 1) when i >= 1; with the cell's a-edge into u2,
+  from u1, it joins u1 ~ v_(i + 1).  For i = 0 v_i has none, but v_2i is
+  v_i, so the cell's two a-edges into that class, from u1 and from u4,
+  join u1 ~ u4.  Each union joins one more u, so either way three of the
+  five u's join: |V(D(i))| + 2 classes.  pi is the identity on D(i) and
+  sends u0, ..., u4 to v_(2i + 2), v_(i + 1), v_i, v_2i, v_(2i + 1) of T
+  = D(i + 1).  The cell's edges land on b(i + 1), a(i + 1), b(i), a(2i +
+  1) and a(2i + 2), and the cell on the long face at v_(2i + 2): what
+  D(i + 1) adds to D(i), with a(i + 1) and b(i).  Certified when |V(T)|
+  = |V(D(i))| + 2.
+
+  Long cell at position 0 on D(0).  b: u0 -> u1 ~ b_0, the loop at v_0,
+  joins u0 ~ u1 ~ v_0.  The cell's two a-edges out of that class join
+  their heads, u2 ~ u4, and v_0 has no a-edge leaving it, as the base's
+  a-leaving array shows, to join a third head to them: 3 classes.  pi
+  sends v0, u0 and u1 to v0, u2 and u4 to v1, and u3 to v2 of T = Dt(1),
+  whose a-edges run v0 -> v1 -> v2 and whose b-edges are the loop at v0
+  and v2 -> v1; the cell lands on its long face at v0.  Certified when
+  |V(T)| = 3.
+
+Both bounds.  Every row bounds the fold from both sides.  Lower: the
+derivation makes only forced unions, so its classes lie inside the
+fold's vertex classes.  Upper: pi identifies the moved pair and maps
+cellularly onto an immersion, and the fold is the least quotient that
 immerses (Stallings, "Topology of finite graphs", Invent. Math. 1983),
-so every fold vertex class lies in one fibre of pi.  A certified row's
-derived classes are the fibres, so the fold's classes are the fibres
-too.  A coupling row needs no bound: its fold's classes are the
-quotient's own, compared with the fibres directly.  The comparisons are
-exact, so a wrong derivation or prediction can only send a row to the
-fallback, never pass a wrong one.
+so every fold vertex class lies in one fibre of pi.  The derived classes
+refine the fibres, so when the row derives as many classes as T has
+vertices, pi being onto, the derived classes are the fibres, and the
+fold's classes are the fibres too.  The comparisons are exact, so a
+wrong derivation or prediction can only send a row to the fallback,
+never pass a wrong one.
 
 Why equal classes make the quotient T.  The fold reads edge classes off
 by (tail class, label) and face classes by (relator, first edge class);
@@ -130,10 +167,9 @@ that fix T's cells, and pi hits every cell, so the quotient's cells
 biject with T's, boundaries included: the quotient is isomorphic to T,
 and the row reports classify(T) and the Euler characteristic of T,
 computed once per T.  A row whose certificate does not check, and only
-such a row, is folded in _lemma_report, a coupling row a second time,
-and falls back to classifying the compact form of its folded state
-(_classify_state), so a failing row still reports the class of its
-actual quotient.
+such a row, is folded once, in _lemma_report, and falls back to
+classifying the compact form of its folded state (_classify_state), so
+a failing row still reports the class of its actual quotient.
 
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
@@ -384,9 +420,7 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
             (("identify-edges", eid, base.eids[o]), _identify_edges_state(base, eid, base.eids[o]))
             for o, g in enumerate(c.label) if o != e and g == label
         ]
-        own_slot = next(
-            (t, q) for t, row in zip(c.ftype, c.boundary) for q, (x, _) in enumerate(row) if x == e
-        )
+        own_slot = _own_slot(c, e)
         for t, word in enumerate(relators):
             slots = [p for p, (g, _) in enumerate(word) if g == label and (t, p) != own_slot]
             if slots:
@@ -416,6 +450,14 @@ def closure_search(f: Morphism, max_faces: int) -> ClosureResult:
     return ClosureResult(results, explored, pruned, max_depth, folds, duplicates)
 
 
+def _own_slot(c: Compact, e: int) -> tuple[int, int]:
+    """The (relator, position) slot of the first side of edge e of c, read
+    off the boundary rows: a free edge's one side."""
+    return next(
+        (t, q) for t, row in zip(c.ftype, c.boundary) for q, (x, _) in enumerate(row) if x == e
+    )
+
+
 def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
     """(family tag, chi) of a folded state's quotient, both read off its
     compact form once folding._check_immersion has checked that form, so
@@ -432,44 +474,31 @@ def _chi(c: Compact) -> int:
 
 
 class _Target(NamedTuple):
-    """A predicted family complex T, indexed for the coupling trace and the
-    map check, and the class and chi that a row certified onto T reports.
-    T immerses, so a relator read from a vertex traces at most one path
-    through its neighbour arrays (_FoldState.neighbours): an edge of T is
-    fixed by its (label, tail) and a face by its (relator, start vertex),
-    so the map check needs no table per edge or per face.  Nor per vertex:
-    every T the checkers build is checked against the family formula
-    (_checked_state), so its vertex v_x has index x, and nv, its vertex
-    count, is the modulus of the family map."""
+    """A predicted family complex T and the class and chi that a row
+    certified onto T reports.  Every T the checkers build is checked
+    against the family formula (_checked_state), so its vertex v_x has
+    index x, and nv, its vertex count, is the modulus of the family map
+    and what a row's derived class count must reach."""
 
     tag: FamilyTag
     nv: int
-    neighbours: list[list[int]]
-    image: tuple[int, int, frozenset[int]]  # _image of T itself
     reported: FamilyTag | None
     chi: int
 
 
 class _Targets(dict):
     """The targets of one checker call by tag, each built as a family state
-    checked against the formula, with no Morphism, and indexed and
-    classified once; classify keys T from the compact form the state was
-    built from.  add indexes a state it is given, unchecked."""
+    checked against the formula, with no Morphism, and classified once;
+    classify keys T from the compact form the state was built from.  add
+    takes a state it is given, unchecked."""
 
     def __missing__(self, tag: FamilyTag) -> _Target:
         return self.add(tag, _checked_state(tag))
 
     def add(self, tag: FamilyTag, state: _FoldState) -> _Target:
-        """Index the unmerged state of the family complex tag names."""
+        """The target of the unmerged state of the family complex tag names."""
         c = state.unmerged
-        self[tag] = found = _Target(
-            tag,
-            c.nv,
-            state.neighbours(),
-            _image(state, range(c.nv)),
-            classify_built(tag, c),
-            _chi(c),
-        )
+        self[tag] = found = _Target(tag, c.nv, classify_built(tag, c), _chi(c))
         return found
 
 
@@ -494,84 +523,6 @@ def _starts(base: _FoldState) -> list[tuple[int, int]]:
     sign -1."""
     tail, head, faces = base.tail, base.head, zip(base.ftype, base.boundary)
     return [(ft, tail[e] if s > 0 else head[e]) for ft, ((e, s), *_) in faces]
-
-
-def _image(base: _FoldState, pi) -> tuple[int, int, frozenset[int]]:
-    """What pi hits, read off the base's cells: the number of vertices, the
-    number of edges, an edge counted by its (label, pi(tail)), and the
-    (relator, pi(start)) of each face (_starts).  Each pair is keyed as one
-    integer, pi(tail) * ngens + label for an edge and pi(start) * (number
-    of relators) + relator for a face, which is one to one since label <
-    ngens and relator < number of relators.  Under the identity this is
-    T's own image, which the map check compares with a base's image under
-    pi; base and T share the presentation."""
-    ngens, nrel = base.ngens, len(base.presentation.relators)
-    starts = frozenset(pi[x] * nrel + ft for ft, x in _starts(base))
-    return len(set(pi)), len({pi[t] * ngens + g for t, g in zip(base.tail, base.elab)}), starts
-
-
-def _family_numbers(base: _FoldState) -> list[int]:
-    """x for each family vertex v_x of the base, -1 for any other vertex."""
-    return [int(v[1:]) if v[0] == "v" else -1 for v in base.vids]
-
-
-def _family_map(numbers: list[int], target: _Target) -> list[int]:
-    """pi on a base with these family numbers: v_x goes to v_(x mod |V(T)|)
-    of T, whose index is x mod |V(T)| (_Target), any other vertex to -1."""
-    n = target.nv
-    return [x % n if x >= 0 else -1 for x in numbers]
-
-
-def _coupling_map(
-    glued: _FoldState, word, cell: list[str], p: int, edge: str, target: _Target
-) -> list[int] | None:
-    """pi on a glued coupling base whose cell, over the relator word, is
-    glued to edge at position p: the family map, with the cell's vertices
-    traced round word in T from the image of edge.  T immerses, so each
-    step reads T's one neighbour under the letter's label and direction;
-    None when there is none.  Closing up is left to the map check."""
-    gen_ix = {g: k for k, g in enumerate(glued.presentation.generators)}
-    eix, tail, head, nb = glued.edge_ix, glued.tail, glued.head, target.neighbours
-    pi = _family_map(_family_numbers(glued), target)
-    start = eix[edge]
-    w = pi[tail[start] if word[p][1] > 0 else head[start]]
-    for k in range(len(word)):
-        q = (p + k) % len(word)
-        g, sign = word[q]
-        side = eix[cell[q]]
-        pi[tail[side] if sign > 0 else head[side]] = w
-        w = nb[2 * gen_ix[g] + (sign < 0)][w]
-        if w < 0:
-            return None
-    return pi
-
-
-def _map_fibres(base: _FoldState, pi: list[int], target: _Target) -> list[int] | None:
-    """If pi extends to a label-preserving cellular map of the base onto T,
-    each base vertex's least fibre-mate, which is also what a flat vertex
-    forest holds when its classes are the fibres; otherwise None.
-
-    Every base edge (t, h, g) must have pi(h) as pi(t)'s g-neighbour in T:
-    it then lands on T's one g-edge leaving pi(t).  A base face of relator
-    r starting at s reads r round a path from s, so its edges land on a
-    path reading r from pi(s) in T.  T immerses, so that path is the one
-    trace of r from pi(s), and T's face at (r, pi(s)), if there is one,
-    has exactly that boundary.  So the faces land, boundaries included,
-    when the (r, pi(s)) of the base's faces are among T's; they are all of
-    T's exactly when every face of T is hit.  Vertices and edges, an edge
-    by its (label, pi(tail)), are hit when their counts are T's.  One
-    routine, _image, reads all three off the base under pi and off T under
-    the identity, so pi is onto exactly when the two images are equal."""
-    if -1 in pi:
-        return None
-    nb = target.neighbours
-    if [nb[2 * g][pi[t]] for t, g in zip(base.tail, base.elab)] != [pi[h] for h in base.head]:
-        return None
-    if _image(base, pi) != target.image:
-        return None
-    # the least vertex of each fibre: in reverse, the last write wins
-    least = dict(zip(reversed(pi), range(len(pi) - 1, -1, -1)))
-    return [least[y] for y in pi]
 
 
 def _shift_period(b_out: list[int], p: int, q: int) -> int:
@@ -610,13 +561,12 @@ def _row_fields(target: _Target, tag: FamilyTag | None, chi: int) -> tuple[str, 
 
 def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
     """Report each (description, target T, certified, base, x, y) row of a
-    checker whose move is fold.  A row is certified when its vertex
-    classes, derived or, for coupling, folded, equal the fibres of the map
-    v_x -> v_(x mod |V(T)|) onto T (module docstring), and reports T's
-    class and chi.  Any other row, and only such a row, is folded here, as
-    fold(base, x, y), and reports the class and chi of its folded state
-    through _classify_state; a coupling row is then folded a second time.
-    Either way the row passes when that class is T's family and index, in
+    checker whose move is fold.  A row is certified when the vertex
+    classes it derives from its checked base equal the fibres of a formula
+    map onto T (module docstring), and reports T's class and chi.  Any
+    other row, and only such a row, is folded here, once, as fold(base, x,
+    y), and reports the class and chi of its folded state through
+    _classify_state.  Either way the row passes when that class is T's family and index, in
     either variant.  What a certified row reports depends on T alone, so it
     is worked out once per T.  The wall clock covers building the rows
     too."""
@@ -702,19 +652,21 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
     at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
     symmetric); the long cell at position 2 gives D(i + 1).  A row is
-    certified when the vertex classes of its fold are the fibres of the
-    coupling map onto that outcome: v_x -> v_(x mod |V(T)|) on D(i), the
-    cell traced round its relator in T (module docstring).  This is the
-    one checker that folds its rows and checks a map per row: the glued
-    cell's vertices are off the formula, so the vertex and edge rows'
-    arithmetic does not say which of them join.  A row that does not check
-    is folded again and classified."""
+    certified without gluing, folding or mapping, like an edge row: D(i)
+    and T are checked against the family formula when they are built
+    (_checked_state), and the row counts the classes that its move forces,
+    reading the base's own slot, its b-leaving array or an a-neighbour of
+    v_i, by the row's case (module docstring).  It passes its certificate
+    when T has that many vertices: the formula map of the case onto T then
+    shows that the fold joins no more.  A row that does not check is glued,
+    folded once and classified."""
     targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 
     def rows():
         following = _checked_state(FamilyTag("D", 0, STANDARD))
         gens = following.presentation.generators
+        a, b = gens.index("a"), gens.index("b")
         for i in range(max_i + 1):
             # D(i + 1) is the target of the long cell at position 2 and
             # the next base: built once for both; no row from here on
@@ -723,29 +675,41 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
             targets.add(FamilyTag("D", i + 1, STANDARD), following)
             if i:
                 del targets[FamilyTag("D", i - 1, STANDARD)]
-            free_labels[i] = sorted({gens[d.elab[e]] for e in free_edges(d.unmerged)})
+            c = d.unmerged
+            free_labels[i] = sorted({gens[c.label[e]] for e in free_edges(c)})
+            nb = d.neighbours()
+            a_out, a_in, b_out = nb[2 * a], nb[2 * a + 1], nb[2 * b]
             edge = f"b{i}"
-            label = gens[d.elab[d.edge_ix[edge]]]
+            own = _own_slot(c, d.edge_ix[edge])
             for t, word in enumerate(d.presentation.relators):
-                base, cell = _coupling_base(d, t)
                 for p, (gen, _) in enumerate(word):
-                    if gen != label:
+                    if gen != "b":
                         continue
-                    if t == TYPE_SHORT:
-                        tag = ("C", odd_part(i), STANDARD) if i else ("D", 0, STANDARD)
+                    if (t, p) == own:
+                        # every cell vertex joins a vertex of b_i's face
+                        tag, lower = ("D", i, STANDARD), c.nv
+                    elif t == TYPE_SHORT:
+                        # u0 ~ v_2i ~ v_i joins the classes mod odd_part(i)
+                        tag, lower = ("C", odd_part(i), STANDARD), _shift_period(b_out, 2 * i, i)
                     elif p == 2:
-                        tag = ("D", i + 1, STANDARD)
+                        # u3 ~ v_2i and u2 ~ v_i; u1 joins the tail of the
+                        # a-edge into v_i, and u4 when v_2i = v_i: each
+                        # union joins one more u
+                        tag, lower = ("D", i + 1, STANDARD), c.nv + 3 - (a_in[i] >= 0) - (i == 0)
                     else:
-                        tag = ("D", i, STANDARD) if i else ("D", 1, TILDE)
+                        # D(0): u0 ~ u1 ~ v_0 along the loop b_0, and u2 ~
+                        # u4, joined to the head of an a-edge out of v_0
+                        tag = ("D", 1, TILDE)
+                        lower = c.nv + 2 - (a_out[0] >= 0) if i == 0 else 0
                     target = targets[FamilyTag(*tag)]
-                    pi = _coupling_map(base, word, cell, p, edge, target)
-                    fibres = None if pi is None else _map_fibres(base, pi, target)
-                    folded = _identify_edges_state(base, cell[p], edge)
-                    certified = fibres is not None and folded.vertex_roots() == fibres
                     description = f"D:{i} couple type {t} position {p} at {edge}"
-                    yield description, target, certified, base, cell[p], edge
+                    yield description, target, lower == target.nv, d, (t, p), edge
 
-    report = _lemma_report("coupling", max_i, _identify_edges_state, rows())
+    def fold(base: _FoldState, slot: tuple[int, int], edge: str) -> _FoldState:
+        glued, cell = _coupling_base(base, slot[0])
+        return _identify_edges_state(glued, cell[slot[1]], edge)
+
+    report = _lemma_report("coupling", max_i, fold, rows())
     report.meta["free_edge_labels_of_D"] = free_labels
     return report
 

@@ -8,7 +8,8 @@ breadth-first key kept as the reference for the pruned one and the walk
 over every skeleton pair and face subset kept as the reference for the
 enumeration's face table and free-face 2-core, and the face table that
 tries every choice of b-steps kept as the reference for the one that
-forces the last b-step."""
+forces the last b-step, and the map check of a family map onto a family
+complex kept as the reference for the lemma rows' formula maps."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import functools
 import random
 from collections import deque
 from itertools import combinations, product
+from typing import NamedTuple
 
 from foldcx.canonical import Compact, canonical_form, canonical_key
 from foldcx.complexes import (
@@ -52,7 +54,7 @@ from foldcx.folding import (
     fold,
 )
 from foldcx.homology import HomologyProfile, smith_normal_form
-from foldcx.verify import ClosureResult
+from foldcx.verify import ClosureResult, _starts
 
 
 def rename(f: Morphism, suffix: str) -> Morphism:
@@ -269,6 +271,82 @@ def reference_coupling_base(f: Morphism, face_type: int) -> tuple[_FoldState, li
         {**f.face_types, face_id: face_type},
     )
     return _FoldState(glued), poly_edges
+
+
+class MapTarget(NamedTuple):
+    """A family complex T indexed for the map check.  T immerses, so a
+    relator read from a vertex traces at most one path through its
+    neighbour arrays (_FoldState.neighbours): an edge of T is fixed by its
+    (label, tail) and a face by its (relator, start vertex), so the check
+    needs no table per edge or per face.  Nor per vertex: a T checked
+    against the family formula has its vertex v_x at index x, and nv, its
+    vertex count, is the modulus of the family map."""
+
+    nv: int
+    neighbours: list[list[int]]
+    image: tuple[int, int, frozenset[int]]  # map_image of T itself
+
+
+def map_target(state: _FoldState) -> MapTarget:
+    """The unmerged state of a family complex T, indexed for the map check."""
+    nv = state.unmerged.nv
+    return MapTarget(nv, state.neighbours(), map_image(state, range(nv)))
+
+
+def map_image(base: _FoldState, pi) -> tuple[int, int, frozenset[int]]:
+    """What pi hits, read off the base's cells: the number of vertices, the
+    number of edges, an edge counted by its (label, pi(tail)), and the
+    (relator, pi(start)) of each face (verify._starts).  Each pair is keyed
+    as one integer, pi(tail) * ngens + label for an edge and pi(start) *
+    (number of relators) + relator for a face, which is one to one since
+    label < ngens and relator < number of relators.  Under the identity
+    this is T's own image, which the map check compares with a base's
+    image under pi; base and T share the presentation."""
+    ngens, nrel = base.ngens, len(base.presentation.relators)
+    starts = frozenset(pi[x] * nrel + ft for ft, x in _starts(base))
+    return len(set(pi)), len({pi[t] * ngens + g for t, g in zip(base.tail, base.elab)}), starts
+
+
+def family_numbers(base: _FoldState) -> list[int]:
+    """x for each family vertex v_x of the base, -1 for any other vertex."""
+    return [int(v[1:]) if v[0] == "v" else -1 for v in base.vids]
+
+
+def family_map(numbers: list[int], target: MapTarget) -> list[int]:
+    """The family map on a base with these family numbers: v_x goes to
+    v_(x mod |V(T)|) of T, whose index is x mod |V(T)| (MapTarget), any
+    other vertex to -1."""
+    n = target.nv
+    return [x % n if x >= 0 else -1 for x in numbers]
+
+
+def map_fibres(base: _FoldState, pi: list[int], target: MapTarget) -> list[int] | None:
+    """If pi extends to a label-preserving cellular map of the base onto T,
+    each base vertex's least fibre-mate, which is also what a flat vertex
+    forest holds when its classes are the fibres; otherwise None.
+
+    Every base edge (t, h, g) must have pi(h) as pi(t)'s g-neighbour in T:
+    it then lands on T's one g-edge leaving pi(t).  A base face of relator
+    r starting at s reads r round a path from s, so its edges land on a
+    path reading r from pi(s) in T.  T immerses, so that path is the one
+    trace of r from pi(s), and T's face at (r, pi(s)), if there is one,
+    has exactly that boundary.  So the faces land, boundaries included,
+    when the (r, pi(s)) of the base's faces are among T's; they are all of
+    T's exactly when every face of T is hit.  Vertices and edges, an edge
+    by its (label, pi(tail)), are hit when their counts are T's.  One
+    routine, map_image, reads all three off the base under pi and off T
+    under the identity, so pi is onto exactly when the two images are
+    equal."""
+    if -1 in pi:
+        return None
+    nb = target.neighbours
+    if [nb[2 * g][pi[t]] for t, g in zip(base.tail, base.elab)] != [pi[h] for h in base.head]:
+        return None
+    if map_image(base, pi) != target.image:
+        return None
+    # the least vertex of each fibre: in reverse, the last write wins
+    least = dict(zip(reversed(pi), range(len(pi) - 1, -1, -1)))
+    return [least[y] for y in pi]
 
 
 @functools.cache

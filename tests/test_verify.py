@@ -55,7 +55,16 @@ from foldcx.verify import (
     closure_search,
     verify_main_theorem,
 )
-from helpers import disjoint_union, full_branch_closure, quotient_vertices, scrambled
+from helpers import (
+    disjoint_union,
+    family_map,
+    family_numbers,
+    full_branch_closure,
+    map_fibres,
+    map_target,
+    quotient_vertices,
+    scrambled,
+)
 
 
 def test_closure_search_from_the_smallest_disc():
@@ -604,10 +613,10 @@ def test_a_prediction_that_does_not_divide_i_is_never_certified(monkeypatch):
 
 
 def test_a_wrong_coupling_prediction_fails_with_the_folds_class(monkeypatch):
-    # the short cell on D(i), i >= 1, predicted C:1: the fold's classes are
-    # the fibres of the map onto C(1) only when odd_part(i) is 1, so any
-    # other short row is folded again and reports the class of its
-    # quotient; the long cells' rows still pass
+    # the short cell on D(i), i >= 1, predicted C:1: the derivation joins
+    # every class mod odd_part(i), which is C(1)'s one vertex only when
+    # odd_part(i) is 1, so any other short row is folded and reports the
+    # class of its quotient; the long cells' rows still pass
     monkeypatch.setattr(verify, "odd_part", lambda i: 1)
     rows = check_lemma_coupling(6).rows
     short = {
@@ -622,32 +631,49 @@ def test_a_wrong_coupling_prediction_fails_with_the_folds_class(monkeypatch):
     assert all(row.passed for row in rows if row.description not in short)
 
 
+def test_a_failing_coupling_row_is_folded_once(monkeypatch):
+    # certified rows make no fold; each failing row glues its base and
+    # folds it once, in the fallback
+    monkeypatch.setattr(verify, "odd_part", lambda i: 1)
+    folds = []
+    identify = verify._identify_edges_state
+    monkeypatch.setattr(
+        verify, "_identify_edges_state", lambda *args: folds.append(args) or identify(*args)
+    )
+    rows = check_lemma_coupling(6).rows
+    assert [row.description for row in rows if not row.passed] == [
+        f"D:{i} couple type {TYPE_SHORT} position 0 at b{i}" for i in (3, 5, 6)
+    ]
+    assert len(folds) == 3
+
+
 @pytest.mark.parametrize("d", [3, 5, 15])
 def test_map_check_rejects_a_non_cellular_map(d):
     base = _immersion_state(build_C(15))
-    target = verify._Targets()[FamilyTag("C", d, "standard")]
-    numbers = verify._family_numbers(base)
-    fibres = verify._map_fibres(base, verify._family_map(numbers, target), target)
+    target = map_target(verify._checked_state(FamilyTag("C", d, "standard")))
+    numbers = family_numbers(base)
+    fibres = map_fibres(base, family_map(numbers, target), target)
     assert fibres == [x % d for x in range(15)]
     # x -> x + 1 mod d keeps the a-edges but sends b(j): v(2j) -> v(j) to
     # v(2j + 1) -> v(j + 1), which is no b-edge of C(d)
     shifted = [(x + 1) % d for x in numbers]
-    assert verify._map_fibres(base, shifted, target) is None
+    assert map_fibres(base, shifted, target) is None
 
 
 @pytest.mark.parametrize("variant", ["standard", "tilde"])
 def test_the_map_check_passes_every_family_map_of_the_lemma_rows(variant):
-    # the map route that vertex and edge rows no longer run, kept as their
-    # reference: x -> x mod d maps C(i) onto C(d) for each d dividing i, and
-    # D(i) onto C(d) for each d = odd_part(i - j), in the variant of both
-    targets = verify._Targets()
+    # the map route that no lemma row runs, kept as the rows' reference:
+    # x -> x mod d maps C(i) onto C(d) for each d dividing i, and D(i) onto
+    # C(d) for each d = odd_part(i - j), in the variant of both
+    targets = {}
     pairs = [("C", i, d) for i in range(1, 64, 2) for d in range(1, i + 1) if i % d == 0]
     pairs += [("D", i, odd_part(i - j)) for i in range(1, 64) for j in range(i)]
     for family, i, d in sorted(set(pairs)):
         base = verify._checked_state(FamilyTag(family, i, variant))
-        target = targets[FamilyTag("C", d, variant)]
-        pi = verify._family_map(verify._family_numbers(base), target)
-        fibres = verify._map_fibres(base, pi, target)
+        if d not in targets:
+            targets[d] = map_target(verify._checked_state(FamilyTag("C", d, variant)))
+        target = targets[d]
+        fibres = map_fibres(base, family_map(family_numbers(base), target), target)
         assert fibres == [x % d for x in range(len(base.vids))], (family, i, d)
 
 
@@ -660,13 +686,6 @@ def _with_cells(f: Morphism, faces, vertices=(), edges=()) -> Morphism:
         {**f.edge_labels, **{e.id: "a" for e in edges}},
         {x.id: f.face_types[x.id] for x in faces},
     )
-
-
-def _custom_target(monkeypatch, tag: FamilyTag, t: Morphism):
-    # classify_built caches t's key as tag's; the emptied cache, restored
-    # after the test, keeps that wrong key out of every other test
-    monkeypatch.setattr(families, "_key_cache", {})
-    return verify._Targets().add(tag, _immersion_state(t))
 
 
 def _states_built_by(monkeypatch, family: str, build) -> None:
@@ -688,21 +707,20 @@ def _bases_built_by(monkeypatch, family: str, build) -> None:
 
 
 def _identity_fibres(base, target):
-    pi = verify._family_map(verify._family_numbers(base), target)
-    return verify._map_fibres(base, pi, target)
+    return map_fibres(base, family_map(family_numbers(base), target), target)
 
 
 def test_map_check_rejects_a_map_that_misses_a_face():
     # every cell of C(5) less its last long cell lands on C(5), but the
     # missed face makes the map not onto
     c5 = build_C(5)
-    target = verify._Targets()[FamilyTag("C", 5, "standard")]
+    target = map_target(verify._checked_state(FamilyTag("C", 5, "standard")))
     assert _identity_fibres(_immersion_state(c5), target) == list(range(5))
     less = _with_cells(c5, c5.complex.faces[:-1])
     assert _identity_fibres(_immersion_state(less), target) is None
 
 
-def test_map_check_rejects_a_face_where_the_target_has_none(monkeypatch):
+def test_map_check_rejects_a_face_where_the_target_has_none():
     # base and target are C(5) less one long cell each, f1 and f5: the
     # counts agree, but the base's f5 lands where the target has no face
     c5 = build_C(5)
@@ -711,9 +729,9 @@ def test_map_check_rejects_a_face_where_the_target_has_none(monkeypatch):
     less_first, less_last = (
         _with_cells(c5, [x for x in c5.complex.faces if x != cell]) for cell in (first, last)
     )
-    base, tag = _immersion_state(less_first), FamilyTag("C", 5, "standard")
-    assert _identity_fibres(base, _custom_target(monkeypatch, tag, less_first)) == list(range(5))
-    assert _identity_fibres(base, _custom_target(monkeypatch, tag, less_last)) is None
+    base = _immersion_state(less_first)
+    assert _identity_fibres(base, map_target(base)) == list(range(5))
+    assert _identity_fibres(base, map_target(_immersion_state(less_last))) is None
 
 
 @pytest.mark.parametrize(
@@ -721,15 +739,15 @@ def test_map_check_rejects_a_face_where_the_target_has_none(monkeypatch):
     [([], Edge("a3", "v0", "v2")), (["v3"], Edge("a3", "v0", "v3"))],
     ids=["edge", "vertex"],
 )
-def test_map_check_rejects_a_map_that_misses_a_vertex_or_an_edge(monkeypatch, vertices, edge):
+def test_map_check_rejects_a_map_that_misses_a_vertex_or_an_edge(vertices, edge):
     # D(1) has no a-edge out of v0; the target adds one, on no face, and
     # maybe its own head, so D(1) maps into it with every face hit
     d1 = build_D(1)
     base = _immersion_state(d1)
-    assert _identity_fibres(base, verify._Targets()[FamilyTag("D", 1, "standard")]) == [0, 1, 2]
+    d1_target = map_target(verify._checked_state(FamilyTag("D", 1, "standard")))
+    assert _identity_fibres(base, d1_target) == [0, 1, 2]
     bigger = _with_cells(d1, d1.complex.faces, vertices, [edge])
-    target = _custom_target(monkeypatch, FamilyTag("D", 1, "standard"), bigger)
-    assert _identity_fibres(base, target) is None
+    assert _identity_fibres(base, map_target(_immersion_state(bigger))) is None
 
 
 @pytest.mark.parametrize(
@@ -840,6 +858,51 @@ def test_shift_derivation_matches_the_fold_on_edge_rows(variant):
             assert (fold[tail[bi]], fold[head[bi]]) == (fold[tail[bj]], fold[head[bj]])
 
 
+def _coupling_formula_map(glued: _FoldState, i: int, t: int, p: int, target) -> list[int]:
+    """The formula map of the coupling row (i, t, p) on its glued base onto
+    T: v_x goes to x mod |V(T)|, and the cell's u_q by the row's case."""
+    if t == TYPE_SHORT:
+        cell = [0]  # the loop at v_0, for i = 0 too (the own slot)
+    elif p == 2:
+        cell = [2 * i + 2, i + 1, i, 2 * i, 2 * i + 1]
+    elif i:
+        cell = [2 * i, i, i - 1, 2 * i - 2, 2 * i - 1]  # the own slot: the long face at v_2i
+    else:
+        cell = [0, 0, 1, 2, 1]  # Dt(1)
+    pi = family_map(family_numbers(glued), target)
+    return [cell[int(v[1:])] if v[0] == "u" else x for v, x in zip(glued.vids, pi)]
+
+
+def test_formula_map_matches_the_fold_on_coupling_rows():
+    # every coupling row's formula map is cellular and onto its predicted T
+    # (the map check), and its fibres are the vertex classes of the row's
+    # fold, which classifies as the row reports
+    targets, maps = verify._Targets(), {}
+    rows = iter(check_lemma_coupling(63).rows)
+    for i in range(64):
+        base = verify._checked_state(FamilyTag("D", i, "standard"))
+        for t, word in enumerate(base.presentation.relators):
+            glued, cell = _coupling_base(base, t)
+            for p in (p for p, (g, _) in enumerate(word) if g == "b"):
+                if t == TYPE_SHORT:
+                    tag = FamilyTag(*(("C", odd_part(i)) if i else ("D", 0)), "standard")
+                elif p == 2:
+                    tag = FamilyTag("D", i + 1, "standard")
+                else:
+                    tag = FamilyTag(*(("D", i, "standard") if i else ("D", 1, "tilde")))
+                if tag not in maps:
+                    maps[tag] = map_target(verify._checked_state(tag))
+                pi = _coupling_formula_map(glued, i, t, p, maps[tag])
+                folded = _identify_edges_state(glued, cell[p], f"b{i}")
+                assert map_fibres(glued, pi, maps[tag]) == folded.vpar, (i, t, p)
+                target = targets[tag]
+                assert _classify_state(folded) == (target.reported, target.chi), (i, t, p)
+                row = next(rows)
+                assert row.description == f"D:{i} couple type {t} position {p} at b{i}"
+                assert (row.classification, row.chi) == (_tag_str(target.reported), target.chi)
+    assert next(rows, None) is None
+
+
 @pytest.mark.parametrize(
     "d, m, i, certified",
     [(3, 6, 9, True), (1, 4, 9, True), (3, 3, 15, True), (1, 3, 9, False), (2, 3, 9, False)],
@@ -851,16 +914,16 @@ def test_bezout_witness_needs_d_to_divide_m_and_lie_in_its_subgroup(d, m, i, cer
 
 
 def test_lemma_rows_run_no_fold(monkeypatch):
-    # vertex and edge rows are certified by derivation on states checked
-    # against the formula, with no map check; coupling rows fold and map
+    # every lemma row is certified by derivation on states checked against
+    # the formula: no row glues a coupling base, folds or checks a map
     def refuse(*args):
-        raise AssertionError("a lemma row was folded or mapped")
+        raise AssertionError("a lemma row was glued or folded")
 
     monkeypatch.setattr(verify, "_identify_edges_state", refuse)
     monkeypatch.setattr(verify, "_identify_vertices_state", refuse)
-    monkeypatch.setattr(verify, "_map_fibres", refuse)
+    monkeypatch.setattr(verify, "_coupling_base", refuse)
     for max_i in sorted(LEMMA_REPORTS):
-        for checker in (check_lemma_vertex_identification, check_lemma_edge_identification):
+        for checker in LEMMA_CHECKERS:
             report = checker(max_i)
             assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
@@ -989,9 +1052,9 @@ def test_every_target_indexes_its_vertex_v_x_at_x(monkeypatch):
 )
 def test_family_map_sends_v_x_to_x_mod_n(build, family, cell):
     base = build()
-    numbers = verify._family_numbers(base)
+    numbers = family_numbers(base)
     for tag, n in ((FamilyTag("C", 3, "standard"), 3), (FamilyTag("D", 2, "standard"), 5)):
-        pi = verify._family_map(numbers, verify._Targets()[tag])
+        pi = family_map(numbers, map_target(verify._checked_state(tag)))
         expected = {f"v{x}": x % n for x in range(family)} | {f"u{k}": -1 for k in range(cell)}
         assert dict(zip(base.vids, pi)) == expected
 
