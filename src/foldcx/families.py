@@ -27,8 +27,7 @@ edges in shortlex order.  The trace is deterministic because each vertex
 has at most one incident edge per (label, direction), and it either closes
 up (yielding a face) or not (yielding none).  The short relator b closes
 only on the b-loop b0; the long relator closes exactly i times in D(i) and
-in C(i), so both have i + 1 faces.  The lemma checkers compare the traced
-faces' starts with the list (verify).
+in C(i), so both have i + 1 faces.
 
 The routine builds the integer form directly: the canonical.Compact of the
 complex, cells numbered in shortlex id order, with the ids (_assemble).
@@ -39,6 +38,19 @@ with no Morphism in between, and the family keys that classify compares
 are read off it too.  build_family, build_D and build_C make the
 Morphism of the same form, through TwoComplex.make, for the CLI and
 library callers.
+
+The formula check.  _assemble compares the (relator, start) pairs of the
+faces it traces with the formula's list, and raises RuntimeError when they
+differ, so every route to a family complex is checked once, when it is
+built: family_state, build_family and the keys that classify compares.
+The skeleton is the formula's, since it is built from it: v_x has index x
+and the edges, ids included, are the formula's, so sigma_a and sigma_b
+are exactly the skeleton.  The skeleton is folded: per label, the
+formula's tails are distinct, and so are its heads.  So a relator read
+from a vertex traces at most one path, and a face, whose boundary reads
+its relator round a closed path from its start (folding._check_immersion),
+is fixed by its (relator, start).  A checked complex is its family complex
+cell for cell, and the lemma checkers (verify) argue on the formula.
 """
 
 from __future__ import annotations
@@ -144,15 +156,16 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
     What the formula could get wrong is checked, each raising RuntimeError:
     the complex immerses (folding._check_immersion: the skeleton is folded,
     each boundary reads its relator round a closed path, and no two sides
-    of one edge share a slot), there are i + 1 faces, and C has no free
-    faces.  The generic checks of TwoComplex.make hold by construction:
+    of one edge share a slot), the sorted (relator, start) pairs of the
+    traced faces are the formula's, which lists i + 1 faces, and C has no
+    free faces.  The generic checks of TwoComplex.make hold by construction:
     ids are unique, since the formula's indices are distinct per sort, and
     every reference is in range, since a tail is reduced mod n, a head is
     j - 1 or j with #a <= n and #b <= n in both formulas, and a side's edge
     is read off the skeleton's own edges."""
     pres = target_presentation()
     gens = pres.generators
-    vids, edges, _ = _closed_form(i, n, na, nb, variant)
+    vids, edges, faces = _closed_form(i, n, na, nb, variant)
     eids, tails, heads, labels = (list(column) for column in zip(*edges))
     forward = {g: {} for g in gens}
     backward = {g: {} for g in gens}
@@ -162,7 +175,7 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
         forward[gen][tail] = head
         backward[gen][head] = tail
         edge_at[gen, tail] = e
-    ftype, boundary = [], []
+    ftype, boundary, starts = [], [], []
     for rix, word in enumerate(pres.relators):
         g0, sign0 = gens.index(word[0][0]), word[0][1]
         for e, g in enumerate(labels):
@@ -172,14 +185,16 @@ def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
             if trace is None:
                 continue
             ftype.append(rix)
+            starts.append((rix, trace[0]))
             boundary.append([(edge_at[gen, tail], sign) for (gen, sign), tail in zip(word, trace)])
     c = Compact(len(gens), n, tails, heads, labels, ftype, boundary)
     ids = vids, eids, [f"f{k}" for k in range(len(ftype))]
-    _check_immersion(c, pres, ids, f"{family}({i})")
-    if len(ftype) != i + 1:
-        raise RuntimeError(f"{family}({i}) has {len(ftype)} faces, not {i + 1}")
+    name = f"{family}{'t' if variant == TILDE else ''}({i})"
+    _check_immersion(c, pres, ids, name)
+    if sorted(starts) != faces:
+        raise RuntimeError(f"{name} is off the family formula")
     if family == "C" and free_edges(c):
-        raise RuntimeError(f"C({i}) has free faces")
+        raise RuntimeError(f"{name} has free faces")
     return c, ids
 
 
@@ -193,31 +208,27 @@ def free_edges(c: Compact) -> list[int]:
     return [e for e, k in enumerate(count) if k == 1]
 
 
-def _shape(tag: FamilyTag) -> tuple[int, int, int, int, str]:
-    """(i, n, #a, #b, variant) of tag's complex, the arguments of
-    _closed_form; an even C(i) is C(odd_part(i))."""
+def _form(tag: FamilyTag):
+    """_assemble of tag's complex; an even C(i) is C(odd_part(i))."""
     i = tag.index
     if tag.family == "D":
-        return i, 2 * i + 1, 2 * i, i + 1, tag.variant
+        return _assemble("D", i, 2 * i + 1, 2 * i, i + 1, tag.variant)
     i = odd_part(i)
-    return i, i, i, i, tag.variant
-
-
-def _form(tag: FamilyTag):
-    """_assemble of tag's complex."""
-    return _assemble(tag.family, *_shape(tag))
+    return _assemble("C", i, i, i, i, tag.variant)
 
 
 def family_state(tag: FamilyTag) -> _FoldState:
     """The unmerged fold state of tag's complex, built from its compact form
-    with no Morphism in between; _assemble has checked that it immerses."""
+    with no Morphism in between; _assemble has checked that it immerses
+    and is on the family formula."""
     c, ids = _form(tag)
     return _FoldState.from_compact(c, target_presentation(), ids)
 
 
 def build_family(tag: FamilyTag) -> Morphism:
     """tag's complex as a Morphism, through TwoComplex.make, as every
-    library caller gets it; _assemble has checked that it immerses."""
+    library caller gets it; _assemble has checked that it immerses and is
+    on the family formula."""
     c, ids = _form(tag)
     return _morphism(c, target_presentation(), ids)
 

@@ -27,27 +27,17 @@ Computer Science Review 2011).  A row's target T is a family complex in
 its variant: C(d), Ct(d) for the Dt rows, D(i) or D(i + 1), and Dt(1) for
 the long coupling at position 0 of D(0).  Every base and every T is a
 family state, built straight from the compact form that the family
-builder makes and checks (families.family_state), so the route makes no
-Morphism.  Each checker call builds each T once and classifies it
-(_Targets); classify keys T from the compact form its state was built
-from (families.classify_built), and T's Euler characteristic is read off
-the same form's cell counts.  The base of a row is the state of C(i) or
-D(i).  A coupling row's move glues a cell beside D(i) first
-(folding._coupling_base), but only a row that falls back builds that
-glued base.
-
-The formula check.  Every family state the checkers read, each base and
-each T, is checked when it is built against the closed form of its
-complex (families._closed_form, _checked_state): v_x has index x, the
-edges, ids included, are the formula's, so sigma_a and sigma_b are
-exactly the skeleton, and the faces' (relator, start) pairs are exactly
-the formula's.  A state that is off raises RuntimeError before a row
-reads it.  The skeleton is folded: per label, the formula's tails are
-distinct, and so are its heads.  So a relator read from a vertex traces
-at most one path, and a face, whose boundary reads its relator round a
-closed path from its start (folding._check_immersion, in the family
-builder), is fixed by its (relator, start).  A checked state is its
-family complex cell for cell, and the rest argues on the formula.
+builder makes (families.family_state), so the route makes no Morphism.
+The checkers read only states that the builder has checked against the
+closed form of their family (the formula check, in families): each is
+its family complex cell for cell, with v_x at index x, and the rest
+argues on the formula.  Each checker call builds each T once and
+classifies it (_Targets); classify keys T from the compact form its
+state was built from (families.classify_built), and T's Euler
+characteristic is read off the same form's cell counts.  The base of a
+row is the state of C(i) or D(i).  A coupling row's move glues a cell
+beside D(i) first (folding._coupling_base), but only a row that falls
+back builds that glued base.
 
 The map pi.  For odd d, pi sends v_x of a base to v_(x mod d) of T =
 C(d), or Ct(d) from a tilde base.  Take C(i) with d dividing i, or D(i)
@@ -205,8 +195,6 @@ from .families import (
     TYPE_LONG,
     TYPE_SHORT,
     FamilyTag,
-    _closed_form,
-    _shape,
     build_C,
     build_family,
     classify,
@@ -475,10 +463,10 @@ def _chi(c: Compact) -> int:
 
 class _Target(NamedTuple):
     """A predicted family complex T and the class and chi that a row
-    certified onto T reports.  Every T the checkers build is checked
-    against the family formula (_checked_state), so its vertex v_x has
-    index x, and nv, its vertex count, is the modulus of the family map
-    and what a row's derived class count must reach."""
+    certified onto T reports.  The family builder checks every T against
+    the family formula, so its vertex v_x has index x, and nv, its vertex
+    count, is the modulus of the family map and what a row's derived class
+    count must reach."""
 
     tag: FamilyTag
     nv: int
@@ -489,40 +477,16 @@ class _Target(NamedTuple):
 class _Targets(dict):
     """The targets of one checker call by tag, each built as a family state
     checked against the formula, with no Morphism, and classified once;
-    classify keys T from the compact form the state was built from.  add
-    takes a state it is given, unchecked."""
+    classify keys T from the compact form the state was built from."""
 
     def __missing__(self, tag: FamilyTag) -> _Target:
-        return self.add(tag, _checked_state(tag))
+        return self.add(tag, family_state(tag))
 
     def add(self, tag: FamilyTag, state: _FoldState) -> _Target:
         """The target of the unmerged state of the family complex tag names."""
         c = state.unmerged
         self[tag] = found = _Target(tag, c.nv, classify_built(tag, c), _chi(c))
         return found
-
-
-def _checked_state(tag: FamilyTag) -> _FoldState:
-    """family_state(tag), once checked against the closed form of tag's
-    complex (families._closed_form): its vertex ids are v0, v1, ... in
-    index order, its edges, in index order, are the formula's (id, tail,
-    head, label), and its faces' (relator, start) pairs are the formula's
-    (_starts).  Raises RuntimeError if not; the module docstring argues
-    what a checked state buys."""
-    state = family_state(tag)
-    c = state.unmerged
-    found = state.vids, list(zip(state.eids, c.tail, c.head, c.label)), sorted(_starts(state))
-    if found != _closed_form(*_shape(tag)):
-        raise RuntimeError(f"{tag} is off the family formula")
-    return state
-
-
-def _starts(base: _FoldState) -> list[tuple[int, int]]:
-    """The (relator, start vertex) of each face of the base, where the
-    start of a face is the tail of its first side's edge, or its head for
-    sign -1."""
-    tail, head, faces = base.tail, base.head, zip(base.ftype, base.boundary)
-    return [(ft, tail[e] if s > 0 else head[e]) for ft, ((e, s), *_) in faces]
 
 
 def _shift_period(b_out: list[int], p: int, q: int) -> int:
@@ -566,10 +530,10 @@ def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
     map onto T (module docstring), and reports T's class and chi.  Any
     other row, and only such a row, is folded here, once, as fold(base, x,
     y), and reports the class and chi of its folded state through
-    _classify_state.  Either way the row passes when that class is T's family and index, in
-    either variant.  What a certified row reports depends on T alone, so it
-    is worked out once per T.  The wall clock covers building the rows
-    too."""
+    _classify_state.  Either way the row passes when that class is T's
+    family and index, in either variant.  What a certified row reports
+    depends on T alone, so it is worked out once per T.  The wall clock
+    covers building the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
@@ -588,15 +552,15 @@ def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
     max_i; each quotient must be C(d), d = gcd(i, v - u).  A row is
-    certified without folding: C(i) and C(d) are checked against the
-    family formula when they are built (_checked_state), and the row
-    passes its certificate when d divides i, C(d) has d vertices, and the
-    Bezout witness (_in_subgroup) shows that d divides v - u and lies in
-    <v - u> of Z/i.  The fold of v_u ~ v_v then joins the classes mod d,
-    and the map x -> x mod d of C(i) onto C(d) shows that it joins no
-    more (module docstring).  T and the certificate depend on i and v - u
-    alone, so each is worked out once per (i, v - u).  A row that does not
-    check is folded and classified."""
+    certified without folding: the family builder checks C(i) and C(d)
+    against the family formula, and the row passes its certificate when d
+    divides i, C(d) has d vertices, and the Bezout witness (_in_subgroup)
+    shows that d divides v - u and lies in <v - u> of Z/i.  The fold of
+    v_u ~ v_v then joins the classes mod d, and the map x -> x mod d of
+    C(i) onto C(d) shows that it joins no more (module docstring).  T and
+    the certificate depend on i and v - u alone, so each is worked out
+    once per (i, v - u).  A row that does not check is folded and
+    classified."""
     targets = _Targets()
 
     def certificate(i: int, m: int) -> tuple[_Target, bool]:
@@ -607,7 +571,7 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 
     def rows():
         for i in range(3, max_i + 1, 2):
-            base = _checked_state(FamilyTag("C", i, STANDARD))
+            base = family_state(FamilyTag("C", i, STANDARD))
             by_m = [certificate(i, m) for m in range(1, i)]
             for u, v in combinations(range(i), 2):
                 target, certified = by_m[v - u - 1]
@@ -622,20 +586,19 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
     b-edge b_j and fold; each quotient must be C(d), d = odd_part(i - j),
-    in either variant.  A row is certified without folding: D(i) and C(d),
-    or Dt(i) and Ct(d), are checked against the family formula when they
-    are built (_checked_state), and the row derives from the heads v_i
-    and v_j the odd x such that the fold joins every class mod x
-    (_shift_period).  The row passes its certificate when T has x
-    vertices: the map v_y -> v_(y mod x) of the base onto T then shows
-    that the fold joins no more (module docstring).  A row that does not check is
-    folded and classified."""
+    in either variant.  A row is certified without folding: the family
+    builder checks D(i) and C(d), or Dt(i) and Ct(d), against the family
+    formula, and the row derives from the heads v_i and v_j the odd x such
+    that the fold joins every class mod x (_shift_period).  The row passes
+    its certificate when T has x vertices: the map v_y -> v_(y mod x) of
+    the base onto T then shows that the fold joins no more (module
+    docstring).  A row that does not check is folded and classified."""
     targets = _Targets()
 
     def rows():
         for variant, label in ((STANDARD, "D"), (TILDE, "Dt")):
             for i in range(1, max_i + 1):
-                base = _checked_state(FamilyTag("D", i, variant))
+                base = family_state(FamilyTag("D", i, variant))
                 b_out = base.neighbours()[2 * base.presentation.generators.index("b")]
                 for j in range(i):
                     target = targets[FamilyTag("C", odd_part(i - j), variant)]
@@ -652,26 +615,26 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
     at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
     symmetric); the long cell at position 2 gives D(i + 1).  A row is
-    certified without gluing, folding or mapping, like an edge row: D(i)
-    and T are checked against the family formula when they are built
-    (_checked_state), and the row counts the classes that its move forces,
-    reading the base's own slot, its b-leaving array or an a-neighbour of
-    v_i, by the row's case (module docstring).  It passes its certificate
-    when T has that many vertices: the formula map of the case onto T then
-    shows that the fold joins no more.  A row that does not check is glued,
-    folded once and classified."""
+    certified without gluing, folding or mapping, like an edge row: the
+    family builder checks D(i) and T against the family formula, and the
+    row counts the classes that its move forces, reading the base's own
+    slot, its b-leaving array or an a-neighbour of v_i, by the row's case
+    (module docstring).  It passes its certificate when T has that many
+    vertices: the formula map of the case onto T then shows that the fold
+    joins no more.  A row that does not check is glued, folded once and
+    classified."""
     targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 
     def rows():
-        following = _checked_state(FamilyTag("D", 0, STANDARD))
+        following = family_state(FamilyTag("D", 0, STANDARD))
         gens = following.presentation.generators
         a, b = gens.index("a"), gens.index("b")
         for i in range(max_i + 1):
             # D(i + 1) is the target of the long cell at position 2 and
             # the next base: built once for both; no row from here on
             # predicts D(i - 1)
-            d, following = following, _checked_state(FamilyTag("D", i + 1, STANDARD))
+            d, following = following, family_state(FamilyTag("D", i + 1, STANDARD))
             targets.add(FamilyTag("D", i + 1, STANDARD), following)
             if i:
                 del targets[FamilyTag("D", i - 1, STANDARD)]

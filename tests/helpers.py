@@ -54,7 +54,7 @@ from foldcx.folding import (
     fold,
 )
 from foldcx.homology import HomologyProfile, smith_normal_form
-from foldcx.verify import ClosureResult, _starts
+from foldcx.verify import ClosureResult
 
 
 def rename(f: Morphism, suffix: str) -> Morphism:
@@ -293,10 +293,18 @@ def map_target(state: _FoldState) -> MapTarget:
     return MapTarget(nv, state.neighbours(), map_image(state, range(nv)))
 
 
+def _starts(base: _FoldState) -> list[tuple[int, int]]:
+    """The (relator, start vertex) of each face of the base, where the
+    start of a face is the tail of its first side's edge, or its head for
+    sign -1."""
+    tail, head, faces = base.tail, base.head, zip(base.ftype, base.boundary)
+    return [(ft, tail[e] if s > 0 else head[e]) for ft, ((e, s), *_) in faces]
+
+
 def map_image(base: _FoldState, pi) -> tuple[int, int, frozenset[int]]:
     """What pi hits, read off the base's cells: the number of vertices, the
     number of edges, an edge counted by its (label, pi(tail)), and the
-    (relator, pi(start)) of each face (verify._starts).  Each pair is keyed
+    (relator, pi(start)) of each face (_starts).  Each pair is keyed
     as one integer, pi(tail) * ngens + label for an edge and pi(start) *
     (number of relators) + relator for a face, which is one to one since
     label < ngens and relator < number of relators.  Under the identity

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from foldcx.canonical import canonical_form, isomorphic
+from foldcx.cli import main
 from foldcx.complexes import (
     ComplexError,
     euler_characteristic,
@@ -244,8 +245,8 @@ def test_family_state_equals_the_state_of_the_built_morphism():
     [
         # n = 4: b0 and b2 both leave v0
         (("D", 2, 4, 4, 3, "standard"), r"D\(2\): skeleton not folded at edge b2"),
-        # the skeleton of D(2), which has 3 faces
-        (("D", 3, 5, 4, 3, "standard"), r"D\(3\) has 3 faces, not 4"),
+        # the skeleton of D(2), which has 3 faces, not the formula's 4
+        (("D", 3, 5, 4, 3, "standard"), r"D\(3\) is off the family formula"),
         # D(2) again, folded with 3 faces, but a disc
         (("C", 2, 5, 4, 3, "standard"), r"C\(2\) has free faces"),
     ],
@@ -254,6 +255,24 @@ def test_family_state_equals_the_state_of_the_built_morphism():
 def test_a_perturbed_formula_raises(args, message):
     with pytest.raises(RuntimeError, match=message):
         families._assemble(*args)
+
+
+def test_a_face_off_the_formula_raises_on_every_route(monkeypatch, capsys):
+    # the formula moves the last long cell's start by one vertex: the
+    # traced complex still immerses, but its faces are off the formula,
+    # and the Morphism route stops as the lemma route does
+    closed_form = families._closed_form
+
+    def moved(i, n, na, nb, variant):
+        vids, edges, faces = closed_form(i, n, na, nb, variant)
+        t, start = faces[-1]
+        return vids, edges, sorted(faces[:-1] + [(t, (start + 1) % n)])
+
+    monkeypatch.setattr(families, "_closed_form", moved)
+    with pytest.raises(RuntimeError, match=r"D\(2\) is off the family formula"):
+        build_D(2)
+    assert main(["family", "D:2"]) == 2
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_classify_built_reuses_a_cached_key(monkeypatch):

@@ -65,6 +65,21 @@ def test_fold_state_internals_stay_in_folding():
     assert not found, "fold state internals read in " + ", ".join(found)
 
 
+def test_family_formula_stays_in_families():
+    # the family builder lays each skeleton out from the closed form and
+    # checks the traced faces against it, once per build; a module that
+    # reads the formula too would check a family complex a second time
+    files = sorted(p for p in SOURCE.glob("*.py") if p.name != "families.py")
+    assert files, f"no sources under {SOURCE}"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "_closed_form" in (getattr(node, a, None) for a in ("id", "attr", "name"))
+    ]
+    assert not found, "the family formula is read in " + ", ".join(found)
+
+
 def _read_names(node) -> set[str]:
     """Every name node reads: loaded names, attributes and imported names."""
     out = set()

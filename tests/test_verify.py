@@ -2,7 +2,9 @@ import hashlib
 import json
 import random
 import re
+import sys
 import time
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -31,9 +33,9 @@ from foldcx.families import (
     build_D,
     build_family,
     classify,
+    family_state,
     odd_part,
     parse_family_spec,
-    target_presentation,
 )
 from foldcx.folding import (
     _coupling_base,
@@ -650,7 +652,7 @@ def test_a_failing_coupling_row_is_folded_once(monkeypatch):
 @pytest.mark.parametrize("d", [3, 5, 15])
 def test_map_check_rejects_a_non_cellular_map(d):
     base = _immersion_state(build_C(15))
-    target = map_target(verify._checked_state(FamilyTag("C", d, "standard")))
+    target = map_target(family_state(FamilyTag("C", d, "standard")))
     numbers = family_numbers(base)
     fibres = map_fibres(base, family_map(numbers, target), target)
     assert fibres == [x % d for x in range(15)]
@@ -669,9 +671,9 @@ def test_the_map_check_passes_every_family_map_of_the_lemma_rows(variant):
     pairs = [("C", i, d) for i in range(1, 64, 2) for d in range(1, i + 1) if i % d == 0]
     pairs += [("D", i, odd_part(i - j)) for i in range(1, 64) for j in range(i)]
     for family, i, d in sorted(set(pairs)):
-        base = verify._checked_state(FamilyTag(family, i, variant))
+        base = family_state(FamilyTag(family, i, variant))
         if d not in targets:
-            targets[d] = map_target(verify._checked_state(FamilyTag("C", d, variant)))
+            targets[d] = map_target(family_state(FamilyTag("C", d, variant)))
         target = targets[d]
         fibres = map_fibres(base, family_map(family_numbers(base), target), target)
         assert fibres == [x % d for x in range(len(base.vids))], (family, i, d)
@@ -688,22 +690,23 @@ def _with_cells(f: Morphism, faces, vertices=(), edges=()) -> Morphism:
     )
 
 
-def _states_built_by(monkeypatch, family: str, build) -> None:
-    """Make the checkers build every state of the family, bases and
-    targets, as build(tag)."""
-    family_state = verify.family_state
-    monkeypatch.setattr(
-        verify,
-        "family_state",
-        lambda tag: build(tag) if tag.family == family else family_state(tag),
-    )
+def _skeletons_built_by(monkeypatch, change) -> None:
+    """Make the family builder lay out every skeleton as the edges that
+    change(i, n, na, nb, variant, edges) makes of the formula's, and keep
+    the formula's face list."""
+    closed_form = families._closed_form
+
+    def perturbed(i, n, na, nb, variant):
+        vids, edges, faces = closed_form(i, n, na, nb, variant)
+        return vids, change(i, n, na, nb, variant, edges), faces
+
+    monkeypatch.setattr(families, "_closed_form", perturbed)
 
 
-def _bases_built_by(monkeypatch, family: str, build) -> None:
-    """Make the checkers build every state of the family, bases and
-    targets, as the immersion state of build(tag) instead of from its
-    compact form."""
-    _states_built_by(monkeypatch, family, lambda tag: _immersion_state(build(tag)))
+def _without(name):
+    """The change that drops the edge name(i, n), if any, from the
+    skeleton of index i on n vertices."""
+    return lambda i, n, na, nb, variant, edges: [e for e in edges if e[0] != name(i, n)]
 
 
 def _identity_fibres(base, target):
@@ -714,7 +717,7 @@ def test_map_check_rejects_a_map_that_misses_a_face():
     # every cell of C(5) less its last long cell lands on C(5), but the
     # missed face makes the map not onto
     c5 = build_C(5)
-    target = map_target(verify._checked_state(FamilyTag("C", 5, "standard")))
+    target = map_target(family_state(FamilyTag("C", 5, "standard")))
     assert _identity_fibres(_immersion_state(c5), target) == list(range(5))
     less = _with_cells(c5, c5.complex.faces[:-1])
     assert _identity_fibres(_immersion_state(less), target) is None
@@ -744,24 +747,22 @@ def test_map_check_rejects_a_map_that_misses_a_vertex_or_an_edge(vertices, edge)
     # maybe its own head, so D(1) maps into it with every face hit
     d1 = build_D(1)
     base = _immersion_state(d1)
-    d1_target = map_target(verify._checked_state(FamilyTag("D", 1, "standard")))
+    d1_target = map_target(family_state(FamilyTag("D", 1, "standard")))
     assert _identity_fibres(base, d1_target) == [0, 1, 2]
     bigger = _with_cells(d1, d1.complex.faces, vertices, [edge])
     assert _identity_fibres(base, map_target(_immersion_state(bigger))) is None
 
 
 @pytest.mark.parametrize(
-    "build",
+    "change",
     [
-        # sigma_a of Ct(i) is x -> x + 1, so the walk from (v_0, v_(v - u))
-        # would not be forced by the row v_u ~ v_v
-        pytest.param(lambda i: build_C(i, "tilde"), id="tilde"),
-        # the a-edges of D(i) form a path: its first vertex leaves none
-        pytest.param(build_D, id="path"),
+        # C(i) less a(i): v0 -> v(i - 1): its a-edges form a path, whose
+        # first vertex leaves none
+        pytest.param(_without(lambda i, n: f"a{i}"), id="path"),
     ],
 )
-def test_a_base_whose_sigma_a_is_not_the_rotation_raises(monkeypatch, capsys, build):
-    _bases_built_by(monkeypatch, "C", lambda tag: build(tag.index))
+def test_a_base_whose_sigma_a_is_not_the_rotation_raises(monkeypatch, capsys, change):
+    _skeletons_built_by(monkeypatch, change)
     _raises_before_any_row(monkeypatch, capsys, check_lemma_vertex_identification, "2.2")
 
 
@@ -779,49 +780,34 @@ def _raises_before_any_row(
     assert "internal error" in capsys.readouterr().err
 
 
-def _less_the_last_a_edge(i: int, variant: str = "standard") -> Morphism:
-    """D(i) in the variant less its a-edge a(2i) and the faces on it."""
-    d = build_D(i, variant)
-    cut = f"a{2 * i}"
-    faces = [x for x in d.complex.faces if all(e != cut for e, _ in x.boundary)]
-    return Morphism(
-        TwoComplex.make(d.complex.vertices, [e for e in d.complex.edges if e.id != cut], faces),
-        d.presentation,
-        {e: g for e, g in d.edge_labels.items() if e != cut},
-        {x.id: d.face_types[x.id] for x in faces},
-    )
+def _other_variant(i, n, na, nb, variant, edges):
+    """The edges with every a-edge reversed: the other variant's skeleton."""
+    return [(e, head, tail, g) if e[0] == "a" else (e, tail, head, g) for e, tail, head, g in edges]
 
 
 @pytest.mark.parametrize(
-    "build",
+    "change",
     [
         # the other variant's a-edges run up the path, not down it
-        pytest.param(
-            lambda i, variant="standard": build_D(i, "tilde" if variant == "standard" else "standard"),
-            id="variant",
-        ),
-        # v(2i) has no a-neighbour down and v(2i - 1) none up: each reads
-        # -1, and numbers[-1] would read v(2i), the up neighbour expected
-        pytest.param(_less_the_last_a_edge, id="missing-edge"),
+        pytest.param(_other_variant, id="variant"),
+        # v(2i) has no a-neighbour down and v(2i - 1) none up
+        pytest.param(_without(lambda i, n: f"a{2 * i}"), id="missing-edge"),
     ],
 )
-def test_a_base_whose_sigma_a_is_not_the_shift_raises(monkeypatch, capsys, build):
-    _bases_built_by(monkeypatch, "D", lambda tag: build(tag.index, tag.variant))
+def test_a_base_whose_sigma_a_is_not_the_shift_raises(monkeypatch, capsys, change):
+    _skeletons_built_by(monkeypatch, change)
     _raises_before_any_row(monkeypatch, capsys, check_lemma_edge_identification, "2.4")
 
 
 def test_a_target_off_the_formula_raises_when_it_is_built(monkeypatch):
-    # C(5) less one long cell, first needed by the row D:5 identify b5~b0:
-    # the rows of D(1), ..., D(4) come before it, and no other
-    c5 = build_C(5)
-    less = _immersion_state(_with_cells(c5, c5.complex.faces[:-1]))
-    build = families.family_state
-    _states_built_by(monkeypatch, "C", lambda tag: less if tag.index == 5 else build(tag))
-    with pytest.raises(RuntimeError, match="C:5 is off the family formula"):
+    # C(5) less a(5), first needed by the row D:5 identify b5~b0: the rows
+    # of D(1), ..., D(4) come before it, and no other
+    _skeletons_built_by(monkeypatch, _without(lambda i, n: "a5" if n == i == 5 else None))
+    with pytest.raises(RuntimeError, match=r"C\(5\) is off the family formula"):
         verify._Targets()[FamilyTag("C", 5, "standard")]
     rows = []
     monkeypatch.setattr(verify, "ReportRow", lambda *args: rows.append(args[0]))
-    with pytest.raises(RuntimeError, match="C:5 is off the family formula"):
+    with pytest.raises(RuntimeError, match=r"C\(5\) is off the family formula"):
         check_lemma_edge_identification(5)
     assert rows == [f"D:{i} identify b{i}~b{j}" for i in range(1, 5) for j in range(i)]
 
@@ -831,7 +817,7 @@ def test_bezout_witness_matches_the_fold_on_vertex_rows():
     # base checked against the formula, whose sigma_a is the rotation, the
     # row's witness certifies exactly that partition
     for i in range(3, 16, 2):
-        base = verify._checked_state(FamilyTag("C", i, "standard"))
+        base = family_state(FamilyTag("C", i, "standard"))
         assert base.neighbours()[0] == [(x - 1) % i for x in range(i)]
         for u, v in combinations(range(i), 2):
             d = gcd(i, v - u)
@@ -846,7 +832,7 @@ def test_shift_derivation_matches_the_fold_on_edge_rows(variant):
     # base checked against the formula, the derivation from the two heads
     # v_i and v_j gives exactly d, and the edges' ends lie in one class each
     for i in range(1, 16):
-        base = verify._checked_state(FamilyTag("D", i, variant))
+        base = family_state(FamilyTag("D", i, variant))
         b_out = base.neighbours()[2]  # b-leaving: b is generator 1
         eix, tail, head = base.edge_ix, base.tail, base.head
         for j in range(i):
@@ -880,7 +866,7 @@ def test_formula_map_matches_the_fold_on_coupling_rows():
     targets, maps = verify._Targets(), {}
     rows = iter(check_lemma_coupling(63).rows)
     for i in range(64):
-        base = verify._checked_state(FamilyTag("D", i, "standard"))
+        base = family_state(FamilyTag("D", i, "standard"))
         for t, word in enumerate(base.presentation.relators):
             glued, cell = _coupling_base(base, t)
             for p in (p for p, (g, _) in enumerate(word) if g == "b"):
@@ -891,7 +877,7 @@ def test_formula_map_matches_the_fold_on_coupling_rows():
                 else:
                     tag = FamilyTag(*(("D", i, "standard") if i else ("D", 1, "tilde")))
                 if tag not in maps:
-                    maps[tag] = map_target(verify._checked_state(tag))
+                    maps[tag] = map_target(family_state(tag))
                 pi = _coupling_formula_map(glued, i, t, p, maps[tag])
                 folded = _identify_edges_state(glued, cell[p], f"b{i}")
                 assert map_fibres(glued, pi, maps[tag]) == folded.vpar, (i, t, p)
@@ -943,13 +929,13 @@ def test_lemma_checkers_make_no_morphism(monkeypatch):
             assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
 
 
-def _with_b_heads_swapped(tag: FamilyTag) -> _FoldState:
-    """tag's family state with the heads of b0 and b1 swapped, faces kept."""
-    c, (vids, eids, fids) = families._form(tag)
-    head = c.head.copy()
-    b0, b1 = eids.index("b0"), eids.index("b1")
-    head[b0], head[b1] = head[b1], head[b0]
-    return _FoldState.from_compact(c._replace(head=head), target_presentation(), (vids, eids, fids))
+def _with_b_heads_swapped(i, n, na, nb, variant, edges):
+    """D(1)'s edges with the heads of b0 and b1 swapped; others unchanged."""
+    if (i, n) != (1, 3):
+        return edges
+    heads = {eid: head for eid, _, head, _ in edges}
+    swap = {"b0": heads["b1"], "b1": heads["b0"]}
+    return [(eid, tail, swap.get(eid, head), g) for eid, tail, head, g in edges]
 
 
 def _repeat_first_trace(monkeypatch):
@@ -983,15 +969,15 @@ def _perturb_formula(change):
         ),
         pytest.param(
             _perturb_formula(lambda family, i, n, na, nb, v: (family, i + 1, n, na, nb, v)),
-            "faces, not",
+            "off the family formula",
             id="face-count",
         ),
         # every trace of a relator is its first: two faces on one loop
         pytest.param(_repeat_first_trace, "share a slot", id="shared-slot"),
         # D(1) with b0: v0 -> v1 and b1: v2 -> v0, the first base
         pytest.param(
-            lambda monkeypatch: _states_built_by(monkeypatch, "D", _with_b_heads_swapped),
-            "D:1 is off the family formula",
+            lambda monkeypatch: _skeletons_built_by(monkeypatch, _with_b_heads_swapped),
+            r"D\(1\) is off the family formula",
             id="sigma-b",
         ),
     ],
@@ -1032,7 +1018,8 @@ def test_targets_report_what_classify_reports(monkeypatch):
 
 def test_every_target_indexes_its_vertex_v_x_at_x(monkeypatch):
     # so the family map can send v_x to index x mod |V(T)| with no table;
-    # the formula check stays the guard if this ever fails to hold
+    # the family builder's formula check (families._assemble) stays the
+    # guard if this ever fails to hold
     for tag in _targets_built(monkeypatch, 15):
         state = _immersion_state(build_family(tag))
         assert state.vertex_ix == {f"v{x}": x for x in range(len(state.vids))}, tag
@@ -1054,7 +1041,7 @@ def test_family_map_sends_v_x_to_x_mod_n(build, family, cell):
     base = build()
     numbers = family_numbers(base)
     for tag, n in ((FamilyTag("C", 3, "standard"), 3), (FamilyTag("D", 2, "standard"), 5)):
-        pi = family_map(numbers, map_target(verify._checked_state(tag)))
+        pi = family_map(numbers, map_target(family_state(tag)))
         expected = {f"v{x}": x % n for x in range(family)} | {f"u{k}": -1 for k in range(cell)}
         assert dict(zip(base.vids, pi)) == expected
 
@@ -1077,6 +1064,27 @@ def test_building_a_target_compacts_it_once(monkeypatch):
     monkeypatch.setattr(families, "_key_cache", {})
     verify._Targets()[FamilyTag("C", 5, "standard")]
     assert calls == ["_form"]
+
+
+def test_the_closed_form_runs_once_per_family_build():
+    # the builder checks each complex against the formula it lays the
+    # skeleton out from, so nothing computes the formula a second time;
+    # calls are counted by code object, whatever name a module binds
+    codes = {families._closed_form.__code__: "closed form", families._form.__code__: "build"}
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        for checker in LEMMA_CHECKERS:
+            checker(15)
+    finally:
+        sys.setprofile(None)
+    assert calls["build"] > 0
+    assert calls["closed form"] == calls["build"]
 
 
 def test_main_theorem_budget_covers_one_pass():
