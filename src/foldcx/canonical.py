@@ -6,13 +6,11 @@ types, and commutes with the boundary attachments (position by position;
 boundaries have no rotational freedom because they are pinned to relator
 position 0).
 
-canonical_key is the one place a complex is keyed.  It reads Compact, the
-integer form that both Morphism (through _compact) and the fold engine's
-_FoldState (through its compact method) produce, and returns (key, vix,
-eix, fix): the key, and the canonical number of each vertex, edge and
-face.  Both of its routes give a key of one shape: the edge rows (label,
-tail, head) in canonical edge order, then the sorted face rows (type,
-((edge, sign), ...)).
+canonical_key is the one place a complex is keyed.  It reads the integer
+form complexes.Compact and returns (key, vix, eix, fix): the key, and
+the canonical number of each vertex, edge and face.  Both of its routes
+give a key of one shape: the edge rows (label, tail, head) in canonical
+edge order, then the sorted face rows (type, ((edge, sign), ...)).
 
 _bfs numbers the cells breadth first from each base vertex of least local
 signature, which is forced when the skeleton is folded, connected and
@@ -43,58 +41,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import NamedTuple
 
-from .complexes import ComplexError, Edge, Face, Morphism, TwoComplex
-
-
-class Compact(NamedTuple):
-    """A labeled complex over integers: cells are numbered in shortlex id
-    order, edge labels and face types are generator and relator indices,
-    and boundaries list (edge index, sign) pairs."""
-
-    ngens: int
-    nv: int
-    tail: list[int]
-    head: list[int]
-    label: list[int]
-    ftype: list[int]
-    boundary: list[list[tuple[int, int]]]
-
-
-def _compact(f: Morphism) -> Compact:
-    cx = f.complex
-    gen_ix = {g: k for k, g in enumerate(f.presentation.generators)}
-    vix = {v: k for k, v in enumerate(cx.vertices)}
-    eix = {e.id: k for k, e in enumerate(cx.edges)}
-    return Compact(
-        len(gen_ix),
-        len(vix),
-        [vix[e.tail] for e in cx.edges],
-        [vix[e.head] for e in cx.edges],
-        [gen_ix[f.edge_labels[e.id]] for e in cx.edges],
-        [f.face_types[x.id] for x in cx.faces],
-        [[(eix[eid], sign) for eid, sign in x.boundary] for x in cx.faces],
-    )
-
-
-def _morphism(c: Compact, presentation, ids) -> Morphism:
-    """The inverse of _compact: the Morphism over presentation of the
-    compact complex c whose cells are named by ids = (vertex ids, edge ids,
-    face ids), each list in c's numbering and so in shortlex order."""
-    vids, eids, fids = ids
-    gens = presentation.generators
-    cx = TwoComplex.make(
-        vids,
-        [Edge(e, vids[t], vids[h]) for e, t, h in zip(eids, c.tail, c.head)],
-        [Face(x, tuple([(eids[e], s) for e, s in sides])) for x, sides in zip(fids, c.boundary)],
-    )
-    return Morphism(
-        cx,
-        presentation,
-        {e: gens[g] for e, g in zip(eids, c.label)},
-        dict(zip(fids, c.ftype)),
-    )
+from .complexes import ComplexError, Compact, Morphism, _compact, _ids
 
 
 def _bfs(c: Compact):
@@ -326,11 +274,6 @@ def _canonical(f: Morphism) -> tuple[bytes, tuple[list[int], list[int], list[int
     return _encode(key, f.presentation, len(vix)), (vix, eix, fix)
 
 
-def _cell_ids(f: Morphism) -> tuple[tuple[str, ...], list[str], list[str]]:
-    cx = f.complex
-    return cx.vertices, [e.id for e in cx.edges], [x.id for x in cx.faces]
-
-
 def canonical_form(f: Morphism) -> bytes:
     """Byte encoding equal for two morphisms iff they are isomorphic."""
     return _canonical(f)[0]
@@ -346,7 +289,7 @@ def isomorphic(f: Morphism, g: Morphism) -> dict[str, dict[str, str]] | None:
         return None
     mapping = {}
     for sort, fids, gids, fnum, gnum in zip(
-        ("vertices", "edges", "faces"), _cell_ids(f), _cell_ids(g), fnums, gnums
+        ("vertices", "edges", "faces"), _ids(f), _ids(g), fnums, gnums
     ):
         numbered = [""] * len(gids)
         for cell, k in zip(gids, gnum):

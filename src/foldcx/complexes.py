@@ -12,6 +12,13 @@ so the label is always read with sign +1 along the edge) and assigns every
 face a relator index; position p of the face's boundary must carry exactly
 the letter at position p of that relator.  Side positions are therefore
 absolute: the slot of a face side is the pair (relator index, position).
+
+Compact is the integer form of a labeled complex that the rest of the
+library works on: Morphism gives it through _compact, which _morphism
+inverts given the cell ids (_ids), and the fold engine's _FoldState
+through its compact method; canonical_key keys it.  Immersion is checked
+once, on that form (_first_failure), and immersion_witness checks a
+Morphism through it.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .presentations import Presentation, Word, format_word, is_proper_power
 
 SignedEdge = tuple[str, int]
-SideSlot = tuple[int, int]  # (relator index, position in relator)
 
 
 def id_key(cell_id: str) -> tuple[int, str]:
@@ -244,11 +251,81 @@ def validate(f: Morphism) -> list[str]:
     return out
 
 
+class Compact(NamedTuple):
+    """A labeled complex over integers: cells are numbered in shortlex id
+    order, edge labels and face types are generator and relator indices,
+    and boundaries list (edge index, sign) pairs."""
+
+    ngens: int
+    nv: int
+    tail: list[int]
+    head: list[int]
+    label: list[int]
+    ftype: list[int]
+    boundary: list[list[tuple[int, int]]]
+
+
+def _compact(f: Morphism) -> Compact:
+    cx = f.complex
+    gen_ix = {g: k for k, g in enumerate(f.presentation.generators)}
+    vix = {v: k for k, v in enumerate(cx.vertices)}
+    eix = {e.id: k for k, e in enumerate(cx.edges)}
+    return Compact(
+        len(gen_ix),
+        len(vix),
+        [vix[e.tail] for e in cx.edges],
+        [vix[e.head] for e in cx.edges],
+        [gen_ix[f.edge_labels[e.id]] for e in cx.edges],
+        [f.face_types[x.id] for x in cx.faces],
+        [[(eix[eid], sign) for eid, sign in x.boundary] for x in cx.faces],
+    )
+
+
+def _ids(f: Morphism) -> tuple[list[str], list[str], list[str]]:
+    """The ids of f's vertices, edges and faces, each list in _compact's
+    numbering."""
+    cx = f.complex
+    return list(cx.vertices), [e.id for e in cx.edges], [x.id for x in cx.faces]
+
+
+def _morphism(c: Compact, presentation, ids) -> Morphism:
+    """The inverse of _compact: the Morphism over presentation of the
+    compact complex c whose cells are named by ids = (vertex ids, edge ids,
+    face ids), each list in c's numbering and so in shortlex order."""
+    vids, eids, fids = ids
+    gens = presentation.generators
+    cx = TwoComplex.make(
+        vids,
+        [Edge(e, vids[t], vids[h]) for e, t, h in zip(eids, c.tail, c.head)],
+        [Face(x, tuple([(eids[e], s) for e, s in sides])) for x, sides in zip(fids, c.boundary)],
+    )
+    return Morphism(
+        cx,
+        presentation,
+        {e: gens[g] for e, g in zip(eids, c.label)},
+        dict(zip(fids, c.ftype)),
+    )
+
+
+def _words(presentation) -> list[list[tuple[int, int]]]:
+    """Each relator as its (generator index, sign) pairs."""
+    gens = presentation.generators
+    return [[(gens.index(g), s) for g, s in word] for word in presentation.relators]
+
+
+def _checked(f: Morphism) -> Morphism:
+    """f, unless validate finds a problem: then ComplexError naming all."""
+    problems = validate(f)
+    if problems:
+        raise ComplexError("invalid morphism: " + "; ".join(problems))
+    return f
+
+
 @dataclass(frozen=True)
 class ImmersionWitness:
     """Names the cell where local injectivity fails and the colliding pair."""
 
-    kind: str  # "vertex" or "edge"
+    kind: str  # "vertex", "edge", or "face" (a boundary off its relator; no pair)
     cell: str
     first: tuple
     second: tuple
@@ -259,52 +336,73 @@ class ImmersionWitness:
         )
 
 
+def _first_failure(c: Compact, presentation, ids) -> ImmersionWitness | None:
+    """The first local-injectivity failure of the compact complex c over
+    presentation, its cells named by ids = (vertex ids, edge ids, face
+    ids), or None when c immerses.  In order:
+
+      vertex links  no two edges of one label leave, or enter, one vertex:
+                    the skeleton is folded.  Edges are walked in index
+                    order, each at its tail (direction 1), then its head
+                    (-1), and the first edge whose (vertex, label,
+                    direction) is taken is named with the edge that took
+                    it; the walk runs only once a set size shows a repeat.
+      boundaries    each face reads its relator's letters and signs round
+                    a closed path; a "face" witness names the first face
+                    that does not, with no pair.
+      edge links    no two sides of one edge in one (relator, position)
+                    slot.  In a folded skeleton a face's boundary is the
+                    one trace of its relator through any of its sides
+                    (Stallings 1983; see folding), so two faces of one
+                    relator that share a slot share every slot, the first
+                    included.  So the links are checked by (relator, first
+                    edge), and the first face that repeats an earlier
+                    face's key is named at its position 0, with that
+                    earlier face: the first collision a walk over every
+                    side, faces in index order, would meet.  Each side
+                    is named (face, position, relator, position)."""
+    vids, eids, fids = ids
+    tail, head, label = c.tail, c.head, c.label
+    outs, ins = list(zip(tail, label)), list(zip(head, label))
+    if len(set(outs)) < len(outs) or len(set(ins)) < len(ins):
+        taken: dict[tuple[int, int, int], int] = {}
+        for e, (t, h, g) in enumerate(zip(tail, head, label)):
+            for v, direction in ((t, 1), (h, -1)):
+                held = taken.setdefault((v, g, direction), e)
+                if held != e:
+                    gen = presentation.generators[g]
+                    return ImmersionWitness(
+                        "vertex", vids[v], (eids[held], gen, direction), (eids[e], gen, direction)
+                    )
+    words, firsts = _words(presentation), {}
+    ends = {1: (tail, head), -1: (head, tail)}  # (start, stop) of each edge by sign
+    for x, (t, sides) in enumerate(zip(c.ftype, c.boundary)):
+        e, s = sides[-1]
+        at = ends[s][1][e]  # where the last side stops and so the first starts
+        closed = len(sides) == len(words[t])
+        for (e, s), (g, sign) in zip(sides, words[t]):
+            start, stop = ends[s]
+            closed = closed and start[e] == at and label[e] == g and s == sign
+            at = stop[e]
+        if not closed:
+            return ImmersionWitness("face", fids[x], (), ())
+        held = firsts.setdefault((t, sides[0][0]), x)
+        if held != x:
+            return ImmersionWitness(
+                "edge", eids[sides[0][0]], (fids[held], 0, t, 0), (fids[x], 0, t, 0)
+            )
+    return None
+
+
 def immersion_witness(f: Morphism) -> ImmersionWitness | None:
-    """First local-injectivity failure in deterministic order, or None.
+    """First local-injectivity failure in deterministic order, or None:
+    _first_failure of f's compact form, named by f's ids.
 
     Vertex links: no two outgoing edges with one label, no two incoming
     edges with one label.  Edge links: the slots (relator, position) of all
-    face sides traversing one edge are pairwise distinct.  The result is
-    cached on the morphism (values are immutable).
+    face sides traversing one edge are pairwise distinct.
     """
-    if "_immersion_cache" in f.__dict__:
-        return f.__dict__["_immersion_cache"]
-    problems = validate(f)
-    if problems:
-        raise ComplexError("invalid morphism: " + "; ".join(problems))
-    witness = None
-    seen_end: dict[tuple[str, str, int], str] = {}
-    for e in f.complex.edges:
-        label = f.edge_labels[e.id]
-        for vertex, direction in ((e.tail, 1), (e.head, -1)):
-            key = (vertex, label, direction)
-            if key in seen_end:
-                witness = ImmersionWitness(
-                    "vertex",
-                    vertex,
-                    (seen_end[key], label, direction),
-                    (e.id, label, direction),
-                )
-                break
-            seen_end[key] = e.id
-        if witness:
-            break
-    if witness is None:
-        seen_slot: dict[tuple[str, SideSlot], tuple[str, int]] = {}
-        for face in f.complex.faces:
-            for p, (eid, _) in enumerate(face.boundary):
-                slot = (f.face_types[face.id], p)
-                key = (eid, slot)
-                if key in seen_slot:
-                    witness = ImmersionWitness(
-                        "edge", eid, seen_slot[key] + slot, (face.id, p) + slot
-                    )
-                    break
-                seen_slot[key] = (face.id, p)
-            if witness:
-                break
-    f.__dict__["_immersion_cache"] = witness
-    return witness
+    return _first_failure(_compact(_checked(f)), f.presentation, _ids(f))
 
 
 def is_immersion(f: Morphism) -> bool:

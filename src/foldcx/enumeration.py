@@ -79,11 +79,11 @@ four stages.
 Each skeleton pair is a node, skipped or not, as is each face subset tried;
 each subset without free faces (when required) is filed under the exact
 type set it uses, one class per canonical form.  A subset kept is a
-canonical.Compact: the pair's skeleton part is built once per pair
+complexes.Compact: the pair's skeleton part is built once per pair
 (_skeleton), and only the face types and boundaries change per subset.
 It is keyed on that form (canonical_key) and its bytes come from the
 encoder canonical_form uses (canonical._encode), so a Morphism is made
-only for the first subset of a new class (canonical._morphism).  The
+only for the first subset of a new class (complexes._morphism).  The
 pairs of a vertex count are charged before any b-skeleton is built, so a
 budget that they alone exceed is reported at once, with the count
 reached.  Output order is the sorted order of canonical forms,
@@ -100,8 +100,8 @@ from math import comb, factorial
 from operator import or_
 from typing import NamedTuple
 
-from .canonical import Compact, _encode, _morphism, canonical_key
-from .complexes import ComplexError, Morphism, id_key
+from .canonical import _encode, canonical_key
+from .complexes import ComplexError, Compact, Morphism, _morphism, id_key
 from .families import TYPE_LONG, TYPE_SHORT, target_presentation
 
 MAX_NODES = 5_000_000  # default node budget of one enumeration pass
@@ -388,7 +388,7 @@ def _count_partial_injections(n: int) -> int:
 
 
 def _skeleton(n, sigma_a, sigma_b) -> tuple[Compact, list[str], dict[int, int]]:
-    """The skeleton pair as a canonical.Compact without faces, its edge
+    """The skeleton pair as a complexes.Compact without faces, its edge
     ids, a{u} and b{u} for the edge out of vertex u, and the place of each
     edge's index (_b_edge) in the Compact's numbering.  That numbering is
     shortlex id order, as Compact requires, which puts the a-edges before

@@ -29,10 +29,11 @@ up (yielding a face) or not (yielding none).  The short relator b closes
 only on the b-loop b0; the long relator closes exactly i times in D(i) and
 in C(i), so both have i + 1 faces.
 
-The routine builds the integer form directly: the canonical.Compact of the
-complex, cells numbered in shortlex id order, with the ids (_assemble).
-The routine checks that form with the library's one immersion check
-(folding._check_immersion).  family_state makes the unmerged fold state
+The routine builds the integer form directly: the complexes.Compact of
+the complex, cells numbered in shortlex id order, with the ids
+(_assemble).  The routine checks that form with the library's one
+immersion check (complexes._first_failure, through
+folding._check_immersion).  family_state makes the unmerged fold state
 of that form, which the lemma checkers use for every base and target
 with no Morphism in between, and the family keys that classify compares
 are read off it too.  build_family, build_D and build_C make the
@@ -57,10 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import Compact, _bfs, _compact, _morphism
+from .canonical import _bfs
 from .complexes import (
     ComplexError,
+    Compact,
     Morphism,
+    _compact,
+    _morphism,
     id_key,
     presentation_complex,
     trace_relator,
@@ -130,7 +134,7 @@ def _closed_form(i: int, n: int, na: int, nb: int, variant: str):
     """The complex of index i on the skeleton of the module docstring with
     (n, #a, #b) = (n, na, nb) in the given variant, by formula, as (vertex
     ids, edges, faces): an edge is (id, tail, head, label), sorted in
-    shortlex id order, as canonical.Compact numbers edges, and a face is
+    shortlex id order, as complexes.Compact numbers edges, and a face is
     its (relator, start vertex), sorted."""
     gens = target_presentation().generators
     a, b = (gens.index(g) for g in "ab")
@@ -150,7 +154,7 @@ def _closed_form(i: int, n: int, na: int, nb: int, variant: str):
 def _assemble(family: str, i: int, n: int, na: int, nb: int, variant: str):
     """family(i) on the skeleton of _closed_form(i, n, na, nb, variant), as
     (compact form, (vertex ids, edge ids, face ids)): cells are numbered in
-    shortlex id order, as canonical.Compact requires, so vertex v_x has
+    shortlex id order, as complexes.Compact requires, so vertex v_x has
     index x.  The faces are traced, not read off the formula.
 
     What the formula could get wrong is checked, each raising RuntimeError:

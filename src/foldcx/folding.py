@@ -48,19 +48,21 @@ order, and its quotients and traces must agree with fold()'s.
 Internally cells are numbered in shortlex id order, so keeping the least
 integer of a merged class as its representative is the same rule as
 keeping the shortlex-least id.  Numbering the live roots in that order
-gives compact(), the quotient in the integer form of canonical.Compact,
+gives compact(), the quotient in the integer form of complexes.Compact,
 its cells named by their roots' ids (root_ids).  A state is built from a
-Morphism through canonical._compact, or straight from a compact form and
+Morphism through complexes._compact, or straight from a compact form and
 its ids (_FoldState.from_compact), as the family builder, the glue of a
 coupling base and the closure search build theirs: the search keys each
 folded state's compact form, keeps a new one as the unmerged state of
 that form, and builds a Morphism only for a result.
 
-_check_immersion checks on the compact form that a folded or built
-complex immerses, naming the first failure by cell id; _finish runs it
-before it builds the quotient's Morphism, and the closure search's new
-nodes, the lemma checkers' fallback and the family builder run it on
-the compact form alone.
+_check_immersion raises the first failure that complexes._first_failure,
+the library's one immersion check, finds on the compact form of a folded
+or built complex, named by cell id; _finish runs it before it builds the
+quotient's Morphism, and the closure search's new nodes, the lemma
+checkers' fallback and the family builder run it on the compact form
+alone.  _immersion_state runs the same check on the unmerged state of a
+Morphism that a move starts from, so the move compacts its input once.
 
 Every move identifies one pair of cells in a copy of a prebuilt,
 unmerged state and folds.  Vertex and edge identification copy the state
@@ -94,8 +96,17 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import Compact, _compact, _morphism
-from .complexes import ComplexError, Morphism, id_key, immersion_witness, validate
+from .complexes import (
+    ComplexError,
+    Compact,
+    Morphism,
+    _checked,
+    _compact,
+    _first_failure,
+    _ids,
+    _morphism,
+    id_key,
+)
 
 
 MERGE_KINDS = ("vertex-merge", "edge-merge", "face-merge")
@@ -191,9 +202,7 @@ class _FoldState:
 
     def __init__(self, f: Morphism):
         """The unmerged state of f, through its compact form."""
-        cx = f.complex
-        ids = list(cx.vertices), [e.id for e in cx.edges], [x.id for x in cx.faces]
-        self._load(_compact(f), f.presentation, ids)
+        self._load(_compact(f), f.presentation, _ids(f))
 
     @classmethod
     def from_compact(cls, c: Compact, presentation, ids) -> "_FoldState":
@@ -353,60 +362,24 @@ class _FoldState:
         return _morphism(self.compact(), self.presentation, self.root_ids())
 
 
-def _checked(f: Morphism) -> Morphism:
-    problems = validate(f)
-    if problems:
-        raise ComplexError("invalid morphism: " + "; ".join(problems))
-    return f
-
-
-def _require_immersion(f: Morphism) -> None:
-    witness = immersion_witness(f)
-    if witness is not None:
-        raise ComplexError(f"expected an immersion, but {witness}")
-
-
 def _check_immersion(
     c: Compact, presentation, ids, failure: str = "folding ended at a non-immersion"
 ) -> None:
     """Raise RuntimeError, the message failure and the first problem, when
     the compact complex c, whose cells are named by ids = (vertex ids, edge
-    ids, face ids), does not immerse over presentation.  In order: vertex
-    links, no two edges of one label leaving or entering one vertex (the
-    skeleton is folded; the first such edge is named); boundaries, each
-    face reading its relator's letters and signs round a closed path; edge
-    links, no two sides of one edge in one (relator, position) slot.  Once
-    the skeleton is folded, a face's boundary is the one trace of its
-    relator through any of its sides (module docstring), so two faces of
-    one relator that share a slot share their first edge, and the edge
-    links are checked by (relator, first edge).  This is the one check of
-    what the library folds or builds; immersion_witness checks the
-    Morphisms that come from outside."""
-    _, eids, fids = ids
-    outs, ins = list(zip(c.tail, c.label)), list(zip(c.head, c.label))
-    if len(set(outs)) < len(outs) or len(set(ins)) < len(ins):
-        e = next(e for e in range(len(outs)) if outs[e] in outs[:e] or ins[e] in ins[:e])
-        raise RuntimeError(f"{failure}: skeleton not folded at edge {eids[e]}")
-    words, firsts, label = _words(presentation), {}, c.label
-    ends = {1: (c.tail, c.head), -1: (c.head, c.tail)}  # (start, stop) of each edge by sign
-    for x, (t, sides) in enumerate(zip(c.ftype, c.boundary)):
-        e, s = sides[-1]
-        at = ends[s][1][e]  # where the last side stops and so the first starts
-        closed = len(sides) == len(words[t])
-        for (e, s), (g, sign) in zip(sides, words[t]):
-            start, stop = ends[s]
-            closed = closed and start[e] == at and label[e] == g and s == sign
-            at = stop[e]
-        if not closed:
-            raise RuntimeError(f"{failure}: face {fids[x]} does not read its relator on a closed path")
-        if firsts.setdefault((t, sides[0][0]), x) != x:
-            raise RuntimeError(f"{failure}: two sides of {eids[sides[0][0]]} share a slot ({t}, 0)")
-
-
-def _words(presentation) -> list[list[tuple[int, int]]]:
-    """Each relator as its (generator index, sign) pairs."""
-    gens = presentation.generators
-    return [[(gens.index(g), s) for g, s in word] for word in presentation.relators]
+    ids, face ids), does not immerse over presentation: the first failure
+    of complexes._first_failure, in its order (vertex links, boundaries,
+    edge links)."""
+    witness = _first_failure(c, presentation, ids)
+    if witness is None:
+        return
+    if witness.kind == "vertex":
+        problem = f"skeleton not folded at edge {witness.second[0]}"
+    elif witness.kind == "face":
+        problem = f"face {witness.cell} does not read its relator on a closed path"
+    else:
+        problem = f"two sides of {witness.cell} share a slot {witness.first[2:]}"
+    raise RuntimeError(f"{failure}: {problem}")
 
 
 def _finish(state: _FoldState) -> Morphism:
@@ -442,9 +415,12 @@ def replay_trace(f: Morphism, trace: FoldTrace) -> Morphism:
 
 def _immersion_state(f: Morphism) -> _FoldState:
     """The unmerged fold state of an immersion, the base that the moves on
-    it copy."""
-    _require_immersion(f)
-    return _FoldState(f)
+    it copy; ComplexError unless f is a valid morphism that immerses."""
+    state = _FoldState(_checked(f))
+    witness = _first_failure(state.unmerged, f.presentation, (state.vids, state.eids, state.fids))
+    if witness is not None:
+        raise ComplexError(f"expected an immersion, but {witness}")
+    return state
 
 
 def _identify_vertices_state(base: _FoldState, u: str, v: str) -> _FoldState:

@@ -186,8 +186,8 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .canonical import Compact, canonical_form, canonical_key, isomorphic
-from .complexes import ComplexError, Morphism, euler_characteristic
+from .canonical import canonical_form, canonical_key, isomorphic
+from .complexes import ComplexError, Compact, Morphism, _words, euler_characteristic
 from .enumeration import MAX_NODES, enumerate_by_types
 from .families import (
     STANDARD,
@@ -212,7 +212,6 @@ from .folding import (
     _identify_edges_state,
     _identify_vertices_state,
     _immersion_state,
-    _words,
 )
 from .groups import MAX_COSETS, check_max_cosets
 from .topology import certify_contractible

@@ -8,8 +8,10 @@ breadth-first key kept as the reference for the pruned one and the walk
 over every skeleton pair and face subset kept as the reference for the
 enumeration's face table and free-face 2-core, and the face table that
 tries every choice of b-steps kept as the reference for the one that
-forces the last b-step, and the map check of a family map onto a family
-complex kept as the reference for the lemma rows' formula maps."""
+forces the last b-step, the map check of a family map onto a family
+complex kept as the reference for the lemma rows' formula maps, and the
+walk over a Morphism's cells by id kept as the reference for the one
+immersion check on the compact form."""
 
 from __future__ import annotations
 
@@ -19,10 +21,12 @@ from collections import deque
 from itertools import combinations, product
 from typing import NamedTuple
 
-from foldcx.canonical import Compact, canonical_form, canonical_key
+from foldcx.canonical import canonical_form, canonical_key
 from foldcx.complexes import (
+    Compact,
     Edge,
     Face,
+    ImmersionWitness,
     Morphism,
     TwoComplex,
     free_faces,
@@ -50,7 +54,6 @@ from foldcx.folding import (
     _fresh_ids,
     _identify_edges_state,
     _immersion_state,
-    _require_immersion,
     fold,
 )
 from foldcx.homology import HomologyProfile, smith_normal_form
@@ -240,12 +243,40 @@ def unmerged_view(state: _FoldState) -> tuple:
     return state.presentation, state.unmerged, ids, state.neighbours(), list(state.pending)
 
 
+def reference_immersion_witness(f: Morphism) -> ImmersionWitness | None:
+    """Reference for complexes.immersion_witness: a walk over f's cells by
+    id.  Vertex links key each edge's tail, then its head, by (vertex,
+    label, direction), edges in order; edge links key every side of every
+    face by (edge, (relator, position)), faces and positions in order.  The
+    first repeated key is named with the cell that took it."""
+    _checked(f)
+    seen_end: dict[tuple[str, str, int], str] = {}
+    for e in f.complex.edges:
+        label = f.edge_labels[e.id]
+        for vertex, direction in ((e.tail, 1), (e.head, -1)):
+            key = (vertex, label, direction)
+            if key in seen_end:
+                return ImmersionWitness(
+                    "vertex", vertex, (seen_end[key], label, direction), (e.id, label, direction)
+                )
+            seen_end[key] = e.id
+    seen_slot: dict[tuple[str, tuple[int, int]], tuple[str, int]] = {}
+    for face in f.complex.faces:
+        for p, (eid, _) in enumerate(face.boundary):
+            slot = (f.face_types[face.id], p)
+            key = (eid, slot)
+            if key in seen_slot:
+                return ImmersionWitness("edge", eid, seen_slot[key] + slot, (face.id, p) + slot)
+            seen_slot[key] = (face.id, p)
+    return None
+
+
 def reference_coupling_base(f: Morphism, face_type: int) -> tuple[_FoldState, list[str]]:
     """Reference for folding._coupling_base: the immersion f beside one
     closed cell of the given relator type, glued as a Morphism with fresh
     u*, c* and f* ids, which TwoComplex.make sorts among f's, and its
     unmerged fold state, with the cell's edge ids by relator position."""
-    _require_immersion(f)
+    assert reference_immersion_witness(f) is None, "expected an immersion"
     word = f.presentation.relators[face_type]
     cx = f.complex
     taken = set(cx.vertices) | {e.id for e in cx.edges} | {x.id for x in cx.faces}

@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldcx.canonical import (
-    Compact,
     _bfs,
     _check_bijection,
-    _compact,
     _refined,
     canonical_form,
     canonical_key,
     isomorphic,
 )
-from foldcx.complexes import ComplexError, Edge, Face, Morphism, TwoComplex
+from foldcx.complexes import ComplexError, Compact, Edge, Face, Morphism, TwoComplex, _compact
 from foldcx.families import build_C, build_D, kp, target_presentation
 from foldcx.folding import (
     _coupling_base,

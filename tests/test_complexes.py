@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,10 +20,10 @@ from foldcx.complexes import (
     trace_relator,
     validate,
 )
-from foldcx.enumeration import _partial_injections
+from foldcx.enumeration import EnumerationFilter, _partial_injections, enumerate_immersions
 from foldcx.families import build_C, build_D, kp, target_presentation
 from foldcx.presentations import parse_presentation, parse_word
-from helpers import folded_prefold
+from helpers import folded_prefold, four_vertex_classes, random_prefold, reference_immersion_witness
 
 
 def test_presentation_complex_of_target():
@@ -246,3 +248,41 @@ def test_every_face_is_the_trace_of_its_relator():
         for face in f.complex.faces:
             word = f.presentation.relators[f.face_types[face.id]]
             assert traced_sides(f, word, face.boundary) == face.boundary
+
+
+def doubled_face(f: Morphism, k: int) -> Morphism:
+    """f with a copy of its face k, of the same type, beside it."""
+    cx, face = f.complex, f.complex.faces[k]
+    twin = Face(face.id + "d", face.boundary)
+    return Morphism(
+        TwoComplex.make(cx.vertices, cx.edges, cx.faces + (twin,)),
+        f.presentation,
+        dict(f.edge_labels),
+        f.face_types | {twin.id: f.face_types[face.id]},
+    )
+
+
+def test_immersion_witness_matches_the_reference_walk():
+    # the check on the compact form keys edge links by (relator, first
+    # edge); in a folded skeleton that finds the first collision the walk
+    # over every side finds, and it names it alike
+    corpus = [random_prefold(random.Random(seed)) for seed in range(400)]
+    corpus += [folded_prefold(seed) for seed in range(400)]
+    corpus += [build_D(i) for i in range(12)] + [build_D(i, "tilde") for i in range(6)]
+    corpus += [build_C(i) for i in range(1, 12)]
+    corpus += four_vertex_classes() + enumerate_immersions(EnumerationFilter(3, False, False))
+    corpus += [
+        presentation_complex(parse_presentation(text))
+        for text in ("a,b|b,baBAA", "a|", "a,b|abAB", "a,b,c|abc", "a,b|aba")
+    ]
+    corpus += [
+        doubled_face(f, k % min(3, len(f.complex.faces)))
+        for k, f in enumerate(corpus[:200] + corpus[-60:])
+        if f.complex.faces
+    ]
+    kinds = Counter()
+    for f in corpus:
+        witness = immersion_witness(f)
+        assert witness == reference_immersion_witness(f)
+        kinds[witness and witness.kind] += 1
+    assert kinds.keys() == {"vertex", "edge", None}

@@ -2,13 +2,14 @@ from itertools import combinations, product
 
 import pytest
 
-from foldcx.canonical import _morphism, canonical_form
+from foldcx.canonical import canonical_form
 from foldcx.complexes import (
     ComplexError,
     Edge,
     Face,
     Morphism,
     TwoComplex,
+    _morphism,
     euler_characteristic,
     free_faces,
     immersion_witness,

@@ -1,18 +1,22 @@
 import random
 import re
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from foldcx.canonical import _compact, canonical_form, isomorphic
+from foldcx.canonical import canonical_form, isomorphic
 from foldcx.complexes import (
     ComplexError,
+    _compact,
     free_faces,
+    immersion_witness,
     is_immersion,
     validate,
 )
-from foldcx import families
+from foldcx import complexes, families
 from foldcx.families import FamilyTag, build_C, build_D, classify, kp, target_presentation
 from foldcx.folding import (
     FoldTrace,
@@ -30,6 +34,7 @@ from foldcx.folding import (
     identify_vertices,
     replay_trace,
 )
+from foldcx.verify import closure_search
 from helpers import (
     disjoint_union,
     face_conflicts,
@@ -431,3 +436,31 @@ def test_check_immersion_names_the_first_failure(change, message):
     _check_immersion(c, target_presentation(), ids)
     with pytest.raises(RuntimeError, match="folding ended at a non-immersion: " + message):
         _check_immersion(change(c), target_presentation(), ids)
+
+
+def test_one_immersion_check_and_one_compaction():
+    # immersion_witness, the family builder, the closure search and a move
+    # all check through one routine, and a move compacts its input once;
+    # calls are counted by code object, whatever name a module binds
+    codes = {complexes._first_failure.__code__: "check", complexes._compact.__code__: "compact"}
+
+    def counted(call) -> Counter:
+        calls = Counter()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls[codes[frame.f_code]] += 1
+
+        sys.setprofile(count)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    d3 = build_D(3)
+    assert counted(lambda: immersion_witness(kp()))["check"] > 0
+    assert counted(lambda: build_D(2))["check"] > 0
+    assert counted(lambda: closure_search(build_D(1), 3))["check"] > 0
+    move = counted(lambda: identify_edges(d3, "b3", "b0"))
+    assert move["check"] > 0 and move["compact"] == 1

@@ -181,17 +181,18 @@ def test_library_has_no_dead_helpers():
 
 def test_docs_name_what_the_library_defines():
     # a docstring or comment, or the README, that names a private name
-    # (`_name`) or a member of a library module (`module.name`) names
-    # something the package still defines: a function, class, assignment
-    # target, attribute, argument or field; a file name such as
-    # `homology.py` is not a member
+    # (`_name`) names something the package still defines: a function,
+    # class, assignment target, attribute, argument or field; one that
+    # names a member of a library module (`module.name`) names something
+    # that module itself defines, not a name it only imports; a file name
+    # such as `homology.py` is not a member
     files = sorted(SOURCE.glob("*.py"))
     assert files, f"no sources under {SOURCE}"
-    modules = {path.stem for path in files}
     scopes = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined, texts = set(), [("README.md", (ROOT / "README.md").read_text())]
+    by_module, texts = {}, [("README.md", (ROOT / "README.md").read_text())]
     for path in files:
         source = path.read_text()
+        defined = by_module[path.stem] = set()
         for node in ast.walk(ast.parse(source, filename=str(path))):
             if isinstance(node, scopes[1:]):
                 defined.add(node.name)
@@ -209,16 +210,18 @@ def test_docs_name_what_the_library_defines():
             for token in tokenize.generate_tokens(io.StringIO(source).readline)
             if token.type == tokenize.COMMENT
         ]
+    anywhere = set().union(*by_module.values())
     found = []
     for where, text in texts:
-        names = re.findall(r"(?<![\w.])_[A-Za-z0-9]\w*", text)
-        names += [
-            f"{module}.{name}"
-            for module, name in re.findall(r"(?<![\w.])([a-z]\w*)\.(\w+)", text)
-            if module in modules and name != "py"
+        found += [
+            f"{where} {name}"
+            for name in re.findall(r"(?<![\w.])_[A-Za-z0-9]\w*", text)
+            if name not in anywhere
         ]
         found += [
-            f"{where} {name}" for name in names if name.split(".")[-1] not in defined
+            f"{where} {module}.{name}"
+            for module, name in re.findall(r"(?<![\w.])([a-z]\w*)\.(\w+)", text)
+            if module in by_module and name != "py" and name not in by_module[module]
         ]
     assert not found, "undefined name in the docs: " + ", ".join(found)
 
