@@ -35,8 +35,9 @@ the complex, cells numbered in shortlex id order, with the ids
 immersion check (complexes._first_failure, through
 folding._check_immersion).  family_state makes the unmerged fold state
 of that form, which the lemma checkers use for every base and target
-with no Morphism in between, and the family keys that classify compares
-are read off it too.  build_family, build_D and build_C make the
+with no Morphism in between.  classify keys each candidate family
+complex off the same form, built afresh for each comparison, and keeps
+no key between calls.  build_family, build_D and build_C make the
 Morphism of the same form, through TwoComplex.make, for the CLI and
 library callers.
 
@@ -249,15 +250,6 @@ def build_C(i: int, variant: str = STANDARD) -> Morphism:
     return build_family(FamilyTag("C", i, variant))
 
 
-_key_cache: dict[FamilyTag, tuple] = {}
-
-
-def _family_key(tag: FamilyTag) -> tuple:
-    if tag not in _key_cache:
-        _key_cache[tag] = _bfs(_form(tag)[0])[0]
-    return _key_cache[tag]
-
-
 def classify_compact(c: Compact) -> FamilyTag | None:
     """The family tag whose built complex is isomorphic to c, a complex
     over the standard target in compact form, or None.
@@ -269,20 +261,17 @@ def classify_compact(c: Compact) -> FamilyTag | None:
     and tried: C(i) and D(i) have i + 1 faces each.  Lookup order prefers
     C over D and standard over tilde, so when a tilde complex happens to
     be isomorphic to its standard sibling the standard tag is reported.
+
+    So a standard family complex is named by its own tag.  C(n), n odd,
+    has n vertices and n + 1 faces, and is the first candidate of both
+    counts.  D(i) has 2i + 1 vertices and i + 1 faces; the only tags
+    before it in lookup order with 2i + 1 vertices are C(2i + 1) and its
+    mirror, which have 2i + 2 faces, so they are no candidates.  The
+    lemma checkers (verify) name a standard target by its tag on this
+    argument and key only the tilde one.
     """
     found = _bfs(c) if _candidates(c) else None
     return None if found is None else _match(c, found[0])
-
-
-def classify_built(tag: FamilyTag, c: Compact) -> FamilyTag | None:
-    """classify_compact(c) for c the compact form of build_family(tag).
-    c's key is then tag's own: a key cached for tag is reused, and an
-    uncached one is read off c and cached, so tag's complex is neither
-    built a second time nor keyed twice."""
-    key = _key_cache.get(tag)
-    if key is None:
-        key = _key_cache[tag] = _bfs(c)[0]
-    return _match(c, key)
 
 
 def _candidates(c: Compact) -> list[FamilyTag]:
@@ -303,8 +292,9 @@ def _candidates(c: Compact) -> list[FamilyTag]:
 
 
 def _match(c: Compact, key: tuple) -> FamilyTag | None:
-    """The first candidate tag of c whose key is c's breadth-first key."""
-    return next((tag for tag in _candidates(c) if _family_key(tag) == key), None)
+    """The first candidate tag of c whose key is c's breadth-first key;
+    each candidate is built and keyed afresh."""
+    return next((tag for tag in _candidates(c) if _bfs(_form(tag)[0])[0] == key), None)
 
 
 def classify(f: Morphism) -> FamilyTag | None:

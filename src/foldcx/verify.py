@@ -23,38 +23,48 @@ confronts its conclusions with the independent exhaustive enumeration:
 
 The first three certify each row instead of keying its quotient
 (McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying algorithms",
-Computer Science Review 2011).  A row's target T is a family complex in
-its variant: C(d), Ct(d) for the Dt rows, D(i) or D(i + 1), and Dt(1) for
-the long coupling at position 0 of D(0).  Every base and every T is a
-family state, built straight from the compact form that the family
-builder makes (families.family_state), so the route makes no Morphism.
-The checkers read only states that the builder has checked against the
-closed form of their family (the formula check, in families): each is
-its family complex cell for cell, with v_x at index x, and the rest
-argues on the formula.  Each checker call builds each T once and
-classifies it (_Targets); classify keys T from the compact form its
-state was built from (families.classify_built), and T's Euler
-characteristic is read off the same form's cell counts.  The base of a
-row is the state of C(i) or D(i).  A coupling row's move glues a cell
-beside D(i) first (folding._coupling_base), but only a row that falls
-back builds that glued base.
+Computer Science Review 2011).  A row's target T is a standard family
+complex, C(d), D(i) or D(i + 1), except Dt(1) for the long coupling at
+position 0 of D(0).  Every base and every T is a family state, built
+straight from the compact form that the family builder makes
+(families.family_state), so the route makes no Morphism.  The checkers
+read only states that the builder has checked against the closed form of
+their family (the formula check, in families): each is its family
+complex cell for cell, with v_x at index x, and the rest argues on the
+formula.  Each checker call builds each T once (_Targets) and names it
+without keying it: a standard tag is what classify reports for its own
+complex (the lookup order of families.classify_compact), so only Dt(1)
+is keyed, by classify_compact.  T's Euler characteristic is read off its
+compact form's cell counts.  The base of a row is the state of C(i) or
+D(i).  A coupling row's move glues a cell beside D(i) first
+(folding._coupling_base), but only a row that falls back builds that
+glued base.
 
 The map pi.  For odd d, pi sends v_x of a base to v_(x mod d) of T =
-C(d), or Ct(d) from a tilde base.  Take C(i) with d dividing i, or D(i)
-with d <= i.  The edge a(j): v(j mod i) -> v(j - 1) goes to v(j mod d)
--> v(j - 1 mod d), the a-edge of C(d) leaving v(j mod d), and b(j): v(2j
-mod i) -> v(j) goes to v(2j mod d) -> v(j mod d), which is b(j mod d);
-D(i) reads the same with no reduction mod i, and the tilde variants
-reverse every a-edge on both sides.  Reducing mod i and then mod d is
-reducing mod d only when d divides i; else an a-edge of C(i) lands on no
-edge.  So each edge lands on an edge, and each face on the closed path
-that reads its relator from the image of its start.  That path is T's
-face there: T has the short cell at v0, the image of the base's, and a
-long cell at every vertex.  pi is onto: T's v_y and b(k), y, k < d, and
-a(k), 1 <= k <= d, are the images of the base's own (d <= i), and T's
-long cells are hit by the base's long cells at v(2j), reduced mod i in
-C(i), for 1 <= j <= d, or 0 <= j < d in the tilde variant, whose images
-reach every class mod d, 2 being invertible mod d.
+C(d), or to v_(-x mod d) of C(d) from a tilde base.  Take C(i) with d
+dividing i, or D(i) with d <= i.  The edge a(j): v(j mod i) -> v(j - 1)
+goes to v(j mod d) -> v(j - 1 mod d), the a-edge of C(d) leaving v(j mod
+d), and b(j): v(2j mod i) -> v(j) goes to v(2j mod d) -> v(j mod d),
+which is b(j mod d); D(i) reads the same with no reduction mod i, and
+v_x -> v_(x mod d) maps Dt(i) onto Ct(d) the same way, both reversing
+every a-edge.  Reducing mod i and then mod d is reducing mod d only when
+d divides i; else an a-edge of C(i) lands on no edge.  So each edge
+lands on an edge, and each face on the closed path that reads its
+relator from the image of its start.  That path is T's face there: T has
+the short cell at v0, the image of the base's, and a long cell at every
+vertex.  The map is onto: T's v_y and b(k), y, k < d, and a(k), 1 <= k
+<= d, are the images of the base's own (d <= i), and T's long cells are
+hit by the base's long cells at v(2j), reduced mod i in C(i), for 1 <= j
+<= d, or 0 <= j < d in the tilde variant, whose images reach every class
+mod d, 2 being invertible mod d.  From Ct(d), the mirror v_x -> v_(-x mod
+d) finishes pi, so no Ct(d) is built: it sends a(j): v(j - 1) -> v(j mod
+d) to v(1 - j) -> v(-j), which is a(1 - j) of C(d), read in 1..d, and
+b(j): v(2j mod d) -> v(j) to v(-2j) -> v(-j), which is b(-j mod d); v0
+and the short cell stay put, and the long cell at v(2j) goes to the
+closed path reading the long relator from v(-2j), C(d)'s long cell
+there.  The mirror is one to one on every sort of cell, so pi stays onto,
+and its fibres on a tilde base are the classes mod d, as on a standard
+one.
 
 Every row has a lower bound: a partition of the vertices of the row's
 move whose classes the fold must join, built from unions that the move
@@ -198,7 +208,6 @@ from .families import (
     build_C,
     build_family,
     classify,
-    classify_built,
     classify_compact,
     family_state,
     free_edges,
@@ -461,30 +470,32 @@ def _chi(c: Compact) -> int:
 
 
 class _Target(NamedTuple):
-    """A predicted family complex T and the class and chi that a row
-    certified onto T reports.  The family builder checks every T against
-    the family formula, so its vertex v_x has index x, and nv, its vertex
-    count, is the modulus of the family map and what a row's derived class
-    count must reach."""
+    """A predicted family complex T and the (classification, chi, passed)
+    row that a row certified onto T reports.  The family builder checks
+    every T against the family formula, so its vertex v_x has index x, and
+    nv, its vertex count, is the modulus of the family map and what a
+    row's derived class count must reach."""
 
     tag: FamilyTag
     nv: int
-    reported: FamilyTag | None
-    chi: int
+    row: tuple[str, int, bool]
 
 
 class _Targets(dict):
     """The targets of one checker call by tag, each built as a family state
-    checked against the formula, with no Morphism, and classified once;
-    classify keys T from the compact form the state was built from."""
+    checked against the formula, with no Morphism, and named once."""
 
     def __missing__(self, tag: FamilyTag) -> _Target:
         return self.add(tag, family_state(tag))
 
     def add(self, tag: FamilyTag, state: _FoldState) -> _Target:
-        """The target of the unmerged state of the family complex tag names."""
+        """The target of the unmerged state of the family complex tag
+        names.  A standard tag is what classify reports for its complex
+        (families.classify_compact argues it; every C(d) a checker
+        predicts has odd d), so only a tilde tag is keyed."""
         c = state.unmerged
-        self[tag] = found = _Target(tag, c.nv, classify_built(tag, c), _chi(c))
+        named = tag if tag.variant == STANDARD else classify_compact(c)
+        self[tag] = found = _Target(tag, c.nv, _row_fields(tag, named, _chi(c)))
         return found
 
 
@@ -516,10 +527,10 @@ def _in_subgroup(d: int, m: int, i: int) -> bool:
     return (s * m - d) % i == 0
 
 
-def _row_fields(target: _Target, tag: FamilyTag | None, chi: int) -> tuple[str, int, bool]:
-    """(classification, chi, passed) of a row that predicted target and
-    found tag and chi."""
-    return _tag_str(tag), chi, _tag_is(tag, target.tag.family, target.tag.index)
+def _row_fields(predicted: FamilyTag, tag: FamilyTag | None, chi: int) -> tuple[str, int, bool]:
+    """(classification, chi, passed) of a row that predicted a family
+    complex and found tag and chi."""
+    return _tag_str(tag), chi, _tag_is(tag, predicted.family, predicted.index)
 
 
 def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
@@ -531,18 +542,16 @@ def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
     y), and reports the class and chi of its folded state through
     _classify_state.  Either way the row passes when that class is T's
     family and index, in either variant.  What a certified row reports
-    depends on T alone, so it is worked out once per T.  The wall clock
+    depends on T alone, so T carries it (_Target.row).  The wall clock
     covers building the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
     report = VerificationReport(name, {"max_i": max_i})
-    certified_as: dict[FamilyTag, tuple[str, int, bool]] = {}
     for description, target, certified, base, x, y in rows:
+        found = target.row
         if not certified:
-            found = _row_fields(target, *_classify_state(fold(base, x, y)))
-        elif (found := certified_as.get(target.tag)) is None:
-            found = certified_as[target.tag] = _row_fields(target, target.reported, target.chi)
+            found = _row_fields(target.tag, *_classify_state(fold(base, x, y)))
         report.rows.append(ReportRow(description, *found))
     report.wall_clock_s = time.monotonic() - started
     return report
@@ -570,7 +579,11 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 
     def rows():
         for i in range(3, max_i + 1, 2):
-            base = family_state(FamilyTag("C", i, STANDARD))
+            # C(i) is this base and the target of later rows that
+            # predict it: built once for both
+            tag = FamilyTag("C", i, STANDARD)
+            base = family_state(tag)
+            targets.add(tag, base)
             by_m = [certificate(i, m) for m in range(1, i)]
             for u, v in combinations(range(i), 2):
                 target, certified = by_m[v - u - 1]
@@ -586,12 +599,13 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
     b-edge b_j and fold; each quotient must be C(d), d = odd_part(i - j),
     in either variant.  A row is certified without folding: the family
-    builder checks D(i) and C(d), or Dt(i) and Ct(d), against the family
-    formula, and the row derives from the heads v_i and v_j the odd x such
-    that the fold joins every class mod x (_shift_period).  The row passes
-    its certificate when T has x vertices: the map v_y -> v_(y mod x) of
-    the base onto T then shows that the fold joins no more (module
-    docstring).  A row that does not check is folded and classified."""
+    builder checks D(i) or Dt(i), and C(d), against the family formula,
+    and the row derives from the heads v_i and v_j the odd x such that the
+    fold joins every class mod x (_shift_period).  The row passes its
+    certificate when T = C(d) has x vertices: the map v_y -> v_(y mod x)
+    of D(i) onto T, or v_y -> v_(-y mod x) of Dt(i) (the mirror), then
+    shows that the fold joins no more (module docstring).  A row that
+    does not check is folded and classified."""
     targets = _Targets()
 
     def rows():
@@ -600,7 +614,7 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
                 base = family_state(FamilyTag("D", i, variant))
                 b_out = base.neighbours()[2 * base.presentation.generators.index("b")]
                 for j in range(i):
-                    target = targets[FamilyTag("C", odd_part(i - j), variant)]
+                    target = targets[FamilyTag("C", odd_part(i - j), STANDARD)]
                     certified = _shift_period(b_out, i, j) == target.nv
                     bi, bj = f"b{i}", f"b{j}"
                     yield f"{label}:{i} identify {bi}~{bj}", target, certified, base, bi, bj
@@ -631,12 +645,9 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
         a, b = gens.index("a"), gens.index("b")
         for i in range(max_i + 1):
             # D(i + 1) is the target of the long cell at position 2 and
-            # the next base: built once for both; no row from here on
-            # predicts D(i - 1)
+            # the next base: built once for both
             d, following = following, family_state(FamilyTag("D", i + 1, STANDARD))
             targets.add(FamilyTag("D", i + 1, STANDARD), following)
-            if i:
-                del targets[FamilyTag("D", i - 1, STANDARD)]
             c = d.unmerged
             free_labels[i] = sorted({gens[c.label[e]] for e in free_edges(c)})
             nb = d.neighbours()

@@ -273,17 +273,3 @@ def test_a_face_off_the_formula_raises_on_every_route(monkeypatch, capsys):
         build_D(2)
     assert main(["family", "D:2"]) == 2
     assert "internal error" in capsys.readouterr().err
-
-
-def test_classify_built_reuses_a_cached_key(monkeypatch):
-    # a tag keyed once is not keyed again, whichever checker builds it next
-    monkeypatch.setattr(families, "_key_cache", {})
-    tag = FamilyTag("C", 5, "standard")
-    c, _ = families._form(tag)
-    calls = []
-    bfs = families._bfs
-    monkeypatch.setattr(families, "_bfs", lambda c: calls.append(1) or bfs(c))
-    assert families.classify_built(tag, c) == tag
-    assert len(calls) == 1
-    assert families.classify_built(tag, c) == tag
-    assert len(calls) == 1

@@ -24,7 +24,7 @@ from foldcx.enumeration import (
     enumerate_by_types,
     enumerate_immersions,
 )
-from foldcx import cli, families, folding, verify
+from foldcx import canonical, cli, families, folding, verify
 from foldcx.families import (
     TYPE_LONG,
     TYPE_SHORT,
@@ -50,6 +50,7 @@ from foldcx.folding import (
 from foldcx.jsonio import morphism_to_json
 from foldcx.verify import (
     _classify_state,
+    _row_fields,
     _tag_str,
     check_lemma_coupling,
     check_lemma_edge_identification,
@@ -882,11 +883,32 @@ def test_formula_map_matches_the_fold_on_coupling_rows():
                 folded = _identify_edges_state(glued, cell[p], f"b{i}")
                 assert map_fibres(glued, pi, maps[tag]) == folded.vpar, (i, t, p)
                 target = targets[tag]
-                assert _classify_state(folded) == (target.reported, target.chi), (i, t, p)
+                assert _row_fields(tag, *_classify_state(folded)) == target.row, (i, t, p)
                 row = next(rows)
                 assert row.description == f"D:{i} couple type {t} position {p} at b{i}"
-                assert (row.classification, row.chi) == (_tag_str(target.reported), target.chi)
+                assert (row.classification, row.chi, row.passed) == target.row
     assert next(rows, None) is None
+
+
+def test_the_mirror_map_sends_every_dt_row_onto_c():
+    # the map route that no edge row runs, kept as the Dt rows' reference:
+    # v_x -> v_(-x mod d) maps Dt(i) onto the standard C(d), d =
+    # odd_part(i - j), its fibres are the fold's vertex classes, and the
+    # unmirrored x -> x mod d is no map of Dt(i) onto C(d) once d >= 3
+    targets = {}
+    for i in range(1, 64):
+        base = family_state(FamilyTag("D", i, "tilde"))
+        numbers = family_numbers(base)
+        for j in range(i):
+            d = odd_part(i - j)
+            if d not in targets:
+                targets[d] = map_target(family_state(FamilyTag("C", d, "standard")))
+            target = targets[d]
+            fibres = map_fibres(base, [-x % d for x in numbers], target)
+            assert fibres == [x % d for x in range(2 * i + 1)], (i, j)
+            assert _identify_edges_state(base, f"b{i}", f"b{j}").vpar == fibres, (i, j)
+            unmirrored = map_fibres(base, family_map(numbers, target), target)
+            assert (unmirrored is None) == (d >= 3), (i, j)
 
 
 @pytest.mark.parametrize(
@@ -916,13 +938,12 @@ def test_lemma_rows_run_no_fold(monkeypatch):
 
 def test_lemma_checkers_make_no_morphism(monkeypatch):
     # every base and target is a family state built from its compact form,
-    # and every key is read off one, so with no complex made the pinned
-    # reports still come out
+    # and Dt(1)'s key and its candidates' are read off one, so with no
+    # complex made the pinned reports still come out
     def refuse(*args):
         raise AssertionError("the lemma route made a Morphism")
 
     monkeypatch.setattr(TwoComplex, "make", staticmethod(refuse))
-    monkeypatch.setattr(families, "_key_cache", {})
     for max_i in sorted(LEMMA_REPORTS):
         for checker in LEMMA_CHECKERS:
             report = checker(max_i)
@@ -1004,16 +1025,15 @@ def _targets_built(monkeypatch, max_i: int) -> list[FamilyTag]:
 
 
 def test_targets_report_what_classify_reports(monkeypatch):
-    # a target's key comes from the compact form its family state was
-    # built from; from an empty key cache it must still give classify's
-    # name for the Morphism that build_family makes
-    used = _targets_built(monkeypatch, 15)
-    assert len(used) == 2 * 8 + 17 + 1  # C(d) and Ct(d), D(0..16), Dt(1)
+    # a standard target names itself and only Dt(1) is keyed; either way
+    # its certified row must be the one that classify's name and chi for
+    # the Morphism that build_family makes give
+    used = _targets_built(monkeypatch, 63)
+    assert len(used) == 32 + 65 + 1  # C(1), C(3), ..., C(63), D(0..64), Dt(1)
     for tag in used:
-        monkeypatch.setattr(families, "_key_cache", {})
-        expected = classify(build_family(tag))
-        monkeypatch.setattr(families, "_key_cache", {})
-        assert verify._Targets()[tag].reported == expected
+        built = build_family(tag)
+        expected = _row_fields(tag, classify(built), euler_characteristic(built.complex))
+        assert verify._Targets()[tag].row == expected, tag
 
 
 def test_every_target_indexes_its_vertex_v_x_at_x(monkeypatch):
@@ -1047,9 +1067,9 @@ def test_family_map_sends_v_x_to_x_mod_n(build, family, cell):
 
 
 def test_building_a_target_compacts_it_once(monkeypatch):
-    # the family builder makes T's compact form once; T's fold state and
-    # its key are both read off that form, and T is never compacted from
-    # a Morphism, nor made one
+    # the family builder makes T's compact form once; T's fold state is
+    # read off that form, a standard T is not keyed, and T is never
+    # compacted from a Morphism, nor made one
     calls = []
 
     def counted(name, fn):
@@ -1061,30 +1081,56 @@ def test_building_a_target_compacts_it_once(monkeypatch):
     monkeypatch.setattr(folding._FoldState, "compact", state_compact)
     monkeypatch.setattr(families, "_form", counted("_form", families._form))
     monkeypatch.setattr(TwoComplex, "make", staticmethod(counted("TwoComplex.make", TwoComplex.make)))
-    monkeypatch.setattr(families, "_key_cache", {})
     verify._Targets()[FamilyTag("C", 5, "standard")]
     assert calls == ["_form"]
 
 
-def test_the_closed_form_runs_once_per_family_build():
-    # the builder checks each complex against the formula it lays the
-    # skeleton out from, so nothing computes the formula a second time;
-    # calls are counted by code object, whatever name a module binds
-    codes = {families._closed_form.__code__: "closed form", families._form.__code__: "build"}
-    calls = Counter()
+def _calls(run, *functions) -> list[tuple[str, dict]]:
+    """(name, locals) of each call of the functions while run() runs,
+    counted by code object, whatever name a module binds them to."""
+    codes = {fn.__code__: fn.__name__ for fn in functions}
+    calls = []
 
-    def count(frame, event, arg):
+    def record(frame, event, arg):
         if event == "call" and frame.f_code in codes:
-            calls[codes[frame.f_code]] += 1
+            calls.append((codes[frame.f_code], dict(frame.f_locals)))
 
-    sys.setprofile(count)
+    sys.setprofile(record)
     try:
-        for checker in LEMMA_CHECKERS:
-            checker(15)
+        run()
     finally:
         sys.setprofile(None)
-    assert calls["build"] > 0
-    assert calls["closed form"] == calls["build"]
+    return calls
+
+
+def test_the_closed_form_runs_once_per_family_build():
+    # the builder checks each complex against the formula it lays the
+    # skeleton out from, so nothing computes the formula a second time
+    calls = Counter(
+        name
+        for checker in LEMMA_CHECKERS
+        for name, _ in _calls(lambda: checker(15), families._closed_form, families._form)
+    )
+    assert calls["_form"] > 0
+    assert calls["_closed_form"] == calls["_form"]
+
+
+def test_lemma_checkers_key_only_the_tilde_target():
+    # a standard target names itself (the lookup order of
+    # families.classify_compact), so the one target keyed is Dt(1), in the
+    # coupling checker, against its candidates D(1) and Dt(1)
+    keys = [len(_calls(lambda: checker(31), canonical._bfs)) for checker in LEMMA_CHECKERS]
+    assert keys == [0, 0, 3]
+
+
+@pytest.mark.parametrize(
+    "checker", [check_lemma_vertex_identification, check_lemma_edge_identification]
+)
+def test_a_checker_call_builds_each_family_complex_once(checker):
+    # each base is registered as a target and no target is built for a
+    # key, so a tag is built once per call, as base or as target
+    tags = Counter(str(args["tag"]) for _, args in _calls(lambda: checker(31), families._form))
+    assert tags and max(tags.values()) == 1, [tag for tag, k in tags.items() if k > 1]
 
 
 def test_main_theorem_budget_covers_one_pass():
