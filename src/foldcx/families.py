@@ -34,7 +34,7 @@ the complex, cells numbered in shortlex id order, with the ids
 (_assemble).  The routine checks that form with the library's one
 immersion check (complexes._first_failure, through
 folding._check_immersion).  family_state makes the unmerged fold state
-of that form, which the lemma checkers use for every base and target
+of that form, which the lemma checkers read for every disc and target
 with no Morphism in between.  classify keys each candidate family
 complex off the same form, built afresh for each comparison, and keeps
 no key between calls.  build_family, build_D and build_C make the
@@ -53,6 +53,22 @@ from a vertex traces at most one path, and a face, whose boundary reads
 its relator round a closed path from its start (folding._check_immersion),
 is fixed by its (relator, start).  A checked complex is its family complex
 cell for cell, and the lemma checkers (verify) argue on the formula.
+
+The restriction.  The D formula reduces no index mod n: a(j) runs v(j) ->
+v(j - 1), or back in the tilde variant, and b(j) runs v(2j) -> v(j).  So
+for M >= i, D(i) is the full subcomplex of D(M) spanned by v0, ..., v2i,
+ids included.  Its edges a(1), ..., a(2i) and b(0), ..., b(i) are exactly
+those of D(M) with both ends there.  Its long cells are exactly those of
+D(M) that stay there: the cell at v(2j) runs through v(2j), v(j), v(j -
+1), v(2j - 2) and v(2j - 1) in D, so it reaches v(2j), and through v(2j),
+v(j), v(j + 1), v(2j + 2) and v(2j + 1) in Dt, so it reaches v(2j + 2);
+the cells of D(i) at v2, ..., v2i and those of Dt(i) at v0, ..., v(2i -
+2) are the ones that reach v2i at most, and the short cell at v0 is in
+both.  Faces are numbered alike, by relator and then by the shortlex
+order of the b-edge they are traced from.  This is a fact of the
+formula, not a run check: the lemma checkers (verify) build one D(M) per
+variant, checked against the formula as every family complex is, and
+read each D(i) or Dt(i), i <= M, off it.
 """
 
 from __future__ import annotations
@@ -66,7 +82,6 @@ from .complexes import (
     Morphism,
     _compact,
     _morphism,
-    id_key,
     presentation_complex,
     trace_relator,
 )
@@ -134,19 +149,24 @@ def odd_part(i: int) -> int:
 def _closed_form(i: int, n: int, na: int, nb: int, variant: str):
     """The complex of index i on the skeleton of the module docstring with
     (n, #a, #b) = (n, na, nb) in the given variant, by formula, as (vertex
-    ids, edges, faces): an edge is (id, tail, head, label), sorted in
-    shortlex id order, as complexes.Compact numbers edges, and a face is
-    its (relator, start vertex), sorted."""
+    ids, edges, faces): an edge is (id, tail, head, label), in shortlex id
+    order, as complexes.Compact numbers edges, and a face is its (relator,
+    start vertex), sorted.  Shortlex compares length first, so the ids come
+    by the digit count of their index: for each count, the a(j) and then
+    the b(j), each in index order."""
     gens = target_presentation().generators
     a, b = (gens.index(g) for g in "ab")
     edges = []
-    for j in range(1, na + 1):
-        tail, head = j % n, j - 1
-        if variant == TILDE:
-            tail, head = head, tail
-        edges.append((f"a{j}", tail, head, a))
-    edges += [(f"b{j}", 2 * j % n, j, b) for j in range(nb)]
-    edges.sort(key=lambda edge: id_key(edge[0]))
+    low = 0
+    while low <= max(na, nb - 1):
+        high = 10 * low or 10  # the indices low..high - 1 have one digit count
+        for j in range(max(low, 1), min(high, na + 1)):
+            tail, head = j % n, j - 1
+            if variant == TILDE:
+                tail, head = head, tail
+            edges.append((f"a{j}", tail, head, a))
+        edges += [(f"b{j}", 2 * j % n, j, b) for j in range(low, min(high, nb))]
+        low = high
     first = 1 if variant == STANDARD else 0
     faces = [(TYPE_SHORT, 0)] + [(TYPE_LONG, 2 * j % n) for j in range(first, first + i)]
     return [f"v{x}" for x in range(n)], edges, sorted(faces)
@@ -266,9 +286,15 @@ def classify_compact(c: Compact) -> FamilyTag | None:
     has n vertices and n + 1 faces, and is the first candidate of both
     counts.  D(i) has 2i + 1 vertices and i + 1 faces; the only tags
     before it in lookup order with 2i + 1 vertices are C(2i + 1) and its
-    mirror, which have 2i + 2 faces, so they are no candidates.  The
-    lemma checkers (verify) name a standard target by its tag on this
-    argument and key only the tilde one.
+    mirror, which have 2i + 2 faces, so they are no candidates.
+
+    And Dt(i), i >= 1, is named by its own tag.  The only tag before it
+    in lookup order with its vertex and face counts is D(i), by the same
+    count.  Dt(i) is not isomorphic to D(i): b0 is the one b-loop of
+    both, at v0, so an isomorphism fixes v0, and the edge a1 leaves v0
+    in Dt(i) while no a-edge leaves v0 in D(i).  The lemma checkers
+    (verify) name every target by its tag on these two arguments and key
+    none.
     """
     found = _bfs(c) if _candidates(c) else None
     return None if found is None else _match(c, found[0])

@@ -25,20 +25,23 @@ The first three certify each row instead of keying its quotient
 (McConnell, Mehlhorn, Naeher & Schweitzer, "Certifying algorithms",
 Computer Science Review 2011).  A row's target T is a standard family
 complex, C(d), D(i) or D(i + 1), except Dt(1) for the long coupling at
-position 0 of D(0).  Every base and every T is a family state, built
-straight from the compact form that the family builder makes
+position 0 of D(0).  Every complex the checkers read is a family state,
+built straight from the compact form that the family builder makes
 (families.family_state), so the route makes no Morphism.  The checkers
 read only states that the builder has checked against the closed form of
 their family (the formula check, in families): each is its family
 complex cell for cell, with v_x at index x, and the rest argues on the
-formula.  Each checker call builds each T once (_Targets) and names it
-without keying it: a standard tag is what classify reports for its own
-complex (the lookup order of families.classify_compact), so only Dt(1)
-is keyed, by classify_compact.  T's Euler characteristic is read off its
-compact form's cell counts.  The base of a row is the state of C(i) or
-D(i).  A coupling row's move glues a cell beside D(i) first
-(folding._coupling_base), but only a row that falls back builds that
-glued base.
+formula.  The base of a row is C(i), D(i) or Dt(i).  The edge and
+coupling checkers build one D(max_i + 1) per variant they read and read
+every D(i) or Dt(i), base or T, off it as its full subcomplex on v_0,
+..., v_2i (_Discs, on the restriction argument in families); a vertex
+row reads no more of C(i) than its index.  Each checker call builds or
+reads each T once (_Targets) and names it without keying it: every T,
+Dt(1) included, is what classify reports for its own complex
+(families.classify_compact argues both).  T's Euler characteristic is
+read off its cell counts.  Only a row that falls back builds its base,
+as a family state, and a coupling row's move glues a cell beside D(i)
+first (folding._coupling_base) only then.
 
 The map pi.  For odd d, pi sends v_x of a base to v_(x mod d) of T =
 C(d), or to v_(-x mod d) of C(d) from a tilde base.  Take C(i) with d
@@ -107,15 +110,17 @@ is b: u0 -> u1, a: u1 -> u2, b: u3 -> u2, a: u4 -> u3 and a: u0 -> u4.  b
 sits at position 0 of the short relator and at 0 and 2 of the long one,
 so each i has three rows, and each falls into one of four cases.  In
 each, pi extends the family map over the cell by formula, and the row
-counts the classes of its lower bound, read off the checked base.
+counts the classes of its lower bound, read off the base, which is read
+off the checked D(max_i + 1).
 
-  Own slot.  (t, p) is the slot of b_i's one side, read off the base's
-  boundary rows (_own_slot): (long, 0), on the long face at v_2i, for i
-  >= 1, and (short, 0) for i = 0.  The cell reads its relator from that
-  slot as the face does, so each of its edges in turn shares a label
-  and a direction with the face's, from joined vertices: every u_q joins
-  the face's q-th vertex, and the bound has |V(D(i))| classes.  pi is the
-  identity on D(i) and sends the cell onto that face, so T = D(i).
+  Own slot.  (t, p) is the slot of b_i's one side, read off the boundary
+  rows of the base's faces (_Discs.own_slot): (long, 0), on the long
+  face at v_2i, for i >= 1, and (short, 0) for i = 0.  The cell reads
+  its relator from that slot as the face does, so each of its edges in
+  turn shares a label and a direction with the face's, from joined
+  vertices: every u_q joins the face's q-th vertex, and the bound has
+  |V(D(i))| classes.  pi is the identity on D(i) and sends the cell onto
+  that face, so T = D(i).
   Certified when |V(T)| = |V(D(i))|.
 
   Short cell, i >= 1.  The loop at u0 joins v_2i ~ v_i, and the edge
@@ -212,6 +217,7 @@ from .families import (
     family_state,
     free_edges,
     odd_part,
+    target_presentation,
 )
 from .folding import (
     _check_immersion,
@@ -469,6 +475,68 @@ def _chi(c: Compact) -> int:
     return c.nv - len(c.tail) + len(c.ftype)
 
 
+class _Discs:
+    """Every D(i), or every Dt(i), for i <= top, read off one D(top) or
+    Dt(top) that the family builder has checked against the formula.  D(i)
+    is the full subcomplex of D(top) on v_0, ..., v_2i, ids included (the
+    restriction argument, in families), so a read of D(i) keeps the cells
+    of D(top) that reach v_2i at most.  The counts, free-edge labels and
+    own slots of all i come from one sweep over D(top)'s cells, O(top) in
+    all, and no D(i) is built."""
+
+    def __init__(self, variant: str, top: int):
+        state = family_state(FamilyTag("D", top, variant))
+        c = state.unmerged
+        self.gens = state.presentation.generators
+        self.edge_ix, self.ftype = state.edge_ix, c.ftype
+        # state.neighbours(): key 2g leaves by label g, key 2g + 1 enters
+        self.neighbours = state.neighbours()
+        # the level of a cell is the least i whose v_2i it reaches
+        edge_level = [(max(t, h) + 1) // 2 for t, h in zip(c.tail, c.head)]
+        self.face_level = [max(edge_level[e] for e, _ in row) for row in c.boundary]
+        self.slots: list[list[tuple[int, int]]] = [[] for _ in c.tail]
+        faces_at: list[list[int]] = [[] for _ in range(top + 1)]
+        for f, row in enumerate(c.boundary):
+            faces_at[self.face_level[f]].append(f)
+            for q, (e, _) in enumerate(row):
+                self.slots[e].append((f, q))
+        edges_at = Counter(edge_level)
+        sides, free = [0] * len(c.tail), Counter()  # free: label -> free edges
+        ne = nf = 0
+        self.chi: list[int] = []
+        self.free_labels: list[list[str]] = []
+        for i in range(top + 1):
+            ne += edges_at[i]
+            nf += len(faces_at[i])
+            for f in faces_at[i]:
+                for e, _ in c.boundary[f]:
+                    sides[e] += 1
+                    if sides[e] <= 2:
+                        free[c.label[e]] += 1 if sides[e] == 1 else -1
+            self.chi.append(self.nv(i) - ne + nf)
+            self.free_labels.append(sorted(self.gens[g] for g, k in free.items() if k))
+
+    @staticmethod
+    def nv(i: int) -> int:
+        """|V(D(i))|: v_0, ..., v_2i."""
+        return 2 * i + 1
+
+    def neighbour(self, i: int, key: int, x: int) -> int:
+        """v_x's neighbour under key in D(i), x <= 2i, or -1: D(top)'s,
+        unless it lies beyond v_2i, where D(i) has no edge."""
+        y = self.neighbours[key][x]
+        return y if y <= 2 * i else -1
+
+    def own_slot(self, i: int) -> tuple[int, int]:
+        """b_i's own slot in D(i), as _own_slot reads it off D(i)'s
+        boundary rows: its first side on a face of D(i)."""
+        return next(
+            (self.ftype[f], q)
+            for f, q in self.slots[self.edge_ix[f"b{i}"]]
+            if self.face_level[f] <= i
+        )
+
+
 class _Target(NamedTuple):
     """A predicted family complex T and the (classification, chi, passed)
     row that a row certified onto T reports.  The family builder checks
@@ -483,27 +551,30 @@ class _Target(NamedTuple):
 
 class _Targets(dict):
     """The targets of one checker call by tag, each built as a family state
-    checked against the formula, with no Morphism, and named once."""
+    checked against the formula, with no Morphism, or read off a checked
+    D(M) (_Discs), and named once."""
 
     def __missing__(self, tag: FamilyTag) -> _Target:
-        return self.add(tag, family_state(tag))
+        c = family_state(tag).unmerged
+        return self.add(tag, c.nv, _chi(c))
 
-    def add(self, tag: FamilyTag, state: _FoldState) -> _Target:
-        """The target of the unmerged state of the family complex tag
-        names.  A standard tag is what classify reports for its complex
-        (families.classify_compact argues it; every C(d) a checker
-        predicts has odd d), so only a tilde tag is keyed."""
-        c = state.unmerged
-        named = tag if tag.variant == STANDARD else classify_compact(c)
-        self[tag] = found = _Target(tag, c.nv, _row_fields(tag, named, _chi(c)))
+    def add(self, tag: FamilyTag, nv: int, chi: int) -> _Target:
+        """The target of the family complex tag names, with nv vertices and
+        Euler characteristic chi.  Each tag a checker predicts, a standard
+        C(d) with d odd, a standard D(i) or Dt(1), is what classify reports
+        for its complex (families.classify_compact argues it), so it is
+        named by itself and keyed by nothing."""
+        self[tag] = found = _Target(tag, nv, _row_fields(tag, tag, chi))
         return found
 
 
 def _shift_period(b_out: list[int], p: int, q: int) -> int:
-    """The odd x such that joining v_p and v_q, p > q, on a D(i) or Dt(i)
-    base checked against the family formula, whose b-leaving array is
-    b_out, forces v_m ~ v_(m + x) for every m (module docstring); 0 when p
-    <= q or a b-edge that a step needs is missing."""
+    """The odd x such that joining v_p and v_q, 2i >= p > q, on a D(i) or
+    Dt(i) base forces v_m ~ v_(m + x) for every m (module docstring); 0
+    when p <= q or a b-edge that a step needs is missing.  b_out is the
+    b-leaving array of a checked D(M) or Dt(M), M >= i: the steps read it
+    at v_0 and at v_k, k <= p - q <= 2i, where D(i)'s b-edges are D(M)'s,
+    heads v_(k/2) included (_Discs)."""
     k = p - q
     if k <= 0:
         return 0
@@ -534,24 +605,28 @@ def _row_fields(predicted: FamilyTag, tag: FamilyTag | None, chi: int) -> tuple[
 
 
 def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
-    """Report each (description, target T, certified, base, x, y) row of a
-    checker whose move is fold.  A row is certified when the vertex
-    classes it derives from its checked base equal the fibres of a formula
-    map onto T (module docstring), and reports T's class and chi.  Any
-    other row, and only such a row, is folded here, once, as fold(base, x,
-    y), and reports the class and chi of its folded state through
-    _classify_state.  Either way the row passes when that class is T's
-    family and index, in either variant.  What a certified row reports
-    depends on T alone, so T carries it (_Target.row).  The wall clock
-    covers building the rows too."""
+    """Report each (description, target T, certified, base tag, x, y) row
+    of a checker whose move is fold.  A row is certified when the vertex
+    classes it derives from the formula of its base equal the fibres of a
+    formula map onto T (module docstring), and reports T's class and chi.
+    Any other row, and only such a row, is folded here, once, as
+    fold(base, x, y), and reports the class and chi of its folded state
+    through _classify_state; its base is the family state of its tag,
+    built here for the first such row of that tag.  Either way the row
+    passes when that class is T's family and index, in either variant.
+    What a certified row reports depends on T alone, so T carries it
+    (_Target.row).  The wall clock covers building the rows too."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
     started = time.monotonic()
     report = VerificationReport(name, {"max_i": max_i})
-    for description, target, certified, base, x, y in rows:
+    bases: dict[FamilyTag, _FoldState] = {}
+    for description, target, certified, tag, x, y in rows:
         found = target.row
         if not certified:
-            found = _row_fields(target.tag, *_classify_state(fold(base, x, y)))
+            if tag not in bases:
+                bases[tag] = family_state(tag)
+            found = _row_fields(target.tag, *_classify_state(fold(bases[tag], x, y)))
         report.rows.append(ReportRow(description, *found))
     report.wall_clock_s = time.monotonic() - started
     return report
@@ -560,15 +635,16 @@ def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
 def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     """Identify every vertex pair v_u ~ v_v of every odd-index C(i) up to
     max_i; each quotient must be C(d), d = gcd(i, v - u).  A row is
-    certified without folding: the family builder checks C(i) and C(d)
-    against the family formula, and the row passes its certificate when d
+    certified without folding: the family builder checks C(d) against
+    the family formula, and the row passes its certificate when d
     divides i, C(d) has d vertices, and the Bezout witness (_in_subgroup)
     shows that d divides v - u and lies in <v - u> of Z/i.  The fold of
     v_u ~ v_v then joins the classes mod d, and the map x -> x mod d of
     C(i) onto C(d) shows that it joins no more (module docstring).  T and
     the certificate depend on i and v - u alone, so each is worked out
-    once per (i, v - u).  A row that does not check is folded and
-    classified."""
+    once per (i, v - u), and C(i) is read on its formula, not built.  A
+    row that does not check builds C(i), folds it and classifies the
+    fold."""
     targets = _Targets()
 
     def certificate(i: int, m: int) -> tuple[_Target, bool]:
@@ -579,15 +655,11 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 
     def rows():
         for i in range(3, max_i + 1, 2):
-            # C(i) is this base and the target of later rows that
-            # predict it: built once for both
             tag = FamilyTag("C", i, STANDARD)
-            base = family_state(tag)
-            targets.add(tag, base)
             by_m = [certificate(i, m) for m in range(1, i)]
             for u, v in combinations(range(i), 2):
                 target, certified = by_m[v - u - 1]
-                yield f"C:{i} identify v{u}~v{v}", target, certified, base, u, v
+                yield f"C:{i} identify v{u}~v{v}", target, certified, tag, u, v
 
     def fold(base: _FoldState, u: int, v: int) -> _FoldState:
         return _identify_vertices_state(base, f"v{u}", f"v{v}")
@@ -599,25 +671,28 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     """Identify the last b-edge b_i of D(i) and of Dt(i) with each earlier
     b-edge b_j and fold; each quotient must be C(d), d = odd_part(i - j),
     in either variant.  A row is certified without folding: the family
-    builder checks D(i) or Dt(i), and C(d), against the family formula,
-    and the row derives from the heads v_i and v_j the odd x such that the
-    fold joins every class mod x (_shift_period).  The row passes its
-    certificate when T = C(d) has x vertices: the map v_y -> v_(y mod x)
-    of D(i) onto T, or v_y -> v_(-y mod x) of Dt(i) (the mirror), then
-    shows that the fold joins no more (module docstring).  A row that
-    does not check is folded and classified."""
+    builder checks C(d), and D(max_i + 1) and Dt(max_i + 1), whose full
+    subcomplexes on v_0, ..., v_2i are D(i) and Dt(i) (_Discs), against
+    the family formula, and the row derives from the heads v_i and v_j
+    the odd x such that the fold joins every class mod x (_shift_period).
+    The row passes its certificate when T = C(d) has x vertices: the map
+    v_y -> v_(y mod x) of D(i) onto T, or v_y -> v_(-y mod x) of Dt(i)
+    (the mirror), then shows that the fold joins no more (module
+    docstring).  A row that does not check builds D(i) or Dt(i), folds it
+    and classifies the fold."""
     targets = _Targets()
 
     def rows():
         for variant, label in ((STANDARD, "D"), (TILDE, "Dt")):
+            discs = _Discs(variant, max_i + 1)
+            b_out = discs.neighbours[2 * discs.gens.index("b")]
             for i in range(1, max_i + 1):
-                base = family_state(FamilyTag("D", i, variant))
-                b_out = base.neighbours()[2 * base.presentation.generators.index("b")]
+                tag = FamilyTag("D", i, variant)
                 for j in range(i):
                     target = targets[FamilyTag("C", odd_part(i - j), STANDARD)]
                     certified = _shift_period(b_out, i, j) == target.nv
                     bi, bj = f"b{i}", f"b{j}"
-                    yield f"{label}:{i} identify {bi}~{bj}", target, certified, base, bi, bj
+                    yield f"{label}:{i} identify {bi}~{bj}", target, certified, tag, bi, bj
 
     return _lemma_report("edge-identification", max_i, _identify_edges_state, rows())
 
@@ -628,39 +703,38 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     the short cell gives C(odd_part(i)), or D(0) when i = 0; the long cell
     at position 0 gives D(i), or Dt(1) when i = 0 (D(0) is orientation-
     symmetric); the long cell at position 2 gives D(i + 1).  A row is
-    certified without gluing, folding or mapping, like an edge row: the
-    family builder checks D(i) and T against the family formula, and the
-    row counts the classes that its move forces, reading the base's own
-    slot, its b-leaving array or an a-neighbour of v_i, by the row's case
-    (module docstring).  It passes its certificate when T has that many
-    vertices: the formula map of the case onto T then shows that the fold
-    joins no more.  A row that does not check is glued, folded once and
-    classified."""
+    certified without gluing, folding or mapping, like an edge row: D(i)
+    and a D target are read off one D(max_i + 1) (_Discs), which the
+    family builder checks against the family formula as it does every
+    other T, and the row counts the classes that its move forces, reading
+    the base's own slot, its b-leaving array or an a-neighbour of v_i, by
+    the row's case (module docstring).  It passes its certificate when T
+    has that many vertices: the formula map of the case onto T then shows
+    that the fold joins no more.  A row that does not check builds D(i),
+    is glued, folded once and classified."""
     targets = _Targets()
     free_labels: dict[int, list[str]] = {}
 
     def rows():
-        following = family_state(FamilyTag("D", 0, STANDARD))
-        gens = following.presentation.generators
-        a, b = gens.index("a"), gens.index("b")
+        # D(i) is a base and the target of its own slot, D(i + 1) the
+        # target of the long cell at position 2: each read once, here
+        discs = _Discs(STANDARD, max_i + 1)
+        for i in range(max_i + 2):
+            targets.add(FamilyTag("D", i, STANDARD), discs.nv(i), discs.chi[i])
+        a, b = discs.gens.index("a"), discs.gens.index("b")
+        b_out, relators = discs.neighbours[2 * b], target_presentation().relators
         for i in range(max_i + 1):
-            # D(i + 1) is the target of the long cell at position 2 and
-            # the next base: built once for both
-            d, following = following, family_state(FamilyTag("D", i + 1, STANDARD))
-            targets.add(FamilyTag("D", i + 1, STANDARD), following)
-            c = d.unmerged
-            free_labels[i] = sorted({gens[c.label[e]] for e in free_edges(c)})
-            nb = d.neighbours()
-            a_out, a_in, b_out = nb[2 * a], nb[2 * a + 1], nb[2 * b]
+            base, nv = FamilyTag("D", i, STANDARD), discs.nv(i)
+            free_labels[i] = discs.free_labels[i]
             edge = f"b{i}"
-            own = _own_slot(c, d.edge_ix[edge])
-            for t, word in enumerate(d.presentation.relators):
+            own = discs.own_slot(i)
+            for t, word in enumerate(relators):
                 for p, (gen, _) in enumerate(word):
                     if gen != "b":
                         continue
                     if (t, p) == own:
                         # every cell vertex joins a vertex of b_i's face
-                        tag, lower = ("D", i, STANDARD), c.nv
+                        tag, lower = ("D", i, STANDARD), nv
                     elif t == TYPE_SHORT:
                         # u0 ~ v_2i ~ v_i joins the classes mod odd_part(i)
                         tag, lower = ("C", odd_part(i), STANDARD), _shift_period(b_out, 2 * i, i)
@@ -668,15 +742,16 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
                         # u3 ~ v_2i and u2 ~ v_i; u1 joins the tail of the
                         # a-edge into v_i, and u4 when v_2i = v_i: each
                         # union joins one more u
-                        tag, lower = ("D", i + 1, STANDARD), c.nv + 3 - (a_in[i] >= 0) - (i == 0)
+                        a_in = discs.neighbour(i, 2 * a + 1, i)
+                        tag, lower = ("D", i + 1, STANDARD), nv + 3 - (a_in >= 0) - (i == 0)
                     else:
                         # D(0): u0 ~ u1 ~ v_0 along the loop b_0, and u2 ~
                         # u4, joined to the head of an a-edge out of v_0
                         tag = ("D", 1, TILDE)
-                        lower = c.nv + 2 - (a_out[0] >= 0) if i == 0 else 0
+                        lower = nv + 2 - (discs.neighbour(0, 2 * a, 0) >= 0) if i == 0 else 0
                     target = targets[FamilyTag(*tag)]
                     description = f"D:{i} couple type {t} position {p} at {edge}"
-                    yield description, target, lower == target.nv, d, (t, p), edge
+                    yield description, target, lower == target.nv, base, (t, p), edge
 
     def fold(base: _FoldState, slot: tuple[int, int], edge: str) -> _FoldState:
         glued, cell = _coupling_base(base, slot[0])

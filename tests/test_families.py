@@ -7,6 +7,7 @@ from foldcx.cli import main
 from foldcx.complexes import (
     ComplexError,
     euler_characteristic,
+    id_key,
     free_faces,
     is_immersion,
     presentation_complex,
@@ -273,3 +274,17 @@ def test_a_face_off_the_formula_raises_on_every_route(monkeypatch, capsys):
         build_D(2)
     assert main(["family", "D:2"]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["standard", "tilde"])
+def test_the_closed_form_emits_edges_in_shortlex_id_order(variant):
+    # the formula writes the edges in the order complexes.Compact numbers
+    # them, with no sort, across every digit count of the indices
+    indices = [*range(0, 130), 499, 999, 1000, 1001, 9999, 10000]
+    for i in indices:
+        shapes = [(i, 2 * i + 1, 2 * i, i + 1)] + ([(i, i, i, i)] if i else [])
+        for shape in shapes:
+            _, edges, _ = families._closed_form(*shape, variant)
+            eids = [edge[0] for edge in edges]
+            assert eids == sorted(eids, key=id_key), shape
+            assert len(eids) == shape[2] + shape[3], shape

@@ -34,8 +34,10 @@ from foldcx.families import (
     build_family,
     classify,
     family_state,
+    free_edges,
     odd_part,
     parse_family_spec,
+    target_presentation,
 )
 from foldcx.folding import (
     _coupling_base,
@@ -758,7 +760,7 @@ def test_map_check_rejects_a_map_that_misses_a_vertex_or_an_edge(vertices, edge)
     "change",
     [
         # C(i) less a(i): v0 -> v(i - 1): its a-edges form a path, whose
-        # first vertex leaves none
+        # first vertex leaves none; at 5 the one C built is the target C(1)
         pytest.param(_without(lambda i, n: f"a{i}"), id="path"),
     ],
 )
@@ -843,6 +845,26 @@ def test_shift_derivation_matches_the_fold_on_edge_rows(variant):
             assert verify._shift_period(b_out, i, j) == d
             bi, bj = eix[f"b{i}"], eix[f"b{j}"]
             assert (fold[tail[bi]], fold[head[bi]]) == (fold[tail[bj]], fold[head[bj]])
+
+
+@pytest.mark.parametrize("variant", ["standard", "tilde"])
+def test_every_disc_read_off_one_disc_is_its_real_build(variant):
+    # the restriction argument (families): D(i) is the full subcomplex of
+    # D(64) on v_0, ..., v_2i, so each read of it matches a real build
+    discs = verify._Discs(variant, 64)
+    gens = target_presentation().generators
+    for i in range(64):
+        real, following = (family_state(FamilyTag("D", k, variant)) for k in (i, i + 1))
+        c, nv = real.unmerged, 2 * i + 1
+        read = [[discs.neighbour(i, key, x) for x in range(nv)] for key in range(4)]
+        assert read == real.neighbours(), i  # a_out, a_in, b_out, b_in
+        assert discs.own_slot(i) == verify._own_slot(c, real.edge_ix[f"b{i}"]), i
+        assert discs.free_labels[i] == sorted({gens[c.label[e]] for e in free_edges(c)}), i
+        assert (discs.nv(i), discs.chi[i]) == (c.nv, verify._chi(c)), i
+        assert (discs.nv(i + 1), discs.chi[i + 1]) == (
+            following.unmerged.nv,
+            verify._chi(following.unmerged),
+        ), i
 
 
 def _coupling_formula_map(glued: _FoldState, i: int, t: int, p: int, target) -> list[int]:
@@ -937,9 +959,9 @@ def test_lemma_rows_run_no_fold(monkeypatch):
 
 
 def test_lemma_checkers_make_no_morphism(monkeypatch):
-    # every base and target is a family state built from its compact form,
-    # and Dt(1)'s key and its candidates' are read off one, so with no
-    # complex made the pinned reports still come out
+    # every disc and target is a family state built from its compact
+    # form, or read off one, so with no complex made the pinned reports
+    # still come out
     def refuse(*args):
         raise AssertionError("the lemma route made a Morphism")
 
@@ -951,8 +973,9 @@ def test_lemma_checkers_make_no_morphism(monkeypatch):
 
 
 def _with_b_heads_swapped(i, n, na, nb, variant, edges):
-    """D(1)'s edges with the heads of b0 and b1 swapped; others unchanged."""
-    if (i, n) != (1, 3):
+    """The edges of D(6) and Dt(6), the discs that the edge checker at
+    max_i 5 builds, with the heads of b0 and b1 swapped; others unchanged."""
+    if (i, n) != (6, 13):
         return edges
     heads = {eid: head for eid, _, head, _ in edges}
     swap = {"b0": heads["b1"], "b1": heads["b0"]}
@@ -982,7 +1005,7 @@ def _perturb_formula(change):
 @pytest.mark.parametrize(
     "perturb, message",
     [
-        # D(1) on two vertices: b0 and b1 both leave v0
+        # D(6), the first disc built, on 12 vertices: b0 and b6 both leave v0
         pytest.param(
             _perturb_formula(lambda family, i, n, na, nb, v: (family, i, n - 1, na - 1, nb, v)),
             "not folded",
@@ -995,10 +1018,10 @@ def _perturb_formula(change):
         ),
         # every trace of a relator is its first: two faces on one loop
         pytest.param(_repeat_first_trace, "share a slot", id="shared-slot"),
-        # D(1) with b0: v0 -> v1 and b1: v2 -> v0, the first base
+        # D(6) with b0: v0 -> v1 and b1: v2 -> v0, the first disc built
         pytest.param(
             lambda monkeypatch: _skeletons_built_by(monkeypatch, _with_b_heads_swapped),
-            r"D\(1\) is off the family formula",
+            r"D\(6\) is off the family formula",
             id="sigma-b",
         ),
     ],
@@ -1013,9 +1036,9 @@ def _targets_built(monkeypatch, max_i: int) -> list[FamilyTag]:
     used = set()
     add = verify._Targets.add
 
-    def record(self, tag, state):
+    def record(self, tag, *counts):
         used.add(tag)
-        return add(self, tag, state)
+        return add(self, tag, *counts)
 
     monkeypatch.setattr(verify._Targets, "add", record)
     for checker in LEMMA_CHECKERS:
@@ -1025,9 +1048,9 @@ def _targets_built(monkeypatch, max_i: int) -> list[FamilyTag]:
 
 
 def test_targets_report_what_classify_reports(monkeypatch):
-    # a standard target names itself and only Dt(1) is keyed; either way
-    # its certified row must be the one that classify's name and chi for
-    # the Morphism that build_family makes give
+    # every target names itself, with the counts of its build or of its
+    # read off a disc; its certified row must be the one that classify's
+    # name and chi for the Morphism that build_family makes give
     used = _targets_built(monkeypatch, 63)
     assert len(used) == 32 + 65 + 1  # C(1), C(3), ..., C(63), D(0..64), Dt(1)
     for tag in used:
@@ -1068,7 +1091,7 @@ def test_family_map_sends_v_x_to_x_mod_n(build, family, cell):
 
 def test_building_a_target_compacts_it_once(monkeypatch):
     # the family builder makes T's compact form once; T's fold state is
-    # read off that form, a standard T is not keyed, and T is never
+    # read off that form, T is not keyed, and T is never
     # compacted from a Morphism, nor made one
     calls = []
 
@@ -1115,22 +1138,68 @@ def test_the_closed_form_runs_once_per_family_build():
     assert calls["_closed_form"] == calls["_form"]
 
 
-def test_lemma_checkers_key_only_the_tilde_target():
-    # a standard target names itself (the lookup order of
-    # families.classify_compact), so the one target keyed is Dt(1), in the
-    # coupling checker, against its candidates D(1) and Dt(1)
+def test_lemma_checkers_key_no_target():
+    # every target, Dt(1) included, names itself (the lookup order of
+    # families.classify_compact and the b-loop argument beside it)
     keys = [len(_calls(lambda: checker(31), canonical._bfs)) for checker in LEMMA_CHECKERS]
-    assert keys == [0, 0, 3]
+    assert keys == [0, 0, 0]
+
+
+@pytest.mark.parametrize("checker", LEMMA_CHECKERS)
+def test_a_checker_call_builds_each_family_complex_once(checker):
+    # no base is built for a certified row and no target for a key, and
+    # each D(i) base or target is read off one disc, so a tag is built once
+    tags = Counter(str(args["tag"]) for _, args in _calls(lambda: checker(31), families._form))
+    assert tags and max(tags.values()) == 1, [tag for tag, k in tags.items() if k > 1]
 
 
 @pytest.mark.parametrize(
-    "checker", [check_lemma_vertex_identification, check_lemma_edge_identification]
+    "checker, built",
+    [
+        (check_lemma_edge_identification, ["D:32", "Dt:32"]),
+        # Dt(1) is coupling's one tilde target, built by itself
+        (check_lemma_coupling, ["D:32", "Dt:1"]),
+    ],
 )
-def test_a_checker_call_builds_each_family_complex_once(checker):
-    # each base is registered as a target and no target is built for a
-    # key, so a tag is built once per call, as base or as target
-    tags = Counter(str(args["tag"]) for _, args in _calls(lambda: checker(31), families._form))
-    assert tags and max(tags.values()) == 1, [tag for tag, k in tags.items() if k > 1]
+def test_the_disc_checkers_build_one_disc_per_variant(checker, built):
+    calls = _calls(lambda: checker(31), families._form)
+    assert [str(args["tag"]) for _, args in calls if args["tag"].family == "D"] == built
+
+
+def test_the_vertex_checker_builds_only_its_targets():
+    # no C(i) base is built for a certified row: the targets at 31 are the
+    # C(d) for proper divisors d of an odd i <= 31
+    calls = _calls(lambda: check_lemma_vertex_identification(31), families._form)
+    assert [str(args["tag"]) for _, args in calls] == ["C:1", "C:3", "C:5", "C:7", "C:9"]
+
+
+@pytest.mark.parametrize(
+    "checker, prediction, failing",
+    [
+        # v - u = 1 rows predict C(1) and pass; the rest of C(9) fold
+        (check_lemma_vertex_identification, "gcd", {"C:9 identify v0~v3": "C:3"}),
+        # every b6 ~ b_j row of D(6) and Dt(6) with odd_part(6 - j) > 1 fails
+        (check_lemma_edge_identification, "odd_part", {"Dt:6 identify b6~b3": "C:3"}),
+        (check_lemma_coupling, "odd_part", {"D:6 couple type 0 position 0 at b6": "C:3"}),
+    ],
+)
+def test_a_failing_row_builds_its_real_base_once(monkeypatch, checker, prediction, failing):
+    # a row whose certificate fails folds its own base, built through
+    # family_state once for all the failing rows of that base, and reports
+    # the class of its fold
+    monkeypatch.setattr(verify, prediction, lambda *args: 1)
+    report = None
+
+    def run():
+        nonlocal report
+        report = checker(9 if checker is check_lemma_vertex_identification else 6)
+
+    tags = Counter(str(args["tag"]) for _, args in _calls(run, families._form))
+    rows = {row.description: row for row in report.rows}
+    for description, found in failing.items():
+        assert (rows[description].classification, rows[description].passed) == (found, False)
+    bases = {row.description.split(" ")[0] for row in report.rows if not row.passed}
+    assert bases and all(tags[base] == 1 for base in bases), (bases, tags)
 
 
 def test_main_theorem_budget_covers_one_pass():
