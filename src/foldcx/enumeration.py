@@ -38,10 +38,14 @@ four stages.
    that round; by induction none ever is.  The same argument holds for
    any subset in which every edge used has two sides, and the core is such
    a subset, so the core is the largest one; it therefore only grows with
-   the set it starts from.  The traces of a pair are a subset of the table
-   with every b-edge allowed, so cutting the table of sigma_a to its core
-   once loses no trace of any pair's core, and an a-skeleton whose table
-   core is empty has no valid face set with any sigma_b.
+   the set it starts from.  Side counts are read off two bit masks of
+   edge indices per trace, once (the edges it has one side on) and more
+   (two or more sides): _thin folds them as a bit-sliced counter, and its
+   result is exactly the set of edges whose side count among the faces is
+   1, the edges a round drops.  The traces of a pair are a subset of the
+   table with every b-edge allowed, so cutting the table of sigma_a to its
+   core once loses no trace of any pair's core, and an a-skeleton whose
+   table core is empty has no valid face set with any sigma_b.
 4. b-skeletons, as bits of integer masks over their positions.  Once per
    vertex count the holders of each b-edge become one mask (_holders).
    Connectivity is settled before any face is read: a pair is connected or
@@ -92,10 +96,9 @@ independent of scheduling.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, permutations, product
+from itertools import compress, permutations, product
 from math import comb, factorial
 from operator import or_
 from typing import NamedTuple
@@ -187,10 +190,25 @@ def _partial_injections(n: int) -> list[dict[int, int]]:
 class _Trace(NamedTuple):
     """A closed trace of relator rix in a face table: the integer index of
     each side's edge (_b_edge), the signs being the relator's.  The b-edges
-    it needs are its indices of at least n."""
+    it needs are its indices of at least n.  once and more are the bits of
+    the edge indices it has exactly one side on and two or more sides on;
+    they have no default, since a trace made without them would pass every
+    side test, and _trace derives them."""
 
     rix: int
     edges: tuple[int, ...]
+    once: int
+    more: int
+
+
+def _trace(rix: int, edges) -> _Trace:
+    """The trace of relator rix along the edge indices edges, with its
+    side masks."""
+    seen = more = 0
+    for e in edges:
+        more |= seen & 1 << e
+        seen |= 1 << e
+    return _Trace(rix, tuple(edges), seen & ~more, more)
 
 
 def _b_edge(n: int, tail: int, head: int) -> int:
@@ -254,7 +272,7 @@ def _face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
                     t if gen == "a" else _b_edge(n, t, h)
                     for (gen, _), (t, h) in zip(word, ends)
                 ]
-                table.append(_Trace(rix, tuple(edges)))
+                table.append(_trace(rix, edges))
     return table
 
 
@@ -335,21 +353,30 @@ def _groups(
     return {key: mask for key, mask, _, _ in groups}
 
 
+def _thin(faces) -> int:
+    """The bits of the edges with exactly one side among the faces, as a
+    two-bit counter per edge: after each face, two holds the edges that the
+    faces so far have at least two sides on, and one those that some face
+    so far has exactly one side on."""
+    one = two = 0
+    for face in faces:
+        two |= one & face.once | face.more
+        one |= face.once
+    return one & ~two
+
+
 def _two_core(faces: list[_Trace]) -> list[_Trace]:
     """Drop every face with an edge that has fewer than two sides among the
-    faces left, until none is dropped."""
-    while True:
-        sides = Counter(chain.from_iterable(face.edges for face in faces))
-        thin = {e for e, count in sides.items() if count < 2}
-        if not thin:
-            return faces
-        faces = [face for face in faces if thin.isdisjoint(face.edges)]
+    faces left (_thin), until none is dropped."""
+    while thin := _thin(faces):
+        faces = [face for face in faces if not thin & (face.once | face.more)]
+    return faces
 
 
 def _settle(key, table, found, require_no_free_faces) -> list[_Trace] | None:
     """The faces at positions key of the table, cut to their 2-core when
-    free faces are excluded, or None when they cannot fill every type of
-    any type set in found."""
+    free faces are excluded (on their side masks, _two_core), or None when
+    they cannot fill every type of any type set in found."""
     faces = [table[p] for p in key]
     if require_no_free_faces:
         faces = _two_core(faces)
@@ -491,10 +518,8 @@ def enumerate_by_types(
                     for ml in range(low, 1 << len(long_) if tail in found else 1):
                         visit()
                         chosen = shorts + [f for k, f in enumerate(long_) if ml >> k & 1]
-                        if require_no_free_faces:
-                            sides = Counter(chain.from_iterable(f.edges for f in chosen))
-                            if 1 in sides.values():
-                                continue
+                        if require_no_free_faces and _thin(chosen):
+                            continue
                         c = skeleton._replace(
                             ftype=[f.rix for f in chosen], boundary=[boundary[f] for f in chosen]
                         )

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
-from itertools import combinations, product
+from collections import Counter, deque
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from foldcx.canonical import canonical_form, canonical_key
@@ -39,6 +39,7 @@ from foldcx.enumeration import (
     _b_edge,
     _free_trace,
     _partial_injections,
+    _trace,
     _Trace,
     enumerate_immersions,
 )
@@ -563,8 +564,26 @@ def reference_face_table(n: int, sigma_a: dict[int, int]) -> list[_Trace]:
                     t if gen == "a" else _b_edge(n, t, h)
                     for (gen, _), (t, h) in zip(word, ends)
                 ]
-                table.append(_Trace(rix, tuple(edges)))
+                table.append(_trace(rix, edges))
     return table
+
+
+def reference_has_free_face(faces: list[_Trace]) -> bool:
+    """Whether some edge has exactly one side among the faces, counted
+    edge by edge off the faces' edge tuples."""
+    return 1 in Counter(chain.from_iterable(face.edges for face in faces)).values()
+
+
+def reference_two_core(faces: list[_Trace]) -> list[_Trace]:
+    """enumeration._two_core with the sides counted edge by edge: drop
+    every face with an edge that has fewer than two sides among the faces
+    left, until none is dropped."""
+    while True:
+        sides = Counter(chain.from_iterable(face.edges for face in faces))
+        thin = {e for e, count in sides.items() if count < 2}
+        if not thin:
+            return faces
+        faces = [face for face in faces if thin.isdisjoint(face.edges)]
 
 
 def reference_candidate_faces(sigma_a: dict[int, int], sigma_b: dict[int, int]):

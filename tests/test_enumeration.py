@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -26,6 +27,8 @@ from foldcx.enumeration import (
     _partial_injections,
     _positions,
     _skeleton,
+    _thin,
+    _Trace,
     _two_core,
     enumerate_by_types,
     enumerate_immersions,
@@ -38,6 +41,8 @@ from helpers import (
     reference_components,
     reference_enumerate_by_types,
     reference_face_table,
+    reference_has_free_face,
+    reference_two_core,
 )
 
 
@@ -308,11 +313,47 @@ def test_face_table_gives_the_closed_traces():
                 assert faces == reference_candidate_faces(sigma_a, sigma_b)
 
 
+def test_trace_masks_count_the_sides_of_each_edge():
+    # on one vertex a0 has index 0 and b0 index 1; the long trace reads
+    # +b0 +a0 -b0 -a0 -a0 (C(1)'s face, whose edges C(1) names b0 and a1),
+    # so it has two or more sides on both edges and one side on none
+    short, long_ = _face_table(1, {0: 0})
+    assert (long_.rix, long_.edges, long_.once, long_.more) == (TYPE_LONG, (1, 0, 1, 0, 0), 0, 0b11)
+    assert (short.rix, short.edges, short.once, short.more) == (TYPE_SHORT, (1,), 0b10, 0)
+    for sigma_a in _partial_injections(4):
+        for face in _face_table(4, sigma_a):
+            sides = Counter(face.edges)
+            assert face.once == sum(1 << e for e, k in sides.items() if k == 1)
+            assert face.more == sum(1 << e for e, k in sides.items() if k > 1)
+    with pytest.raises(TypeError):
+        _Trace(TYPE_SHORT, (1,))
+
+
+def test_two_core_matches_the_reference():
+    # the core on side masks is the core on side counts, for the table and
+    # every face key of every a-skeleton with at most 4 vertices
+    keys = 0
+    for n in range(1, 5):
+        b_skeletons = _partial_injections(n)
+        holding = _holders(n, b_skeletons)
+        everything = (1 << len(b_skeletons)) - 1
+        for sigma_a, _ in _a_skeletons(n):
+            table = _face_table(n, sigma_a)
+            assert _two_core(table) == reference_two_core(table)
+            for key in _groups(n, table, holding, everything):
+                faces = [table[p] for p in key]
+                assert _two_core(faces) == reference_two_core(faces)
+                keys += 1
+    assert keys == 910
+
+
 def test_two_core_holds_every_face_set_without_free_faces():
     # the completeness argument of the 2-core, checked on every face subset
-    # of every skeleton pair with at most 3 vertices
-    checked = 0
-    for n in range(1, 4):
+    # of every skeleton pair with at most 4 vertices (a pair's subsets are
+    # those of its face key), and the free-face test on side masks checked
+    # against side counts on each subset
+    checked = subsets = 0
+    for n in range(1, 5):
         b_skeletons = _partial_injections(n)
         holding = _holders(n, b_skeletons)
         everything = (1 << len(b_skeletons)) - 1
@@ -325,14 +366,13 @@ def test_two_core_holds_every_face_set_without_free_faces():
                 assert all(face in table_core for face in core)
                 for size in range(1, len(faces) + 1):
                     for chosen in combinations(faces, size):
-                        sides = {}
-                        for face in chosen:
-                            for e in face.edges:
-                                sides[e] = sides.get(e, 0) + 1
-                        if 1 not in sides.values():
+                        subsets += 1
+                        free = bool(_thin(chosen))
+                        assert free == reference_has_free_face(chosen)
+                        if not free:
                             checked += 1
                             assert all(face in core for face in chosen)
-    assert checked > 0
+    assert checked > 0 and subsets == 7_529
 
 
 def test_groups_partition_the_kept_pairs():

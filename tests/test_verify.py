@@ -520,6 +520,22 @@ def test_main_theorem_at_six_vertices():
     assert digest == "1a11a02d3ce87e6adc4ac53c6d06e710c4c8c8d836260d72cea67dab2f03a955"
 
 
+def test_main_theorem_at_seven_vertices():
+    # the frontier at the least budget that passes: 15,327,890 skeleton
+    # pairs plus 102,566 face subsets; the digest was made by the walk that
+    # counted sides in a hash table, and it pins the 12 long-only classes,
+    # which no closure comparison reaches
+    report = verify_main_theorem(7, max_nodes=15_430_456)
+    assert report.passed
+    counts = [
+        report.meta[key]
+        for key in ("both_type_classes", "short-only_classes", "long-only_classes")
+    ]
+    assert counts == [4, 0, 12]
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "4a98df99a498b2798fca7f14cd9b997b852ee6233dcdf1f5d0a3d72c081fc6eb"
+
+
 # sha256 of each lemma checker's report JSON by max_i; the 63 pins were
 # made by folding every row and keying its quotient, so they bind the
 # certificate route to the fold route's answers
