@@ -83,7 +83,7 @@ class HomologyProfile:
     torsion_1: tuple[int, ...]  # invariant factors of H1 that exceed 1
 
     def is_point_like(self) -> bool:
-        return self == HomologyProfile(1, 0, 0, ())
+        return self == POINT_HOMOLOGY
 
     def as_dict(self) -> dict:
         return {
@@ -92,6 +92,9 @@ class HomologyProfile:
             "betti_2": self.betti_2,
             "torsion_1": list(self.torsion_1),
         }
+
+
+POINT_HOMOLOGY = HomologyProfile(1, 0, 0, ())
 
 
 def _d2_factors(cx: TwoComplex) -> list[int]:

@@ -15,8 +15,18 @@ A certificate is replayable evidence for (or against) contractibility:
   unknown                    not collapsible, and the coset enumeration
                              hit its cap or found a nontrivial group
 
-Homology comes first (reduced sparse elimination, see homology.py), then
-the collapse search, then the fundamental group.  Collapsibility is decided
+certify_contractible goes from proof to refutation.  When the Euler
+characteristic is 1 the collapse search runs first, and a sequence it finds
+is replayed and returned with the point homology stated, not computed: an
+elementary collapse is a deformation retraction (Whitehead, "Simplicial
+spaces, nuclei and m-groups", 1939), so a replayed collapse to one vertex
+shows that cx is homotopy equivalent to a point, which gives connectivity
+and the homology of a point at once.  Otherwise connectivity is checked,
+then homology (reduced sparse elimination, see homology.py) refutes before
+any work on the fundamental group, and a simply-connected-acyclic
+certificate keeps its computed homology as evidence.  A disconnected
+complex never collapses to one vertex, so it still raises, after the
+search when its Euler characteristic is 1.  Collapsibility is decided
 by greedy free-face collapse, which is complete because the order of
 free-face collapses does not matter; once no 2-cells remain the rest is
 forced (a graph collapses to a point exactly when it is a tree, pruning
@@ -39,7 +49,7 @@ from .groups import (
     pi1_presentation,
     tietze_reduce,
 )
-from .homology import HomologyProfile, homology
+from .homology import POINT_HOMOLOGY, HomologyProfile, homology
 
 CollapseStep = tuple[str, str, str]  # ("edge-face", edge, face) | ("vertex-edge", v, e)
 
@@ -226,22 +236,25 @@ class Certificate:
 
 def certify_contractible(cx: TwoComplex, max_cosets: int = MAX_COSETS) -> Certificate:
     check_max_cosets(max_cosets)
+    chi = euler_characteristic(cx)
+    if chi == 1:
+        steps = collapsibility_search(cx)
+        if steps is not None:
+            final = replay_collapse(cx, steps)
+            if len(final.vertices) != 1 or final.edges or final.faces:
+                raise RuntimeError("collapse sequence does not end at a point")
+            return Certificate(
+                "collapsible", POINT_HOMOLOGY, collapse_sequence=tuple(steps)
+            )
     if not cx.connected:
         raise ComplexError("certify_contractible needs a connected complex")
     profile = homology(cx)
-    chi = euler_characteristic(cx)
     if not profile.is_point_like() or chi != 1:
         return Certificate(
             "not-contractible",
             profile,
             reason=f"homology {profile.as_dict()} with chi {chi}",
         )
-    steps = collapsibility_search(cx)
-    if steps is not None:
-        final = replay_collapse(cx, steps)
-        if len(final.vertices) != 1 or final.edges or final.faces:
-            raise RuntimeError("collapse sequence does not end at a point")
-        return Certificate("collapsible", profile, collapse_sequence=tuple(steps))
     order = coset_enumeration(tietze_reduce(pi1_presentation(cx)), max_cosets)
     if order == 1:
         return Certificate("simply-connected-acyclic", profile, group_order=order)

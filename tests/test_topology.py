@@ -7,15 +7,17 @@ import time
 
 import pytest
 
+from foldcx import topology
 from foldcx.complexes import (
     ComplexError,
     Edge,
     Face,
     TwoComplex,
+    id_key,
     presentation_complex,
 )
 from foldcx.enumeration import EnumerationFilter, enumerate_immersions
-from foldcx.families import build_C, build_D, kp
+from foldcx.families import TYPE_LONG, build_C, build_D, kp
 from foldcx.homology import homology
 from foldcx.presentations import parse_presentation
 from foldcx.topology import (
@@ -117,21 +119,88 @@ def test_certify_projective_plane_not_contractible():
     assert certify_contractible(rp2).kind == "not-contractible"
 
 
+def _plus_circle(cx: TwoComplex) -> TwoComplex:
+    """cx beside a disjoint circle: one more vertex and a loop at it."""
+    return TwoComplex.make(
+        cx.vertices + ("w0",), cx.edges + (Edge("c0", "w0", "w0"),), cx.faces
+    )
+
+
 def test_certify_requires_connected():
+    # the last two have Euler characteristic 1, so the collapse search runs
+    # first there, and fails: a collapse to one vertex keeps the homotopy type
+    point = TwoComplex.make(["v0"], [], [])
     two = TwoComplex.make(["v0", "v1"], [], [])
-    with pytest.raises(ComplexError, match="connected"):
-        certify_contractible(two)
+    for cx in (two, _plus_circle(point), _plus_circle(build_D(0).complex)):
+        with pytest.raises(ComplexError, match="connected"):
+            certify_contractible(cx)
+
+
+def test_certify_of_the_empty_complex_is_refused_by_homology():
+    with pytest.raises(ComplexError, match="^homology of the empty complex$"):
+        certify_contractible(TwoComplex.make([], [], []))
+
+
+def _unreachable(*args):
+    raise AssertionError("a skipped stage ran")
+
+
+def test_certify_rejects_max_cosets_before_any_work(monkeypatch):
+    cx = build_D(1).complex
+    monkeypatch.setattr(topology, "collapsibility_search", _unreachable)
+    monkeypatch.setattr(topology, "homology", _unreachable)
+    for cap in (0, -3):
+        with pytest.raises(ComplexError, match="max_cosets must be at least 1"):
+            certify_contractible(cx, max_cosets=cap)
+
+
+def test_collapsible_certificate_skips_homology_and_connectivity(monkeypatch):
+    tree = TwoComplex.make(
+        ["v0", "v1", "v2"],
+        [Edge("a0", "v0", "v1"), Edge("b1", "v1", "v2")],
+        [],
+    )
+    cxs = [build_D(i, v).complex for v in ("standard", "tilde") for i in range(11)]
+    cxs += [tree, TwoComplex.make(["v0"], [], [])]
+    monkeypatch.setattr(topology, "homology", _unreachable)
+    monkeypatch.setattr(TwoComplex, "spanning_forest", property(_unreachable))
+    for cx in cxs:
+        cert = certify_contractible(cx)
+        assert cert.kind == "collapsible"
+        assert cert.homology.is_point_like()
+
+
+def _less_last_long_cell(i: int) -> TwoComplex:
+    """C(i) without its last long cell: Euler characteristic 0."""
+    morphism = build_C(i)
+    long_cells = [f for f, t in morphism.face_types.items() if t == TYPE_LONG]
+    last = max(long_cells, key=id_key)
+    cx = morphism.complex
+    return TwoComplex.make(
+        cx.vertices, cx.edges, [f for f in cx.faces if f.id != last]
+    )
+
+
+def test_chi_other_than_one_skips_the_collapse_search(monkeypatch):
+    circle = presentation_complex(parse_presentation("a|")).complex
+    torus = presentation_complex(parse_presentation("a,b|abAB")).complex
+    cxs = [circle, torus, _less_last_long_cell(101)]
+    monkeypatch.setattr(topology, "collapsibility_search", _unreachable)
+    for cx in cxs:
+        assert len(cx.vertices) - len(cx.edges) + len(cx.faces) != 1
+        assert certify_contractible(cx).kind == "not-contractible"
+
+
+def _fuzz_complexes() -> list[TwoComplex]:
+    rng = random.Random(17)
+    folded = [fold(random_prefold(rng))[0].complex for _ in range(30)]
+    return [cx for cx in folded if cx.connected]
 
 
 def test_certificate_never_contradicts_homology():
     # fuzz: certificates must never claim contractibility when homology is
     # not point-like
-    rng = random.Random(17)
-    for _ in range(30):
-        folded, _ = fold(random_prefold(rng))
-        cx = folded.complex
-        if not cx.connected:
-            continue
+    for cx in _fuzz_complexes():
         cert = certify_contractible(cx)
         if cert.contractible:
             assert homology(cx).is_point_like()
@@ -198,14 +267,19 @@ def test_large_cycle_certifies_through_its_fundamental_group():
     assert elapsed < 10.0, f"certifying C(1001) took {elapsed:.2f}s"
 
 
-def test_certificates_are_pinned():
-    # sha256 of the concatenated certificate JSON, the same bytes as before
-    # the reduced homology, live-count replay and Tietze pass
+def _pinned_complexes() -> list[TwoComplex]:
     cxs = [kp().complex]
     for variant in ("standard", "tilde"):
         cxs += [build_D(i, variant).complex for i in range(41)]
         cxs += [build_C(i, variant).complex for i in range(1, 40)]
-    cxs += [m.complex for m in four_vertex_classes()]
+    return cxs + [m.complex for m in four_vertex_classes()]
+
+
+def test_certificates_are_pinned():
+    # sha256 of the concatenated certificate JSON, the same bytes as before
+    # the reduced homology, live-count replay, Tietze pass and collapse-first
+    # stage order
+    cxs = _pinned_complexes()
     digest = hashlib.sha256()
     for cx in cxs:
         digest.update(certify_contractible(cx).to_json().encode())
@@ -213,6 +287,29 @@ def test_certificates_are_pinned():
     assert digest.hexdigest() == (
         "8446864ede3b03df92ab8a0254d067e62bc5b02beb4f3feafc97b367cc78313b"
     )
+
+
+def test_certificate_homology_is_the_computed_homology():
+    # a collapsible certificate states the point homology without computing
+    # it; homology checks that statement independently here
+    rp2 = TwoComplex.make(
+        ["v0"], [Edge("e0", "v0", "v0")], [Face("f0", (("e0", 1), ("e0", 1)))]
+    )
+    torus = presentation_complex(parse_presentation("a,b|abAB")).complex
+    # the binary icosahedral group, order 120, balanced and perfect: point
+    # homology, and the certificate is unknown
+    icosahedral = presentation_complex(parse_presentation("a,b|aaaaaBBB,abaBB")).complex
+    kinds = set()
+    for cx in _pinned_complexes() + _fuzz_complexes() + [rp2, torus, icosahedral]:
+        cert = certify_contractible(cx)
+        kinds.add(cert.kind)
+        assert cert.homology == homology(cx)
+    assert kinds == {
+        "collapsible",
+        "simply-connected-acyclic",
+        "not-contractible",
+        "unknown",
+    }
 
 
 def _collapsible_by_exhaustion(cx: TwoComplex) -> bool:
