@@ -270,36 +270,6 @@ def build_C(i: int, variant: str = STANDARD) -> Morphism:
     return build_family(FamilyTag("C", i, variant))
 
 
-def classify_compact(c: Compact) -> FamilyTag | None:
-    """The family tag whose built complex is isomorphic to c, a complex
-    over the standard target in compact form, or None.
-
-    Every family complex is folded, connected and non-empty, so its
-    breadth-first key (canonical._bfs) exists and decides isomorphism with
-    it; a complex without such a key is isomorphic to none of them.  Only
-    the family complexes with c's vertex count and face count are built
-    and tried: C(i) and D(i) have i + 1 faces each.  Lookup order prefers
-    C over D and standard over tilde, so when a tilde complex happens to
-    be isomorphic to its standard sibling the standard tag is reported.
-
-    So a standard family complex is named by its own tag.  C(n), n odd,
-    has n vertices and n + 1 faces, and is the first candidate of both
-    counts.  D(i) has 2i + 1 vertices and i + 1 faces; the only tags
-    before it in lookup order with 2i + 1 vertices are C(2i + 1) and its
-    mirror, which have 2i + 2 faces, so they are no candidates.
-
-    And Dt(i), i >= 1, is named by its own tag.  The only tag before it
-    in lookup order with its vertex and face counts is D(i), by the same
-    count.  Dt(i) is not isomorphic to D(i): b0 is the one b-loop of
-    both, at v0, so an isomorphism fixes v0, and the edge a1 leaves v0
-    in Dt(i) while no a-edge leaves v0 in D(i).  The lemma checkers
-    (verify) name every target by its tag on these two arguments and key
-    none.
-    """
-    found = _bfs(c) if _candidates(c) else None
-    return None if found is None else _match(c, found[0])
-
-
 def _candidates(c: Compact) -> list[FamilyTag]:
     """The family tags with c's vertex and face counts, in lookup order."""
     n = c.nv
@@ -324,7 +294,33 @@ def _match(c: Compact, key: tuple) -> FamilyTag | None:
 
 
 def classify(f: Morphism) -> FamilyTag | None:
-    """The family tag whose built complex is isomorphic to f, or None."""
+    """The family tag whose built complex is isomorphic to f, a morphism
+    over the standard target, or None.
+
+    Every family complex is folded, connected and non-empty, so its
+    breadth-first key (canonical._bfs) exists and decides isomorphism with
+    it; a complex without such a key is isomorphic to none of them.  Only
+    the family complexes with f's vertex count and face count are built
+    and tried: C(i) and D(i) have i + 1 faces each.  Lookup order prefers
+    C over D and standard over tilde, so when a tilde complex happens to
+    be isomorphic to its standard sibling the standard tag is reported.
+
+    So a standard family complex is named by its own tag.  C(n), n odd,
+    has n vertices and n + 1 faces, and is the first candidate of both
+    counts.  D(i) has 2i + 1 vertices and i + 1 faces; the only tags
+    before it in lookup order with 2i + 1 vertices are C(2i + 1) and its
+    mirror, which have 2i + 2 faces, so they are no candidates.
+
+    And Dt(i), i >= 1, is named by its own tag.  The only tag before it
+    in lookup order with its vertex and face counts is D(i), by the same
+    count.  Dt(i) is not isomorphic to D(i): b0 is the one b-loop of
+    both, at v0, so an isomorphism fixes v0, and the edge a1 leaves v0
+    in Dt(i) while no a-edge leaves v0 in D(i).  The lemma checkers
+    (verify) name every target by its tag on these two arguments and key
+    none.
+    """
     if f.presentation != target_presentation():
         raise ComplexError("classify: morphism is not over the standard target")
-    return classify_compact(_compact(f))
+    c = _compact(f)
+    found = _bfs(c) if _candidates(c) else None
+    return None if found is None else _match(c, found[0])

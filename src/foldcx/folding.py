@@ -59,10 +59,10 @@ that form, and builds a Morphism only for a result.
 _check_immersion raises the first failure that complexes._first_failure,
 the library's one immersion check, finds on the compact form of a folded
 or built complex, named by cell id; _finish runs it before it builds the
-quotient's Morphism, and the closure search's new nodes, the lemma
-checkers' fallback and the family builder run it on the compact form
-alone.  _immersion_state runs the same check on the unmerged state of a
-Morphism that a move starts from, so the move compacts its input once.
+quotient's Morphism, and the closure search's new nodes and the family
+builder run it on the compact form alone.  _immersion_state runs the
+same check on the unmerged state of a Morphism that a move starts from,
+so the move compacts its input once.
 
 Every move identifies one pair of cells in a copy of a prebuilt,
 unmerged state and folds.  Vertex and edge identification copy the state

@@ -38,10 +38,8 @@ every D(i) or Dt(i), base or T, off it as its full subcomplex on v_0,
 row reads no more of C(i) than its index.  Each checker call builds or
 reads each T once (_Targets) and names it without keying it: every T,
 Dt(1) included, is what classify reports for its own complex
-(families.classify_compact argues both).  T's Euler characteristic is
-read off its cell counts.  Only a row that falls back builds its base,
-as a family state, and a coupling row's move glues a cell beside D(i)
-first (folding._coupling_base) only then.
+(families.classify argues both).  T's Euler characteristic is read off
+its cell counts.  No row builds its base, glues a cell or folds.
 
 The map pi.  For odd d, pi sends v_x of a base to v_(x mod d) of T =
 C(d), or to v_(-x mod d) of C(d) from a tilde base.  Take C(i) with d
@@ -162,8 +160,8 @@ so every fold vertex class lies in one fibre of pi.  The derived classes
 refine the fibres, so when the row derives as many classes as T has
 vertices, pi being onto, the derived classes are the fibres, and the
 fold's classes are the fibres too.  The comparisons are exact, so a
-wrong derivation or prediction can only send a row to the fallback,
-never pass a wrong one.
+wrong derivation or prediction can only fail a row, never pass a wrong
+one.
 
 Why equal classes make the quotient T.  The fold reads edge classes off
 by (tail class, label) and face classes by (relator, first edge class);
@@ -171,10 +169,10 @@ see folding.  With vertex classes the fibres of pi, these are the keys
 that fix T's cells, and pi hits every cell, so the quotient's cells
 biject with T's, boundaries included: the quotient is isomorphic to T,
 and the row reports classify(T) and the Euler characteristic of T,
-computed once per T.  A row whose certificate does not check, and only
-such a row, is folded once, in _lemma_report, and falls back to
-classifying the compact form of its folded state (_classify_state), so
-a failing row still reports the class of its actual quotient.
+computed once per T.  A row whose certificate does not check fails: it
+names its predicted T with the detail "not certified", and nothing is
+built, glued or folded to find its actual quotient, so a derivation that
+has stopped being complete shows as a failing row.
 
 closure_search is the bridge between the two routes: starting from an
 immersion with free faces it explores the move tree and collects the
@@ -213,7 +211,6 @@ from .families import (
     build_C,
     build_family,
     classify,
-    classify_compact,
     family_state,
     free_edges,
     odd_part,
@@ -225,7 +222,6 @@ from .folding import (
     _finish,
     _FoldState,
     _identify_edges_state,
-    _identify_vertices_state,
     _immersion_state,
 )
 from .groups import MAX_COSETS, check_max_cosets
@@ -303,11 +299,6 @@ class VerificationReport:
 
 def _tag_str(tag: FamilyTag | None) -> str:
     return str(tag) if tag is not None else "other"
-
-
-def _tag_is(tag: FamilyTag | None, family: str, index: int) -> bool:
-    """Whether tag is family(index) in either variant."""
-    return tag is not None and (tag.family, tag.index) == (family, index)
 
 
 Move = tuple  # ("identify-edges", e1, e2) | ("couple", type, position, edge)
@@ -460,16 +451,6 @@ def _own_slot(c: Compact, e: int) -> tuple[int, int]:
     )
 
 
-def _classify_state(state: _FoldState) -> tuple[FamilyTag | None, int]:
-    """(family tag, chi) of a folded state's quotient, both read off its
-    compact form once folding._check_immersion has checked that form, so
-    no Morphism is made.  The lemma checkers call it only on a row whose
-    certificate does not check; see the module docstring."""
-    c = state.compact()
-    _check_immersion(c, state.presentation, state.root_ids())
-    return classify_compact(c), _chi(c)
-
-
 def _chi(c: Compact) -> int:
     """The Euler characteristic of a compact complex, from its cell counts."""
     return c.nv - len(c.tail) + len(c.ftype)
@@ -538,15 +519,15 @@ class _Discs:
 
 
 class _Target(NamedTuple):
-    """A predicted family complex T and the (classification, chi, passed)
-    row that a row certified onto T reports.  The family builder checks
-    every T against the family formula, so its vertex v_x has index x, and
-    nv, its vertex count, is the modulus of the family map and what a
-    row's derived class count must reach."""
+    """A predicted family complex T: its tag, its vertex count nv and its
+    Euler characteristic chi, which a row certified onto T reports.  The
+    family builder checks every T against the family formula, so its
+    vertex v_x has index x, and nv is the modulus of the family map and
+    what a row's derived class count must reach."""
 
     tag: FamilyTag
     nv: int
-    row: tuple[str, int, bool]
+    chi: int
 
 
 class _Targets(dict):
@@ -562,9 +543,9 @@ class _Targets(dict):
         """The target of the family complex tag names, with nv vertices and
         Euler characteristic chi.  Each tag a checker predicts, a standard
         C(d) with d odd, a standard D(i) or Dt(1), is what classify reports
-        for its complex (families.classify_compact argues it), so it is
-        named by itself and keyed by nothing."""
-        self[tag] = found = _Target(tag, nv, _row_fields(tag, tag, chi))
+        for its complex (families.classify argues it), so it is named by
+        itself and keyed by nothing."""
+        self[tag] = found = _Target(tag, nv, chi)
         return found
 
 
@@ -598,36 +579,25 @@ def _in_subgroup(d: int, m: int, i: int) -> bool:
     return (s * m - d) % i == 0
 
 
-def _row_fields(predicted: FamilyTag, tag: FamilyTag | None, chi: int) -> tuple[str, int, bool]:
-    """(classification, chi, passed) of a row that predicted a family
-    complex and found tag and chi."""
-    return _tag_str(tag), chi, _tag_is(tag, predicted.family, predicted.index)
-
-
-def _lemma_report(name: str, max_i: int, fold, rows) -> VerificationReport:
-    """Report each (description, target T, certified, base tag, x, y) row
-    of a checker whose move is fold.  A row is certified when the vertex
-    classes it derives from the formula of its base equal the fibres of a
-    formula map onto T (module docstring), and reports T's class and chi.
-    Any other row, and only such a row, is folded here, once, as
-    fold(base, x, y), and reports the class and chi of its folded state
-    through _classify_state; its base is the family state of its tag,
-    built here for the first such row of that tag.  Either way the row
-    passes when that class is T's family and index, in either variant.
-    What a certified row reports depends on T alone, so T carries it
-    (_Target.row).  The wall clock covers building the rows too."""
+def _check_max_i(name: str, max_i: int) -> None:
+    """Refuse a negative max_i before a checker builds anything."""
     if max_i < 0:
         raise ComplexError(f"{name}: max_i must be at least 0, got {max_i}")
+
+
+def _lemma_report(name: str, max_i: int, rows) -> VerificationReport:
+    """Report each (description, target T, certified) row of a checker.  A
+    row is certified when the vertex classes it derives from the formula
+    of its base equal the fibres of a formula map onto T (module
+    docstring); it reports T's class and chi and passes.  Any other row
+    fails and reports T's class and chi with the detail "not certified":
+    no base is built for it and nothing is glued, folded or classified.
+    The wall clock covers generating the rows."""
     started = time.monotonic()
     report = VerificationReport(name, {"max_i": max_i})
-    bases: dict[FamilyTag, _FoldState] = {}
-    for description, target, certified, tag, x, y in rows:
-        found = target.row
-        if not certified:
-            if tag not in bases:
-                bases[tag] = family_state(tag)
-            found = _row_fields(target.tag, *_classify_state(fold(bases[tag], x, y)))
-        report.rows.append(ReportRow(description, *found))
+    for description, target, certified in rows:
+        detail = "" if certified else "not certified"
+        report.rows.append(ReportRow(description, str(target.tag), target.chi, certified, detail))
     report.wall_clock_s = time.monotonic() - started
     return report
 
@@ -643,8 +613,8 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
     C(i) onto C(d) shows that it joins no more (module docstring).  T and
     the certificate depend on i and v - u alone, so each is worked out
     once per (i, v - u), and C(i) is read on its formula, not built.  A
-    row that does not check builds C(i), folds it and classifies the
-    fold."""
+    row that does not check fails as not certified."""
+    _check_max_i("vertex-identification", max_i)
     targets = _Targets()
 
     def certificate(i: int, m: int) -> tuple[_Target, bool]:
@@ -655,16 +625,11 @@ def check_lemma_vertex_identification(max_i: int) -> VerificationReport:
 
     def rows():
         for i in range(3, max_i + 1, 2):
-            tag = FamilyTag("C", i, STANDARD)
             by_m = [certificate(i, m) for m in range(1, i)]
             for u, v in combinations(range(i), 2):
-                target, certified = by_m[v - u - 1]
-                yield f"C:{i} identify v{u}~v{v}", target, certified, tag, u, v
+                yield f"C:{i} identify v{u}~v{v}", *by_m[v - u - 1]
 
-    def fold(base: _FoldState, u: int, v: int) -> _FoldState:
-        return _identify_vertices_state(base, f"v{u}", f"v{v}")
-
-    return _lemma_report("vertex-identification", max_i, fold, rows())
+    return _lemma_report("vertex-identification", max_i, rows())
 
 
 def check_lemma_edge_identification(max_i: int) -> VerificationReport:
@@ -678,8 +643,8 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
     The row passes its certificate when T = C(d) has x vertices: the map
     v_y -> v_(y mod x) of D(i) onto T, or v_y -> v_(-y mod x) of Dt(i)
     (the mirror), then shows that the fold joins no more (module
-    docstring).  A row that does not check builds D(i) or Dt(i), folds it
-    and classifies the fold."""
+    docstring).  A row that does not check fails as not certified."""
+    _check_max_i("edge-identification", max_i)
     targets = _Targets()
 
     def rows():
@@ -687,14 +652,12 @@ def check_lemma_edge_identification(max_i: int) -> VerificationReport:
             discs = _Discs(variant, max_i + 1)
             b_out = discs.neighbours[2 * discs.gens.index("b")]
             for i in range(1, max_i + 1):
-                tag = FamilyTag("D", i, variant)
                 for j in range(i):
                     target = targets[FamilyTag("C", odd_part(i - j), STANDARD)]
                     certified = _shift_period(b_out, i, j) == target.nv
-                    bi, bj = f"b{i}", f"b{j}"
-                    yield f"{label}:{i} identify {bi}~{bj}", target, certified, tag, bi, bj
+                    yield f"{label}:{i} identify b{i}~b{j}", target, certified
 
-    return _lemma_report("edge-identification", max_i, _identify_edges_state, rows())
+    return _lemma_report("edge-identification", max_i, rows())
 
 
 def check_lemma_coupling(max_i: int) -> VerificationReport:
@@ -710,24 +673,22 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
     the base's own slot, its b-leaving array or an a-neighbour of v_i, by
     the row's case (module docstring).  It passes its certificate when T
     has that many vertices: the formula map of the case onto T then shows
-    that the fold joins no more.  A row that does not check builds D(i),
-    is glued, folded once and classified."""
+    that the fold joins no more.  A row that does not check fails as not
+    certified.  The report's meta lists the free-edge labels of each D(i),
+    read off the same disc before any row."""
+    _check_max_i("coupling", max_i)
+    # D(i) is a base and the target of its own slot, D(i + 1) the target
+    # of the long cell at position 2: each read once, here
+    discs = _Discs(STANDARD, max_i + 1)
     targets = _Targets()
-    free_labels: dict[int, list[str]] = {}
+    for i in range(max_i + 2):
+        targets.add(FamilyTag("D", i, STANDARD), discs.nv(i), discs.chi[i])
 
     def rows():
-        # D(i) is a base and the target of its own slot, D(i + 1) the
-        # target of the long cell at position 2: each read once, here
-        discs = _Discs(STANDARD, max_i + 1)
-        for i in range(max_i + 2):
-            targets.add(FamilyTag("D", i, STANDARD), discs.nv(i), discs.chi[i])
         a, b = discs.gens.index("a"), discs.gens.index("b")
         b_out, relators = discs.neighbours[2 * b], target_presentation().relators
         for i in range(max_i + 1):
-            base, nv = FamilyTag("D", i, STANDARD), discs.nv(i)
-            free_labels[i] = discs.free_labels[i]
-            edge = f"b{i}"
-            own = discs.own_slot(i)
+            nv, own = discs.nv(i), discs.own_slot(i)
             for t, word in enumerate(relators):
                 for p, (gen, _) in enumerate(word):
                     if gen != "b":
@@ -750,15 +711,11 @@ def check_lemma_coupling(max_i: int) -> VerificationReport:
                         tag = ("D", 1, TILDE)
                         lower = nv + 2 - (discs.neighbour(0, 2 * a, 0) >= 0) if i == 0 else 0
                     target = targets[FamilyTag(*tag)]
-                    description = f"D:{i} couple type {t} position {p} at {edge}"
-                    yield description, target, lower == target.nv, base, (t, p), edge
+                    description = f"D:{i} couple type {t} position {p} at b{i}"
+                    yield description, target, lower == target.nv
 
-    def fold(base: _FoldState, slot: tuple[int, int], edge: str) -> _FoldState:
-        glued, cell = _coupling_base(base, slot[0])
-        return _identify_edges_state(glued, cell[slot[1]], edge)
-
-    report = _lemma_report("coupling", max_i, fold, rows())
-    report.meta["free_edge_labels_of_D"] = free_labels
+    report = _lemma_report("coupling", max_i, rows())
+    report.meta["free_edge_labels_of_D"] = {i: discs.free_labels[i] for i in range(max_i + 1)}
     return report
 
 

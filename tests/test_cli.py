@@ -192,6 +192,15 @@ def test_verify_lemma_rejects_a_negative_max_i(capsys, which):
     assert "max_i must be at least 0" in capsys.readouterr().err
 
 
+def test_verify_lemma_exits_one_on_a_row_that_is_not_certified(capsys, monkeypatch):
+    # every row predicts C(1); v0 ~ v3 of C(9) folds to C(3), so its
+    # certificate does not check and the row fails, naming its prediction
+    monkeypatch.setattr("foldcx.verify.gcd", lambda *args: 1)
+    code, out = run(capsys, "verify-lemma", "2.2", "--max-i", "9")
+    assert code == 1
+    assert "  FAIL C:9 identify v0~v3 -> C:1 (chi=1)  [not certified]\n" in out
+
+
 def test_verify_theorem_command(capsys):
     code, out = run(capsys, "verify-theorem", "--max-vertices", "1", "--json")
     assert code == 0

@@ -80,6 +80,28 @@ def test_family_formula_stays_in_families():
     assert not found, "the family formula is read in " + ", ".join(found)
 
 
+def test_lemma_route_reads_nothing_of_folding():
+    # every lemma row certifies or fails on the checked family formula, so
+    # the lemma route glues, folds and classifies nothing: no part of it
+    # reads a name that verify imports from the fold engine
+    tree = ast.parse((SOURCE / "verify.py").read_text())
+    folding = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "folding"
+        for alias in node.names
+    }
+    route = [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (node.name in {"_lemma_report", "_Discs", "_Targets"} or node.name.startswith("check_lemma_"))
+    ]
+    assert folding and len(route) == 6, [node.name for node in route]
+    found = [f"{node.name}: {name}" for node in route for name in sorted(_read_names(node) & folding)]
+    assert not found, "the lemma route reads fold-engine names: " + ", ".join(found)
+
+
 def _read_names(node) -> set[str]:
     """Every name node reads: loaded names, attributes and imported names."""
     out = set()

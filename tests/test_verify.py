@@ -41,6 +41,7 @@ from foldcx.families import (
 )
 from foldcx.folding import (
     _coupling_base,
+    _finish,
     _FoldState,
     _identify_edges_state,
     _identify_vertices_state,
@@ -51,8 +52,6 @@ from foldcx.folding import (
 )
 from foldcx.jsonio import morphism_to_json
 from foldcx.verify import (
-    _classify_state,
-    _row_fields,
     _tag_str,
     check_lemma_coupling,
     check_lemma_edge_identification,
@@ -393,43 +392,6 @@ def test_checker_rows_match_the_morphism_route():
         assert rows == [(_tag_str(tag), chi) for tag, chi in expected[checker]]
 
 
-def test_classify_state_matches_the_morphism_route_in_both_variants():
-    unmatched = 0
-    for variant in ("standard", "tilde"):
-        for c in (build_C(i, variant) for i in range(3, 12, 2)):
-            base = _immersion_state(c)
-            for u, v in combinations(c.complex.vertices, 2):
-                state = _identify_vertices_state(base, u, v)
-                assert _classify_state(state) == by_morphism(identify_vertices(c, u, v))
-        # every move on D, not only the checkers': moves at a-edges also
-        # reach quotients outside both families
-        for d in (build_D(i, variant) for i in range(1, 9)):
-            base = _immersion_state(d)
-            labels = d.edge_labels
-            for e1, e2 in combinations(sorted(labels), 2):
-                if labels[e1] == labels[e2]:
-                    found = _classify_state(_identify_edges_state(base, e1, e2))
-                    assert found == by_morphism(identify_edges(d, e1, e2))
-                    unmatched += found[0] is None
-            for t, word in enumerate(d.presentation.relators):
-                glued, cell = _coupling_base(base, t)
-                for p, (gen, _) in enumerate(word):
-                    for e in sorted(e for e in labels if labels[e] == gen):
-                        found = _classify_state(_identify_edges_state(glued, cell[p], e))
-                        assert found == by_morphism(couple(d, t, p, e))
-                        unmatched += found[0] is None
-    assert unmatched  # some moves match no family and take the immersion check
-
-
-def test_classify_state_of_an_unfolded_state_raises():
-    # merged but never run: the compact classifier finds no family, and the
-    # fallback refuses the non-immersion
-    state = _immersion_state(build_C(5)).copy()
-    state.merge_vertices(0, 1)
-    with pytest.raises(RuntimeError, match="folding ended at a non-immersion"):
-        _classify_state(state)
-
-
 def test_edge_identification_checker_scales():
     started = time.perf_counter()
     report = check_lemma_edge_identification(63)
@@ -589,34 +551,57 @@ def test_lemma_reports_at_127_are_pinned():
         assert report_digest(checker(127)) == digest, checker.__name__
 
 
-def test_every_lemma_row_is_certified_by_its_map(monkeypatch):
-    # the fallback classifies a folded state; with it refusing, the pinned
-    # reports can only come from rows whose map and partition check
-    def refuse(state):
-        raise AssertionError("a row fell back to classifying its fold")
-
-    monkeypatch.setattr(verify, "_classify_state", refuse)
+def test_every_lemma_row_is_certified_by_its_map():
+    # a row that does not certify fails, so the pinned reports, in which
+    # every row passes, come only from rows whose derivation checks
     for checker in LEMMA_CHECKERS:
         report = checker(31)
         assert report_digest(report) == LEMMA_REPORTS[31][report.name]
+        assert all(row.passed and not row.detail for row in report.rows)
+
+
+def _run_without_folding(monkeypatch, checker, max_i):
+    """checker(max_i), with every glue and fold refused, and the tags of
+    the family complexes it builds."""
+
+    def refuse(*args):
+        raise AssertionError("a lemma row was glued or folded")
+
+    monkeypatch.setattr(verify, "_coupling_base", refuse)
+    monkeypatch.setattr(_FoldState, "run", refuse)  # every fold runs it
+    reports = []
+    calls = _calls(lambda: reports.append(checker(max_i)), families._form)
+    return reports[0], {str(args["tag"]) for _, args in calls}
+
+
+def _failing_bases(report) -> set[str]:
+    """The base tags of the rows of report that fail; each must fail as
+    not certified."""
+    failing = [row for row in report.rows if not row.passed]
+    assert all(row.detail == "not certified" for row in failing)
+    return {row.description.split(" ")[0] for row in failing}
 
 
 @pytest.mark.parametrize(
-    "checker, prediction, max_i, description, found",
+    "checker, prediction, max_i, description",
     [
-        (check_lemma_vertex_identification, "gcd", 9, "C:9 identify v0~v3", "C:3"),
-        (check_lemma_edge_identification, "odd_part", 6, "Dt:6 identify b6~b3", "C:3"),
+        (check_lemma_vertex_identification, "gcd", 9, "C:9 identify v0~v3"),
+        (check_lemma_edge_identification, "odd_part", 6, "Dt:6 identify b6~b3"),
     ],
 )
 def test_a_wrong_prediction_fails_with_the_folds_class(
-    monkeypatch, checker, prediction, max_i, description, found
+    monkeypatch, checker, prediction, max_i, description
 ):
-    # every row predicted C:1: the map onto C(1) checks, but the partition
-    # does not, so the row is folded and reports the class of its quotient
+    # every row predicted C:1: a row whose fold is C(1) certifies, and any
+    # other row fails as not certified, naming C:1, with no base built for
+    # it and no fold
     monkeypatch.setattr(verify, prediction, lambda *args: 1)
-    rows = {row.description: row for row in checker(max_i).rows}
-    assert (rows[description].classification, rows[description].passed) == (found, False)
-    assert all(row.passed == (row.classification == "C:1") for row in rows.values())
+    report, built = _run_without_folding(monkeypatch, checker, max_i)
+    rows = {row.description: row for row in report.rows}
+    assert rows[description] == verify.ReportRow(description, "C:1", 1, False, "not certified")
+    assert all(row.classification == "C:1" for row in rows.values())
+    bases = _failing_bases(report)
+    assert bases and not bases & built, (bases, built)
 
 
 def test_a_prediction_that_does_not_divide_i_is_never_certified(monkeypatch):
@@ -624,48 +609,49 @@ def test_a_prediction_that_does_not_divide_i_is_never_certified(monkeypatch):
     # witness checks for v0 ~ v3, but x -> x mod 3 is no map of C(7), and
     # the fold of v0 ~ v3 is C(1); only the rows with v - u = 1 pass
     monkeypatch.setattr(verify, "gcd", lambda i, m: m)
-    rows = {row.description: row for row in check_lemma_vertex_identification(7).rows}
+    report, built = _run_without_folding(monkeypatch, check_lemma_vertex_identification, 7)
+    rows = {row.description: row for row in report.rows}
     row = rows["C:7 identify v0~v3"]
-    assert (row.classification, row.passed) == ("C:1", False)
+    assert (row.classification, row.passed, row.detail) == ("C:3", False, "not certified")
     for description, row in rows.items():
         i, u, v = map(int, re.fullmatch(r"C:(\d+) identify v(\d+)~v(\d+)", description).groups())
-        assert row.classification == f"C:{gcd(i, v - u)}"
+        assert row.classification == f"C:{v - u}"
         assert row.passed == (v - u == gcd(i, v - u))
+    # C(3) and C(5) are built as targets, C(7) not at all
+    assert "C:7" in _failing_bases(report) and "C:7" not in built
 
 
 def test_a_wrong_coupling_prediction_fails_with_the_folds_class(monkeypatch):
     # the short cell on D(i), i >= 1, predicted C:1: the derivation joins
     # every class mod odd_part(i), which is C(1)'s one vertex only when
-    # odd_part(i) is 1, so any other short row is folded and reports the
-    # class of its quotient; the long cells' rows still pass
+    # odd_part(i) is 1, so any other short row fails as not certified,
+    # naming C:1; the long cells' rows still pass
     monkeypatch.setattr(verify, "odd_part", lambda i: 1)
-    rows = check_lemma_coupling(6).rows
+    report, _ = _run_without_folding(monkeypatch, check_lemma_coupling, 6)
     short = {
         row.description: (row.classification, row.passed)
-        for row in rows
+        for row in report.rows
         if f" type {TYPE_SHORT} " in row.description
     }
     assert short == {
-        f"D:{i} couple type {TYPE_SHORT} position 0 at b{i}": (found, found in ("D:0", "C:1"))
-        for i, found in enumerate(["D:0", "C:1", "C:1", "C:3", "C:1", "C:5", "C:3"])
+        f"D:{i} couple type {TYPE_SHORT} position 0 at b{i}": (
+            ("C:1", odd_part(i) == 1) if i else ("D:0", True)
+        )
+        for i in range(7)
     }
-    assert all(row.passed for row in rows if row.description not in short)
+    assert all(row.passed for row in report.rows if row.description not in short)
 
 
 def test_a_failing_coupling_row_is_folded_once(monkeypatch):
-    # certified rows make no fold; each failing row glues its base and
-    # folds it once, in the fallback
+    # certified rows make no fold, and failing rows make none either: no
+    # base of theirs is built, glued or folded
     monkeypatch.setattr(verify, "odd_part", lambda i: 1)
-    folds = []
-    identify = verify._identify_edges_state
-    monkeypatch.setattr(
-        verify, "_identify_edges_state", lambda *args: folds.append(args) or identify(*args)
-    )
-    rows = check_lemma_coupling(6).rows
-    assert [row.description for row in rows if not row.passed] == [
+    report, built = _run_without_folding(monkeypatch, check_lemma_coupling, 6)
+    assert [row.description for row in report.rows if not row.passed] == [
         f"D:{i} couple type {TYPE_SHORT} position 0 at b{i}" for i in (3, 5, 6)
     ]
-    assert len(folds) == 3
+    assert _failing_bases(report) == {"D:3", "D:5", "D:6"}
+    assert built == {"D:7", "C:1", "Dt:1"}
 
 
 @pytest.mark.parametrize("d", [3, 5, 15])
@@ -902,7 +888,7 @@ def test_formula_map_matches_the_fold_on_coupling_rows():
     # every coupling row's formula map is cellular and onto its predicted T
     # (the map check), and its fibres are the vertex classes of the row's
     # fold, which classifies as the row reports
-    targets, maps = verify._Targets(), {}
+    maps = {}
     rows = iter(check_lemma_coupling(63).rows)
     for i in range(64):
         base = family_state(FamilyTag("D", i, "standard"))
@@ -920,11 +906,15 @@ def test_formula_map_matches_the_fold_on_coupling_rows():
                 pi = _coupling_formula_map(glued, i, t, p, maps[tag])
                 folded = _identify_edges_state(glued, cell[p], f"b{i}")
                 assert map_fibres(glued, pi, maps[tag]) == folded.vpar, (i, t, p)
-                target = targets[tag]
-                assert _row_fields(tag, *_classify_state(folded)) == target.row, (i, t, p)
+                quotient = _finish(folded)
+                assert classify(quotient) == tag, (i, t, p)
                 row = next(rows)
                 assert row.description == f"D:{i} couple type {t} position {p} at b{i}"
-                assert (row.classification, row.chi, row.passed) == target.row
+                assert (row.classification, row.chi, row.passed) == (
+                    str(tag),
+                    euler_characteristic(quotient.complex),
+                    True,
+                )
     assert next(rows, None) is None
 
 
@@ -966,12 +956,17 @@ def test_lemma_rows_run_no_fold(monkeypatch):
         raise AssertionError("a lemma row was glued or folded")
 
     monkeypatch.setattr(verify, "_identify_edges_state", refuse)
-    monkeypatch.setattr(verify, "_identify_vertices_state", refuse)
     monkeypatch.setattr(verify, "_coupling_base", refuse)
     for max_i in sorted(LEMMA_REPORTS):
         for checker in LEMMA_CHECKERS:
             report = checker(max_i)
             assert report_digest(report) == LEMMA_REPORTS[max_i][report.name]
+    # a wrong prediction fails its rows as not certified, still unfolded
+    for prediction in ("gcd", "odd_part"):
+        monkeypatch.setattr(verify, prediction, lambda *args: 1)
+    for checker in LEMMA_CHECKERS:
+        failing = [row for row in checker(9).rows if not row.passed]
+        assert failing and all(row.detail == "not certified" for row in failing)
 
 
 def test_lemma_checkers_make_no_morphism(monkeypatch):
@@ -1071,8 +1066,8 @@ def test_targets_report_what_classify_reports(monkeypatch):
     assert len(used) == 32 + 65 + 1  # C(1), C(3), ..., C(63), D(0..64), Dt(1)
     for tag in used:
         built = build_family(tag)
-        expected = _row_fields(tag, classify(built), euler_characteristic(built.complex))
-        assert verify._Targets()[tag].row == expected, tag
+        expected = (tag, euler_characteristic(built.complex))
+        assert (classify(built), verify._Targets()[tag].chi) == expected, tag
 
 
 def test_every_target_indexes_its_vertex_v_x_at_x(monkeypatch):
@@ -1155,8 +1150,8 @@ def test_the_closed_form_runs_once_per_family_build():
 
 
 def test_lemma_checkers_key_no_target():
-    # every target, Dt(1) included, names itself (the lookup order of
-    # families.classify_compact and the b-loop argument beside it)
+    # every target, Dt(1) included, names itself (the lookup-order and
+    # b-loop arguments in families.classify's docstring)
     keys = [len(_calls(lambda: checker(31), canonical._bfs)) for checker in LEMMA_CHECKERS]
     assert keys == [0, 0, 0]
 
@@ -1187,35 +1182,6 @@ def test_the_vertex_checker_builds_only_its_targets():
     # C(d) for proper divisors d of an odd i <= 31
     calls = _calls(lambda: check_lemma_vertex_identification(31), families._form)
     assert [str(args["tag"]) for _, args in calls] == ["C:1", "C:3", "C:5", "C:7", "C:9"]
-
-
-@pytest.mark.parametrize(
-    "checker, prediction, failing",
-    [
-        # v - u = 1 rows predict C(1) and pass; the rest of C(9) fold
-        (check_lemma_vertex_identification, "gcd", {"C:9 identify v0~v3": "C:3"}),
-        # every b6 ~ b_j row of D(6) and Dt(6) with odd_part(6 - j) > 1 fails
-        (check_lemma_edge_identification, "odd_part", {"Dt:6 identify b6~b3": "C:3"}),
-        (check_lemma_coupling, "odd_part", {"D:6 couple type 0 position 0 at b6": "C:3"}),
-    ],
-)
-def test_a_failing_row_builds_its_real_base_once(monkeypatch, checker, prediction, failing):
-    # a row whose certificate fails folds its own base, built through
-    # family_state once for all the failing rows of that base, and reports
-    # the class of its fold
-    monkeypatch.setattr(verify, prediction, lambda *args: 1)
-    report = None
-
-    def run():
-        nonlocal report
-        report = checker(9 if checker is check_lemma_vertex_identification else 6)
-
-    tags = Counter(str(args["tag"]) for _, args in _calls(run, families._form))
-    rows = {row.description: row for row in report.rows}
-    for description, found in failing.items():
-        assert (rows[description].classification, rows[description].passed) == (found, False)
-    bases = {row.description.split(" ")[0] for row in report.rows if not row.passed}
-    assert bases and all(tags[base] == 1 for base in bases), (bases, tags)
 
 
 def test_main_theorem_budget_covers_one_pass():
